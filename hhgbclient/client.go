@@ -1115,51 +1115,61 @@ func (c *Client) Checkpoint() error {
 	return c.Err()
 }
 
-// Lookup returns the accumulated weight for one (src, dst) pair. Like
-// every query it first ships the local buffer, so entries this client
-// appended are visible to it.
-func (c *Client) Lookup(src, dst uint64) (uint64, bool, error) {
-	resp, err := c.roundTrip(proto.KindLookup, func(seq uint64) []byte {
-		return proto.AppendLookup(nil, seq, src, dst)
-	})
-	if err != nil {
-		return 0, false, err
+// query runs one read op on the server — as itself, or with explain set,
+// wrapped in an Explain frame (the server executes the op for real and
+// answers with its plan-and-timing trailer instead of the result). t0 and
+// t1 bound a Range op's event time and are ignored by the flat ops. Like
+// every round trip it first ships the local buffer, so entries this
+// client appended are visible to it.
+func (c *Client) query(explain bool, q proto.Query, t0, t1 time.Time) (response, error) {
+	kind := q.Op
+	if explain {
+		kind = proto.KindExplain
 	}
-	return resp.value, resp.found, nil
+	if q.Ranged() {
+		var err error
+		if q.T0, q.T1, err = tsRange(t0, t1); err != nil {
+			return response{}, err
+		}
+	}
+	// Validate the request up front so the build closure below cannot fail
+	// (roundTrip's builder has no error path).
+	if _, err := proto.AppendQuery(nil, kind, q); err != nil {
+		return response{}, err
+	}
+	return c.roundTrip(kind, func(seq uint64) []byte {
+		q.Seq = seq
+		body, _ := proto.AppendQuery(nil, kind, q)
+		return body
+	})
+}
+
+// allTime is the bounds argument of the flat ops: no event-time range.
+var allTime time.Time
+
+// Lookup returns the accumulated weight for one (src, dst) pair.
+func (c *Client) Lookup(src, dst uint64) (uint64, bool, error) {
+	resp, err := c.query(false, proto.Query{Op: proto.KindLookup, Src: src, Dst: dst}, allTime, allTime)
+	return resp.value, resp.found, err
 }
 
 // TopSources returns the server's k sources with the most total traffic.
 func (c *Client) TopSources(k int) ([]hhgb.Ranked, error) {
-	resp, err := c.roundTrip(proto.KindTopK, func(seq uint64) []byte {
-		return proto.AppendTopK(nil, seq, proto.AxisSources, uint64(k))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.top, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindTopK, Axis: proto.AxisSources, K: uint64(k)}, allTime, allTime)
+	return resp.top, err
 }
 
 // TopDestinations returns the k destinations with the most total traffic.
 func (c *Client) TopDestinations(k int) ([]hhgb.Ranked, error) {
-	resp, err := c.roundTrip(proto.KindTopK, func(seq uint64) []byte {
-		return proto.AppendTopK(nil, seq, proto.AxisDestinations, uint64(k))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.top, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindTopK, Axis: proto.AxisDestinations, K: uint64(k)}, allTime, allTime)
+	return resp.top, err
 }
 
 // Summary returns the server matrix's aggregate statistics (on a windowed
 // server: over everything retained).
 func (c *Client) Summary() (hhgb.Summary, error) {
-	resp, err := c.roundTrip(proto.KindSummary, func(seq uint64) []byte {
-		return proto.AppendSeq(nil, seq)
-	})
-	if err != nil {
-		return hhgb.Summary{}, err
-	}
-	return resp.summary, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindSummary}, allTime, allTime)
+	return resp.summary, err
 }
 
 // tsRange validates and converts a client-side event-time range. UnixNano
@@ -1177,58 +1187,28 @@ func tsRange(t0, t1 time.Time) (uint64, uint64, error) {
 // [t0, t1) on a windowed server: only the windows covering the range are
 // touched.
 func (c *Client) RangeSummary(t0, t1 time.Time) (hhgb.Summary, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return hhgb.Summary{}, err
-	}
-	resp, err := c.roundTrip(proto.KindRangeSummary, func(seq uint64) []byte {
-		return proto.AppendRangeSummary(nil, seq, a, b)
-	})
-	if err != nil {
-		return hhgb.Summary{}, err
-	}
-	return resp.summary, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindRangeSummary}, t0, t1)
+	return resp.summary, err
 }
 
 // RangeTopSources returns the k sources with the most traffic in [t0, t1).
 func (c *Client) RangeTopSources(k int, t0, t1 time.Time) ([]hhgb.Ranked, error) {
-	return c.rangeTopK(proto.AxisSources, k, t0, t1)
+	resp, err := c.query(false, proto.Query{Op: proto.KindRangeTopK, Axis: proto.AxisSources, K: uint64(k)}, t0, t1)
+	return resp.top, err
 }
 
 // RangeTopDestinations returns the k destinations with the most traffic
 // in [t0, t1).
 func (c *Client) RangeTopDestinations(k int, t0, t1 time.Time) ([]hhgb.Ranked, error) {
-	return c.rangeTopK(proto.AxisDestinations, k, t0, t1)
-}
-
-func (c *Client) rangeTopK(axis byte, k int, t0, t1 time.Time) ([]hhgb.Ranked, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(proto.KindRangeTopK, func(seq uint64) []byte {
-		return proto.AppendRangeTopK(nil, seq, axis, uint64(k), a, b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.top, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindRangeTopK, Axis: proto.AxisDestinations, K: uint64(k)}, t0, t1)
+	return resp.top, err
 }
 
 // RangeLookup returns the accumulated weight for one (src, dst) pair over
 // [t0, t1).
 func (c *Client) RangeLookup(src, dst uint64, t0, t1 time.Time) (uint64, bool, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := c.roundTrip(proto.KindRangeLookup, func(seq uint64) []byte {
-		return proto.AppendRangeLookup(nil, seq, src, dst, a, b)
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	return resp.value, resp.found, nil
+	resp, err := c.query(false, proto.Query{Op: proto.KindRangeLookup, Src: src, Dst: dst}, t0, t1)
+	return resp.value, resp.found, err
 }
 
 // ExplainLeg is one window the server's query plan fanned out to: its
@@ -1315,83 +1295,55 @@ func explainFromWire(e proto.Explain) Explain {
 	return out
 }
 
-// explain runs one wrapped query op on the server in EXPLAIN mode: the
-// server executes the op (discarding its result) and replies with the
-// plan-and-timing trailer instead.
-func (c *Client) explain(q proto.ExplainReq) (Explain, error) {
-	// Validate the request up front so the build closure below cannot fail
-	// (roundTrip's builder has no error path).
-	if _, err := proto.AppendExplain(nil, q); err != nil {
-		return Explain{}, err
-	}
-	resp, err := c.roundTrip(proto.KindExplain, func(seq uint64) []byte {
-		q.Seq = seq
-		body, _ := proto.AppendExplain(nil, q)
-		return body
-	})
-	if err != nil {
-		return Explain{}, err
-	}
-	return resp.explain, nil
-}
-
 // ExplainLookup explains a Lookup(src, dst): the plan and timings the
 // server would use to serve it, without returning the value.
 func (c *Client) ExplainLookup(src, dst uint64) (Explain, error) {
-	return c.explain(proto.ExplainReq{Op: proto.KindLookup, Src: src, Dst: dst})
+	resp, err := c.query(true, proto.Query{Op: proto.KindLookup, Src: src, Dst: dst}, allTime, allTime)
+	return resp.explain, err
 }
 
 // ExplainTopSources explains a TopSources(k).
 func (c *Client) ExplainTopSources(k int) (Explain, error) {
-	return c.explain(proto.ExplainReq{Op: proto.KindTopK, Axis: proto.AxisSources, K: uint64(k)})
+	resp, err := c.query(true, proto.Query{Op: proto.KindTopK, Axis: proto.AxisSources, K: uint64(k)}, allTime, allTime)
+	return resp.explain, err
 }
 
 // ExplainTopDestinations explains a TopDestinations(k).
 func (c *Client) ExplainTopDestinations(k int) (Explain, error) {
-	return c.explain(proto.ExplainReq{Op: proto.KindTopK, Axis: proto.AxisDestinations, K: uint64(k)})
+	resp, err := c.query(true, proto.Query{Op: proto.KindTopK, Axis: proto.AxisDestinations, K: uint64(k)}, allTime, allTime)
+	return resp.explain, err
 }
 
 // ExplainSummary explains a Summary().
 func (c *Client) ExplainSummary() (Explain, error) {
-	return c.explain(proto.ExplainReq{Op: proto.KindSummary})
+	resp, err := c.query(true, proto.Query{Op: proto.KindSummary}, allTime, allTime)
+	return resp.explain, err
 }
 
 // ExplainRangeLookup explains a RangeLookup(src, dst, t0, t1): which
 // windows the cover picks, what part of the range is uncovered, and how
 // long each leg ran.
 func (c *Client) ExplainRangeLookup(src, dst uint64, t0, t1 time.Time) (Explain, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return Explain{}, err
-	}
-	return c.explain(proto.ExplainReq{Op: proto.KindRangeLookup, Src: src, Dst: dst, T0: a, T1: b})
+	resp, err := c.query(true, proto.Query{Op: proto.KindRangeLookup, Src: src, Dst: dst}, t0, t1)
+	return resp.explain, err
 }
 
 // ExplainRangeTopSources explains a RangeTopSources(k, t0, t1).
 func (c *Client) ExplainRangeTopSources(k int, t0, t1 time.Time) (Explain, error) {
-	return c.explainRangeTopK(proto.AxisSources, k, t0, t1)
+	resp, err := c.query(true, proto.Query{Op: proto.KindRangeTopK, Axis: proto.AxisSources, K: uint64(k)}, t0, t1)
+	return resp.explain, err
 }
 
 // ExplainRangeTopDestinations explains a RangeTopDestinations(k, t0, t1).
 func (c *Client) ExplainRangeTopDestinations(k int, t0, t1 time.Time) (Explain, error) {
-	return c.explainRangeTopK(proto.AxisDestinations, k, t0, t1)
-}
-
-func (c *Client) explainRangeTopK(axis byte, k int, t0, t1 time.Time) (Explain, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return Explain{}, err
-	}
-	return c.explain(proto.ExplainReq{Op: proto.KindRangeTopK, Axis: axis, K: uint64(k), T0: a, T1: b})
+	resp, err := c.query(true, proto.Query{Op: proto.KindRangeTopK, Axis: proto.AxisDestinations, K: uint64(k)}, t0, t1)
+	return resp.explain, err
 }
 
 // ExplainRangeSummary explains a RangeSummary(t0, t1).
 func (c *Client) ExplainRangeSummary(t0, t1 time.Time) (Explain, error) {
-	a, b, err := tsRange(t0, t1)
-	if err != nil {
-		return Explain{}, err
-	}
-	return c.explain(proto.ExplainReq{Op: proto.KindRangeSummary, T0: a, T1: b})
+	resp, err := c.query(true, proto.Query{Op: proto.KindRangeSummary}, t0, t1)
+	return resp.explain, err
 }
 
 // SubscribeAllLevels selects every hierarchy level in Subscribe.

@@ -88,10 +88,7 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 		t.Fatal(err)
 	}
 	ws := AppendWindowSummary(nil, WindowSummary{Sub: 5, Level: 1, Start: 1e18, End: 2e18, Entries: 3, Sources: 2, Destinations: 3, Packets: 44})
-	exReq, err := AppendExplain(nil, ExplainReq{Seq: 20, Op: KindRangeTopK, Axis: AxisSources, K: 5, T0: 1e18, T1: 2e18})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exReq := mustQuery(t, KindExplain, Query{Seq: 20, Op: KindRangeTopK, Axis: AxisSources, K: 5, T0: 1e18, T1: 2e18})
 	exResp := AppendExplainResp(nil, 21, Explain{Op: KindRangeTopK, TotalNanos: 5e6, CacheHits: 3, CacheMisses: 1,
 		Legs:      []ExplainLeg{{Level: 1, Start: 1e18, End: 1e18 + 1e9, Shards: 2, DurNanos: 1e6}},
 		Uncovered: []ExplainSpan{{Start: 15e17, End: 16e17}}})
@@ -103,12 +100,12 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 				KindWelcome, AppendWelcome(nil, Welcome{Version: Version, Dim: 1 << 20, Shards: 2})),
 			"ingest": frames(t, KindInsert, insert, KindInsertAt, insertAt,
 				KindFlush, AppendSeq(nil, 5), KindCheckpoint, AppendSeq(nil, 6), KindGoodbye, AppendSeq(nil, 7)),
-			"queries": frames(t, KindLookup, AppendLookup(nil, 8, 11, 13),
-				KindTopK, AppendTopK(nil, 9, AxisDestinations, 10),
-				KindSummary, AppendSeq(nil, 10)),
-			"temporal": frames(t, KindRangeLookup, AppendRangeLookup(nil, 11, 1, 2, 1e18, 2e18),
-				KindRangeTopK, AppendRangeTopK(nil, 12, AxisSources, 10, 1e18, 2e18),
-				KindRangeSummary, AppendRangeSummary(nil, 13, 1e18, 2e18),
+			"queries": frames(t, KindLookup, mustQuery(t, KindLookup, Query{Seq: 8, Src: 11, Dst: 13}),
+				KindTopK, mustQuery(t, KindTopK, Query{Seq: 9, Axis: AxisDestinations, K: 10}),
+				KindSummary, mustQuery(t, KindSummary, Query{Seq: 10})),
+			"temporal": frames(t, KindRangeLookup, mustQuery(t, KindRangeLookup, Query{Seq: 11, Src: 1, Dst: 2, T0: 1e18, T1: 2e18}),
+				KindRangeTopK, mustQuery(t, KindRangeTopK, Query{Seq: 12, Axis: AxisSources, K: 10, T0: 1e18, T1: 2e18}),
+				KindRangeSummary, mustQuery(t, KindRangeSummary, Query{Seq: 13, T0: 1e18, T1: 2e18}),
 				KindSubscribe, AppendSubscribe(nil, 14, SubscribeAllLevels)),
 			"explain": frames(t, KindExplain, exReq, KindExplainResp, exResp),
 			"responses": frames(t, KindAck, AppendSeq(nil, 15),
@@ -137,15 +134,15 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 		"FuzzParseBodies": {
 			"hello":         AppendHello(nil, "seed-session", 41),
 			"welcome":       AppendWelcome(nil, Welcome{Version: Version, Dim: 1 << 24, Shards: 2, Window: 1e9, LastSeq: 41, HighSeq: 44}),
-			"lookup":        AppendLookup(nil, 1, 2, 3),
+			"lookup":        mustQuery(t, KindLookup, Query{Seq: 1, Src: 2, Dst: 3}),
 			"lookupresp":    AppendLookupResp(nil, 1, true, 300),
-			"topk":          AppendTopK(nil, 1, AxisSources, 5),
+			"topk":          mustQuery(t, KindTopK, Query{Seq: 1, Axis: AxisSources, K: 5}),
 			"topkresp":      AppendTopKResp(nil, 1, []Ranked{{1, 100}}),
 			"summaryresp":   AppendSummaryResp(nil, 1, Summary{Entries: 7, Sources: 2, Destinations: 3}),
 			"error":         AppendError(nil, 1, ErrCodeRejected, "nope"),
-			"rangelookup":   AppendRangeLookup(nil, 1, 2, 3, 1e18, 2e18),
-			"rangetopk":     AppendRangeTopK(nil, 1, AxisDestinations, 10, 1e18, 2e18),
-			"rangesummary":  AppendRangeSummary(nil, 1, 1e18, 2e18),
+			"rangelookup":   mustQuery(t, KindRangeLookup, Query{Seq: 1, Src: 2, Dst: 3, T0: 1e18, T1: 2e18}),
+			"rangetopk":     mustQuery(t, KindRangeTopK, Query{Seq: 1, Axis: AxisDestinations, K: 10, T0: 1e18, T1: 2e18}),
+			"rangesummary":  mustQuery(t, KindRangeSummary, Query{Seq: 1, T0: 1e18, T1: 2e18}),
 			"subscribe":     AppendSubscribe(nil, 1, 0),
 			"windowsummary": ws,
 			"explain":       exReq,

@@ -76,12 +76,11 @@ func FuzzParseBodies(f *testing.F) {
 	f.Add(AppendSummaryResp(nil, 6, Summary{Entries: 10}))
 	f.Add(AppendError(nil, 7, ErrCodeOverload, "overloaded"))
 	f.Add(AppendHello(nil, "sess-fuzz", 42))
-	f.Add(AppendRangeTopK(nil, 8, AxisSources, 10, 1e9, 2e9))
+	for _, qc := range queryCases {
+		f.Add(mustQuery(f, qc.kind, qc.q))
+	}
 	f.Add(AppendSubscribe(nil, 9, SubscribeAllLevels))
 	f.Add(AppendWindowSummary(nil, WindowSummary{Sub: 9, Start: 1e9, End: 2e9, Entries: 5, Packets: 50}))
-	if ex, err := AppendExplain(nil, ExplainReq{Seq: 10, Op: KindRangeTopK, Axis: AxisSources, K: 5, T0: 1e9, T1: 2e9}); err == nil {
-		f.Add(ex)
-	}
 	f.Add(AppendExplainResp(nil, 11, Explain{Op: KindRangeSummary, TotalNanos: 5e6,
 		Legs:      []ExplainLeg{{Start: 1e9, End: 2e9, Shards: 2, DurNanos: 1e6}},
 		Uncovered: []ExplainSpan{{Start: 2e9, End: 3e9}}}))
@@ -89,20 +88,28 @@ func FuzzParseBodies(f *testing.F) {
 		_, _, _, _ = ParseHello(body)
 		_, _ = ParseWelcome(body)
 		_, _ = ParseSeq(body)
-		_, _, _, _ = ParseLookup(body)
 		_, _, _, _ = ParseLookupResp(body)
-		_, _, _, _ = ParseTopK(body)
 		if _, top, err := ParseTopKResp(body); err == nil && len(top) > len(body) {
 			t.Fatalf("top-k result larger than its encoding")
 		}
 		_, _, _ = ParseSummaryResp(body)
 		_, _, _, _ = ParseError(body)
-		_, _, _, _, _, _ = ParseRangeLookup(body)
-		_, _, _, _, _, _ = ParseRangeTopK(body)
-		_, _, _, _ = ParseRangeSummary(body)
 		_, _, _ = ParseSubscribe(body)
 		_, _ = ParseWindowSummary(body)
-		_, _ = ParseExplain(body)
+		for _, kind := range []byte{KindLookup, KindTopK, KindSummary, KindRangeLookup, KindRangeTopK, KindRangeSummary, KindExplain} {
+			q, err := ParseQuery(kind, body)
+			if err != nil {
+				continue
+			}
+			// What parses re-encodes and parses back to the same request.
+			enc, err := AppendQuery(nil, kind, q)
+			if err != nil {
+				t.Fatalf("kind %#x: re-encode of parsed %+v: %v", kind, q, err)
+			}
+			if q2, err := ParseQuery(kind, enc); err != nil || q2 != q {
+				t.Fatalf("kind %#x: reparse = %+v, %v; want %+v", kind, q2, err, q)
+			}
+		}
 		if _, e, err := ParseExplainResp(body); err == nil && len(e.Legs)+len(e.Uncovered) > len(body) {
 			t.Fatalf("explain trailer larger than its encoding")
 		}

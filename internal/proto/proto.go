@@ -57,6 +57,14 @@
 // all of a frame's entries share it, so a windowed server routes the
 // whole frame into one window.
 //
+// The six query frames and Explain share one request, Query, and one
+// codec pair, AppendQuery/ParseQuery; which fields a body carries after
+// its seq is a function of the op alone (queryFields):
+//
+//	Lookup  src dst        TopK  axis k        Summary  —
+//	Range*  the flat op's fields, then t0 t1
+//	Explain the wrapped op's kind byte, then that op's fields
+//
 // Responses to a connection's requests arrive in request order, with two
 // exceptions: an overloaded server rejects an Insert from its reader loop
 // (Error code ErrCodeOverload) while earlier requests may still be queued,
@@ -563,76 +571,6 @@ func ParseInsertAtBatch(body []byte, b *Batch) (seq, ts uint64, err error) {
 	return seq, ts, parseBatchBody(body[r.off:], b)
 }
 
-// AppendRangeLookup builds a RangeLookup body: a Lookup restricted to the
-// event-time range [t0, t1) (unix nanoseconds). Answered by LookupResp.
-func AppendRangeLookup(buf []byte, seq, src, dst, t0, t1 uint64) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, src)
-	buf = binary.AppendUvarint(buf, dst)
-	buf = binary.AppendUvarint(buf, t0)
-	return binary.AppendUvarint(buf, t1)
-}
-
-// ParseRangeLookup decodes a RangeLookup body.
-func ParseRangeLookup(body []byte) (seq, src, dst, t0, t1 uint64, err error) {
-	r := bodyReader{b: body}
-	for _, p := range [...]*uint64{&seq, &src, &dst, &t0, &t1} {
-		if *p, err = r.uvarint(); err != nil {
-			return 0, 0, 0, 0, 0, err
-		}
-	}
-	return seq, src, dst, t0, t1, r.done()
-}
-
-// AppendRangeTopK builds a RangeTopK body: a TopK restricted to [t0, t1).
-// Answered by TopKResp.
-func AppendRangeTopK(buf []byte, seq uint64, axis byte, k, t0, t1 uint64) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = append(buf, axis)
-	buf = binary.AppendUvarint(buf, k)
-	buf = binary.AppendUvarint(buf, t0)
-	return binary.AppendUvarint(buf, t1)
-}
-
-// ParseRangeTopK decodes a RangeTopK body.
-func ParseRangeTopK(body []byte) (seq uint64, axis byte, k, t0, t1 uint64, err error) {
-	r := bodyReader{b: body}
-	if seq, err = r.uvarint(); err != nil {
-		return
-	}
-	if axis, err = r.byte(); err != nil {
-		return
-	}
-	if axis > AxisDestinations {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: unknown axis %d", ErrMalformed, axis)
-	}
-	for _, p := range [...]*uint64{&k, &t0, &t1} {
-		if *p, err = r.uvarint(); err != nil {
-			return 0, 0, 0, 0, 0, err
-		}
-	}
-	return seq, axis, k, t0, t1, r.done()
-}
-
-// AppendRangeSummary builds a RangeSummary body: the facade Summary over
-// [t0, t1). Answered by SummaryResp.
-func AppendRangeSummary(buf []byte, seq, t0, t1 uint64) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, t0)
-	return binary.AppendUvarint(buf, t1)
-}
-
-// ParseRangeSummary decodes a RangeSummary body.
-func ParseRangeSummary(body []byte) (seq, t0, t1 uint64, err error) {
-	r := bodyReader{b: body}
-	for _, p := range [...]*uint64{&seq, &t0, &t1} {
-		if *p, err = r.uvarint(); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	return seq, t0, t1, r.done()
-}
-
 // SubscribeAllLevels is the Subscribe level wildcard: summaries of every
 // hierarchy level.
 const SubscribeAllLevels byte = 0xff
@@ -691,8 +629,8 @@ func ParseWindowSummary(body []byte) (WindowSummary, error) {
 	return ws, r.done()
 }
 
-// AppendSeq builds the body shared by Flush, Checkpoint, Summary, Goodbye,
-// and Ack frames: the sequence number alone.
+// AppendSeq builds the body shared by Flush, Checkpoint, Goodbye, and Ack
+// frames: the sequence number alone.
 func AppendSeq(buf []byte, seq uint64) []byte {
 	return binary.AppendUvarint(buf, seq)
 }
@@ -704,28 +642,6 @@ func ParseSeq(body []byte) (seq uint64, err error) {
 		return 0, err
 	}
 	return seq, r.done()
-}
-
-// AppendLookup builds a Lookup body.
-func AppendLookup(buf []byte, seq, src, dst uint64) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, src)
-	return binary.AppendUvarint(buf, dst)
-}
-
-// ParseLookup decodes a Lookup body.
-func ParseLookup(body []byte) (seq, src, dst uint64, err error) {
-	r := bodyReader{b: body}
-	if seq, err = r.uvarint(); err != nil {
-		return
-	}
-	if src, err = r.uvarint(); err != nil {
-		return
-	}
-	if dst, err = r.uvarint(); err != nil {
-		return
-	}
-	return seq, src, dst, r.done()
 }
 
 // AppendLookupResp builds a LookupResp body.
@@ -756,31 +672,6 @@ func ParseLookupResp(body []byte) (seq uint64, found bool, value uint64, err err
 		return 0, false, 0, err
 	}
 	return seq, f == 1, value, r.done()
-}
-
-// AppendTopK builds a TopK body.
-func AppendTopK(buf []byte, seq uint64, axis byte, k uint64) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = append(buf, axis)
-	return binary.AppendUvarint(buf, k)
-}
-
-// ParseTopK decodes a TopK body.
-func ParseTopK(body []byte) (seq uint64, axis byte, k uint64, err error) {
-	r := bodyReader{b: body}
-	if seq, err = r.uvarint(); err != nil {
-		return
-	}
-	if axis, err = r.byte(); err != nil {
-		return
-	}
-	if axis > AxisDestinations {
-		return 0, 0, 0, fmt.Errorf("%w: unknown axis %d", ErrMalformed, axis)
-	}
-	if k, err = r.uvarint(); err != nil {
-		return
-	}
-	return seq, axis, k, r.done()
 }
 
 // Ranked is one TopKResp entry.
@@ -894,24 +785,25 @@ func ParseError(body []byte) (seq, code uint64, msg string, err error) {
 	return seq, code, msg, r.done()
 }
 
-// ExplainReq is a decoded Explain request: one of the six query ops,
-// wrapped. The server executes the wrapped query for real and answers
-// with an ExplainResp carrying the structured trailer instead of the
-// query's normal response.
-type ExplainReq struct {
+// Query is one read request, whatever frame carried it: a Lookup, TopK or
+// Summary, flat or restricted to an event-time range, plain or wrapped in
+// an Explain. A flat query is a ranged query with no bounds.
+type Query struct {
 	Seq uint64
-	// Op is the wrapped query kind: KindLookup, KindTopK, KindSummary,
-	// or their Range variants. Only the fields that op defines are
-	// meaningful; the body carries exactly those, in the op's own order.
+	// Op is the query kind: KindLookup, KindTopK, KindSummary, or their
+	// Range variants. Only the fields that op defines are meaningful; the
+	// body carries exactly those, in the order below.
 	Op       byte
 	Src, Dst uint64 // lookup ops
 	Axis     byte   // top-k ops
 	K        uint64 // top-k ops
-	T0, T1   uint64 // range ops
+	T0, T1   uint64 // range ops: [T0, T1) in unix nanoseconds
 }
 
-// explainOpFields returns which field groups an explainable op carries.
-func explainOpFields(op byte) (lookup, topk, ranged, ok bool) {
+// queryFields is the one definition of the query request bodies: which
+// field groups each op carries after its seq — src,dst, then axis,k, then
+// t0,t1, every field a uvarint except the one-byte axis.
+func queryFields(op byte) (lookup, topk, ranged, ok bool) {
 	switch op {
 	case KindLookup:
 		return true, false, false, true
@@ -929,19 +821,33 @@ func explainOpFields(op byte) (lookup, topk, ranged, ok bool) {
 	return false, false, false, false
 }
 
-// AppendExplain builds an Explain body: uvarint seq, the wrapped op kind,
-// then that op's own fields in its own order (minus the seq it would
-// carry standalone). Ops outside the explainable six are refused.
-func AppendExplain(buf []byte, q ExplainReq) ([]byte, error) {
-	lookup, topk, ranged, ok := explainOpFields(q.Op)
+// Ranged reports whether q.Op carries event-time bounds.
+func (q Query) Ranged() bool {
+	_, _, ranged, _ := queryFields(q.Op)
+	return ranged
+}
+
+// AppendQuery builds the body of a query frame of the given kind. For the
+// six query kinds the frame kind is the op (q.Op is not consulted) and the
+// body is seq followed by the op's fields. For KindExplain the body is
+// seq, the wrapped op q.Op, then that op's fields. Kinds and ops outside
+// the six, and unknown axes, are refused.
+func AppendQuery(buf []byte, kind byte, q Query) ([]byte, error) {
+	op := kind
+	if kind == KindExplain {
+		op = q.Op
+	}
+	lookup, topk, ranged, ok := queryFields(op)
 	if !ok {
-		return nil, fmt.Errorf("%w: op 0x%02x is not explainable", ErrMalformed, q.Op)
+		return nil, fmt.Errorf("%w: op 0x%02x is not a query", ErrMalformed, op)
 	}
 	if topk && q.Axis > AxisDestinations {
 		return nil, fmt.Errorf("%w: unknown axis %d", ErrMalformed, q.Axis)
 	}
 	buf = binary.AppendUvarint(buf, q.Seq)
-	buf = append(buf, q.Op)
+	if kind == KindExplain {
+		buf = append(buf, op)
+	}
 	if lookup {
 		buf = binary.AppendUvarint(buf, q.Src)
 		buf = binary.AppendUvarint(buf, q.Dst)
@@ -957,46 +863,50 @@ func AppendExplain(buf []byte, q ExplainReq) ([]byte, error) {
 	return buf, nil
 }
 
-// ParseExplain decodes an Explain body.
-func ParseExplain(body []byte) (ExplainReq, error) {
-	var q ExplainReq
+// ParseQuery decodes the body of a query frame of the given kind (one of
+// the six query kinds, or KindExplain) into a Query whose Op is the op to
+// run: the kind itself, or the op an Explain wraps.
+func ParseQuery(kind byte, body []byte) (Query, error) {
+	q := Query{Op: kind}
 	r := bodyReader{b: body}
 	var err error
 	if q.Seq, err = r.uvarint(); err != nil {
-		return ExplainReq{}, err
+		return Query{}, err
 	}
-	if q.Op, err = r.byte(); err != nil {
-		return ExplainReq{}, err
+	if kind == KindExplain {
+		if q.Op, err = r.byte(); err != nil {
+			return Query{}, err
+		}
 	}
-	lookup, topk, ranged, ok := explainOpFields(q.Op)
+	lookup, topk, ranged, ok := queryFields(q.Op)
 	if !ok {
-		return ExplainReq{}, fmt.Errorf("%w: op 0x%02x is not explainable", ErrMalformed, q.Op)
+		return Query{}, fmt.Errorf("%w: op 0x%02x is not a query", ErrMalformed, q.Op)
 	}
 	if lookup {
 		if q.Src, err = r.uvarint(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 		if q.Dst, err = r.uvarint(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 	}
 	if topk {
 		if q.Axis, err = r.byte(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 		if q.Axis > AxisDestinations {
-			return ExplainReq{}, fmt.Errorf("%w: unknown axis %d", ErrMalformed, q.Axis)
+			return Query{}, fmt.Errorf("%w: unknown axis %d", ErrMalformed, q.Axis)
 		}
 		if q.K, err = r.uvarint(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 	}
 	if ranged {
 		if q.T0, err = r.uvarint(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 		if q.T1, err = r.uvarint(); err != nil {
-			return ExplainReq{}, err
+			return Query{}, err
 		}
 	}
 	return q, r.done()
@@ -1061,8 +971,8 @@ func ParseExplainResp(body []byte) (seq uint64, e Explain, err error) {
 	if e.Op, err = r.byte(); err != nil {
 		return 0, Explain{}, err
 	}
-	if _, _, _, ok := explainOpFields(e.Op); !ok {
-		return 0, Explain{}, fmt.Errorf("%w: op 0x%02x is not explainable", ErrMalformed, e.Op)
+	if _, _, _, ok := queryFields(e.Op); !ok {
+		return 0, Explain{}, fmt.Errorf("%w: op 0x%02x is not a query", ErrMalformed, e.Op)
 	}
 	for _, p := range [...]*uint64{&e.TotalNanos, &e.CacheHits, &e.CacheMisses} {
 		if *p, err = r.uvarint(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,12 +116,91 @@ func TestInsertOverMaxBatch(t *testing.T) {
 	}
 }
 
+// queryCases holds one row per query request body: the six query kinds
+// standalone, and each of them again wrapped in an Explain. Values above
+// 127 make every uvarint field multi-byte, so truncation tests cut inside
+// fields as well as between them.
+type queryCase struct {
+	name string
+	kind byte
+	q    Query
+}
+
+var queryCases = func() []queryCase {
+	ops := []queryCase{
+		{"lookup", KindLookup, Query{Seq: 300, Op: KindLookup, Src: 400, Dst: 500}},
+		{"topk", KindTopK, Query{Seq: 300, Op: KindTopK, Axis: AxisDestinations, K: 400}},
+		{"summary", KindSummary, Query{Seq: 300, Op: KindSummary}},
+		{"rangelookup", KindRangeLookup, Query{Seq: 300, Op: KindRangeLookup, Src: 400, Dst: 500, T0: 600, T1: 700}},
+		{"rangetopk", KindRangeTopK, Query{Seq: 300, Op: KindRangeTopK, Axis: AxisSources, K: 400, T0: 600, T1: 700}},
+		{"rangesummary", KindRangeSummary, Query{Seq: 300, Op: KindRangeSummary, T0: 600, T1: 700}},
+	}
+	cases := slices.Clone(ops)
+	for _, op := range ops {
+		cases = append(cases, queryCase{"explain-" + op.name, KindExplain, op.q})
+	}
+	return cases
+}()
+
+// mustQuery builds a query body that is known to be valid.
+func mustQuery(t testing.TB, kind byte, q Query) []byte {
+	t.Helper()
+	body, err := AppendQuery(nil, kind, q)
+	if err != nil {
+		t.Fatalf("AppendQuery(%#x, %+v): %v", kind, q, err)
+	}
+	return body
+}
+
 func TestQueryBodiesRoundTrip(t *testing.T) {
-	{
-		f := roundTrip(t, KindLookup, AppendLookup(nil, 7, 11, 13))
-		seq, src, dst, err := ParseLookup(f.Body)
-		if err != nil || seq != 7 || src != 11 || dst != 13 {
-			t.Fatalf("ParseLookup = %d,%d,%d,%v", seq, src, dst, err)
+	for _, tc := range queryCases {
+		f := roundTrip(t, tc.kind, mustQuery(t, tc.kind, tc.q))
+		got, err := ParseQuery(tc.kind, f.Body)
+		if err != nil || got != tc.q {
+			t.Fatalf("%s: ParseQuery = %+v, %v; want %+v", tc.name, got, err, tc.q)
+		}
+		if ranged := tc.q.T1 != 0; got.Ranged() != ranged {
+			t.Fatalf("%s: Ranged() = %v, want %v", tc.name, got.Ranged(), ranged)
+		}
+	}
+	// A Summary body is the seq alone — the bytes Flush and Ack carry.
+	if got, want := mustQuery(t, KindSummary, Query{Seq: 12}), AppendSeq(nil, 12); !bytes.Equal(got, want) {
+		t.Fatalf("summary body = %x, want the seq-only %x", got, want)
+	}
+	// An Explain body is the wrapped op's body with the op byte after the seq.
+	plain := mustQuery(t, KindRangeLookup, Query{Seq: 1, Src: 2, Dst: 3, T0: 4, T1: 5})
+	wrapped := mustQuery(t, KindExplain, Query{Seq: 1, Op: KindRangeLookup, Src: 2, Dst: 3, T0: 4, T1: 5})
+	if want := append([]byte{plain[0], KindRangeLookup}, plain[1:]...); !bytes.Equal(wrapped, want) {
+		t.Fatalf("explain body = %x, want %x", wrapped, want)
+	}
+	// Non-query kinds, non-query wrapped ops and unknown axes are refused
+	// on both sides.
+	for _, bad := range []struct {
+		kind byte
+		q    Query
+	}{
+		{KindFlush, Query{Seq: 1}},
+		{KindExplain, Query{Seq: 1, Op: KindExplain}},
+		{KindExplain, Query{Seq: 1, Op: KindInsert}},
+		{KindTopK, Query{Seq: 1, Axis: AxisDestinations + 1}},
+		{KindExplain, Query{Seq: 1, Op: KindRangeTopK, Axis: 7}},
+	} {
+		if _, err := AppendQuery(nil, bad.kind, bad.q); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("AppendQuery(%#x, %+v) = %v, want ErrMalformed", bad.kind, bad.q, err)
+		}
+	}
+	for _, bad := range []struct {
+		kind byte
+		body []byte
+	}{
+		{KindFlush, []byte{1}},
+		{KindExplain, []byte{1, KindExplain}},
+		{KindExplain, []byte{1, KindInsert}},
+		{KindTopK, []byte{1, AxisDestinations + 1, 5}},
+		{KindExplain, []byte{1, KindTopK, 7, 5}},
+	} {
+		if _, err := ParseQuery(bad.kind, bad.body); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("ParseQuery(%#x, %x) = %v, want ErrMalformed", bad.kind, bad.body, err)
 		}
 	}
 	{
@@ -128,13 +208,6 @@ func TestQueryBodiesRoundTrip(t *testing.T) {
 		seq, found, v, err := ParseLookupResp(f.Body)
 		if err != nil || seq != 7 || !found || v != 99 {
 			t.Fatalf("ParseLookupResp = %d,%v,%d,%v", seq, found, v, err)
-		}
-	}
-	{
-		f := roundTrip(t, KindTopK, AppendTopK(nil, 8, AxisDestinations, 10))
-		seq, axis, k, err := ParseTopK(f.Body)
-		if err != nil || seq != 8 || axis != AxisDestinations || k != 10 {
-			t.Fatalf("ParseTopK = %d,%d,%d,%v", seq, axis, k, err)
 		}
 	}
 	{
@@ -199,27 +272,6 @@ func TestTemporalBodiesRoundTrip(t *testing.T) {
 		body = binary.AppendUvarint(body, uint64(MaxBatch)*16) // count
 		if _, _, _, _, _, err := ParseInsertAt(body); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("ParseInsertAt hostile count = %v, want ErrMalformed", err)
-		}
-	}
-	{
-		f := roundTrip(t, KindRangeLookup, AppendRangeLookup(nil, 7, 11, 13, 100, 200))
-		seq, src, dst, t0, t1, err := ParseRangeLookup(f.Body)
-		if err != nil || seq != 7 || src != 11 || dst != 13 || t0 != 100 || t1 != 200 {
-			t.Fatalf("ParseRangeLookup = %d,%d,%d,%d,%d,%v", seq, src, dst, t0, t1, err)
-		}
-	}
-	{
-		f := roundTrip(t, KindRangeTopK, AppendRangeTopK(nil, 8, AxisSources, 10, 100, 200))
-		seq, axis, k, t0, t1, err := ParseRangeTopK(f.Body)
-		if err != nil || seq != 8 || axis != AxisSources || k != 10 || t0 != 100 || t1 != 200 {
-			t.Fatalf("ParseRangeTopK = %d,%d,%d,%d,%d,%v", seq, axis, k, t0, t1, err)
-		}
-	}
-	{
-		f := roundTrip(t, KindRangeSummary, AppendRangeSummary(nil, 9, 100, 200))
-		seq, t0, t1, err := ParseRangeSummary(f.Body)
-		if err != nil || seq != 9 || t0 != 100 || t1 != 200 {
-			t.Fatalf("ParseRangeSummary = %d,%d,%d,%v", seq, t0, t1, err)
 		}
 	}
 	{
@@ -301,27 +353,28 @@ func TestParsersRejectTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type parserCase struct {
 		name  string
 		body  []byte
 		parse func([]byte) error
-	}{
+	}
+	cases := []parserCase{
 		{"hello", AppendHello(nil, "sess", 300), func(b []byte) error { _, _, _, err := ParseHello(b); return err }},
 		{"welcome", AppendWelcome(nil, Welcome{Version: 1, Dim: 10, Shards: 2}), func(b []byte) error { _, err := ParseWelcome(b); return err }},
 		{"insert", insert, func(b []byte) error { _, _, _, _, err := ParseInsert(b); return err }},
 		{"seq", AppendSeq(nil, 300), func(b []byte) error { _, err := ParseSeq(b); return err }},
-		{"lookup", AppendLookup(nil, 1, 300, 400), func(b []byte) error { _, _, _, err := ParseLookup(b); return err }},
 		{"lookupresp", AppendLookupResp(nil, 1, true, 300), func(b []byte) error { _, _, _, err := ParseLookupResp(b); return err }},
-		{"topk", AppendTopK(nil, 1, AxisSources, 300), func(b []byte) error { _, _, _, err := ParseTopK(b); return err }},
 		{"topkresp", AppendTopKResp(nil, 1, []Ranked{{300, 400}}), func(b []byte) error { _, _, err := ParseTopKResp(b); return err }},
 		{"summaryresp", AppendSummaryResp(nil, 1, Summary{Entries: 300}), func(b []byte) error { _, _, err := ParseSummaryResp(b); return err }},
 		{"error", AppendError(nil, 1, ErrCodeInternal, "boom"), func(b []byte) error { _, _, _, err := ParseError(b); return err }},
 		{"insertat", insertAt, func(b []byte) error { _, _, _, _, _, err := ParseInsertAt(b); return err }},
-		{"rangelookup", AppendRangeLookup(nil, 1, 300, 400, 500, 600), func(b []byte) error { _, _, _, _, _, err := ParseRangeLookup(b); return err }},
-		{"rangetopk", AppendRangeTopK(nil, 1, AxisSources, 300, 400, 500), func(b []byte) error { _, _, _, _, _, err := ParseRangeTopK(b); return err }},
-		{"rangesummary", AppendRangeSummary(nil, 1, 300, 400), func(b []byte) error { _, _, _, err := ParseRangeSummary(b); return err }},
 		{"subscribe", AppendSubscribe(nil, 300, 0), func(b []byte) error { _, _, err := ParseSubscribe(b); return err }},
 		{"windowsummary", AppendWindowSummary(nil, WindowSummary{Sub: 300, Start: 400, End: 500, Packets: 600}), func(b []byte) error { _, err := ParseWindowSummary(b); return err }},
+	}
+	for _, qc := range queryCases {
+		kind := qc.kind
+		cases = append(cases, parserCase{qc.name, mustQuery(t, kind, qc.q),
+			func(b []byte) error { _, err := ParseQuery(kind, b); return err }})
 	}
 	for _, tc := range cases {
 		if err := tc.parse(tc.body); err != nil {

@@ -34,7 +34,7 @@ func TestMetricsSchemaPinned(t *testing.T) {
 	c.expectAck(1)
 	// And one traced range query so the hhgb_query_* families carry samples.
 	t0 := uint64(winBase.UnixNano())
-	c.send(proto.KindRangeLookup, proto.AppendRangeLookup(nil, 2, 1, 2, t0, t0+uint64(time.Second)))
+	c.query(proto.KindRangeLookup, proto.Query{Seq: 2, Src: 1, Dst: 2, T0: t0, T1: t0 + uint64(time.Second)})
 	if f := c.next(); f.Kind != proto.KindLookupResp {
 		t.Fatalf("range lookup reply kind %#x", f.Kind)
 	}
@@ -140,7 +140,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	c.send(proto.KindFlush, proto.AppendSeq(nil, seq))
 	c.expectAck(seq)
 	seq++
-	c.send(proto.KindLookup, proto.AppendLookup(nil, seq, 1, 3))
+	c.query(proto.KindLookup, proto.Query{Seq: seq, Src: 1, Dst: 3})
 	if f := c.next(); f.Kind != proto.KindLookupResp {
 		t.Fatalf("lookup reply kind %#x", f.Kind)
 	}

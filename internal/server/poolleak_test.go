@@ -192,7 +192,7 @@ func TestBatchPoolNoLeaksUnderSessionChurn(t *testing.T) {
 	q.expectAck(1)
 	seq := uint64(2)
 	for k, v := range want {
-		q.send(proto.KindLookup, proto.AppendLookup(nil, seq, k[0], k[1]))
+		q.query(proto.KindLookup, proto.Query{Seq: seq, Src: k[0], Dst: k[1]})
 		f := q.next()
 		if f.Kind != proto.KindLookupResp {
 			t.Fatalf("lookup reply kind %#x", f.Kind)

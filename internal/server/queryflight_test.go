@@ -44,18 +44,18 @@ func TestQueryStageSpansReconcile(t *testing.T) {
 	t1 := uint64(winBase.Add(4 * time.Second).UnixNano())
 	queries := []struct {
 		kind byte
-		body []byte
+		q    proto.Query
 		resp byte
 	}{
-		{proto.KindLookup, proto.AppendLookup(nil, 4, 1, 7), proto.KindLookupResp},
-		{proto.KindTopK, proto.AppendTopK(nil, 5, proto.AxisSources, 5), proto.KindTopKResp},
-		{proto.KindSummary, proto.AppendSeq(nil, 6), proto.KindSummaryResp},
-		{proto.KindRangeLookup, proto.AppendRangeLookup(nil, 7, 1, 7, t0, t1), proto.KindLookupResp},
-		{proto.KindRangeTopK, proto.AppendRangeTopK(nil, 8, proto.AxisDestinations, 5, t0, t1), proto.KindTopKResp},
-		{proto.KindRangeSummary, proto.AppendRangeSummary(nil, 9, t0, t1), proto.KindSummaryResp},
+		{proto.KindLookup, proto.Query{Seq: 4, Src: 1, Dst: 7}, proto.KindLookupResp},
+		{proto.KindTopK, proto.Query{Seq: 5, Axis: proto.AxisSources, K: 5}, proto.KindTopKResp},
+		{proto.KindSummary, proto.Query{Seq: 6}, proto.KindSummaryResp},
+		{proto.KindRangeLookup, proto.Query{Seq: 7, Src: 1, Dst: 7, T0: t0, T1: t1}, proto.KindLookupResp},
+		{proto.KindRangeTopK, proto.Query{Seq: 8, Axis: proto.AxisDestinations, K: 5, T0: t0, T1: t1}, proto.KindTopKResp},
+		{proto.KindRangeSummary, proto.Query{Seq: 9, T0: t0, T1: t1}, proto.KindSummaryResp},
 	}
 	for _, q := range queries {
-		c.send(q.kind, q.body)
+		c.query(q.kind, q.q)
 		if f := c.next(); f.Kind != q.resp {
 			t.Fatalf("query kind %#x reply kind %#x, want %#x", q.kind, f.Kind, q.resp)
 		}
@@ -177,14 +177,10 @@ func TestExplainMatchesServedCover(t *testing.T) {
 
 	t0 := winBase
 	t1 := winBase.Add(4 * time.Second)
-	body, err := proto.AppendExplain(nil, proto.ExplainReq{
+	c.query(proto.KindExplain, proto.Query{
 		Seq: seq, Op: proto.KindRangeSummary,
 		T0: uint64(t0.UnixNano()), T1: uint64(t1.UnixNano()),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.send(proto.KindExplain, body)
 	f := c.next()
 	if f.Kind != proto.KindExplainResp {
 		t.Fatalf("explain reply kind %#x", f.Kind)
@@ -260,36 +256,28 @@ func TestQuerySpanPoolBalanced(t *testing.T) {
 
 	t0 := uint64(winBase.UnixNano())
 	t1 := uint64(winBase.Add(time.Second).UnixNano())
-	c.send(proto.KindLookup, proto.AppendLookup(nil, 2, 3, 4))
+	c.query(proto.KindLookup, proto.Query{Seq: 2, Src: 3, Dst: 4})
 	if f := c.next(); f.Kind != proto.KindLookupResp {
 		t.Fatalf("lookup reply kind %#x", f.Kind)
 	}
-	c.send(proto.KindRangeSummary, proto.AppendRangeSummary(nil, 3, t0, t1))
+	c.query(proto.KindRangeSummary, proto.Query{Seq: 3, T0: t0, T1: t1})
 	if f := c.next(); f.Kind != proto.KindSummaryResp {
 		t.Fatalf("range summary reply kind %#x", f.Kind)
 	}
 	// A backwards range errors out of rangeView — the span must take the
 	// Drop path and still return to the pool.
-	c.send(proto.KindRangeSummary, proto.AppendRangeSummary(nil, 4, t1, t0))
+	c.query(proto.KindRangeSummary, proto.Query{Seq: 4, T0: t1, T1: t0})
 	if f := c.next(); f.Kind != proto.KindError {
 		t.Fatalf("backwards range reply kind %#x, want error", f.Kind)
 	}
 	// EXPLAIN spans too, on both the success and failure paths.
-	eb, err := proto.AppendExplain(nil, proto.ExplainReq{Seq: 5, Op: proto.KindRangeTopK,
+	c.query(proto.KindExplain, proto.Query{Seq: 5, Op: proto.KindRangeTopK,
 		Axis: proto.AxisSources, K: 3, T0: t0, T1: t1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.send(proto.KindExplain, eb)
 	if f := c.next(); f.Kind != proto.KindExplainResp {
 		t.Fatalf("explain reply kind %#x", f.Kind)
 	}
-	eb, err = proto.AppendExplain(nil, proto.ExplainReq{Seq: 6, Op: proto.KindRangeLookup,
+	c.query(proto.KindExplain, proto.Query{Seq: 6, Op: proto.KindRangeLookup,
 		Src: 3, Dst: 4, T0: t1, T1: t0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.send(proto.KindExplain, eb)
 	if f := c.next(); f.Kind != proto.KindError {
 		t.Fatalf("backwards explain reply kind %#x, want error", f.Kind)
 	}
@@ -319,7 +307,7 @@ func TestUntracedQueryDecodeAllocFree(t *testing.T) {
 		t.Fatal("query tracer active without TraceSample or SlowQuery")
 	}
 	c := &conn{srv: srv, id: 1, session: "alloc"}
-	req := request{kind: proto.KindLookup, seq: 9, src: 1, dst: 2}
+	req := request{kind: proto.KindLookup, seq: 9, q: proto.Query{Seq: 9, Op: proto.KindLookup, Src: 1, Dst: 2}}
 	if a := testing.AllocsPerRun(200, func() {
 		start := c.queryStart()
 		if start != 0 {

@@ -458,16 +458,12 @@ func (s *Server) StatsHandler() http.Handler {
 
 // request is one decoded client frame on a connection's apply queue.
 type request struct {
-	kind     byte
-	seq      uint64
-	batch    *proto.Batch // insert, insertAt: pooled; owner must return it
-	ts       uint64       // insertAt: event time, unix nanoseconds
-	src, dst uint64       // lookup, rangeLookup
-	axis     byte         // topk, rangeTopK
-	k        uint64       // topk, rangeTopK
-	t0, t1   uint64       // range queries: event-time bounds
-	level    byte         // subscribe
-	xop      byte         // explain: the wrapped query kind
+	kind  byte
+	seq   uint64
+	batch *proto.Batch // insert, insertAt: pooled; owner must return it
+	ts    uint64       // insertAt: event time, unix nanoseconds
+	q     proto.Query  // the six query kinds and explain
+	level byte         // subscribe
 	// span is the frame's sampled latency span (inserts only, 1 in
 	// Config.TraceSample); nil on unsampled frames, and every span method
 	// is nil-safe, so the common path pays one branch per mark.
@@ -855,7 +851,7 @@ func (c *conn) sampleQuery(req *request, start int64) {
 func (c *conn) decode(f proto.Frame) (req request, fatal, drop bool) {
 	s := c.srv
 	switch f.Kind {
-	case proto.KindInsert:
+	case proto.KindInsert, proto.KindInsertAt:
 		// Trace sampling decides after admission (a refused frame must not
 		// hold a span), but the decode stage starts here — capture the
 		// clock before the parse so a sampled span charges parse plus
@@ -865,29 +861,15 @@ func (c *conn) decode(f proto.Frame) (req request, fatal, drop bool) {
 			start = flight.Now()
 		}
 		b := s.batchPool.Get()
-		seq, err := proto.ParseInsertBatch(f.Body, b)
-		if err != nil {
-			s.batchPool.Put(b)
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
+		var (
+			seq, ts uint64
+			err     error
+		)
+		if f.Kind == proto.KindInsertAt {
+			seq, ts, err = proto.ParseInsertAtBatch(f.Body, b)
+		} else {
+			seq, err = proto.ParseInsertBatch(f.Body, b)
 		}
-		if !c.admitInsert(b, seq) {
-			s.batchPool.Put(b)
-			return req, false, true
-		}
-		req = request{kind: f.Kind, seq: seq, batch: b}
-		if sp := s.tracer.Sample(c.id, c.session, seq, start); sp != nil {
-			sp.EndStage(flight.StageDecode)
-			req.span = sp
-		}
-		return req, false, false
-	case proto.KindInsertAt:
-		var start int64
-		if s.tracer.Active() {
-			start = flight.Now()
-		}
-		b := s.batchPool.Get()
-		seq, ts, err := proto.ParseInsertAtBatch(f.Body, b)
 		if err != nil {
 			s.batchPool.Put(b)
 			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
@@ -910,44 +892,16 @@ func (c *conn) decode(f proto.Frame) (req request, fatal, drop bool) {
 			return req, true, false
 		}
 		return request{kind: f.Kind, seq: seq}, false, false
-	case proto.KindSummary:
+	case proto.KindLookup, proto.KindTopK, proto.KindSummary,
+		proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
+		proto.KindExplain:
 		start := c.queryStart()
-		seq, err := proto.ParseSeq(f.Body)
+		q, err := proto.ParseQuery(f.Kind, f.Body)
 		if err != nil {
 			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
 			return req, true, false
 		}
-		req = request{kind: f.Kind, seq: seq}
-		c.sampleQuery(&req, start)
-		return req, false, false
-	case proto.KindRangeLookup:
-		start := c.queryStart()
-		seq, src, dst, t0, t1, err := proto.ParseRangeLookup(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: seq, src: src, dst: dst, t0: t0, t1: t1}
-		c.sampleQuery(&req, start)
-		return req, false, false
-	case proto.KindRangeTopK:
-		start := c.queryStart()
-		seq, axis, k, t0, t1, err := proto.ParseRangeTopK(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: seq, axis: axis, k: k, t0: t0, t1: t1}
-		c.sampleQuery(&req, start)
-		return req, false, false
-	case proto.KindRangeSummary:
-		start := c.queryStart()
-		seq, t0, t1, err := proto.ParseRangeSummary(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: seq, t0: t0, t1: t1}
+		req = request{kind: f.Kind, seq: q.Seq, q: q}
 		c.sampleQuery(&req, start)
 		return req, false, false
 	case proto.KindSubscribe:
@@ -957,51 +911,36 @@ func (c *conn) decode(f proto.Frame) (req request, fatal, drop bool) {
 			return req, true, false
 		}
 		return request{kind: f.Kind, seq: seq, level: level}, false, false
-	case proto.KindLookup:
-		start := c.queryStart()
-		seq, src, dst, err := proto.ParseLookup(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: seq, src: src, dst: dst}
-		c.sampleQuery(&req, start)
-		return req, false, false
-	case proto.KindTopK:
-		start := c.queryStart()
-		seq, axis, k, err := proto.ParseTopK(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: seq, axis: axis, k: k}
-		c.sampleQuery(&req, start)
-		return req, false, false
-	case proto.KindExplain:
-		start := c.queryStart()
-		q, err := proto.ParseExplain(f.Body)
-		if err != nil {
-			c.sendErr(0, proto.ErrCodeMalformed, err.Error(), true)
-			return req, true, false
-		}
-		req = request{kind: f.Kind, seq: q.Seq, xop: q.Op,
-			src: q.Src, dst: q.Dst, axis: q.Axis, k: q.K, t0: q.T0, t1: q.T1}
-		c.sampleQuery(&req, start)
-		return req, false, false
 	default:
 		c.sendErr(0, proto.ErrCodeMalformed, fmt.Sprintf("unexpected frame kind %#x", f.Kind), true)
 		return req, true, false
 	}
 }
 
-// rangeView resolves the windowed store's view for one range request,
-// mapping a zero t1 to "everything" and validating the bounds.
+// rejection is a request the server refuses as asked — the request, not
+// the server, is at fault — answered with ErrCodeRejected.
+type rejection string
+
+func (r rejection) Error() string { return string(r) }
+
+// reject answers one request with a typed per-request refusal — never a
+// torn connection — and counts it.
+func (c *conn) reject(seq uint64, msg string) error {
+	c.srv.rejected.Add(1)
+	c.srv.cfg.Flight.Record(flight.KindRefusal, c.id, c.session, seq,
+		uint64(proto.ErrCodeRejected), 0, 0)
+	return c.sendErr(seq, proto.ErrCodeRejected, msg, true)
+}
+
+// rangeView resolves the windowed store's view for one query's event-time
+// bounds. No bounds — a flat op's zero T0/T1, or a range op's zero T1 —
+// is everything the store has observed.
 func rangeView(wm *hhgb.Windowed, t0, t1 uint64) (*hhgb.RangeView, error) {
 	if t1 == 0 {
 		return wm.AllTime()
 	}
 	if t0 > math.MaxInt64 || t1 > math.MaxInt64 || t1 <= t0 {
-		return nil, fmt.Errorf("bad event-time range [%d, %d)", t0, t1)
+		return nil, rejection(fmt.Sprintf("bad event-time range [%d, %d)", t0, t1))
 	}
 	return wm.QueryRange(time.Unix(0, int64(t0)), time.Unix(0, int64(t1)))
 }
@@ -1017,14 +956,6 @@ func (c *conn) apply(app *hhgb.Appender) {
 	s := c.srv
 	m := s.cfg.Matrix
 	wm := s.cfg.Windowed
-	// notWindowed/onlyWindowed reject the ops the fronted store cannot
-	// serve — with a typed per-request error, never a torn connection.
-	reject := func(seq uint64, msg string) error {
-		s.rejected.Add(1)
-		s.cfg.Flight.Record(flight.KindRefusal, c.id, c.session, seq,
-			uint64(proto.ErrCodeRejected), 0, 0)
-		return c.sendErr(seq, proto.ErrCodeRejected, msg, true)
-	}
 	for req := range c.queue {
 		begun := time.Now()
 		flush := len(c.queue) == 0
@@ -1034,105 +965,8 @@ func (c *conn) apply(app *hhgb.Appender) {
 		req.qspan.EndStage(flight.QStageQueue)
 		var err error
 		switch req.kind {
-		case proto.KindInsert:
-			b := req.batch
-			n := int64(b.Len())
-			if wm != nil {
-				s.inFlight.Add(-n)
-				s.batchPool.Put(b)
-				req.span.Drop()
-				err = reject(req.seq, "server is windowed; use timestamped inserts (InsertAt)")
-				break
-			}
-			var (
-				dup  bool
-				ierr error
-			)
-			if c.session != "" {
-				dup, ierr = m.AppendWeightedSessionSpan(c.session, req.seq, b.Rows, b.Cols, b.Vals, req.span)
-			} else {
-				ierr = app.AppendWeighted(b.Rows, b.Cols, b.Vals)
-			}
-			req.span.EndStage(flight.StagePartition)
-			s.inFlight.Add(-n)
-			// The matrix copied the entries out (or refused the batch);
-			// either way the scratch is dead — recycle it before writing
-			// the response.
-			s.batchPool.Put(b)
-			if ierr != nil {
-				code := proto.ErrCodeRejected
-				if errors.Is(ierr, hhgb.ErrClosed) {
-					code = proto.ErrCodeClosed
-				}
-				s.rejected.Add(1)
-				req.span.Drop()
-				err = c.sendErr(req.seq, code, ierr.Error(), true)
-				break
-			}
-			if dup {
-				// A retransmit of an already-accepted frame: ack it (the
-				// client is waiting for exactly this) without re-applying.
-				// Its timings describe the retransmit path, not ingest —
-				// drop the span unobserved.
-				s.dupsDropped.Add(1)
-				err = c.ack(req.seq, flush)
-				req.span.Drop()
-				break
-			}
-			c.batches.Add(1)
-			c.entries.Add(n)
-			s.batches.Add(1)
-			s.entries.Add(n)
-			err = c.ack(req.seq, flush)
-			req.span.EndStage(flight.StageAck)
-			req.span.Done()
-		case proto.KindInsertAt:
-			b := req.batch
-			n := int64(b.Len())
-			if wm == nil {
-				s.inFlight.Add(-n)
-				s.batchPool.Put(b)
-				req.span.Drop()
-				err = reject(req.seq, "server is not windowed; use plain inserts")
-				break
-			}
-			var (
-				dup  bool
-				ierr error
-			)
-			if req.ts > math.MaxInt64 {
-				ierr = fmt.Errorf("timestamp %d overflows", req.ts)
-			} else if c.session != "" {
-				dup, ierr = wm.AppendWeightedAtSessionSpan(c.session, req.seq, time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals, req.span)
-			} else {
-				ierr = wm.AppendWeighted(time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals)
-			}
-			req.span.EndStage(flight.StagePartition)
-			s.inFlight.Add(-n)
-			s.batchPool.Put(b)
-			if ierr != nil {
-				code := proto.ErrCodeRejected
-				if errors.Is(ierr, hhgb.ErrClosed) {
-					code = proto.ErrCodeClosed
-				}
-				s.rejected.Add(1)
-				req.span.Drop()
-				err = c.sendErr(req.seq, code, ierr.Error(), true)
-				break
-			}
-			if dup {
-				s.dupsDropped.Add(1)
-				err = c.ack(req.seq, flush)
-				req.span.Drop()
-				break
-			}
-			c.batches.Add(1)
-			c.entries.Add(n)
-			s.batches.Add(1)
-			s.entries.Add(n)
-			err = c.ack(req.seq, flush)
-			req.span.EndStage(flight.StageAck)
-			req.span.Done()
+		case proto.KindInsert, proto.KindInsertAt:
+			err = c.serveInsert(req, app, flush)
 		case proto.KindFlush:
 			s.flushes.Add(1)
 			if wm != nil {
@@ -1163,238 +997,13 @@ func (c *conn) apply(app *hhgb.Appender) {
 				// guarantee to the goodbye ack.
 				err = c.ackOp(req.seq, m.Flush(), true)
 			}
-		case proto.KindLookup, proto.KindRangeLookup:
-			s.queries.Add(1)
-			var (
-				v        uint64
-				found    bool
-				qerr     error
-				rejected bool
-			)
-			switch {
-			case req.kind == proto.KindLookup && wm == nil:
-				req.qspan.EndStage(flight.QStagePlan) // trivial route
-				var legStart int64
-				if req.qspan != nil {
-					legStart = flight.Now()
-				}
-				v, found, qerr = m.Lookup(req.src, req.dst)
-				if req.qspan != nil {
-					req.qspan.ObserveLeg(time.Duration(flight.Now() - legStart))
-					req.qspan.TouchShards(1) // lookups route to one shard
-					req.qspan.AdvanceStage(flight.QStageFanout)
-				}
-			case wm == nil:
-				req.qspan.Drop()
-				err = reject(req.seq, "range queries need a windowed server")
-				rejected = true
-			default:
-				var view *hhgb.RangeView
-				if req.kind == proto.KindLookup {
-					view, qerr = wm.AllTime()
-				} else {
-					view, qerr = rangeView(wm, req.t0, req.t1)
-				}
-				if qerr == nil {
-					req.qspan.EndStage(flight.QStagePlan)
-					if req.qspan != nil {
-						view.Instrument(req.qspan, nil)
-					}
-					v, found, qerr = view.Lookup(req.src, req.dst)
-				}
-			}
-			if rejected {
-				break // the error frame already answered (err holds its write outcome)
-			}
-			if qerr != nil {
-				req.qspan.Drop()
-				err = c.sendErr(req.seq, proto.ErrCodeRejected, qerr.Error(), true)
-				break
-			}
-			req.qspan.EndStage(flight.QStageMerge)
-			body := proto.AppendLookupResp(nil, req.seq, found, v)
-			req.qspan.EndStage(flight.QStageEncode)
-			err = c.send(proto.KindLookupResp, body, flush)
-			req.qspan.EndStage(flight.QStageAck)
-			req.qspan.Done()
-		case proto.KindTopK, proto.KindRangeTopK:
-			s.queries.Add(1)
-			var top []hhgb.Ranked
-			var qerr error
-			var rejected bool
-			switch {
-			case req.kind == proto.KindTopK && wm == nil:
-				req.qspan.EndStage(flight.QStagePlan) // trivial route
-				var legStart int64
-				if req.qspan != nil {
-					legStart = flight.Now()
-				}
-				if req.axis == proto.AxisSources {
-					top, qerr = m.TopSources(int(req.k))
-				} else {
-					top, qerr = m.TopDestinations(int(req.k))
-				}
-				if req.qspan != nil {
-					req.qspan.ObserveLeg(time.Duration(flight.Now() - legStart))
-					req.qspan.TouchShards(m.Shards()) // all-shard barrier
-					req.qspan.AdvanceStage(flight.QStageFanout)
-				}
-			case wm == nil:
-				req.qspan.Drop()
-				err = reject(req.seq, "range queries need a windowed server")
-				rejected = true
-			default:
-				var view *hhgb.RangeView
-				if req.kind == proto.KindTopK {
-					view, qerr = wm.AllTime()
-				} else {
-					view, qerr = rangeView(wm, req.t0, req.t1)
-				}
-				if qerr == nil {
-					req.qspan.EndStage(flight.QStagePlan)
-					if req.qspan != nil {
-						view.Instrument(req.qspan, nil)
-					}
-					if req.axis == proto.AxisSources {
-						top, qerr = view.TopSources(int(req.k))
-					} else {
-						top, qerr = view.TopDestinations(int(req.k))
-					}
-				}
-			}
-			if rejected {
-				break
-			}
-			if qerr != nil {
-				req.qspan.Drop()
-				err = c.sendErr(req.seq, proto.ErrCodeInternal, qerr.Error(), true)
-				break
-			}
-			req.qspan.EndStage(flight.QStageMerge)
-			wire := make([]proto.Ranked, len(top))
-			for i, t := range top {
-				wire[i] = proto.Ranked{ID: t.ID, Value: t.Value}
-			}
-			body := proto.AppendTopKResp(nil, req.seq, wire)
-			req.qspan.EndStage(flight.QStageEncode)
-			err = c.send(proto.KindTopKResp, body, flush)
-			req.qspan.EndStage(flight.QStageAck)
-			req.qspan.Done()
-		case proto.KindSummary, proto.KindRangeSummary:
-			s.queries.Add(1)
-			var sum hhgb.Summary
-			var qerr error
-			var rejected bool
-			switch {
-			case req.kind == proto.KindSummary && wm == nil:
-				req.qspan.EndStage(flight.QStagePlan) // trivial route
-				var legStart int64
-				if req.qspan != nil {
-					legStart = flight.Now()
-				}
-				sum, qerr = m.Summary()
-				if req.qspan != nil {
-					req.qspan.ObserveLeg(time.Duration(flight.Now() - legStart))
-					req.qspan.TouchShards(m.Shards()) // all-shard barrier
-					req.qspan.AdvanceStage(flight.QStageFanout)
-				}
-			case wm == nil:
-				req.qspan.Drop()
-				err = reject(req.seq, "range queries need a windowed server")
-				rejected = true
-			default:
-				var view *hhgb.RangeView
-				if req.kind == proto.KindSummary {
-					view, qerr = wm.AllTime()
-				} else {
-					view, qerr = rangeView(wm, req.t0, req.t1)
-				}
-				if qerr == nil {
-					req.qspan.EndStage(flight.QStagePlan)
-					if req.qspan != nil {
-						view.Instrument(req.qspan, nil)
-					}
-					sum, qerr = view.Summary()
-				}
-			}
-			if rejected {
-				break
-			}
-			if qerr != nil {
-				req.qspan.Drop()
-				err = c.sendErr(req.seq, proto.ErrCodeInternal, qerr.Error(), true)
-				break
-			}
-			req.qspan.EndStage(flight.QStageMerge)
-			body := proto.AppendSummaryResp(nil, req.seq, proto.Summary{
-				Entries:      uint64(sum.Entries),
-				Sources:      uint64(sum.Sources),
-				Destinations: uint64(sum.Destinations),
-				TotalPackets: sum.TotalPackets,
-				MaxOutDegree: sum.MaxOutDegree,
-				MaxInDegree:  sum.MaxInDegree,
-			})
-			req.qspan.EndStage(flight.QStageEncode)
-			err = c.send(proto.KindSummaryResp, body, flush)
-			req.qspan.EndStage(flight.QStageAck)
-			req.qspan.Done()
-		case proto.KindExplain:
-			s.queries.Add(1)
-			// EXPLAIN runs the wrapped query for real and answers with its
-			// structured trailer instead of the query's normal response.
-			// Diagnostic path: it may allocate.
-			ex := &flight.QueryExplain{}
-			hits0 := s.shardMet.CacheHits.Value()
-			miss0 := s.shardMet.CacheMisses.Value()
-			execStart := flight.Now()
-			qerr, rejected := c.runExplain(req, ex)
-			if rejected {
-				req.qspan.Drop()
-				err = reject(req.seq, "range queries need a windowed server")
-				break
-			}
-			if qerr != nil {
-				req.qspan.Drop()
-				err = c.sendErr(req.seq, proto.ErrCodeInternal, qerr.Error(), true)
-				break
-			}
-			total := flight.Now() - execStart
-			req.qspan.EndStage(flight.QStageMerge)
-			e := proto.Explain{
-				Op:         req.xop,
-				TotalNanos: uint64(total),
-				// Best-effort under concurrent load: the counters are
-				// registry-global, so another connection's query may leak
-				// into the delta.
-				CacheHits:   s.shardMet.CacheHits.Value() - hits0,
-				CacheMisses: s.shardMet.CacheMisses.Value() - miss0,
-			}
-			if len(ex.Legs) > 0 {
-				e.Legs = make([]proto.ExplainLeg, len(ex.Legs))
-				for i, l := range ex.Legs {
-					e.Legs[i] = proto.ExplainLeg{
-						Level:    uint64(l.Level),
-						Start:    uint64(l.Start),
-						End:      uint64(l.End),
-						Shards:   uint64(l.Shards),
-						DurNanos: uint64(l.Dur),
-					}
-				}
-			}
-			if len(ex.Uncovered) > 0 {
-				e.Uncovered = make([]proto.ExplainSpan, len(ex.Uncovered))
-				for i, u := range ex.Uncovered {
-					e.Uncovered[i] = proto.ExplainSpan{Start: uint64(u.Start), End: uint64(u.End)}
-				}
-			}
-			body := proto.AppendExplainResp(nil, req.seq, e)
-			req.qspan.EndStage(flight.QStageEncode)
-			err = c.send(proto.KindExplainResp, body, flush)
-			req.qspan.EndStage(flight.QStageAck)
-			req.qspan.Done()
+		case proto.KindLookup, proto.KindTopK, proto.KindSummary,
+			proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
+			proto.KindExplain:
+			err = c.serveQuery(req, flush)
 		case proto.KindSubscribe:
 			if wm == nil {
-				err = reject(req.seq, "subscriptions need a windowed server")
+				err = c.reject(req.seq, "subscriptions need a windowed server")
 				break
 			}
 			var sub *hhgb.WindowSub
@@ -1403,7 +1012,7 @@ func (c *conn) apply(app *hhgb.Appender) {
 			} else if int(req.level) < wm.Levels() {
 				sub = wm.Subscribe(int(req.level))
 			} else {
-				err = reject(req.seq, fmt.Sprintf("level %d beyond the server's %d levels", req.level, wm.Levels()))
+				err = c.reject(req.seq, fmt.Sprintf("level %d beyond the server's %d levels", req.level, wm.Levels()))
 				break
 			}
 			s.subscriptions.Add(1)
@@ -1431,70 +1040,253 @@ func (c *conn) apply(app *hhgb.Appender) {
 	c.flushWriter()
 }
 
-// runExplain executes an Explain request's wrapped query op, discarding
-// its result and filling ex with the served cover, per-leg timings, and
-// fan-out shape. rejected=true means the op needs a windowed server and
-// this one is flat (the caller answers with the standard rejection).
-func (c *conn) runExplain(req request, ex *flight.QueryExplain) (qerr error, rejected bool) {
+// serveInsert applies one Insert or InsertAt frame and acks it. The two
+// kinds differ only in which store takes them and whether an event
+// timestamp rides along; admission accounting, the pooled batch, the
+// sampled span and the dedup ack are shared.
+func (c *conn) serveInsert(req request, app *hhgb.Appender, flush bool) error {
 	s := c.srv
-	m := s.cfg.Matrix
-	wm := s.cfg.Windowed
-	ranged := req.xop == proto.KindRangeLookup || req.xop == proto.KindRangeTopK || req.xop == proto.KindRangeSummary
-	if wm == nil {
-		if ranged {
-			return nil, true
-		}
-		// Flat store: the trivial route, then one fan-out leg covering the
-		// whole pushdown call (level/bounds zero — there is no window).
-		req.qspan.EndStage(flight.QStagePlan)
-		shards := m.Shards()
-		if req.xop == proto.KindLookup {
-			shards = 1
-		}
-		legStart := flight.Now()
-		switch req.xop {
-		case proto.KindLookup:
-			_, _, qerr = m.Lookup(req.src, req.dst)
-		case proto.KindTopK:
-			if req.axis == proto.AxisSources {
-				_, qerr = m.TopSources(int(req.k))
-			} else {
-				_, qerr = m.TopDestinations(int(req.k))
-			}
-		case proto.KindSummary:
-			_, qerr = m.Summary()
-		}
-		d := time.Duration(flight.Now() - legStart)
-		req.qspan.ObserveLeg(d)
-		req.qspan.TouchShards(shards)
-		req.qspan.AdvanceStage(flight.QStageFanout)
-		ex.Legs = []flight.ExplainLeg{{Shards: shards, Dur: d}}
-		return qerr, false
+	m, wm := s.cfg.Matrix, s.cfg.Windowed
+	b := req.batch
+	n := int64(b.Len())
+	timed := req.kind == proto.KindInsertAt
+	var (
+		dup  bool
+		ierr error
+	)
+	switch {
+	case timed && wm == nil:
+		ierr = rejection("server is not windowed; use plain inserts")
+	case !timed && wm != nil:
+		ierr = rejection("server is windowed; use timestamped inserts (InsertAt)")
+	case timed && req.ts > math.MaxInt64:
+		ierr = fmt.Errorf("timestamp %d overflows", req.ts)
+	case timed && c.session != "":
+		dup, ierr = wm.AppendWeightedAtSessionSpan(c.session, req.seq, time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals, req.span)
+	case timed:
+		ierr = wm.AppendWeighted(time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals)
+	case c.session != "":
+		dup, ierr = m.AppendWeightedSessionSpan(c.session, req.seq, b.Rows, b.Cols, b.Vals, req.span)
+	default:
+		ierr = app.AppendWeighted(b.Rows, b.Cols, b.Vals)
 	}
-	var view *hhgb.RangeView
-	if ranged {
-		view, qerr = rangeView(wm, req.t0, req.t1)
-	} else {
-		view, qerr = wm.AllTime()
+	req.span.EndStage(flight.StagePartition)
+	s.inFlight.Add(-n)
+	// The store copied the entries out (or refused the batch); either way
+	// the scratch is dead — recycle it before writing the response.
+	s.batchPool.Put(b)
+	if ierr != nil {
+		req.span.Drop()
+		var rej rejection
+		if errors.As(ierr, &rej) {
+			return c.reject(req.seq, string(rej))
+		}
+		code := proto.ErrCodeRejected
+		if errors.Is(ierr, hhgb.ErrClosed) {
+			code = proto.ErrCodeClosed
+		}
+		s.rejected.Add(1)
+		return c.sendErr(req.seq, code, ierr.Error(), true)
 	}
-	if qerr != nil {
-		return qerr, false
+	if dup {
+		// A retransmit of an already-accepted frame: ack it (the client is
+		// waiting for exactly this) without re-applying. Its timings
+		// describe the retransmit path, not ingest — drop the span
+		// unobserved.
+		s.dupsDropped.Add(1)
+		err := c.ack(req.seq, flush)
+		req.span.Drop()
+		return err
 	}
-	req.qspan.EndStage(flight.QStagePlan)
-	view.Instrument(req.qspan, ex)
-	switch req.xop {
+	c.batches.Add(1)
+	c.entries.Add(n)
+	s.batches.Add(1)
+	s.entries.Add(n)
+	err := c.ack(req.seq, flush)
+	req.span.EndStage(flight.StageAck)
+	req.span.Done()
+	return err
+}
+
+// querier is what serveQuery asks of its target: the flat matrix, or a
+// windowed store's resolved range view.
+type querier interface {
+	Lookup(src, dst uint64) (uint64, bool, error)
+	TopSources(k int) ([]hhgb.Ranked, error)
+	TopDestinations(k int) ([]hhgb.Ranked, error)
+	Summary() (hhgb.Summary, error)
+}
+
+// serveQuery executes one read op and answers it. Every query kind takes
+// this one path: resolve the target (a flat query is a ranged query with
+// no bounds), run the span choreography plan → fan-out → merge → encode →
+// ack around one call, and encode the op's response. An Explain frame is
+// the same execution with a collector attached and the collector's
+// trailer as its response — EXPLAIN reports the cover a plain query uses
+// because it is that query. Diagnostic path: Explain may allocate.
+func (c *conn) serveQuery(req request, flush bool) error {
+	s := c.srv
+	q, sp := req.q, req.qspan
+	s.queries.Add(1)
+	var (
+		ex           *flight.QueryExplain
+		hits0, miss0 uint64
+		execStart    int64
+	)
+	if req.kind == proto.KindExplain {
+		ex = &flight.QueryExplain{}
+		hits0, miss0 = s.shardMet.CacheHits.Value(), s.shardMet.CacheMisses.Value()
+		execStart = flight.Now()
+	}
+
+	var (
+		target querier
+		view   *hhgb.RangeView
+		err    error
+	)
+	switch wm := s.cfg.Windowed; {
+	case q.K > math.MaxInt:
+		err = rejection(fmt.Sprintf("k = %d overflows", q.K))
+	case wm != nil:
+		view, err = rangeView(wm, q.T0, q.T1)
+		target = view
+	case q.Ranged():
+		err = rejection("range queries need a windowed server")
+	default:
+		target = s.cfg.Matrix
+	}
+	if err != nil {
+		return c.queryFailed(req, err)
+	}
+	sp.EndStage(flight.QStagePlan)
+
+	// A view times its own per-window legs; the flat store is one leg
+	// around the whole pushdown call (level and bounds zero — there is no
+	// window).
+	var legStart int64
+	flatLeg := view == nil && (sp != nil || ex != nil)
+	if view != nil {
+		view.Instrument(sp, ex)
+	} else if flatLeg {
+		legStart = flight.Now()
+	}
+	var (
+		value uint64
+		found bool
+		top   []hhgb.Ranked
+		sum   hhgb.Summary
+	)
+	switch q.Op {
 	case proto.KindLookup, proto.KindRangeLookup:
-		_, _, qerr = view.Lookup(req.src, req.dst)
+		value, found, err = target.Lookup(q.Src, q.Dst)
 	case proto.KindTopK, proto.KindRangeTopK:
-		if req.axis == proto.AxisSources {
-			_, qerr = view.TopSources(int(req.k))
+		if q.Axis == proto.AxisSources {
+			top, err = target.TopSources(int(q.K))
 		} else {
-			_, qerr = view.TopDestinations(int(req.k))
+			top, err = target.TopDestinations(int(q.K))
 		}
-	case proto.KindSummary, proto.KindRangeSummary:
-		_, qerr = view.Summary()
+	default:
+		sum, err = target.Summary()
 	}
-	return qerr, false
+	if flatLeg {
+		d := time.Duration(flight.Now() - legStart)
+		shards := 1 // lookups route to one shard
+		if q.Op != proto.KindLookup {
+			shards = s.cfg.Matrix.Shards() // all-shard barrier
+		}
+		sp.ObserveLeg(d)
+		sp.TouchShards(shards)
+		sp.AdvanceStage(flight.QStageFanout)
+		if ex != nil {
+			ex.Legs = []flight.ExplainLeg{{Shards: shards, Dur: d}}
+		}
+	}
+	if err != nil {
+		return c.queryFailed(req, err)
+	}
+	sp.EndStage(flight.QStageMerge)
+
+	var (
+		kind byte
+		body []byte
+	)
+	switch {
+	case ex != nil:
+		e := explainToWire(ex)
+		e.Op = q.Op
+		e.TotalNanos = uint64(flight.Now() - execStart)
+		// Best-effort under concurrent load: the counters are
+		// registry-global, so another connection's query may leak into
+		// the delta.
+		e.CacheHits = s.shardMet.CacheHits.Value() - hits0
+		e.CacheMisses = s.shardMet.CacheMisses.Value() - miss0
+		kind, body = proto.KindExplainResp, proto.AppendExplainResp(nil, req.seq, e)
+	case q.Op == proto.KindLookup || q.Op == proto.KindRangeLookup:
+		kind, body = proto.KindLookupResp, proto.AppendLookupResp(nil, req.seq, found, value)
+	case q.Op == proto.KindTopK || q.Op == proto.KindRangeTopK:
+		wire := make([]proto.Ranked, len(top))
+		for i, t := range top {
+			wire[i] = proto.Ranked{ID: t.ID, Value: t.Value}
+		}
+		kind, body = proto.KindTopKResp, proto.AppendTopKResp(nil, req.seq, wire)
+	default:
+		kind, body = proto.KindSummaryResp, proto.AppendSummaryResp(nil, req.seq, proto.Summary{
+			Entries:      uint64(sum.Entries),
+			Sources:      uint64(sum.Sources),
+			Destinations: uint64(sum.Destinations),
+			TotalPackets: sum.TotalPackets,
+			MaxOutDegree: sum.MaxOutDegree,
+			MaxInDegree:  sum.MaxInDegree,
+		})
+	}
+	sp.EndStage(flight.QStageEncode)
+	err = c.send(kind, body, flush)
+	sp.EndStage(flight.QStageAck)
+	sp.Done()
+	return err
+}
+
+// explainToWire converts a filled collector's cover — one timed leg per
+// window, and the uncovered holes — to the trailer's wire form.
+func explainToWire(ex *flight.QueryExplain) proto.Explain {
+	var e proto.Explain
+	if len(ex.Legs) > 0 {
+		e.Legs = make([]proto.ExplainLeg, len(ex.Legs))
+		for i, l := range ex.Legs {
+			e.Legs[i] = proto.ExplainLeg{
+				Level:    uint64(l.Level),
+				Start:    uint64(l.Start),
+				End:      uint64(l.End),
+				Shards:   uint64(l.Shards),
+				DurNanos: uint64(l.Dur),
+			}
+		}
+	}
+	if len(ex.Uncovered) > 0 {
+		e.Uncovered = make([]proto.ExplainSpan, len(ex.Uncovered))
+		for i, u := range ex.Uncovered {
+			e.Uncovered[i] = proto.ExplainSpan{Start: uint64(u.Start), End: uint64(u.End)}
+		}
+	}
+	return e
+}
+
+// queryFailed answers a query that could not be served, under the one
+// classification every read op shares: a request the server refuses as
+// asked (bad event-time range, range op on a flat server, overflowing k)
+// is ErrCodeRejected, a closed store ErrCodeClosed, anything else
+// ErrCodeInternal.
+func (c *conn) queryFailed(req request, err error) error {
+	req.qspan.Drop()
+	var rej rejection
+	switch {
+	case errors.As(err, &rej):
+		return c.reject(req.seq, string(rej))
+	case errors.Is(err, hhgb.ErrClosed):
+		return c.sendErr(req.seq, proto.ErrCodeClosed, err.Error(), true)
+	default:
+		return c.sendErr(req.seq, proto.ErrCodeInternal, err.Error(), true)
+	}
 }
 
 // ack writes an Ack frame for seq, reusing the applier-owned scratch

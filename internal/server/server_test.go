@@ -65,6 +65,17 @@ func (c *rawConn) send(kind byte, body []byte) {
 	}
 }
 
+// query sends one query frame of the given kind (a query kind, or
+// KindExplain wrapping q.Op).
+func (c *rawConn) query(kind byte, q proto.Query) {
+	c.t.Helper()
+	body, err := proto.AppendQuery(nil, kind, q)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.send(kind, body)
+}
+
 func (c *rawConn) next() proto.Frame {
 	c.t.Helper()
 	f, err := c.r.Next()
@@ -126,7 +137,7 @@ func TestHandshakeAndIngestQueryRoundTrip(t *testing.T) {
 	c.send(proto.KindFlush, proto.AppendSeq(nil, 2))
 	c.expectAck(2)
 
-	c.send(proto.KindLookup, proto.AppendLookup(nil, 3, 7, 8))
+	c.query(proto.KindLookup, proto.Query{Seq: 3, Src: 7, Dst: 8})
 	f := c.next()
 	if f.Kind != proto.KindLookupResp {
 		t.Fatalf("lookup reply kind %#x", f.Kind)
@@ -136,7 +147,7 @@ func TestHandshakeAndIngestQueryRoundTrip(t *testing.T) {
 		t.Fatalf("lookup = seq %d, found %v, v %d, err %v", seq, found, v, err)
 	}
 
-	c.send(proto.KindSummary, proto.AppendSeq(nil, 4))
+	c.query(proto.KindSummary, proto.Query{Seq: 4})
 	f = c.next()
 	if f.Kind != proto.KindSummaryResp {
 		t.Fatalf("summary reply kind %#x", f.Kind)
@@ -146,7 +157,7 @@ func TestHandshakeAndIngestQueryRoundTrip(t *testing.T) {
 		t.Fatalf("summary = %+v, %v", sum, err)
 	}
 
-	c.send(proto.KindTopK, proto.AppendTopK(nil, 5, proto.AxisSources, 1))
+	c.query(proto.KindTopK, proto.Query{Seq: 5, Axis: proto.AxisSources, K: 1})
 	f = c.next()
 	if f.Kind != proto.KindTopKResp {
 		t.Fatalf("topk reply kind %#x", f.Kind)

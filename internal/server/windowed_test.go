@@ -8,6 +8,7 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/json"
+	"math"
 	"math/big"
 	"net"
 	"reflect"
@@ -100,7 +101,7 @@ func TestWindowedServerEndToEnd(t *testing.T) {
 	// Range over windows 1..2: 2+3 = 5 packets.
 	t0 := uint64(winBase.Add(time.Second).UnixNano())
 	t1 := uint64(winBase.Add(3 * time.Second).UnixNano())
-	c.send(proto.KindRangeSummary, proto.AppendRangeSummary(nil, seq, t0, t1))
+	c.query(proto.KindRangeSummary, proto.Query{Seq: seq, T0: t0, T1: t1})
 	f := c.next()
 	if f.Kind != proto.KindSummaryResp {
 		t.Fatalf("range summary reply kind %#x", f.Kind)
@@ -111,7 +112,7 @@ func TestWindowedServerEndToEnd(t *testing.T) {
 	}
 	seq++
 
-	c.send(proto.KindRangeTopK, proto.AppendRangeTopK(nil, seq, proto.AxisSources, 1, t0, t1))
+	c.query(proto.KindRangeTopK, proto.Query{Seq: seq, Axis: proto.AxisSources, K: 1, T0: t0, T1: t1})
 	f = c.next()
 	gotSeq, top, err := proto.ParseTopKResp(f.Body)
 	if err != nil || gotSeq != seq || len(top) != 1 || top[0].ID != 7 || top[0].Value != 5 {
@@ -119,7 +120,7 @@ func TestWindowedServerEndToEnd(t *testing.T) {
 	}
 	seq++
 
-	c.send(proto.KindRangeLookup, proto.AppendRangeLookup(nil, seq, 7, 11, t0, t1))
+	c.query(proto.KindRangeLookup, proto.Query{Seq: seq, Src: 7, Dst: 11, T0: t0, T1: t1})
 	f = c.next()
 	gotSeq, found, v, err := proto.ParseLookupResp(f.Body)
 	if err != nil || gotSeq != seq || !found || v != 2 {
@@ -128,7 +129,7 @@ func TestWindowedServerEndToEnd(t *testing.T) {
 	seq++
 
 	// The un-ranged Lookup answers all-time: 1 packet in window 0.
-	c.send(proto.KindLookup, proto.AppendLookup(nil, seq, 7, 10))
+	c.query(proto.KindLookup, proto.Query{Seq: seq, Src: 7, Dst: 10})
 	f = c.next()
 	_, found, v, err = proto.ParseLookupResp(f.Body)
 	if err != nil || !found || v != 1 {
@@ -190,10 +191,121 @@ func TestWindowedOpsRejectedOnFlatServer(t *testing.T) {
 	}
 	c.send(proto.KindInsertAt, body)
 	c.expectError(1, proto.ErrCodeRejected)
-	c.send(proto.KindRangeSummary, proto.AppendRangeSummary(nil, 2, 0, uint64(time.Second)))
+	c.send(proto.KindSubscribe, proto.AppendSubscribe(nil, 2, proto.SubscribeAllLevels))
 	c.expectError(2, proto.ErrCodeRejected)
-	c.send(proto.KindSubscribe, proto.AppendSubscribe(nil, 3, proto.SubscribeAllLevels))
-	c.expectError(3, proto.ErrCodeRejected)
+
+	// Every query op, plain and under EXPLAIN, against both stores: a range
+	// op on the flat server and a backwards range on the windowed one are
+	// the client's fault — ErrCodeRejected, never ErrCodeInternal — and
+	// leave the connection serving the next query.
+	_, _, waddr := startWindowedServer(t, Config{})
+	wc := dialRaw(t, waddr)
+	wc.handshake()
+	t0, t1 := uint64(winBase.UnixNano()), uint64(winBase.Add(time.Second).UnixNano())
+	ops := []struct {
+		name string
+		q    proto.Query
+		resp byte
+	}{
+		{"lookup", proto.Query{Op: proto.KindLookup, Src: 1, Dst: 2}, proto.KindLookupResp},
+		{"topk", proto.Query{Op: proto.KindTopK, Axis: proto.AxisSources, K: 3}, proto.KindTopKResp},
+		{"summary", proto.Query{Op: proto.KindSummary}, proto.KindSummaryResp},
+		{"range_lookup", proto.Query{Op: proto.KindRangeLookup, Src: 1, Dst: 2}, proto.KindLookupResp},
+		{"range_topk", proto.Query{Op: proto.KindRangeTopK, Axis: proto.AxisDestinations, K: 3}, proto.KindTopKResp},
+		{"range_summary", proto.Query{Op: proto.KindRangeSummary}, proto.KindSummaryResp},
+	}
+	seq := uint64(2)
+	for _, srv := range []struct {
+		name   string
+		c      *rawConn
+		t0, t1 uint64 // the bounds range ops carry
+	}{
+		{"flat", c, t0, t1},
+		{"windowed-backwards", wc, t1, t0},
+		{"windowed-overflow", wc, t0, 1 << 63},
+	} {
+		for _, op := range ops {
+			for _, kind := range []byte{op.q.Op, proto.KindExplain} {
+				seq++
+				q := op.q
+				q.Seq = seq
+				if q.Ranged() {
+					q.T0, q.T1 = srv.t0, srv.t1
+				}
+				srv.c.query(kind, q)
+				f := srv.c.next()
+				if q.Ranged() {
+					gotSeq, code, msg, err := proto.ParseError(f.Body)
+					if f.Kind != proto.KindError || err != nil || gotSeq != seq || code != proto.ErrCodeRejected {
+						t.Fatalf("%s/%s kind %#x: reply kind %#x seq %d code %d (%q), %v; want ErrCodeRejected for seq %d",
+							srv.name, op.name, kind, f.Kind, gotSeq, code, msg, err, seq)
+					}
+					continue
+				}
+				want := op.resp
+				if kind == proto.KindExplain {
+					want = proto.KindExplainResp
+				}
+				if f.Kind != want {
+					t.Fatalf("%s/%s kind %#x: reply kind %#x, want %#x", srv.name, op.name, kind, f.Kind, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHugeTopKBounded sends top-k requests whose k comes nowhere near the
+// data: a k that fits an int is answered with what exists (the selection
+// heap is bounded by the vector, not by the wire), a k that does not is a
+// typed rejection — and neither takes the process or the connection down.
+func TestHugeTopKBounded(t *testing.T) {
+	_, m, faddr := startServer(t, 1<<20, Config{})
+	if err := m.AppendWeighted([]uint64{1, 2}, []uint64{3, 3}, []uint64{5, 7}); err != nil {
+		t.Fatal(err)
+	}
+	_, wm, waddr := startWindowedServer(t, Config{})
+	if err := wm.AppendWeighted(winBase, []uint64{1, 2}, []uint64{3, 3}, []uint64{5, 7}); err != nil {
+		t.Fatal(err)
+	}
+	t0, t1 := uint64(winBase.UnixNano()), uint64(winBase.Add(time.Second).UnixNano())
+	for _, srv := range []struct {
+		name string
+		addr string
+		ops  []proto.Query
+	}{
+		{"flat", faddr, []proto.Query{{Op: proto.KindTopK}}},
+		{"windowed", waddr, []proto.Query{{Op: proto.KindTopK}, {Op: proto.KindRangeTopK, T0: t0, T1: t1}}},
+	} {
+		c := dialRaw(t, srv.addr)
+		c.handshake()
+		seq := uint64(0)
+		for _, op := range srv.ops {
+			for _, kind := range []byte{op.Op, proto.KindExplain} {
+				q := op
+				seq++
+				q.Seq, q.K = seq, 1<<62
+				c.query(kind, q)
+				f := c.next()
+				if kind == proto.KindExplain {
+					if f.Kind != proto.KindExplainResp {
+						t.Fatalf("%s op %#x explain k=1<<62: reply kind %#x", srv.name, op.Op, f.Kind)
+					}
+				} else if _, top, err := proto.ParseTopKResp(f.Body); f.Kind != proto.KindTopKResp || err != nil ||
+					len(top) != 2 || top[0] != (proto.Ranked{ID: 2, Value: 7}) || top[1] != (proto.Ranked{ID: 1, Value: 5}) {
+					t.Fatalf("%s op %#x k=1<<62: reply kind %#x top %v, %v; want both sources ranked", srv.name, op.Op, f.Kind, top, err)
+				}
+				seq++
+				q.Seq, q.K = seq, math.MaxUint64
+				c.query(kind, q)
+				c.expectError(seq, proto.ErrCodeRejected)
+			}
+		}
+		seq++
+		c.query(proto.KindSummary, proto.Query{Seq: seq})
+		if f := c.next(); f.Kind != proto.KindSummaryResp {
+			t.Fatalf("%s: connection unusable after huge-k requests: reply kind %#x", srv.name, f.Kind)
+		}
+	}
 }
 
 // TestStatsSchemaPinned asserts the exact JSON field set of the versioned

@@ -94,7 +94,8 @@ func SelectTopK[T gb.Number](v *gb.Vector[T], k int) ([]Top[T], error) {
 	// the one a stronger newcomer evicts. "a is weaker than b" is
 	// topLess(b, a), since the selection order is a total order.
 	weaker := func(a, b Top[T]) bool { return topLess(b, a) }
-	heap := make([]Top[T], 0, k)
+	// k arrives off the wire; the heap never holds more than v does.
+	heap := make([]Top[T], 0, min(k, v.NVals()))
 	siftUp := func(i int) {
 		for i > 0 {
 			p := (i - 1) / 2

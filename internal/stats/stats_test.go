@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -205,7 +206,8 @@ func TestAnomalies(t *testing.T) {
 
 // TestSelectTopKMatchesFullSort fuzzes the bounded-heap selection against
 // a reference full sort: identical output for every k, including value
-// ties (broken by lower index) and k beyond the entry count.
+// ties (broken by lower index) and k beyond the entry count — up to
+// math.MaxInt, which must size the heap by the vector, not by k.
 func TestSelectTopKMatchesFullSort(t *testing.T) {
 	v := gb.MustNewVector[uint64](1 << 20)
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -240,7 +242,7 @@ func TestSelectTopKMatchesFullSort(t *testing.T) {
 		}
 		return all
 	}
-	for _, k := range []int{0, 1, 2, 7, 99, n, n + 100} {
+	for _, k := range []int{0, 1, 2, 7, 99, n, n + 100, 1 << 40, math.MaxInt} {
 		got, err := SelectTopK(v, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
