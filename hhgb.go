@@ -47,6 +47,7 @@ package hhgb
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"hhgb/internal/flight"
@@ -420,13 +421,13 @@ func (t *TrafficMatrix) Levels() int { return t.h.NumLevels() }
 // operation: amortized cost is dominated by sorting each batch once and
 // merging inside the cache-resident lowest level.
 func (t *TrafficMatrix) Update(src, dst []uint64) error {
-	return appendUnit(src, dst, t.UpdateWeighted)
+	return t.UpdateWeighted(src, dst, unitWeights(len(src)))
 }
 
 // UpdateWeighted streams a batch of weighted observations (e.g. packet or
 // byte counts).
 func (t *TrafficMatrix) UpdateWeighted(src, dst, weight []uint64) error {
-	return appendWeighted(src, dst, weight, t.h.Update)
+	return t.h.Update(src, dst, weight)
 }
 
 // Entries returns the number of distinct (src, dst) pairs accumulated.
@@ -474,33 +475,26 @@ func (t *TrafficMatrix) TopDestinations(k int) ([]Ranked, error) {
 	return topDestinationsOf(q, k)
 }
 
-// appendUnit expands a unit-weight (src, dst) batch and funnels it to the
-// weighted push — the shared front half of every Update/Append method.
-func appendUnit(src, dst []uint64, pushWeighted func(src, dst, weight []uint64) error) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("%w: src/dst lengths %d/%d differ", gb.ErrInvalidValue, len(src), len(dst))
-	}
-	ones := make([]uint64, len(src))
-	for k := range ones {
-		ones[k] = 1
-	}
-	return pushWeighted(src, dst, ones)
-}
+// ones is the shared all-ones block the unit-weight Update/Append methods
+// pass to their weighted twins. gb.Index is uint64, so src and dst go to the
+// ingest layers as they are, and every sink copies its input before
+// returning and none writes to it — which is what lets one block serve
+// every caller. A published block is never written again, only replaced by
+// a longer one, so concurrent readers need no lock.
+var ones atomic.Pointer[[]uint64]
 
-// appendWeighted validates one weighted batch, converts it to gb tuples,
-// and hands them to push — the shared back half of every weighted ingest
-// method.
-func appendWeighted(src, dst, weight []uint64, push func(rows, cols []gb.Index, vals []uint64) error) error {
-	if len(src) != len(dst) || len(src) != len(weight) {
-		return fmt.Errorf("%w: batch lengths %d/%d/%d differ", gb.ErrInvalidValue, len(src), len(dst), len(weight))
+// unitWeights returns n weights of 1, allocating only when n exceeds
+// every batch seen before.
+func unitWeights(n int) []uint64 {
+	if p := ones.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
 	}
-	rows := make([]gb.Index, len(src))
-	cols := make([]gb.Index, len(dst))
-	for k := range src {
-		rows[k] = gb.Index(src[k])
-		cols[k] = gb.Index(dst[k])
+	block := make([]uint64, n)
+	for k := range block {
+		block[k] = 1
 	}
-	return push(rows, cols, weight)
+	ones.Store(&block)
+	return block
 }
 
 // lookupIn extracts one entry from a materialized query matrix.

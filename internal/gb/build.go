@@ -21,15 +21,10 @@ func (m *Matrix[T]) Build(rows, cols []Index, vals []T, dup BinaryOp[T]) error {
 		}
 	}
 	// Stage through the pending SoA buffers so Build shares the Wait
-	// sort/combine/assemble pipeline, just with dup in place of the
-	// matrix accumulator.
+	// sort/combine/merge pipeline, just with dup in place of the matrix
+	// accumulator.
 	m.stageTuples(rows, cols, vals)
-	m.sortPending()
-	n := combineSoA(m.pRow, m.pCol, m.pVal, dup)
-	m.rows, m.ptr, m.col, m.val = m.dcsrFromPending(n)
-	m.pRow = m.pRow[:0]
-	m.pCol = m.pCol[:0]
-	m.pVal = m.pVal[:0]
+	m.materialize(dup)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -61,6 +62,43 @@ func BenchmarkEWiseAdd(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*2*n/b.Elapsed().Seconds(), "entries/s")
+}
+
+// BenchmarkAddAssignCascade measures the cascade step A(i+1) += A(i) at
+// the two size ratios the cascade produces: 8:1 (a level half way to the
+// next cut, cut ratio 16) and 256:1 (a small level flushed into the top).
+// The destination is restored between iterations off the clock with its
+// capacity kept, so allocs/op is the kernel's own: zero. Throughput is per
+// moved (source) entry, 16 bytes of column id and value each.
+func BenchmarkAddAssignCascade(b *testing.B) {
+	const nsrc = 1 << 14
+	plus := Plus[uint64]().Op
+	for _, ratio := range []int{8, 256} {
+		b.Run(fmt.Sprintf("%d:1", ratio), func(b *testing.B) {
+			r1, c1, v1 := benchTuples(nsrc*ratio, 1<<32, 10)
+			r2, c2, v2 := benchTuples(nsrc, 1<<32, 11)
+			base, _ := MatrixFromTuples(1<<32, 1<<32, r1, c1, v1, plus)
+			src, _ := MatrixFromTuples(1<<32, 1<<32, r2, c2, v2, plus)
+			dst := base.Dup()
+			if err := AddAssign(dst, src, plus); err != nil { // warm dst's capacity
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(16 * int64(src.NVals()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dst.rows = append(dst.rows[:0], base.rows...)
+				dst.ptr = append(dst.ptr[:0], base.ptr...)
+				dst.col = append(dst.col[:0], base.col...)
+				dst.val = append(dst.val[:0], base.val...)
+				b.StartTimer()
+				if err := AddAssign(dst, src, plus); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMxM measures hypersparse SpGEMM over plus.times.

@@ -42,11 +42,15 @@ type Matrix[T Number] struct {
 	accum BinaryOp[T]
 }
 
-// sortScratch is the retained workspace for sortPending: packed 64-bit
-// keys and the value payloads, double-buffered for the LSD radix passes.
+// sortScratch is the retained workspace for materializing pending updates:
+// packed 64-bit keys and the value payloads, double-buffered for the LSD
+// radix passes of sortPending.
 type sortScratch[T Number] struct {
 	keyA, keyB []uint64
 	valA, valB []T
+	// ptr holds the row pointers of the sorted pending entries while they
+	// are merged into the DCSR arrays (pendingDCSR).
+	ptr []int
 }
 
 // NewMatrix returns an empty nrows x ncols matrix with the default plus
@@ -150,19 +154,9 @@ func (m *Matrix[T]) stageTuples(rows, cols []Index, vals []T) {
 // slices grow together, keeping their capacities in lockstep.
 func (m *Matrix[T]) growPending(n int) {
 	want := len(m.pRow) + n
-	newCap := 2 * cap(m.pRow)
-	if newCap < want {
-		newCap = want
-	}
-	grownRow := make([]Index, len(m.pRow), newCap)
-	copy(grownRow, m.pRow)
-	m.pRow = grownRow
-	grownCol := make([]Index, len(m.pCol), newCap)
-	copy(grownCol, m.pCol)
-	m.pCol = grownCol
-	grownVal := make([]T, len(m.pVal), newCap)
-	copy(grownVal, m.pVal)
-	m.pVal = grownVal
+	m.pRow = reserve(m.pRow, want)
+	m.pCol = reserve(m.pCol, want)
+	m.pVal = reserve(m.pVal, want)
 }
 
 // ExtractElement returns the stored value at (i, j). It forces completion of
@@ -226,6 +220,40 @@ func (m *Matrix[T]) Clear() {
 	m.pCol = nil
 	m.pVal = nil
 	m.scratch = sortScratch[T]{}
+}
+
+// Trim completes pending work and releases what only further ingest would
+// use: the pending buffers, the sort scratch, and any DCSR capacity beyond
+// 1/8 of the stored length (the slack amortised growth leaves behind). An
+// empty matrix ends up holding nothing. A matrix retains its buffers for as
+// long as it can still ingest; Trim is for the moment it no longer will.
+func (m *Matrix[T]) Trim() {
+	m.Wait()
+	m.pRow, m.pCol, m.pVal = nil, nil, nil
+	m.scratch = sortScratch[T]{}
+	m.rows = trimmed(m.rows)
+	m.ptr = trimmed(m.ptr)
+	m.col = trimmed(m.col)
+	m.val = trimmed(m.val)
+}
+
+// trimmed returns s, reallocated to its exact length when its spare
+// capacity exceeds 1/8 of that length.
+func trimmed[E any](s []E) []E {
+	if cap(s)-len(s) <= len(s)/8 {
+		return s
+	}
+	exact := make([]E, len(s))
+	copy(exact, s)
+	return exact
+}
+
+// Capacity reports, in entries, the room the matrix holds: stored is the
+// capacity of the DCSR cell arrays (>= MaterializedNVals), staging that of
+// the pending buffers plus the sort scratch. Both are zero after Clear, and
+// after Trim on an empty matrix.
+func (m *Matrix[T]) Capacity() (stored, staging int) {
+	return cap(m.col), cap(m.pRow) + cap(m.scratch.keyA)
 }
 
 // Dup returns a deep copy. Pending updates are materialized first so the

@@ -12,30 +12,29 @@ import "slices"
 // existing structure. The hierarchical cascade keeps p and nvals small at
 // the lowest level, which is where almost all Waits happen.
 //
-// Allocation: the sort runs entirely in scratch buffers retained on the
-// matrix and the pending SoA slices are truncated (not released) after the
-// merge, so a warm Wait allocates only the output DCSR arrays — at most 8
-// exact-sized slices, independent of batch count.
+// Allocation: the sort runs in scratch buffers retained on the matrix, the
+// sorted pending entries are merged from where they lie (pendingDCSR) into
+// the matrix's own DCSR arrays (mergeInPlace), and the pending slices are
+// truncated, not released — so a warm Wait allocates nothing unless the
+// DCSR arrays have to grow, to at least twice what they hold.
 func (m *Matrix[T]) Wait() {
-	if len(m.pRow) == 0 {
-		return
+	if len(m.pRow) != 0 {
+		m.materialize(m.accum)
 	}
-	m.sortPending()
-	n := combineSoA(m.pRow, m.pCol, m.pVal, m.accum)
+}
 
-	pr, pp, pc, pv := m.dcsrFromPending(n)
+// materialize sorts the pending entries, folds duplicates with op, merges
+// the result into the DCSR arrays (colliding cells fold with op too) and
+// empties the pending buffers, keeping their capacity. Wait runs it with
+// the accumulator, Build with its dup operator on an empty matrix.
+func (m *Matrix[T]) materialize(op BinaryOp[T]) {
+	m.sortPending()
+	n := combineSoA(m.pRow, m.pCol, m.pVal, op)
+	rows, ptr := m.pendingDCSR(n)
+	m.mergeInPlace(rows, ptr, m.pCol[:n], m.pVal[:n], op)
 	m.pRow = m.pRow[:0]
 	m.pCol = m.pCol[:0]
 	m.pVal = m.pVal[:0]
-	if len(m.col) == 0 {
-		m.rows, m.ptr, m.col, m.val = pr, pp, pc, pv
-		return
-	}
-	m.rows, m.ptr, m.col, m.val = mergeDCSR(
-		m.rows, m.ptr, m.col, m.val,
-		pr, pp, pc, pv,
-		m.accum,
-	)
 }
 
 // sortPending orders the pending SoA entries by (row, col) ascending;
@@ -198,92 +197,19 @@ func combineSoA[T Number](rows, cols []Index, vals []T, op BinaryOp[T]) int {
 	return w + 1
 }
 
-// dcsrFromPending builds DCSR arrays from the first n sorted,
-// duplicate-free pending entries. A pre-pass counts distinct rows so
-// every output slice is allocated exactly once at its final size.
-func (m *Matrix[T]) dcsrFromPending(n int) (rows []Index, ptr []int, col []Index, val []T) {
-	if n == 0 {
-		return nil, []int{0}, nil, nil
-	}
-	nr := 1
-	for k := 1; k < n; k++ {
-		if m.pRow[k] != m.pRow[k-1] {
-			nr++
-		}
-	}
-	rows = make([]Index, 0, nr)
-	ptr = make([]int, 1, nr+1)
-	col = make([]Index, n)
-	val = make([]T, n)
-	copy(col, m.pCol[:n])
-	copy(val, m.pVal[:n])
-	for k := 0; k < n; k++ {
-		if k == 0 || m.pRow[k] != m.pRow[k-1] {
-			if k != 0 {
-				ptr = append(ptr, k)
-			}
-			rows = append(rows, m.pRow[k])
+// pendingDCSR views the first n sorted, duplicate-free pending entries as
+// a DCSR structure without copying them: pCol[:n] and pVal[:n] already are
+// its col and val arrays, the distinct row ids compact in place to the
+// front of pRow, and the row pointers go to retained scratch.
+func (m *Matrix[T]) pendingDCSR(n int) (rows []Index, ptr []int) {
+	rows, ptr = m.pRow[:0], m.scratch.ptr[:0]
+	for k, r := range m.pRow[:n] {
+		if k == 0 || r != rows[len(rows)-1] {
+			rows = append(rows, r) // in place: len(rows) <= k
+			ptr = append(ptr, k)
 		}
 	}
 	ptr = append(ptr, n)
-	return rows, ptr, col, val
-}
-
-// mergeDCSR union-merges two DCSR structures, combining colliding entries
-// with op (left operand from the a side). It is the single kernel behind
-// Wait and EWiseAdd; its O(nnz(a)+nnz(b)) sequential sweeps are what make
-// the cascade's level-to-level addition memory-friendly.
-func mergeDCSR[T Number](
-	ar []Index, ap []int, ac []Index, av []T,
-	br []Index, bp []int, bc []Index, bv []T,
-	op BinaryOp[T],
-) (rows []Index, ptr []int, col []Index, val []T) {
-	rows = make([]Index, 0, len(ar)+len(br))
-	ptr = make([]int, 1, len(ar)+len(br)+1)
-	col = make([]Index, 0, len(ac)+len(bc))
-	val = make([]T, 0, len(av)+len(bv))
-
-	i, j := 0, 0
-	for i < len(ar) || j < len(br) {
-		switch {
-		case j >= len(br) || (i < len(ar) && ar[i] < br[j]):
-			rows = append(rows, ar[i])
-			col = append(col, ac[ap[i]:ap[i+1]]...)
-			val = append(val, av[ap[i]:ap[i+1]]...)
-			i++
-		case i >= len(ar) || br[j] < ar[i]:
-			rows = append(rows, br[j])
-			col = append(col, bc[bp[j]:bp[j+1]]...)
-			val = append(val, bv[bp[j]:bp[j+1]]...)
-			j++
-		default: // same row id: merge the two sorted column runs
-			rows = append(rows, ar[i])
-			x, xe := ap[i], ap[i+1]
-			y, ye := bp[j], bp[j+1]
-			for x < xe || y < ye {
-				switch {
-				case y >= ye || (x < xe && ac[x] < bc[y]):
-					col = append(col, ac[x])
-					val = append(val, av[x])
-					x++
-				case x >= xe || bc[y] < ac[x]:
-					col = append(col, bc[y])
-					val = append(val, bv[y])
-					y++
-				default:
-					col = append(col, ac[x])
-					val = append(val, op(av[x], bv[y]))
-					x++
-					y++
-				}
-			}
-			i++
-			j++
-		}
-		ptr = append(ptr, len(col))
-	}
-	if len(rows) == 0 {
-		ptr = []int{0}
-	}
-	return rows, ptr, col, val
+	m.scratch.ptr = ptr
+	return rows, ptr
 }

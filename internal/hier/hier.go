@@ -176,8 +176,11 @@ func (h *Matrix[T]) UpdateMatrix(a *gb.Matrix[T]) error {
 }
 
 // cascade applies the promotion rule bottom-up: while nnz(Ai) > ci,
-// A(i+1) += Ai and Ai is cleared. The pending-length upper bound avoids
-// materializing level 1 when it cannot possibly have crossed its cut.
+// A(i+1) += Ai and Ai is emptied — one gb.Promote, merged in A(i+1)'s own
+// arrays, with Ai keeping its buffers for the next fill, so a warm cascade
+// allocates only when the unbounded top level grows. The pending-length
+// upper bound avoids materializing level 1 when it cannot possibly have
+// crossed its cut.
 func (h *Matrix[T]) cascade() error {
 	for i := 0; i < len(h.cuts); i++ {
 		lvl := h.levels[i]
@@ -191,10 +194,9 @@ func (h *Matrix[T]) cascade() error {
 		if nnz <= h.cuts[i] {
 			return nil
 		}
-		if err := gb.AddAssign(h.levels[i+1], lvl, h.plus); err != nil {
+		if err := gb.Promote(h.levels[i+1], lvl, h.plus); err != nil {
 			return err
 		}
-		lvl.Clear()
 		h.stats.Cascades[i]++
 		h.stats.CascadedEntries[i] += int64(nnz)
 	}
@@ -222,24 +224,35 @@ func (h *Matrix[T]) Materialize() {
 // Flush completes all pending work by cascading every level into the top
 // and returns the resulting total matrix. After Flush, all levels below the
 // top are empty and the top holds Σ Ai. The returned matrix is the live top
-// level (not a copy): callers that need isolation should Dup it.
+// level (not a copy): callers that need isolation should Dup it. Level 1
+// keeps its buffers — a mid-stream Flush is followed by more ingest — and
+// the top its growth slack; Trim is what lets those go.
 func (h *Matrix[T]) Flush() (*gb.Matrix[T], error) {
 	h.stats.Queries++
 	top := h.levels[len(h.levels)-1]
-	for i := 0; i < len(h.levels)-1; i++ {
+	// Largest level first: an empty top takes its arrays whole (gb.Promote
+	// hands them over), and the small levels then merge into its slack.
+	for i := len(h.levels) - 2; i >= 0; i-- {
 		lvl := h.levels[i]
 		nnz := lvl.NVals()
 		if nnz == 0 {
 			continue
 		}
-		if err := gb.AddAssign(top, lvl, h.plus); err != nil {
+		if err := gb.Promote(top, lvl, h.plus); err != nil {
 			return nil, err
 		}
-		lvl.Clear()
 		h.stats.Cascades[i]++
 		h.stats.CascadedEntries[i] += int64(nnz)
 	}
 	top.Wait()
+	// A flushed matrix may sit idle for as long as it likes, and what it
+	// holds then doubles in the collector's heap target. Level 1 takes the
+	// very next batch and keeps everything; the levels between refill only
+	// after many level-1 promotions and hold cut-sized arrays, so they
+	// hand them back and regrow if the stream goes on.
+	for i := 1; i < len(h.levels)-1; i++ {
+		h.levels[i].Trim()
+	}
 	return top, nil
 }
 
@@ -313,7 +326,29 @@ func (h *Matrix[T]) ResetStats() {
 	}
 }
 
-// Clear empties every level, keeping configuration and dimensions.
+// Trim completes pending work and releases every buffer only further
+// ingest would use: an empty level ends up holding nothing, a non-empty one
+// at most 1/8 beyond its entries (see gb.Matrix.Trim). Called after Flush —
+// as shard.Group.Close does — that is every non-top level released and the
+// top level's growth slack returned; the matrix stays fully usable.
+func (h *Matrix[T]) Trim() {
+	for _, lvl := range h.levels {
+		lvl.Trim()
+	}
+}
+
+// LevelCaps reports each level's gb.Matrix.Capacity: the entries of DCSR
+// room it holds and the entries of pending/sort staging.
+func (h *Matrix[T]) LevelCaps() (stored, staging []int) {
+	stored, staging = make([]int, len(h.levels)), make([]int, len(h.levels))
+	for i, lvl := range h.levels {
+		stored[i], staging[i] = lvl.Capacity()
+	}
+	return stored, staging
+}
+
+// Clear empties every level, keeping configuration and dimensions, and
+// releases their storage.
 func (h *Matrix[T]) Clear() {
 	for _, lvl := range h.levels {
 		lvl.Clear()

@@ -3,6 +3,7 @@ package hier
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -402,5 +403,97 @@ func TestExtractElementSumsLevels(t *testing.T) {
 	}
 	if _, _, err := h.ExtractElement(1<<20, 0); err == nil {
 		t.Fatal("out of bounds should fail")
+	}
+}
+
+// feedDistinct streams entries [from, from+n) of a fixed sequence of
+// distinct cells with spread-out rows, in batches, reusing one set of
+// batch slices so the feeding itself allocates nothing.
+func feedDistinct(t *testing.T, h *Matrix[uint64], from, n, batch int) {
+	t.Helper()
+	rows := make([]gb.Index, batch)
+	cols := make([]gb.Index, batch)
+	vals := make([]uint64, batch)
+	for done := 0; done < n; done += batch {
+		for k := range rows {
+			id := uint64(from + done + k)
+			rows[k] = gb.Index(id * 0x9e3779b97f4a7c15 >> 32) // < 2^32: the packed-key sort path
+			cols[k] = gb.Index(id)
+			vals[k] = 1
+		}
+		if err := h.Update(rows, cols, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCascadeBytesPerEntryBudget holds a warm cascade to the only
+// allocation it has a reason for: the unbounded top level's amortised
+// growth. A distinct-row cell occupies 32 bytes there (column id, value,
+// row id, row pointer); growth by doubling allocates at most 2x the final
+// capacity, itself at most 2x the entries, so 4 x 32 bytes per entry is the
+// ceiling. Levels below the top retain their buffers across promotions and
+// add nothing. (A cascade that builds a new A(i+1) per promotion spends
+// over 1,000 bytes per entry at these cuts.)
+func TestCascadeBytesPerEntryBudget(t *testing.T) {
+	const (
+		batch    = 256
+		warm     = 64 << 10
+		measured = 512 << 10
+		budget   = 4 * 32
+	)
+	h := MustNew[uint64](1<<32, 1<<32, Config{Cuts: []int{1 << 10, 1 << 14}})
+	feedDistinct(t, h, 0, warm, batch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	feedDistinct(t, h, warm, measured, batch)
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / measured
+	t.Logf("%.1f bytes allocated per entry, cascades %v", perEntry, h.Stats().Cascades)
+	if perEntry > budget {
+		t.Fatalf("warm cascade allocates %.1f bytes per entry, budget is %d", perEntry, budget)
+	}
+	if n, err := h.NVals(); err != nil || n != warm+measured {
+		t.Fatalf("NVals = %d, %v; want %d", n, err, warm+measured)
+	}
+}
+
+// TestRetentionEndsWithTrim: levels keep their buffers across promotions;
+// a mid-stream Flush leaves level 1's in place (the next batch lands
+// there) and hands back only the emptied levels between it and the top;
+// Trim releases everything ingest-only: nothing below the top, the top
+// within 1/8 of its entries.
+func TestRetentionEndsWithTrim(t *testing.T) {
+	h := MustNew[uint64](1<<32, 1<<32, Config{Cuts: []int{1 << 10, 1 << 14}})
+	feedDistinct(t, h, 0, 100<<10, 256)
+	stored, staging := h.LevelCaps()
+	if staging[0] == 0 || stored[0] == 0 || stored[1] == 0 {
+		t.Fatalf("promotions released buffers: stored %v staging %v", stored, staging)
+	}
+	if _, err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stored, staging = h.LevelCaps()
+	if staging[0] == 0 || stored[0] == 0 || stored[1] != 0 {
+		t.Fatalf("after a mid-stream Flush: stored %v staging %v; want level 1 kept, level 2 released", stored, staging)
+	}
+	feedDistinct(t, h, 100<<10, 50<<10, 256) // still ingests after Flush
+	if _, err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h.Trim()
+	stored, staging = h.LevelCaps()
+	top := len(stored) - 1
+	n := h.LevelNVals()[top]
+	if n != 150<<10 {
+		t.Fatalf("top holds %d entries, want %d", n, 150<<10)
+	}
+	for l := range stored {
+		if l < top && stored[l] != 0 || staging[l] != 0 {
+			t.Fatalf("Trim left level %d with capacity %d stored / %d staging", l+1, stored[l], staging[l])
+		}
+	}
+	if stored[top] < n || stored[top] > n+n/8 {
+		t.Fatalf("Trim left the top with capacity %d for %d entries", stored[top], n)
 	}
 }

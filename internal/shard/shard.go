@@ -790,9 +790,11 @@ func (g *Group[T]) Flush() error {
 	return nil
 }
 
-// Close drains the producer buffers and queues, stops the workers, and
-// completes all cascade work. The group stays readable — queries keep
-// working on the final state — but Update and Append return ErrClosed.
+// Close drains the producer buffers and queues, stops the workers,
+// completes all cascade work, and releases the cascades' ingest buffers
+// (hier.Matrix.Trim; a mid-stream Flush keeps them). The group stays
+// readable — queries keep working on the final state — but Update and
+// Append return ErrClosed.
 // On a durable group Close also takes a final checkpoint (so a later
 // RecoverGroup restores from snapshots alone, with no log replay) and
 // closes the WAL files. Close is idempotent and returns the first ingest,
@@ -817,7 +819,13 @@ func (g *Group[T]) Close() error {
 			errs[i] = w.err
 			continue
 		}
-		_, errs[i] = w.m.Flush()
+		if _, errs[i] = w.m.Flush(); errs[i] == nil {
+			// Ingest is over for good: stop holding what only ingest uses
+			// (staging, sort scratch, growth slack), so the sealed windows
+			// and roll-up parents a windowed store keeps cost their entries
+			// and nothing more.
+			w.m.Trim()
+		}
 	}
 	g.closeErr = firstError(errs)
 	if g.cfg.Durable.Dir != "" {
@@ -914,4 +922,22 @@ func (g *Group[T]) LevelNVals() []int {
 		}
 	})
 	return out
+}
+
+// LevelCaps reports the per-level capacity the shards' cascades hold,
+// summed across shards: entries of DCSR room and entries of pending/sort
+// staging (see hier.Matrix.LevelCaps).
+func (g *Group[T]) LevelCaps() (stored, staging []int) {
+	stored, staging = make([]int, g.Levels()), make([]int, g.Levels())
+	var mu sync.Mutex
+	_ = g.run(func(i int, w *worker[T]) {
+		st, sg := w.m.LevelCaps()
+		mu.Lock()
+		defer mu.Unlock()
+		for l := range st {
+			stored[l] += st[l]
+			staging[l] += sg[l]
+		}
+	})
+	return stored, staging
 }

@@ -382,3 +382,55 @@ func BenchmarkGroupIngest(b *testing.B) {
 		})
 	}
 }
+
+// TestCloseReleasesIngestBuffers guards the memory of everything that
+// keeps closed groups around (a windowed store's sealed windows and
+// roll-up parents): a cascade retains its staging and growth slack for as
+// long as it can ingest — through a mid-stream Flush — and Close ends that:
+// nothing below the top level, the top within 1/8 of its entries.
+func TestCloseReleasesIngestBuffers(t *testing.T) {
+	g, err := NewGroup[uint64](testDim, testDim, testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols, vals := genBatches(t, 40, 1000, 5)
+	for k := range rows[:20] {
+		if err := g.Update(rows[k], cols[k], vals[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if stored, staging := g.LevelCaps(); staging[0] == 0 || stored[0] == 0 {
+		t.Fatalf("mid-stream Flush released level 1: stored %v staging %v", stored, staging)
+	}
+	for k := range rows[20:] {
+		if err := g.Update(rows[20+k], cols[20+k], vals[20+k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := g.NVals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range g.workers {
+		stored, staging := w.m.LevelCaps()
+		top := len(stored) - 1
+		n := w.m.LevelNVals()[top]
+		for l := range stored {
+			if l < top && stored[l] != 0 || staging[l] != 0 {
+				t.Fatalf("shard %d level %d holds capacity %d stored / %d staging after Close", i, l+1, stored[l], staging[l])
+			}
+		}
+		if n == 0 || stored[top] < n || stored[top] > n+n/8 {
+			t.Fatalf("shard %d top holds capacity %d for %d entries after Close", i, stored[top], n)
+		}
+	}
+	if got, err := g.NVals(); err != nil || got != want {
+		t.Fatalf("NVals after Close = %d, %v; want %d", got, err, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hhgb/internal/gb"
+	"hhgb/internal/hier"
 	"hhgb/internal/shard"
 )
 
@@ -449,6 +450,47 @@ func TestSealIdempotentAndClockDriven(t *testing.T) {
 	for i, info := range infos {
 		if info.State != Sealed || info.Entries != 1 {
 			t.Fatalf("window %d: %+v, want sealed with 1 entry", i, info)
+		}
+	}
+}
+
+// TestSealedWindowsHoldNoIngestBuffers guards the windowed server's
+// memory: every sealed window and roll-up parent the store retains is a
+// closed group, and a closed group's cascades hold their entries and
+// nothing else — no staging, no emptied lower levels, no growth slack
+// beyond 1/8.
+func TestSealedWindowsHoldNoIngestBuffers(t *testing.T) {
+	const nWindows = 4
+	cfg := testCfg(nWindows)
+	cfg.Shard.Hier = hier.Config{Cuts: []int{64, 512}}
+	s, err := New[uint64](dim, dim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendAll(t, s, genEntries(21, 6000, nWindows))
+	if err := s.Seal(nWindows * int64(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Seals != nWindows+1 || st.RollUps != 1 {
+		t.Fatalf("stats %+v: want %d seals including 1 roll-up", st, nWindows+1)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, w := range s.wins {
+		if w.state != Sealed {
+			t.Fatalf("window %v is not sealed", k)
+		}
+		stored, staging := w.g.LevelCaps()
+		top := len(stored) - 1
+		n := w.g.LevelNVals()[top]
+		for l := range stored {
+			if l < top && stored[l] != 0 || staging[l] != 0 {
+				t.Fatalf("sealed window %v level %d holds capacity %d stored / %d staging", k, l+1, stored[l], staging[l])
+			}
+		}
+		if n == 0 || stored[top] < n || stored[top] > n+n/8 {
+			t.Fatalf("sealed window %v top holds capacity %d for %d entries", k, stored[top], n)
 		}
 	}
 }

@@ -180,14 +180,14 @@ func (s *Sharded) Levels() int { return s.g.Levels() }
 // Safe for concurrent use; the slices are copied before the call returns.
 // After Close it returns ErrClosed.
 func (s *Sharded) Append(src, dst []uint64) error {
-	return appendUnit(src, dst, s.AppendWeighted)
+	return s.AppendWeighted(src, dst, unitWeights(len(src)))
 }
 
 // AppendWeighted streams a batch of weighted observations. Safe for
 // concurrent use; the slices are copied before the call returns. After
 // Close it returns ErrClosed.
 func (s *Sharded) AppendWeighted(src, dst, weight []uint64) error {
-	return appendWeighted(src, dst, weight, s.g.Update)
+	return s.g.Update(src, dst, weight)
 }
 
 // AppendWeightedSession streams one insert frame under the exactly-once
@@ -205,16 +205,7 @@ func (s *Sharded) AppendWeightedSession(session string, seq uint64, src, dst, we
 // frame's latency span (see the network server's tracing); a nil span —
 // the unsampled common case — costs nothing.
 func (s *Sharded) AppendWeightedSessionSpan(session string, seq uint64, src, dst, weight []uint64, sp *IngestSpan) (bool, error) {
-	if len(src) != len(dst) || len(src) != len(weight) {
-		return false, fmt.Errorf("%w: batch lengths %d/%d/%d differ", gb.ErrInvalidValue, len(src), len(dst), len(weight))
-	}
-	rows := make([]gb.Index, len(src))
-	cols := make([]gb.Index, len(dst))
-	for k := range src {
-		rows[k] = gb.Index(src[k])
-		cols[k] = gb.Index(dst[k])
-	}
-	return s.g.UpdateSessionSpan(session, seq, rows, cols, weight, sp)
+	return s.g.UpdateSessionSpan(session, seq, src, dst, weight, sp)
 }
 
 // SessionResume reports a session's resume frontier: the highest insert
@@ -265,14 +256,14 @@ func (s *Sharded) NewAppender() (*Appender, error) {
 // into the producer-local buffers. After the appender or its matrix is
 // closed it returns ErrClosed.
 func (a *Appender) Append(src, dst []uint64) error {
-	return appendUnit(src, dst, a.AppendWeighted)
+	return a.AppendWeighted(src, dst, unitWeights(len(src)))
 }
 
 // AppendWeighted streams a batch of weighted observations into the
 // producer-local buffers. After the appender or its matrix is closed it
 // returns ErrClosed.
 func (a *Appender) AppendWeighted(src, dst, weight []uint64) error {
-	return appendWeighted(src, dst, weight, a.a.Append)
+	return a.a.Append(src, dst, weight)
 }
 
 // Buffered reports how many accepted entries are still staged in this

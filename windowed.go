@@ -159,17 +159,13 @@ func (w *Windowed) SealedTo() time.Time { return time.Unix(0, w.s.SealedTo()) }
 // for concurrent use; the slices are copied before the call returns.
 // Appends behind the seal frontier fail with ErrLate.
 func (w *Windowed) Append(ts time.Time, src, dst []uint64) error {
-	return appendUnit(src, dst, func(s, d, wt []uint64) error {
-		return w.AppendWeighted(ts, s, d, wt)
-	})
+	return w.AppendWeighted(ts, src, dst, unitWeights(len(src)))
 }
 
 // AppendWeighted streams a batch of weighted observations at event time
 // ts; see Append.
 func (w *Windowed) AppendWeighted(ts time.Time, src, dst, weight []uint64) error {
-	return appendWeighted(src, dst, weight, func(rows, cols []gb.Index, vals []uint64) error {
-		return w.s.Append(ts.UnixNano(), rows, cols, vals)
-	})
+	return w.s.Append(ts.UnixNano(), src, dst, weight)
 }
 
 // AppendWeightedAtSession streams one timestamped insert frame under the
@@ -186,16 +182,7 @@ func (w *Windowed) AppendWeightedAtSession(session string, seq uint64, ts time.T
 // sampled frame's latency span (see the network server's tracing); a
 // nil span — the unsampled common case — costs nothing.
 func (w *Windowed) AppendWeightedAtSessionSpan(session string, seq uint64, ts time.Time, src, dst, weight []uint64, sp *IngestSpan) (bool, error) {
-	if len(src) != len(dst) || len(src) != len(weight) {
-		return false, fmt.Errorf("%w: batch lengths %d/%d/%d differ", gb.ErrInvalidValue, len(src), len(dst), len(weight))
-	}
-	rows := make([]gb.Index, len(src))
-	cols := make([]gb.Index, len(dst))
-	for k := range src {
-		rows[k] = gb.Index(src[k])
-		cols[k] = gb.Index(dst[k])
-	}
-	return w.s.AppendSessionSpan(session, seq, ts.UnixNano(), rows, cols, weight, sp)
+	return w.s.AppendSessionSpan(session, seq, ts.UnixNano(), src, dst, weight, sp)
 }
 
 // SessionResume reports a session's resume frontier, like
