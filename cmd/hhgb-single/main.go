@@ -2,13 +2,9 @@
 // a hierarchical hypersparse GraphBLAS matrix — the paper's ">1,000,000
 // updates per second in a single instance" headline (experiment E1).
 //
-// With -shards > 1 it instead measures the sharded concurrent ingest
-// frontend: the same logical matrix hash-partitioned across that many
-// cascades, fed by one producer goroutine per shard.
-//
 // Usage:
 //
-//	hhgb-single [-edges N] [-batch N] [-scale S] [-levels N] [-base-cut N] [-ratio N] [-shards N] [-seed N]
+//	hhgb-single [-edges N] [-batch N] [-scale S] [-levels N] [-base-cut N] [-ratio N] [-seed N]
 package main
 
 import (
@@ -16,15 +12,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"hhgb/internal/bench"
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
 	"hhgb/internal/powerlaw"
-	"hhgb/internal/shard"
 )
 
 func main() {
@@ -37,147 +30,12 @@ func main() {
 		levels  = flag.Int("levels", hier.DefaultLevels, "cascade levels")
 		baseCut = flag.Int("base-cut", hier.DefaultBaseCut, "cut c1 of the lowest level")
 		ratio   = flag.Int("ratio", hier.DefaultCutRatio, "geometric cut ratio")
-		shards  = flag.Int("shards", 1, "shard count; > 1 selects the concurrent sharded frontend (0 = all cores)")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 	)
 	flag.Parse()
-	if *shards < 0 {
-		log.Fatalf("-shards %d: shard count must be >= 0 (0 = all cores)", *shards)
-	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	var err error
-	if *shards > 1 {
-		err = runSharded(*edges, *batch, *scale, *levels, *baseCut, *ratio, *shards, *seed)
-	} else {
-		err = run(*edges, *batch, *scale, *levels, *baseCut, *ratio, *seed)
-	}
-	if err != nil {
+	if err := run(*edges, *batch, *scale, *levels, *baseCut, *ratio, *seed); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runSharded measures the concurrent frontend: `shards` producer
-// goroutines, each cycling a pool of pre-generated batches (generation
-// stays outside the measurement, like the paper's pre-generated sets) into
-// one hash-partitioned matrix. The measured time covers ingest plus the
-// final drain, so every enqueued batch is actually cascaded.
-func runSharded(edges, batch, scale, levels, baseCut, ratio, shards int, seed uint64) error {
-	cuts := hier.GeometricCuts(levels, baseCut, ratio)
-	dim := gb.Index(1) << uint(scale)
-	g, err := shard.NewGroup[uint64](dim, dim, shard.Config{
-		Shards: shards,
-		Hier:   hier.Config{Cuts: cuts},
-	})
-	if err != nil {
-		return err
-	}
-
-	const poolPerProducer = 8
-	producers := shards
-	if edges < producers {
-		return fmt.Errorf("-edges %d < -shards %d: need at least one update per producer", edges, producers)
-	}
-	// Distribute the remainder so no update is silently dropped.
-	perProducer := make([]int, producers)
-	for p := range perProducer {
-		perProducer[p] = edges / producers
-		if p < edges%producers {
-			perProducer[p]++
-		}
-	}
-	type pool struct {
-		rows [][]gb.Index
-		cols [][]gb.Index
-		vals []uint64
-	}
-	pools := make([]pool, producers)
-	for p := range pools {
-		gen, err := powerlaw.NewRMAT(scale, seed+0x9e3779b97f4a7c15*uint64(p+1))
-		if err != nil {
-			return err
-		}
-		pools[p].vals = make([]uint64, batch)
-		for k := range pools[p].vals {
-			pools[p].vals[k] = 1
-		}
-		for b := 0; b < poolPerProducer; b++ {
-			rows := make([]gb.Index, batch)
-			cols := make([]gb.Index, batch)
-			if err := gen.Fill(rows, cols); err != nil {
-				return err
-			}
-			pools[p].rows = append(pools[p].rows, rows)
-			pools[p].cols = append(pools[p].cols, cols)
-		}
-	}
-
-	fmt.Printf("sharded concurrent ingest frontend\n")
-	fmt.Printf("  dimension: 2^%d x 2^%d   shards: %d   levels: %d   cuts: %v\n", scale, scale, shards, levels, cuts)
-	fmt.Printf("  stream: %d producers x ~%d updates in batches of %d\n\n", producers, perProducer[0], batch)
-
-	errs := make([]error, producers)
-	rate, err := bench.Measure(int64(edges), func() error {
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				po := pools[p]
-				for done, b := 0, 0; done < perProducer[p]; done, b = done+batch, b+1 {
-					n := batch
-					if perProducer[p]-done < n {
-						n = perProducer[p] - done
-					}
-					k := b % poolPerProducer
-					if err := g.Update(po.rows[k][:n], po.cols[k][:n], po.vals[:n]); err != nil {
-						errs[p] = err
-						return
-					}
-				}
-			}(p)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return g.Close() // drain every queue; the rate covers real ingest
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("aggregate update rate: %s\n\n", rate)
-	st := g.Stats()
-	fmt.Printf("merged cascade statistics (%d shards):\n", shards)
-	fmt.Printf("  batches: %d\n", st.Batches)
-	for i := 0; i < len(cuts); i++ {
-		frac := float64(st.CascadedEntries[i]) / float64(st.Updates)
-		fmt.Printf("  level %d -> %d: %6d cascades, %12d entries moved (%.3fx of ingest)\n",
-			i+1, i+2, st.Cascades[i], st.CascadedEntries[i], frac)
-	}
-	fmt.Printf("  level occupancy: %v\n", g.LevelNVals())
-	n, err := g.NVals()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  distinct entries: %d\n", n)
-	perShard := g.ShardStats()
-	min, max := perShard[0].Updates, perShard[0].Updates
-	for _, s := range perShard[1:] {
-		if s.Updates < min {
-			min = s.Updates
-		}
-		if s.Updates > max {
-			max = s.Updates
-		}
-	}
-	fmt.Printf("  shard balance: min %d / max %d updates per shard (%.3f)\n",
-		min, max, float64(min)/float64(max))
-	return nil
 }
 
 func run(edges, batch, scale, levels, baseCut, ratio int, seed uint64) error {

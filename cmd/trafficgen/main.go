@@ -23,9 +23,7 @@
 // from its flag line alone. -seed 0 asks for a fresh stream instead: one
 // seed is drawn at random, logged, and then used exactly like an explicit
 // seed — so an exploratory run that hits something interesting is
-// replayed by copying the logged value. hhgb-hotpath's -seed selects the
-// same stream family, so a workload found here feeds the allocation gate
-// unchanged.
+// replayed by copying the logged value.
 //
 // The driver clients run exactly-once sessions with auto-reconnect: a
 // server restart mid-run (even kill -9 of a durable server) only pauses

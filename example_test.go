@@ -144,7 +144,7 @@ func ExampleSharded_checkpoint() {
 // Recover call additionally replays the write-ahead-log tails — every
 // batch accepted before the last Flush or Checkpoint comes back.
 func ExampleRecover() {
-	dir, err := os.MkdirTemp("", "hhgb-recover")
+	dir, err := os.MkdirTemp("", "hhgb-example-recover")
 	if err != nil {
 		log.Fatal(err)
 	}

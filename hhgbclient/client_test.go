@@ -202,13 +202,13 @@ func assertSameState(t *testing.T, got *hhgb.Sharded, want *hhgb.TrafficMatrix) 
 	}
 }
 
-// TestBatchedVsSingleFrameThroughput is the loopback half of the
-// BENCH_net.json claim: batched insert frames must beat single-entry
-// frames by at least 5x (cmd/hhgb-netbench measures the full sweep).
+// TestBatchedVsSingleFrameThroughput streams the same entries once as
+// single-entry frames and once as 4096-entry frames: framing must be
+// invisible in the result, so both servers end with identical Summary
+// totals equal to the entries sent. The rate ratio is only logged — it is
+// measured on the benchmark ladder (hhgbclient.append_ns_per_entry:
+// wire_stream_mixed's 8-entry frames vs wire_durable's 4096-entry frames).
 func TestBatchedVsSingleFrameThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput comparison in -short mode")
-	}
 	const dim = uint64(1) << 24
 	const entries = 20_000
 	src := make([]uint64, entries)
@@ -217,7 +217,7 @@ func TestBatchedVsSingleFrameThroughput(t *testing.T) {
 		src[i] = (uint64(i) * 2654435761) % dim
 		dst[i] = (uint64(i)*2246822519 + 3) % dim
 	}
-	run := func(flushEntries int) float64 {
+	run := func(flushEntries int) (hhgb.Summary, float64) {
 		_, _, addr := startServer(t, dim, server.Config{})
 		c, err := hhgbclient.Dial(addr,
 			hhgbclient.WithFlushEntries(flushEntries),
@@ -240,13 +240,21 @@ func TestBatchedVsSingleFrameThroughput(t *testing.T) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return float64(entries) / time.Since(start).Seconds()
+		rate := float64(entries) / time.Since(start).Seconds()
+		sum, err := c.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, rate
 	}
-	single := run(1)
-	batched := run(4096)
+	singleSum, single := run(1)
+	batchedSum, batched := run(4096)
 	t.Logf("single-frame: %.0f inserts/s, batched: %.0f inserts/s (%.1fx)", single, batched, batched/single)
-	if batched < 5*single {
-		t.Fatalf("batched frames %.0f/s < 5x single frames %.0f/s", batched, single)
+	if singleSum != batchedSum {
+		t.Fatalf("single-frame summary %+v != batched summary %+v", singleSum, batchedSum)
+	}
+	if batchedSum.TotalPackets != entries {
+		t.Fatalf("server holds %d packets, sent %d", batchedSum.TotalPackets, entries)
 	}
 }
 

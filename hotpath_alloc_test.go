@@ -1,0 +1,87 @@
+package hhgb_test
+
+import (
+	"runtime"
+	"testing"
+
+	"hhgb"
+	"hhgb/internal/powerlaw"
+	"hhgb/internal/proto"
+)
+
+// TestFrameToApplyAllocBudget is the end-to-end allocation budget of the
+// ingest hot path: wire frame decode → appender partitioning → the shard
+// workers' apply, counted process-wide (runtime.MemStats.Mallocs) so the
+// workers' side — cascade staging, merges — is inside the number. The
+// per-stage testing.AllocsPerRun budgets (proto, shard, gb, wal) park the
+// workers on purpose and cannot see it.
+//
+// The ceiling separates the production shape from the one it replaced:
+// one Batch reused across frames measures ≈ 0.8 mallocs/frame here, a
+// fresh Batch per frame ≈ 3.8 (three decode slices per frame on top).
+// The count reads the same under -race and -short (0.80–0.82 in both), so
+// the test runs in every mode.
+func TestFrameToApplyAllocBudget(t *testing.T) {
+	const (
+		scale    = 20
+		frames   = 245 // ≈ 1M entries
+		perFrame = 4096
+		warm     = 8
+		ceiling  = 2.0
+	)
+	g, err := powerlaw.NewRMAT(scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, frames)
+	for i := range bodies {
+		rows, cols, vals := powerlaw.ToTuples(g.Edges(perFrame))
+		if bodies[i], err = proto.AppendInsert(nil, uint64(i+1), rows, cols, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m, err := hhgb.NewSharded(uint64(1)<<scale, hhgb.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	a, err := m.NewAppender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var b proto.Batch // reused across every frame, as the server does per connection
+	ingest := func(bodies [][]byte) {
+		for _, body := range bodies {
+			if _, err := proto.ParseInsertBatch(body, &b); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.AppendWeighted(b.Rows, b.Cols, b.Vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Warm the batch, the appender's slabs and each shard's cascade, and
+	// settle at the barrier so warm-up work cannot bleed into the count.
+	ingest(bodies[:warm])
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest(bodies)
+	runtime.ReadMemStats(&after)
+
+	perFrameAllocs := float64(after.Mallocs-before.Mallocs) / frames
+	t.Logf("%.2f mallocs/frame over %d frames of %d entries", perFrameAllocs, frames, perFrame)
+	if perFrameAllocs > ceiling {
+		t.Fatalf("frame-to-apply path allocates %.2f/frame, over the %.1f budget", perFrameAllocs, ceiling)
+	}
+}

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -152,35 +151,5 @@ func TestPlotMinimumDimensions(t *testing.T) {
 	out := PlotLogLog([]Series{s}, 1, 1) // clamped to minimums
 	if out == "" {
 		t.Fatal("empty plot")
-	}
-}
-
-func TestTrajectoryRoundTrip(t *testing.T) {
-	traj := NewTrajectory("shards", "updates/s")
-	if traj.Timestamp == "" || traj.GoMaxProcs < 1 {
-		t.Fatalf("unstamped trajectory: %+v", traj)
-	}
-	traj.Meta = map[string]string{"edges": "1000"}
-	traj.AddPoint("flat", 0, 1e6, nil)
-	traj.AddPoint("shards=2", 2, 2e6, map[string]float64{"speedup_vs_flat": 2})
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := traj.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Benchmark != "shards" || got.Unit != "updates/s" || len(got.Points) != 2 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.Points[1].Extra["speedup_vs_flat"] != 2 {
-		t.Fatalf("extra lost: %+v", got.Points[1])
-	}
-	if got.Meta["edges"] != "1000" {
-		t.Fatalf("meta lost: %+v", got.Meta)
-	}
-	if _, err := ReadTrajectory(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file should fail")
 	}
 }

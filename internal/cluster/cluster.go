@@ -30,9 +30,7 @@ import (
 	"hhgb/internal/baselines"
 	"hhgb/internal/bench"
 	"hhgb/internal/gb"
-	"hhgb/internal/hier"
 	"hhgb/internal/powerlaw"
-	"hhgb/internal/shard"
 )
 
 // RunResult is one measured local run.
@@ -395,224 +393,4 @@ func StrongScaling(factory baselines.Factory, stream powerlaw.StreamSpec, maxPro
 	return procSweep(maxProcs, func(p int) (RunResult, error) {
 		return RunLocal(factory, stream, p)
 	})
-}
-
-// ShardSweepConfig drives the single-node shard-scaling sweep (the
-// cmd/hhgb-shards figure): one logical matrix, shard count on the x-axis,
-// a fixed producer pool streaming a fixed total workload into it.
-type ShardSweepConfig struct {
-	// Dim is the traffic-matrix dimension (0 selects 2^Stream.Scale).
-	Dim gb.Index
-	// Cuts configures every shard's cascade; nil selects the default.
-	Cuts []int
-	// Stream is the total workload; its sets are pre-generated and cycled
-	// so generation cost stays outside every measurement.
-	Stream powerlaw.StreamSpec
-	// ShardCounts is the x-axis; nil selects powers of two from 1 through
-	// 2 x GOMAXPROCS (oversubscription shows where scaling rolls off).
-	ShardCounts []int
-	// Producers is the concurrent producer count feeding each run; zero
-	// or negative selects GOMAXPROCS.
-	Producers int
-	// Handoff is the per-shard producer buffer size; <= 0 is the default.
-	Handoff int
-}
-
-// ShardPoint is one measured point of a shard sweep.
-type ShardPoint struct {
-	Shards    int
-	Producers int
-	Updates   int64
-	Seconds   float64
-	// Speedup is the rate relative to the flat single-goroutine cascade
-	// streamed the same workload on the same machine.
-	Speedup float64
-}
-
-// Rate returns the point's aggregate updates/second.
-func (p ShardPoint) Rate() float64 {
-	if p.Seconds <= 0 {
-		return 0
-	}
-	return float64(p.Updates) / p.Seconds
-}
-
-// ShardSweepResult is a full sweep: the flat baseline plus one point per
-// shard count.
-type ShardSweepResult struct {
-	Flat   bench.Rate
-	Points []ShardPoint
-}
-
-// DefaultShardCounts returns powers of two from 1 through 2 x GOMAXPROCS.
-func DefaultShardCounts() []int {
-	max := 2 * runtime.GOMAXPROCS(0)
-	var out []int
-	for s := 1; s <= max; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
-// shardPools pre-generates one batch pool per producer, already converted
-// to tuples, so neither generation nor conversion pollutes a measurement.
-type shardPools struct {
-	rows [][][]gb.Index
-	cols [][][]gb.Index
-	vals [][][]uint64
-}
-
-func generateShardPools(stream powerlaw.StreamSpec, producers, setsPerProducer int) (shardPools, error) {
-	var p shardPools
-	for pr := 0; pr < producers; pr++ {
-		own := stream
-		own.Seed = stream.Seed + 0x9e3779b97f4a7c15*uint64(pr+1)
-		var rows [][]gb.Index
-		var cols [][]gb.Index
-		var vals [][]uint64
-		for k := 0; k < setsPerProducer; k++ {
-			edges, err := own.GenerateSet(k)
-			if err != nil {
-				return shardPools{}, err
-			}
-			r, c, v := powerlaw.ToTuples(edges)
-			rows, cols, vals = append(rows, r), append(cols, c), append(vals, v)
-		}
-		p.rows = append(p.rows, rows)
-		p.cols = append(p.cols, cols)
-		p.vals = append(p.vals, vals)
-	}
-	return p, nil
-}
-
-// ShardSweep measures the flat single-goroutine cascade, then the sharded
-// group at every shard count, streaming the same total workload each time.
-// Every sharded run gives each producer its own Appender (producer-local
-// shard buffers) and times ingest through the final Close, so queued or
-// buffered work is never credited.
-func ShardSweep(cfg ShardSweepConfig) (ShardSweepResult, error) {
-	if err := cfg.Stream.Validate(); err != nil {
-		return ShardSweepResult{}, err
-	}
-	if cfg.Producers < 1 {
-		cfg.Producers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ShardCounts == nil {
-		cfg.ShardCounts = DefaultShardCounts()
-	}
-	if cfg.Dim == 0 {
-		cfg.Dim = gb.Index(1) << uint(cfg.Stream.Scale)
-	}
-	hierCfg := hier.DefaultConfig()
-	if cfg.Cuts != nil {
-		hierCfg = hier.Config{Cuts: cfg.Cuts}
-	}
-
-	// Each producer streams its share of the total workload by cycling a
-	// small pre-generated pool of sets (the paper's processes load
-	// pre-generated data).
-	setsPerProducer := cfg.Stream.Sets() / cfg.Producers
-	if setsPerProducer < 1 {
-		setsPerProducer = 1
-	}
-	poolSets := setsPerProducer
-	if poolSets > 8 {
-		poolSets = 8
-	}
-	pools, err := generateShardPools(cfg.Stream, cfg.Producers, poolSets)
-	if err != nil {
-		return ShardSweepResult{}, err
-	}
-	// Producers stream whole sets until they reach their quota, so the
-	// actual update count can overshoot the quota by part of one set;
-	// every measurement reports the true streamed count.
-	perProducer := int64(cfg.Stream.TotalEdges / cfg.Producers)
-	streamed := func(pr int) int64 {
-		var done int64
-		for k := 0; done < perProducer; k = (k + 1) % poolSets {
-			done += int64(len(pools.rows[pr][k]))
-		}
-		return done
-	}
-	var totalUpdates int64
-	for pr := 0; pr < cfg.Producers; pr++ {
-		totalUpdates += streamed(pr)
-	}
-
-	var result ShardSweepResult
-
-	// Flat baseline: one cascade, one goroutine, same total workload.
-	flat, err := hier.New[uint64](cfg.Dim, cfg.Dim, hierCfg)
-	if err != nil {
-		return ShardSweepResult{}, err
-	}
-	result.Flat, err = bench.Measure(totalUpdates, func() error {
-		for pr := 0; pr < cfg.Producers; pr++ {
-			var done int64
-			for k := 0; done < perProducer; k = (k + 1) % poolSets {
-				if err := flat.Update(pools.rows[pr][k], pools.cols[pr][k], pools.vals[pr][k]); err != nil {
-					return err
-				}
-				done += int64(len(pools.rows[pr][k]))
-			}
-		}
-		_, err := flat.Flush()
-		return err
-	})
-	if err != nil {
-		return ShardSweepResult{}, err
-	}
-
-	for _, shards := range cfg.ShardCounts {
-		g, err := shard.NewGroup[uint64](cfg.Dim, cfg.Dim, shard.Config{
-			Shards:  shards,
-			Handoff: cfg.Handoff,
-			Hier:    hierCfg,
-		})
-		if err != nil {
-			return ShardSweepResult{}, err
-		}
-		errs := make([]error, cfg.Producers)
-		rate, err := bench.Measure(totalUpdates, func() error {
-			var wg sync.WaitGroup
-			for pr := 0; pr < cfg.Producers; pr++ {
-				wg.Add(1)
-				go func(pr int) {
-					defer wg.Done()
-					a, err := g.NewAppender()
-					if err != nil {
-						errs[pr] = err
-						return
-					}
-					defer a.Close()
-					var done int64
-					for k := 0; done < perProducer; k = (k + 1) % poolSets {
-						if err := a.Append(pools.rows[pr][k], pools.cols[pr][k], pools.vals[pr][k]); err != nil {
-							errs[pr] = err
-							return
-						}
-						done += int64(len(pools.rows[pr][k]))
-					}
-				}(pr)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return g.Close() // drain buffers and queues; rate counts real ingest
-		})
-		if err != nil {
-			return ShardSweepResult{}, err
-		}
-		result.Points = append(result.Points, ShardPoint{
-			Shards:    shards,
-			Producers: cfg.Producers,
-			Updates:   rate.Updates,
-			Seconds:   rate.Seconds,
-			Speedup:   bench.Speedup(result.Flat, rate),
-		})
-	}
-	return result, nil
 }

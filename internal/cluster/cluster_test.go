@@ -269,50 +269,3 @@ func TestDefaultServerCountsEndAt1100(t *testing.T) {
 		}
 	}
 }
-
-// TestShardSweepSmall runs a tiny sweep end to end: every point must
-// stream the full workload, report positive rates, and carry a speedup
-// relative to the measured flat baseline.
-func TestShardSweepSmall(t *testing.T) {
-	res, err := ShardSweep(ShardSweepConfig{
-		Stream:      powerlaw.StreamSpec{TotalEdges: 20_000, SetSize: 1000, Scale: 18, Seed: 11},
-		ShardCounts: []int{1, 2},
-		Producers:   2,
-		Handoff:     256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Flat.PerSecond() <= 0 {
-		t.Fatalf("flat baseline rate %v", res.Flat)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Updates != 20_000 {
-			t.Fatalf("shards=%d streamed %d updates, want 20000", p.Shards, p.Updates)
-		}
-		if p.Rate() <= 0 || p.Speedup <= 0 {
-			t.Fatalf("shards=%d rate %v speedup %v", p.Shards, p.Rate(), p.Speedup)
-		}
-		if p.Producers != 2 {
-			t.Fatalf("shards=%d producers %d, want 2", p.Shards, p.Producers)
-		}
-	}
-	if _, err := ShardSweep(ShardSweepConfig{Stream: powerlaw.StreamSpec{}}); err == nil {
-		t.Fatal("invalid stream should fail")
-	}
-}
-
-func TestDefaultShardCountsShape(t *testing.T) {
-	counts := DefaultShardCounts()
-	if len(counts) == 0 || counts[0] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != 2*counts[i-1] {
-			t.Fatalf("not powers of two: %v", counts)
-		}
-	}
-}

@@ -106,8 +106,8 @@ const MaxSession = wal.MaxSessionID
 const MaxFrame = 1 << 24
 
 // MaxBatch caps the entry count of one Insert frame, enforced on both
-// sides: AppendInsert refuses to build a larger frame, and ParseInsert
-// treats a larger count as malformed before allocating.
+// sides: AppendInsert refuses to build a larger frame, and
+// ParseInsertBatch treats a larger count as malformed before allocating.
 const MaxBatch = 1 << 16
 
 // ErrMalformed is returned (wrapped; test with errors.Is) for any frame or
@@ -456,17 +456,6 @@ func AppendInsert(buf []byte, seq uint64, rows, cols, vals []uint64) ([]byte, er
 	return wal.AppendBatchRecord(buf, rows, cols, vals, func(v uint64) uint64 { return v }), nil
 }
 
-// ParseInsert decodes an Insert body into fresh slices. The batch's slice
-// lengths always match; index bounds are the server's to validate. The
-// server's reader loop uses ParseInsertBatch with pooled scratch instead.
-func ParseInsert(body []byte) (seq uint64, rows, cols, vals []uint64, err error) {
-	var b Batch
-	if seq, err = ParseInsertBatch(body, &b); err != nil {
-		return 0, nil, nil, nil, err
-	}
-	return seq, b.Rows, b.Cols, b.Vals, nil
-}
-
 // Batch is reusable decode scratch for Insert/InsertAt bodies: the three
 // entry slices are overwritten by each ParseInsertBatch/ParseInsertAtBatch
 // call, reusing their capacity. A Batch warmed to the connection's working
@@ -495,7 +484,9 @@ func wrapMalformed(err error) error {
 }
 
 // ParseInsertBatch decodes an Insert body into b, reusing its capacity.
-// It allocates nothing once b has warmed to the working batch size.
+// It allocates nothing once b has warmed to the working batch size. The
+// batch's slice lengths always match; index bounds are the server's to
+// validate.
 //
 //hhgb:noalloc
 func ParseInsertBatch(body []byte, b *Batch) (seq uint64, err error) {
@@ -543,16 +534,6 @@ func AppendInsertAt(buf []byte, seq uint64, ts uint64, rows, cols, vals []uint64
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, ts)
 	return wal.AppendBatchRecord(buf, rows, cols, vals, func(v uint64) uint64 { return v }), nil
-}
-
-// ParseInsertAt decodes an InsertAt body into fresh slices. The server's
-// reader loop uses ParseInsertAtBatch with pooled scratch instead.
-func ParseInsertAt(body []byte) (seq, ts uint64, rows, cols, vals []uint64, err error) {
-	var b Batch
-	if seq, ts, err = ParseInsertAtBatch(body, &b); err != nil {
-		return 0, 0, nil, nil, nil, err
-	}
-	return seq, ts, b.Rows, b.Cols, b.Vals, nil
 }
 
 // ParseInsertAtBatch decodes an InsertAt body into b, reusing its

@@ -383,12 +383,12 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 			// inline on a closed group) so retransmissions behind the
 			// frontier are still recognized as duplicates after a restart.
 			w.sessHigh = w.g.SessionHighs()
-			w.state = Sealed
+			w.state.Store(Sealed)
 			s.stats.Sealed++
 			s.stats.Seals++
 			st.Sealed++
 		} else {
-			w.state = Active
+			w.state.Store(Active)
 			s.stats.Active++
 			st.Active++
 			// An active window implies the stream reached at least its

@@ -98,7 +98,7 @@ func registerStoreFuncs[T gb.Number](s *Store[T]) {
 			s.mu.Lock()
 			var live []*win[T]
 			for _, w := range s.wins {
-				if w.state == Active {
+				if w.state.Load() == Active {
 					live = append(live, w)
 				}
 			}

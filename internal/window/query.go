@@ -117,10 +117,10 @@ func (s *Store[T]) QueryRange(t0, t1 int64) (*Range[T], error) {
 	starts := map[int64][]*win[T]{}
 	var positions []int64
 	for _, w := range s.wins {
-		if w.state == Expired || w.end <= lo || w.start >= hi {
+		if w.state.Load() == Expired || w.end <= lo || w.start >= hi {
 			continue
 		}
-		if w.level > 0 && w.state != Sealed {
+		if w.level > 0 && w.state.Load() != Sealed {
 			continue
 		}
 		if len(starts[w.start]) == 0 {

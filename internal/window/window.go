@@ -50,6 +50,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hhgb/internal/flight"
@@ -134,6 +135,12 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
+// atomicState is a State loaded and stored atomically.
+type atomicState struct{ v atomic.Int32 }
+
+func (a *atomicState) Load() State   { return State(a.v.Load()) }
+func (a *atomicState) Store(s State) { a.v.Store(int32(s)) }
+
 // key identifies a window: its level and aligned start time.
 type key struct {
 	level int
@@ -142,11 +149,13 @@ type key struct {
 
 // win is one window: a shard.Group plus lifecycle state.
 //
-// Locking: state, queries, and rolled are guarded by the store mutex. wmu
-// is the append/seal barrier: appenders hold it shared around g.Update,
-// the sealer holds it exclusively while flipping state to Sealing — so a
-// seal never runs with an append in flight, and the seal-time summary is
-// complete.
+// Locking: queries and rolled are guarded by the store mutex. state is
+// written only under the store mutex, but atomically: the append paths
+// read it holding wmu alone. wmu is the append/seal barrier: appenders
+// hold it shared around the state check and g.Update; sealWin takes it
+// exclusively once state has left Active — so an append either finished
+// before the seal proceeds or observes the state and reports ErrLate, and
+// the seal-time summary is complete.
 type win[T gb.Number] struct {
 	level      int
 	start, end int64 // event-time bounds [start, end), unix nanoseconds
@@ -154,7 +163,7 @@ type win[T gb.Number] struct {
 	dir        string // durable subdirectory; "" when in-memory
 
 	wmu     sync.RWMutex
-	state   State
+	state   atomicState
 	rolled  bool  // summed into a sealed parent window
 	queries int64 // range-query cover inclusions (tests assert span locality)
 
@@ -387,8 +396,9 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 	start := alignDown(ts, s.spans[0])
 	if start < s.sealedTo {
 		s.stats.LateDrops += int64(len(rows))
+		frontier := s.sealedTo
 		s.mu.Unlock()
-		return fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, s.sealedTo)
+		return fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, frontier)
 	}
 	w := s.wins[key{0, start}]
 	if w == nil {
@@ -406,7 +416,7 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 	// summary always includes every append that beat it here.
 	w.wmu.RLock()
 	var err error
-	if w.state != Active {
+	if w.state.Load() != Active {
 		// The window was picked for sealing between the lookup and the
 		// lock: the entry became late mid-flight (another producer pushed
 		// the watermark past it). Refuse it exactly like any late append.
@@ -470,14 +480,15 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	if start < s.sealedTo {
 		// Behind the frontier: a retransmission of a frame the sealed
 		// window already holds is a duplicate, not a late arrival.
-		if w := s.wins[key{0, start}]; w != nil && w.state == Sealed && seq <= w.sessHigh[session] {
+		if w := s.wins[key{0, start}]; w != nil && w.state.Load() == Sealed && seq <= w.sessHigh[session] {
 			s.mu.Unlock()
 			s.advanceAccepted(session, seq)
 			return true, nil
 		}
 		s.stats.LateDrops += int64(len(rows))
+		frontier := s.sealedTo
 		s.mu.Unlock()
-		return false, fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, s.sealedTo)
+		return false, fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, frontier)
 	}
 	w := s.wins[key{0, start}]
 	if w == nil {
@@ -493,7 +504,7 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	w.wmu.RLock()
 	var dup bool
 	var err error
-	if w.state != Active {
+	if w.state.Load() != Active {
 		err = fmt.Errorf("%w: window [%d,%d) sealed mid-append", ErrLate, w.start, w.end)
 		s.mu.Lock()
 		s.stats.LateDrops += int64(len(rows))
@@ -637,8 +648,8 @@ func (s *Store[T]) scheduleSealsLocked() bool {
 func (s *Store[T]) scheduleSealsTo(target int64) bool {
 	var due []*win[T]
 	for _, w := range s.wins {
-		if w.level == 0 && w.state == Active && w.end <= target {
-			w.state = Sealing
+		if w.level == 0 && w.state.Load() == Active && w.end <= target {
+			w.state.Store(Sealing)
 			s.stats.Active--
 			due = append(due, w)
 		}
@@ -699,7 +710,7 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	sum := s.summarize(w)
 	s.mu.Lock()
 	w.sessHigh = highs
-	w.state = Sealed
+	w.state.Store(Sealed)
 	s.stats.Seals++
 	s.stats.Sealed++
 	lag := s.watermark - w.end
@@ -773,7 +784,7 @@ func (s *Store[T]) rollUp() {
 			// parent span is the roll-up candidate.
 			var first *win[T]
 			for _, w := range s.wins {
-				if w.level == lvl && w.state == Sealed && !w.rolled {
+				if w.level == lvl && w.state.Load() == Sealed && !w.rolled {
 					if first == nil || w.start < first.start {
 						first = w
 					}
@@ -791,7 +802,7 @@ func (s *Store[T]) rollUp() {
 			}
 			var children []*win[T]
 			for b := pstart; b < pend; b += s.spans[lvl] {
-				if c := s.wins[key{lvl, b}]; c != nil && c.state == Sealed && !c.rolled {
+				if c := s.wins[key{lvl, b}]; c != nil && c.state.Load() == Sealed && !c.rolled {
 					children = append(children, c)
 				}
 			}
@@ -884,7 +895,7 @@ func (s *Store[T]) materializeParent(level int, pstart int64, children []*win[T]
 		return err
 	}
 	s.mu.Lock()
-	p.state = Sealing
+	p.state.Store(Sealing)
 	s.stats.RollUps++
 	s.mu.Unlock()
 	s.cfg.Shard.Flight.Record(flight.KindRollup, 0, "", 0, uint64(level), uint64(len(children)), wallSince(begun))
@@ -899,7 +910,7 @@ func (s *Store[T]) expire() {
 	s.mu.Lock()
 	var victims []*win[T]
 	for k, w := range s.wins {
-		if w.state != Sealed {
+		if w.state.Load() != Sealed {
 			continue
 		}
 		r := s.retention(w.level)
@@ -907,7 +918,7 @@ func (s *Store[T]) expire() {
 			continue
 		}
 		if s.watermark-w.end >= r {
-			w.state = Expired
+			w.state.Store(Expired)
 			s.stats.Sealed--
 			s.stats.Expired++
 			delete(s.wins, k)
@@ -946,7 +957,7 @@ func (s *Store[T]) Flush() error {
 	}
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.state.Load() == Active {
 			live = append(live, w)
 		}
 	}
@@ -981,7 +992,7 @@ func (s *Store[T]) Checkpoint() error {
 	}
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.state.Load() == Active {
 			live = append(live, w)
 		}
 	}
@@ -1014,7 +1025,7 @@ func (s *Store[T]) Close() error {
 	s.closed = true
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.state.Load() == Active {
 			live = append(live, w)
 		}
 	}
@@ -1067,9 +1078,9 @@ func (s *Store[T]) Windows() []Info {
 	for _, w := range s.wins {
 		infos = append(infos, Info{
 			Level: w.level, Start: w.start, End: w.end,
-			State: w.state, Rolled: w.rolled, Queries: w.queries,
+			State: w.state.Load(), Rolled: w.rolled, Queries: w.queries,
 		})
-		if w.state == Sealed {
+		if w.state.Load() == Sealed {
 			sealed = append(sealed, w)
 		}
 	}

@@ -478,7 +478,7 @@ func TestSealedWindowsHoldNoIngestBuffers(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, w := range s.wins {
-		if w.state != Sealed {
+		if w.state.Load() != Sealed {
 			t.Fatalf("window %v is not sealed", k)
 		}
 		stored, staging := w.g.LevelCaps()
