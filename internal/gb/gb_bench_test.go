@@ -157,3 +157,45 @@ func BenchmarkReduceRows(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "entries/s")
 }
+
+// BenchmarkReduceCols measures the column reduction: gather, stable radix
+// sort by column, fold runs.
+func BenchmarkReduceCols(b *testing.B) {
+	const n = 100_000
+	r1, c1, v1 := benchTuples(n, 1<<32, 9)
+	x, _ := MatrixFromTuples(1<<32, 1<<32, r1, c1, v1, Plus[uint64]().Op)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReduceCols(x, Plus[uint64]()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "entries/s")
+}
+
+// BenchmarkVecFold measures the streaming union merge over 2 (the tight
+// path) and 8 (the scanning path) overlapping sparse vectors.
+func BenchmarkVecFold(b *testing.B) {
+	const n = 100_000
+	for _, k := range []int{2, 8} {
+		b.Run(fmt.Sprintf("parts=%d", k), func(b *testing.B) {
+			parts := make([]*Vector[uint64], k)
+			for p := range parts {
+				idx, _, vals := benchTuples(n, 4*n, int64(30+p))
+				parts[p] = MustNewVector[uint64](1 << 32)
+				if err := parts[p].Build(idx, vals, Plus[uint64]().Op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var visited int
+			visit := func(Index, uint64) { visited++ }
+			plus := Plus[uint64]().Op
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				VecFold(parts, plus, visit)
+			}
+			b.ReportMetric(float64(b.N)*float64(k)*n/b.Elapsed().Seconds(), "entries/s")
+		})
+	}
+}

@@ -201,7 +201,106 @@ func (v *Vector[T]) Wait() {
 	v.idx, v.val = nidx, nval
 }
 
-// VecEWiseAdd returns the union combination of a and b.
+// vecHead is one input's unread suffix during a VecFold.
+type vecHead[T Number] struct {
+	idx []Index
+	val []T
+}
+
+// manyHeads is VecFold's growth path: more parts than its stack array
+// holds take one O(len(parts)) allocation here.
+func manyHeads[T Number](n int) []vecHead[T] { return make([]vecHead[T], 0, n) }
+
+// VecFold streams the union of index-sorted sparse vectors without building
+// it: visit is called once per distinct index, in strictly ascending index
+// order, with the values of every part that stores the index folded left to
+// right in part order (so a chain of VecEWiseAdd calls over the same parts
+// yields exactly the visited sequence). Nil and empty parts are skipped.
+// It allocates nothing for up to eight parts; the two-part merge — the
+// default server runs two shards — is a tight loop of its own.
+//
+//hhgb:noalloc
+func VecFold[T Number](parts []*Vector[T], add BinaryOp[T], visit func(Index, T)) {
+	var stack [8]vecHead[T]
+	heads := stack[:0]
+	if len(parts) > len(stack) {
+		heads = manyHeads[T](len(parts))
+	}
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		p.Wait()
+		if len(p.idx) != 0 {
+			heads = append(heads, vecHead[T]{idx: p.idx, val: p.val})
+		}
+	}
+	// k-way: a linear scan for the least head index, then fold the heads
+	// that carry it. Exhausted heads are closed up in order, so the fold
+	// order stays the part order.
+	for len(heads) > 2 {
+		least := heads[0].idx[0]
+		for _, h := range heads[1:] {
+			if h.idx[0] < least {
+				least = h.idx[0]
+			}
+		}
+		var acc T
+		seen := false
+		for i := 0; i < len(heads); {
+			h := &heads[i]
+			if h.idx[0] != least {
+				i++
+				continue
+			}
+			if seen {
+				acc = add(acc, h.val[0])
+			} else {
+				acc, seen = h.val[0], true
+			}
+			h.idx, h.val = h.idx[1:], h.val[1:]
+			if len(h.idx) == 0 {
+				copy(heads[i:], heads[i+1:])
+				heads = heads[:len(heads)-1]
+				continue
+			}
+			i++
+		}
+		visit(least, acc)
+	}
+	if len(heads) == 2 {
+		a, b := heads[0], heads[1]
+		i, j := 0, 0
+		for i < len(a.idx) && j < len(b.idx) {
+			switch ai, bj := a.idx[i], b.idx[j]; {
+			case ai < bj:
+				visit(ai, a.val[i])
+				i++
+			case bj < ai:
+				visit(bj, b.val[j])
+				j++
+			default:
+				visit(ai, add(a.val[i], b.val[j]))
+				i++
+				j++
+			}
+		}
+		heads[0] = vecHead[T]{idx: a.idx[i:], val: a.val[i:]}
+		if j < len(b.idx) {
+			heads[0] = vecHead[T]{idx: b.idx[j:], val: b.val[j:]}
+		}
+		heads = heads[:1]
+	}
+	if len(heads) == 1 {
+		h := heads[0]
+		for k, i := range h.idx {
+			visit(i, h.val[k])
+		}
+	}
+}
+
+// VecEWiseAdd returns the union combination of a and b: VecFold's two-way
+// merge written into an output sized once, for len(a)+len(b) entries.
 func VecEWiseAdd[T Number](a, b *Vector[T], add BinaryOp[T]) (*Vector[T], error) {
 	if a.n != b.n {
 		return nil, fmt.Errorf("%w: vectors %d vs %d", ErrDimensionMismatch, a.n, b.n)
@@ -209,27 +308,12 @@ func VecEWiseAdd[T Number](a, b *Vector[T], add BinaryOp[T]) (*Vector[T], error)
 	if add == nil {
 		return nil, fmt.Errorf("%w: nil add operator", ErrInvalidValue)
 	}
-	a.Wait()
-	b.Wait()
-	c := &Vector[T]{n: a.n, accum: a.accum}
-	i, j := 0, 0
-	for i < len(a.idx) || j < len(b.idx) {
-		switch {
-		case j >= len(b.idx) || (i < len(a.idx) && a.idx[i] < b.idx[j]):
-			c.idx = append(c.idx, a.idx[i])
-			c.val = append(c.val, a.val[i])
-			i++
-		case i >= len(a.idx) || b.idx[j] < a.idx[i]:
-			c.idx = append(c.idx, b.idx[j])
-			c.val = append(c.val, b.val[j])
-			j++
-		default:
-			c.idx = append(c.idx, a.idx[i])
-			c.val = append(c.val, add(a.val[i], b.val[j]))
-			i++
-			j++
-		}
-	}
+	room := a.NVals() + b.NVals()
+	c := &Vector[T]{n: a.n, accum: a.accum, idx: make([]Index, 0, room), val: make([]T, 0, room)}
+	VecFold([]*Vector[T]{a, b}, add, func(i Index, x T) {
+		c.idx = append(c.idx, i)
+		c.val = append(c.val, x)
+	})
 	return c, nil
 }
 
@@ -241,9 +325,8 @@ func VecEWiseMult[T Number](a, b *Vector[T], mul BinaryOp[T]) (*Vector[T], error
 	if mul == nil {
 		return nil, fmt.Errorf("%w: nil mul operator", ErrInvalidValue)
 	}
-	a.Wait()
-	b.Wait()
-	c := &Vector[T]{n: a.n, accum: a.accum}
+	room := min(a.NVals(), b.NVals())
+	c := &Vector[T]{n: a.n, accum: a.accum, idx: make([]Index, 0, room), val: make([]T, 0, room)}
 	i, j := 0, 0
 	for i < len(a.idx) && j < len(b.idx) {
 		switch {

@@ -127,7 +127,7 @@ func (m *Matrix[T]) sortPendingWide() {
 // Byte positions where every key agrees (and/or masks) are skipped —
 // power-law batches typically need only 4-6 of the 8 passes. Returns the
 // buffer pair holding the sorted result.
-func radixSortPacked[T Number](ka, kb []uint64, va, vb []T, andKey, orKey uint64) ([]uint64, []T) {
+func radixSortPacked[T any](ka, kb []uint64, va, vb []T, andKey, orKey uint64) ([]uint64, []T) {
 	n := len(ka)
 	var counts [256]int
 	for shift := uint(0); shift < 64; shift += 8 {
@@ -162,7 +162,7 @@ func radixSortPacked[T Number](ka, kb []uint64, va, vb []T, andKey, orKey uint64
 // insertionSortPacked is the small-batch packed-key sort: stable, in
 // place, allocation-free, and faster than setting up radix passes below
 // ~128 entries.
-func insertionSortPacked[T Number](keys []uint64, vals []T) {
+func insertionSortPacked[T any](keys []uint64, vals []T) {
 	for i := 1; i < len(keys); i++ {
 		k, v := keys[i], vals[i]
 		j := i - 1

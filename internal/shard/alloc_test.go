@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"hhgb/internal/flight"
@@ -136,5 +138,78 @@ func TestAllocBudgetAppenderAppendSingleShard(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm single-shard Append allocates %.1f/op, budget is 0", allocs)
+	}
+}
+
+// Warm analytic reads fold the cached per-shard partials; they must not
+// build anything proportional to them. Both budgets are per call on a
+// flushed two-shard group holding 250,000 distinct rows (so each merged
+// vector the reads used to build was megabytes): a handful of small
+// objects — the barrier's channels and closures, the result slices, the
+// k-entry heap — and never a vector. This is what keeps a server's
+// resident set flat under a read-heavy load.
+func TestAllocBudgetWarmReads(t *testing.T) {
+	const (
+		entries     = 250_000
+		allocBudget = 16
+		byteBudget  = 16 << 10
+	)
+	g, err := NewGroup[uint64](testDim, testDim, Config{Shards: 2, Hier: hier.DefaultConfig()})
+	if err != nil {
+		t.Fatalf("NewGroup: %v", err)
+	}
+	defer g.Close()
+	rows := make([]gb.Index, entries)
+	cols := make([]gb.Index, entries)
+	vals := make([]uint64, entries)
+	for k := range rows {
+		rows[k] = gb.Index(k)
+		cols[k] = gb.Index(k*2654435761) % testDim
+		vals[k] = uint64(k%7 + 1)
+	}
+	if err := g.Update(rows, cols, vals); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	for _, read := range []struct {
+		name string
+		call func() error
+	}{
+		{"TopRows(10)", func() error {
+			top, err := g.TopRows(10)
+			if err == nil && (len(top) != 10 || top[0].Value != 7) {
+				err = fmt.Errorf("wrong answer: %+v", top)
+			}
+			return err
+		}},
+		{"AggregateAll", func() error {
+			agg, err := g.AggregateAll()
+			if err == nil && (agg.Rows != entries || agg.NVals != entries) {
+				err = fmt.Errorf("wrong answer: %+v", agg)
+			}
+			return err
+		}},
+	} {
+		if err := read.call(); err != nil { // prime the per-shard caches
+			t.Fatalf("%s: %v", read.name, err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := read.call(); err != nil {
+				t.Fatalf("%s: %v", read.name, err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call beside the measured ones.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("warm %s: %.0f allocs, %d bytes per call", read.name, allocs, bytes)
+		if allocs > allocBudget || bytes > byteBudget {
+			t.Fatalf("warm %s allocates %.0f objects / %d bytes per call, budget is %d / %d",
+				read.name, allocs, bytes, allocBudget, byteBudget)
+		}
 	}
 }

@@ -107,9 +107,9 @@ func TestPushdownCacheHitAndInvalidate(t *testing.T) {
 		t.Fatalf("quiescent queries did not hit the cache: %+v", warm)
 	}
 
-	// AggregateAll needs all six quantities, and the snapshot primed only
-	// four — so the first call recomputes (filling the rest), after which
-	// a repeat is hit-only.
+	// AggregateAll reads four cached quantities and the snapshot primed
+	// three of them (not RowDegrees) — so the first call recomputes, after
+	// which a repeat is hit-only.
 	agg, err := g.AggregateAll()
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +153,14 @@ func TestPushdownCacheHitAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestAggregateAllPrimesVectorCache proves the shared-fill: one
-// AggregateAll materialization makes every later individual pushdown a
-// hit.
+// TestAggregateAllPrimesVectorCache proves the shared fill and its extent:
+// one AggregateAll caches exactly what it reads — the cell count, the value
+// total and both degree partials — so each of those individual pushdowns is
+// then a hit on every shard, while the sum vectors it no longer computes
+// are still a miss.
 func TestAggregateAllPrimesVectorCache(t *testing.T) {
-	g, err := NewGroup[uint64](1024, 1024, Config{Shards: 2})
+	const shards = 2
+	g, err := NewGroup[uint64](1024, 1024, Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +170,27 @@ func TestAggregateAllPrimesVectorCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	primed := g.CacheStats()
-	takeSnapshot(t, g) // NVals, Total, RowSums, ColDegrees
-	after := g.CacheStats()
-	if after.Misses != primed.Misses {
-		t.Fatalf("pushdowns after AggregateAll recomputed: misses %d -> %d", primed.Misses, after.Misses)
+	if _, err := g.NVals(); err != nil {
+		t.Fatal(err)
 	}
-	if after.Hits == primed.Hits {
-		t.Fatal("pushdowns after AggregateAll did not hit")
+	if _, err := g.Total(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RowDegrees(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ColDegrees(); err != nil {
+		t.Fatal(err)
+	}
+	after := g.CacheStats()
+	if after.Misses != primed.Misses || after.Hits != primed.Hits+4*shards {
+		t.Fatalf("pushdowns after AggregateAll: %+v -> %+v, want %d more hits and no miss", primed, after, 4*shards)
+	}
+	if _, err := g.RowSums(); err != nil {
+		t.Fatal(err)
+	}
+	if sums := g.CacheStats(); sums.Misses != after.Misses+shards {
+		t.Fatalf("RowSums after AggregateAll: misses %d -> %d, want one per shard", after.Misses, sums.Misses)
 	}
 }
 

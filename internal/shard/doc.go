@@ -28,11 +28,13 @@
 // Because GraphBLAS addition is linear and the hash assigns every (row,
 // col) cell to exactly one shard, the union of the shard cascades is
 // exactly equivalent to one flat accumulation. Analysis queries are pushed
-// down to the shards and merged at read time — degrees, sums, and counts by
-// monoid merge, top-k by bounded heap, single cells by routing to the one
-// owning shard — so the serial read-time cost is the result size, not the
-// total stored nnz; Query still materializes the full merged Σ when the
-// whole matrix is wanted. Every query observes a batch-atomic snapshot and
+// down to the shards and combined at read time — degrees, sums, and counts
+// by monoid merge, top-k and the summary scalars by streaming that merge
+// into a bounded heap or a count and a maximum, single cells by routing to
+// the one owning shard — so the serial read-time cost is the length of the
+// per-shard partials, not the total stored nnz, and only a query that
+// returns a vector builds one; Query still materializes the full merged Σ
+// when the whole matrix is wanted. Every query observes a batch-atomic snapshot and
 // is bit-identical to the unsharded path (properties the package tests
 // verify).
 //

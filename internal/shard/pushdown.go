@@ -20,23 +20,31 @@ import (
 //   - row/column vectors (sums, degrees) merge elementwise with the plus
 //     monoid — a cell contributes on exactly one shard, so no entry is
 //     double-counted,
-//   - top-k ranks the merged vector with a bounded heap.
+//   - top-k and the Summary scalars fold that same merge without building
+//     it: gb.VecFold streams the union of the partials in index order
+//     into a bounded heap, or into a count and a maximum.
 //
-// The old path — materialize the global Σ over shards and levels, then
-// reduce — cost O(total nnz) serially per query. Here the O(shard nnz)
-// work runs on S workers concurrently and the serial read-time merge is
-// O(result size): vector length for degrees/sums, k for top-k, one cell
-// for Lookup, a scalar for counts. The package tests verify every pushdown
-// result is bit-identical to reducing the materialized flat matrix.
+// Cost. The per-shard step runs on S workers concurrently and reads what
+// the shard already holds: sums reduce level by level; degrees and the
+// distinct-cell count are not linear across levels (two levels can store
+// the same cell), so they read the one non-empty level in place — every
+// flushed, sealed, checkpointed or recovered shard — and only a shard
+// caught with several levels populated pays a Σ over its levels. The
+// serial read-time step is O(Σ partial lengths) time; its space is
+// O(k + S) for top-k, O(S) for the Summary scalars, one cell for Lookup,
+// and the merged vector itself only for the callers that ask for one
+// (RowSums, ColSums, RowDegrees, ColDegrees). The package tests verify
+// every pushdown result is bit-identical to reducing the materialized flat
+// matrix.
 
 // shardCache memoizes one shard's pushdown reductions between ingest
 // batches. It is owned by the worker goroutine (queries run there, and
 // the ingest loop clears it whenever a batch lands — see worker.loop), so
 // repeated analytics on a quiescent stream cost only the read-time merge:
 // every per-shard scalar, vector, and degree reduction is served from
-// here. Cached vectors are materialized (Wait) before they are stored and
-// treated as immutable afterwards, so handing the same *gb.Vector to
-// several concurrent merges is safe.
+// here. Cached vectors come out of the gb reductions fully materialized
+// (nothing stages into them) and are treated as immutable afterwards, so
+// handing the same *gb.Vector to several concurrent merges is safe.
 type shardCache[T gb.Number] struct {
 	nvals *int
 	total *T
@@ -53,13 +61,6 @@ func (w *worker[T]) hit() {
 func (w *worker[T]) miss() {
 	w.cacheMisses++
 	w.met.CacheMisses.Inc()
-}
-
-// cacheVec stores a freshly computed per-shard vector, materialized so
-// later readers never mutate it.
-func (w *worker[T]) cacheVec(kind vectorKind, v *gb.Vector[T]) {
-	v.Wait()
-	w.cache.vecs[kind] = v
 }
 
 // CacheCounters aggregates the per-shard pushdown-cache counters: one hit
@@ -107,11 +108,13 @@ func (g *Group[T]) NVals() (int, error) {
 			return
 		}
 		w.miss()
-		ns[i], errs[i] = w.m.NVals()
-		if errs[i] == nil {
-			n := ns[i]
-			w.cache.nvals = &n
+		q, err := sigma(w.m)
+		if err != nil {
+			errs[i] = err
+			return
 		}
+		n := q.NVals()
+		ns[i], w.cache.nvals = n, &n
 	}); err != nil {
 		return 0, err
 	}
@@ -197,6 +200,26 @@ func (g *Group[T]) Lookup(row, col gb.Index) (T, bool, error) {
 	return v, ok, nil
 }
 
+// sigma returns, for reading only, a matrix holding the shard's Σ: the one
+// non-empty level itself when no other level holds anything — hier.Flush
+// promotes everything into the top, so that is every flushed, sealed,
+// checkpointed or recovered shard — and the materialized sum of the levels
+// otherwise.
+func sigma[T gb.Number](m *hier.Matrix[T]) (*gb.Matrix[T], error) {
+	only := m.Level(m.NumLevels() - 1)
+	held := 0
+	for l := 0; l < m.NumLevels(); l++ {
+		if lvl := m.Level(l); lvl.NVals() != 0 {
+			only = lvl
+			held++
+		}
+	}
+	if held > 1 {
+		return m.Query()
+	}
+	return only, nil
+}
+
 // mergeVecs folds per-shard partial vectors elementwise with add. Nil
 // partials (shards that computed nothing) are skipped; the merge of all-nil
 // returns an empty vector of the given length.
@@ -232,10 +255,18 @@ const (
 	colDegrees
 )
 
+// size is the index space a kind's vectors live in.
+func (g *Group[T]) size(kind vectorKind) gb.Index {
+	if kind == colSums || kind == colDegrees {
+		return g.ncols
+	}
+	return g.nrows
+}
+
 // shardVector computes one shard's partial vector on the worker goroutine.
 // Sums are linear, so they reduce level by level with no materialization;
-// degrees count distinct cells (not linear across levels, which can store
-// the same cell), so they reduce the shard's materialized Σ.
+// degrees count distinct cells, so they read the shard's Σ (see sigma) —
+// from its structure alone.
 func shardVector[T gb.Number](m *hier.Matrix[T], kind vectorKind, n gb.Index) (*gb.Vector[T], error) {
 	plus := gb.Plus[T]()
 	switch kind {
@@ -267,28 +298,26 @@ func shardVector[T gb.Number](m *hier.Matrix[T], kind vectorKind, n gb.Index) (*
 		}
 		return acc, nil
 	default:
-		q, err := m.Query()
+		q, err := sigma(m)
 		if err != nil {
 			return nil, err
 		}
-		ones, err := gb.Apply(q, func(T) T { return 1 })
-		if err != nil {
-			return nil, err
-		}
-		if kind == rowDegrees {
-			return gb.ReduceRows(ones, plus)
-		}
-		return gb.ReduceCols(ones, plus)
+		return degrees(q, kind)
 	}
 }
 
-// vector runs one pushdown vector query: per-shard partials on the
-// workers, merged with the plus monoid at read time.
-func (g *Group[T]) vector(kind vectorKind) (*gb.Vector[T], error) {
-	n := g.nrows
-	if kind == colSums || kind == colDegrees {
-		n = g.ncols
+// degrees is the row or column degree vector of one matrix.
+func degrees[T gb.Number](q *gb.Matrix[T], kind vectorKind) (*gb.Vector[T], error) {
+	if kind == rowDegrees {
+		return gb.RowDegrees(q)
 	}
+	return gb.ColDegrees(q)
+}
+
+// partials runs the per-shard half of one pushdown vector query: each
+// worker's partial of the kind, from its cache or computed and cached. The
+// partials are the cache entries themselves — read, never written.
+func (g *Group[T]) partials(kind vectorKind) ([]*gb.Vector[T], error) {
 	parts := make([]*gb.Vector[T], len(g.workers))
 	errs := make([]error, len(g.workers))
 	if err := g.run(func(i int, w *worker[T]) {
@@ -302,24 +331,31 @@ func (g *Group[T]) vector(kind vectorKind) (*gb.Vector[T], error) {
 			return
 		}
 		w.miss()
-		parts[i], errs[i] = shardVector[T](w.m, kind, n)
+		parts[i], errs[i] = shardVector[T](w.m, kind, g.size(kind))
 		if errs[i] == nil {
-			w.cacheVec(kind, parts[i])
+			w.cache.vecs[kind] = parts[i]
 		}
 	}); err != nil {
 		return nil, err
 	}
-	if err := firstError(errs); err != nil {
+	return parts, firstError(errs)
+}
+
+// vector runs one pushdown vector query for a caller that wants the
+// vector: the per-shard partials, merged with the plus monoid at read time.
+func (g *Group[T]) vector(kind vectorKind) (*gb.Vector[T], error) {
+	parts, err := g.partials(kind)
+	if err != nil {
 		return nil, err
 	}
-	v, err := mergeVecs(parts, n, gb.Plus[T]().Op)
+	v, err := mergeVecs(parts, g.size(kind), gb.Plus[T]().Op)
 	if err != nil {
 		return nil, err
 	}
 	if len(g.workers) == 1 {
 		// A single-shard merge returns the shard's partial itself, which
-		// may be the cached vector; hand the caller a copy so the cache
-		// entry stays immutable.
+		// is the cached vector; hand the caller a copy so the cache entry
+		// stays immutable.
 		v = v.Dup()
 	}
 	return v, nil
@@ -341,50 +377,51 @@ func (g *Group[T]) RowDegrees() (*gb.Vector[T], error) { return g.vector(rowDegr
 // cells in it (in-degree: source fan-in).
 func (g *Group[T]) ColDegrees() (*gb.Vector[T], error) { return g.vector(colDegrees) }
 
+// topK ranks one kind's merged vector without building it: the cached
+// per-shard partials stream through the union merge into a bounded heap.
+// Exact, because an index's value is the plus-fold over every shard that
+// holds a piece of it — per-shard top-k candidates alone would not be.
+func (g *Group[T]) topK(kind vectorKind, k int) ([]stats.Top[T], error) {
+	parts, err := g.partials(kind)
+	if err != nil {
+		return nil, err
+	}
+	return stats.FoldTopK(parts, gb.Plus[T]().Op, k)
+}
+
 // TopRows returns the k rows with the largest value totals, in descending
 // order with ties broken by lower index — exactly the flat path's answer.
-// The per-shard sums are pushed down to the workers; the merge plus a
-// bounded-heap selection is all that runs serially.
-func (g *Group[T]) TopRows(k int) ([]stats.Top[T], error) {
-	v, err := g.RowSums()
-	if err != nil {
-		return nil, err
-	}
-	return stats.SelectTopK(v, k)
-}
+// The per-shard sums are pushed down to the workers (and cached there); one
+// streaming merge into a k-entry heap is all that runs serially.
+func (g *Group[T]) TopRows(k int) ([]stats.Top[T], error) { return g.topK(rowSums, k) }
 
 // TopCols returns the k columns with the largest value totals; see TopRows.
-func (g *Group[T]) TopCols(k int) ([]stats.Top[T], error) {
-	v, err := g.ColSums()
-	if err != nil {
-		return nil, err
-	}
-	return stats.SelectTopK(v, k)
-}
+func (g *Group[T]) TopCols(k int) ([]stats.Top[T], error) { return g.topK(colSums, k) }
 
-// Aggregates is a batch-atomic snapshot of every standard aggregate, taken
-// in ONE barrier so all fields describe the same instant of the stream
-// (chaining the individual queries would let ingest slip between them).
+// Aggregates is a batch-atomic snapshot of the standard summary scalars,
+// taken in ONE barrier so all fields describe the same instant of the
+// stream (chaining the individual queries would let ingest slip between
+// them).
 type Aggregates[T gb.Number] struct {
-	NVals      int           // distinct stored cells
-	Total      T             // sum of all values
-	RowSums    *gb.Vector[T] // per-row value totals
-	ColSums    *gb.Vector[T] // per-column value totals
-	RowDegrees *gb.Vector[T] // per-row distinct-cell counts
-	ColDegrees *gb.Vector[T] // per-column distinct-cell counts
+	NVals        int // distinct stored cells
+	Total        T   // sum of all values
+	Rows         int // distinct non-empty rows
+	Cols         int // distinct non-empty columns
+	MaxRowDegree T   // most distinct cells in one row
+	MaxColDegree T   // most distinct cells in one column
 }
 
-// AggregateAll computes all pushdown aggregates in a single barrier: each
-// worker materializes its own Σ once and derives its six partials from it;
-// the merge is monoid/elementwise as in the individual queries.
+// AggregateAll computes the summary scalars in a single barrier: each
+// worker reads its Σ once (see sigma) for its cell count, value total and
+// two degree partials, all cached; the degree partials are then folded
+// across shards into a count and a maximum each — no merged vector is
+// built.
 func (g *Group[T]) AggregateAll() (Aggregates[T], error) {
-	type partial struct {
-		nvals                  int
-		total                  T
-		rowS, colS, rowD, colD *gb.Vector[T]
-	}
 	plus := gb.Plus[T]()
-	parts := make([]partial, len(g.workers))
+	nvals := make([]int, len(g.workers))
+	totals := make([]T, len(g.workers))
+	rowD := make([]*gb.Vector[T], len(g.workers))
+	colD := make([]*gb.Vector[T], len(g.workers))
 	errs := make([]error, len(g.workers))
 	if err := g.run(func(i int, w *worker[T]) {
 		if w.err != nil {
@@ -392,96 +429,64 @@ func (g *Group[T]) AggregateAll() (Aggregates[T], error) {
 			return
 		}
 		c := &w.cache
-		if c.nvals != nil && c.total != nil &&
-			c.vecs[rowSums] != nil && c.vecs[colSums] != nil &&
-			c.vecs[rowDegrees] != nil && c.vecs[colDegrees] != nil {
+		if c.nvals != nil && c.total != nil && c.vecs[rowDegrees] != nil && c.vecs[colDegrees] != nil {
 			w.hit()
-			parts[i] = partial{
-				nvals: *c.nvals, total: *c.total,
-				rowS: c.vecs[rowSums], colS: c.vecs[colSums],
-				rowD: c.vecs[rowDegrees], colD: c.vecs[colDegrees],
+		} else {
+			w.miss()
+			if errs[i] = w.fillAggregates(); errs[i] != nil {
+				return
 			}
-			return
 		}
-		w.miss()
-		q, err := w.m.Query()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		p := partial{nvals: q.NVals()}
-		if p.total, err = gb.ReduceScalar(q, plus); err != nil {
-			errs[i] = err
-			return
-		}
-		if p.rowS, err = gb.ReduceRows(q, plus); err != nil {
-			errs[i] = err
-			return
-		}
-		if p.colS, err = gb.ReduceCols(q, plus); err != nil {
-			errs[i] = err
-			return
-		}
-		ones, err := gb.Apply(q, func(T) T { return 1 })
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if p.rowD, err = gb.ReduceRows(ones, plus); err != nil {
-			errs[i] = err
-			return
-		}
-		if p.colD, err = gb.ReduceCols(ones, plus); err != nil {
-			errs[i] = err
-			return
-		}
-		parts[i] = p
-		// One Σ paid for all six reductions: cache them all, so the next
-		// quiescent query of ANY pushdown kind is a hit.
-		n, t := p.nvals, p.total
-		c.nvals, c.total = &n, &t
-		w.cacheVec(rowSums, p.rowS)
-		w.cacheVec(colSums, p.colS)
-		w.cacheVec(rowDegrees, p.rowD)
-		w.cacheVec(colDegrees, p.colD)
+		nvals[i], totals[i] = *c.nvals, *c.total
+		rowD[i], colD[i] = c.vecs[rowDegrees], c.vecs[colDegrees]
 	}); err != nil {
 		return Aggregates[T]{}, err
 	}
 	if err := firstError(errs); err != nil {
 		return Aggregates[T]{}, err
 	}
-
 	var agg Aggregates[T]
-	collect := func(pick func(partial) *gb.Vector[T], n gb.Index) (*gb.Vector[T], error) {
-		vs := make([]*gb.Vector[T], len(parts))
-		for i, p := range parts {
-			vs[i] = pick(p)
-		}
-		v, err := mergeVecs(vs, n, plus.Op)
-		if err != nil {
-			return nil, err
-		}
-		if len(g.workers) == 1 {
-			v = v.Dup() // never alias a cache entry to the caller
-		}
-		return v, nil
+	for i := range nvals {
+		agg.NVals += nvals[i]
+		agg.Total = plus.Op(agg.Total, totals[i])
 	}
-	var err error
-	for _, p := range parts {
-		agg.NVals += p.nvals
-		agg.Total = plus.Op(agg.Total, p.total)
-	}
-	if agg.RowSums, err = collect(func(p partial) *gb.Vector[T] { return p.rowS }, g.nrows); err != nil {
-		return Aggregates[T]{}, err
-	}
-	if agg.ColSums, err = collect(func(p partial) *gb.Vector[T] { return p.colS }, g.ncols); err != nil {
-		return Aggregates[T]{}, err
-	}
-	if agg.RowDegrees, err = collect(func(p partial) *gb.Vector[T] { return p.rowD }, g.nrows); err != nil {
-		return Aggregates[T]{}, err
-	}
-	if agg.ColDegrees, err = collect(func(p partial) *gb.Vector[T] { return p.colD }, g.ncols); err != nil {
-		return Aggregates[T]{}, err
-	}
+	agg.Rows, agg.MaxRowDegree = countAndMax(rowD, plus.Op)
+	agg.Cols, agg.MaxColDegree = countAndMax(colD, plus.Op)
 	return agg, nil
+}
+
+// fillAggregates computes the four cached quantities AggregateAll reads
+// from one pass over the shard's Σ.
+func (w *worker[T]) fillAggregates() error {
+	q, err := sigma(w.m)
+	if err != nil {
+		return err
+	}
+	n := q.NVals()
+	total, err := gb.ReduceScalar(q, gb.Plus[T]())
+	if err != nil {
+		return err
+	}
+	for _, kind := range []vectorKind{rowDegrees, colDegrees} {
+		if w.cache.vecs[kind] != nil {
+			continue
+		}
+		if w.cache.vecs[kind], err = degrees(q, kind); err != nil {
+			return err
+		}
+	}
+	w.cache.nvals, w.cache.total = &n, &total
+	return nil
+}
+
+// countAndMax folds the merged vector of the partials — how many indices
+// it has and its largest value — without building it.
+func countAndMax[T gb.Number](parts []*gb.Vector[T], add gb.BinaryOp[T]) (n int, most T) {
+	gb.VecFold(parts, add, func(_ gb.Index, x T) {
+		n++
+		if x > most {
+			most = x
+		}
+	})
+	return n, most
 }

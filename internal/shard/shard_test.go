@@ -434,3 +434,60 @@ func TestCloseReleasesIngestBuffers(t *testing.T) {
 		t.Fatalf("NVals after Close = %d, %v; want %d", got, err, want)
 	}
 }
+
+// benchReads times one analytic read on a two-shard group holding a
+// million-cell power-law stream: warm (per-shard caches filled, so only
+// the read-time fold runs) and cold (one re-added cell and a Flush before
+// every call, so the owning shard recomputes its partials).
+func benchReads(b *testing.B, read func(g *Group[uint64]) error) {
+	rows, cols, vals := genBatches(b, 10, 100_000, 0x5eed)
+	for _, cold := range []bool{false, true} {
+		name := "Warm"
+		if cold {
+			name = "Cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			g, err := NewGroup[uint64](testDim, testDim, Config{Shards: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer g.Close()
+			for k := range rows {
+				if err := g.Update(rows[k], cols[k], vals[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := read(g); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					k := i % len(rows[0])
+					if err := g.Update(rows[0][k:k+1], cols[0][k:k+1], vals[0][k:k+1]); err != nil {
+						b.Fatal(err)
+					}
+					if err := g.Flush(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := read(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTopRows measures Group.TopRows(10), warm and cold.
+func BenchmarkTopRows(b *testing.B) {
+	benchReads(b, func(g *Group[uint64]) error { _, err := g.TopRows(10); return err })
+}
+
+// BenchmarkAggregateAll measures Group.AggregateAll, warm and cold.
+func BenchmarkAggregateAll(b *testing.B) {
+	benchReads(b, func(g *Group[uint64]) error { _, err := g.AggregateAll(); return err })
+}

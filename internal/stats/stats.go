@@ -7,7 +7,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hhgb/internal/gb"
 )
@@ -21,20 +21,12 @@ type Entry struct {
 // OutDegrees returns, per source with traffic, the number of distinct
 // destinations (pattern degree, not packet count).
 func OutDegrees(m *gb.Matrix[uint64]) (*gb.Vector[uint64], error) {
-	ones, err := gb.Apply(m, func(uint64) uint64 { return 1 })
-	if err != nil {
-		return nil, err
-	}
-	return gb.ReduceRows(ones, gb.Plus[uint64]())
+	return gb.RowDegrees(m)
 }
 
 // InDegrees returns, per destination, the number of distinct sources.
 func InDegrees(m *gb.Matrix[uint64]) (*gb.Vector[uint64], error) {
-	ones, err := gb.Apply(m, func(uint64) uint64 { return 1 })
-	if err != nil {
-		return nil, err
-	}
-	return gb.ReduceCols(ones, gb.Plus[uint64]())
+	return gb.ColDegrees(m)
 }
 
 // OutTraffic returns per-source packet totals (row sums).
@@ -62,7 +54,7 @@ func TopK(v *gb.Vector[uint64], k int) ([]Entry, error) {
 	return entries, nil
 }
 
-// Top is one ranked entry of a SelectTopK result.
+// Top is one ranked entry of a top-k selection.
 type Top[T gb.Number] struct {
 	Index gb.Index
 	Value T
@@ -79,66 +71,104 @@ func topLess[T gb.Number](a, b Top[T]) bool {
 	return a.Index < b.Index
 }
 
-// SelectTopK returns the k largest entries of v in descending order (ties
-// broken by lower index first) using a bounded min-heap: O(n log k) time
-// and O(k) space instead of TopK's full O(n log n) sort, so selecting a
-// handful of supernodes from a merged degree vector costs (nearly) result
-// size, not a sort of every vertex. k larger than the entry count returns
-// everything; the output is identical to sorting all entries and keeping
-// the first k.
-func SelectTopK[T gb.Number](v *gb.Vector[T], k int) ([]Top[T], error) {
+// topHeap keeps the k best of the entries offered to it, in topLess order,
+// in O(log k) per kept entry and O(k) space. The weakest kept entry sits at
+// the root: it is the one a stronger newcomer evicts.
+type topHeap[T gb.Number] struct {
+	k    int
+	heap []Top[T]
+}
+
+// newTopHeap returns a heap selecting the best k (>= 0) of at most n
+// offers. Room is min(k, n): k arrives off the wire, and the heap never
+// holds more than it is offered.
+func newTopHeap[T gb.Number](k, n int) topHeap[T] {
+	return topHeap[T]{k: k, heap: make([]Top[T], 0, min(k, n))}
+}
+
+// offer considers one entry; indices offered to one heap must be distinct.
+// An entry no better than the root of a full heap is rejected before any
+// sift.
+//
+//hhgb:noalloc
+func (h *topHeap[T]) offer(i gb.Index, x T) {
+	e := Top[T]{Index: i, Value: x}
+	heap := h.heap
+	if len(heap) < h.k {
+		heap = append(heap, e)
+		h.heap = heap
+		for c := len(heap) - 1; c > 0; {
+			p := (c - 1) / 2
+			if !topLess(heap[p], heap[c]) {
+				break
+			}
+			heap[c], heap[p] = heap[p], heap[c]
+			c = p
+		}
+		return
+	}
+	if h.k == 0 || !topLess(e, heap[0]) {
+		return
+	}
+	heap[0] = e
+	for p := 0; ; {
+		w := p
+		if l := 2*p + 1; l < len(heap) && topLess(heap[w], heap[l]) {
+			w = l
+		}
+		if r := 2*p + 2; r < len(heap) && topLess(heap[w], heap[r]) {
+			w = r
+		}
+		if w == p {
+			return
+		}
+		heap[p], heap[w] = heap[w], heap[p]
+		p = w
+	}
+}
+
+// sorted orders the kept entries best first and returns them; the heap
+// must not be offered to afterwards.
+func (h *topHeap[T]) sorted() []Top[T] {
+	slices.SortFunc(h.heap, func(a, b Top[T]) int {
+		switch {
+		case topLess(a, b):
+			return -1
+		case topLess(b, a):
+			return 1
+		}
+		return 0
+	})
+	return h.heap
+}
+
+// FoldTopK returns the k largest entries of the elementwise add-merge of
+// the index-sorted sparse vectors in parts, in descending order (ties
+// broken by lower index first), without building the merged vector: the
+// union streams through gb.VecFold into a bounded heap, so the cost is
+// O(Σ len(parts) + kept · log k) time and O(k) space. An index's value is
+// add folded over every part that stores it, so the answer is exactly that
+// of sorting the merged vector and keeping the first k. Nil parts are
+// skipped; k larger than the entry count returns everything.
+func FoldTopK[T gb.Number](parts []*gb.Vector[T], add gb.BinaryOp[T], k int) ([]Top[T], error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: k = %d", gb.ErrInvalidValue, k)
 	}
-	// heap keeps the current best k with the weakest entry at the root —
-	// the one a stronger newcomer evicts. "a is weaker than b" is
-	// topLess(b, a), since the selection order is a total order.
-	weaker := func(a, b Top[T]) bool { return topLess(b, a) }
-	// k arrives off the wire; the heap never holds more than v does.
-	heap := make([]Top[T], 0, min(k, v.NVals()))
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !weaker(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
+	n := 0
+	for _, p := range parts {
+		if p != nil {
+			n += p.NVals()
 		}
 	}
-	siftDown := func() {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < len(heap) && weaker(heap[l], heap[w]) {
-				w = l
-			}
-			if r < len(heap) && weaker(heap[r], heap[w]) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			heap[i], heap[w] = heap[w], heap[i]
-			i = w
-		}
-	}
-	v.Iterate(func(i gb.Index, x T) bool {
-		e := Top[T]{Index: i, Value: x}
-		if len(heap) < k {
-			heap = append(heap, e)
-			siftUp(len(heap) - 1)
-			return true
-		}
-		if k > 0 && topLess(e, heap[0]) {
-			heap[0] = e
-			siftDown()
-		}
-		return true
-	})
-	sort.Slice(heap, func(a, b int) bool { return topLess(heap[a], heap[b]) })
-	return heap, nil
+	h := newTopHeap[T](k, n)
+	gb.VecFold(parts, add, h.offer)
+	return h.sorted(), nil
+}
+
+// SelectTopK returns the k largest entries of v: FoldTopK of the one
+// vector.
+func SelectTopK[T gb.Number](v *gb.Vector[T], k int) ([]Top[T], error) {
+	return FoldTopK([]*gb.Vector[T]{v}, gb.Plus[T]().Op, k)
 }
 
 // Summary aggregates the headline statistics of a traffic matrix.

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -259,6 +260,59 @@ func TestSelectTopKMatchesFullSort(t *testing.T) {
 	}
 	if _, err := SelectTopK(v, -1); err == nil {
 		t.Fatal("negative k should fail")
+	}
+}
+
+// TestFoldTopKMatchesSelectOfMerged splits one vector's entries over
+// several parts — each value in one or two pieces, parts of unequal length,
+// one of them nil — and checks that folding the parts ranks exactly as
+// selecting from the whole does, for every k. An entry's pieces are each
+// smaller than values held whole elsewhere, so ranking any part on its own
+// would get it wrong.
+func TestFoldTopKMatchesSelectOfMerged(t *testing.T) {
+	const n, nparts = 600, 4
+	whole := gb.MustNewVector[uint64](1 << 40)
+	parts := make([]*gb.Vector[uint64], nparts+1) // the last stays nil
+	for p := range parts[:nparts] {
+		parts[p] = gb.MustNewVector[uint64](1 << 40)
+	}
+	rng := uint64(0x2545f4914f6cdd1d)
+	for i := 0; i < n; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		idx := gb.Index(i)*7 + 1<<33
+		x := rng % 23 // few distinct values: lots of ties
+		if err := whole.SetElement(idx, x); err != nil {
+			t.Fatal(err)
+		}
+		a, b := int(rng>>8)%nparts, int(rng>>16)%(nparts-1) // part 3 stays short
+		pieces := map[int]uint64{a: x}
+		if a != b {
+			pieces = map[int]uint64{a: x - x/2, b: x / 2}
+		}
+		for p, piece := range pieces {
+			if err := parts[p].SetElement(idx, piece); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, k := range []int{0, 1, 3, 50, n, n + 1, math.MaxInt} {
+		got, err := FoldTopK(parts, gb.Plus[uint64]().Op, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		want, err := SelectTopK(whole, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: fold of parts ranks %d entries, the whole vector %d; first %+v vs %+v",
+				k, len(got), len(want), got[:min(3, len(got))], want[:min(3, len(want))])
+		}
+	}
+	if _, err := FoldTopK(parts, gb.Plus[uint64]().Op, -1); !errors.Is(err, gb.ErrInvalidValue) {
+		t.Fatalf("negative k: %v, want ErrInvalidValue", err)
 	}
 }
 

@@ -360,21 +360,13 @@ func (s *Sharded) Summary() (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	maxOut, err := gb.VecReduce(agg.RowDegrees, gb.MaxWith[uint64](0))
-	if err != nil {
-		return Summary{}, err
-	}
-	maxIn, err := gb.VecReduce(agg.ColDegrees, gb.MaxWith[uint64](0))
-	if err != nil {
-		return Summary{}, err
-	}
 	return Summary{
 		Entries:      agg.NVals,
-		Sources:      agg.RowDegrees.NVals(),
-		Destinations: agg.ColDegrees.NVals(),
+		Sources:      agg.Rows,
+		Destinations: agg.Cols,
 		TotalPackets: agg.Total,
-		MaxOutDegree: maxOut,
-		MaxInDegree:  maxIn,
+		MaxOutDegree: agg.MaxRowDegree,
+		MaxInDegree:  agg.MaxColDegree,
 	}, nil
 }
 

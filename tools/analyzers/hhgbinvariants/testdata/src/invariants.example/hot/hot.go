@@ -43,6 +43,24 @@ func forwardErr(err error) error {
 
 func describe(err error) error { return err }
 
+// fold is the shape of the marked read kernels: generic, cursors in a stack
+// array, a caller-supplied visitor. The directive reaches type-parameterised
+// bodies like any other.
+//
+//hhgb:noalloc
+func fold[T any](parts [][]T, visit func(T)) {
+	var stack [4][]T
+	heads := stack[:0]              // slicing a stack array: allowed
+	heads = append(heads, parts...) // self-append: allowed
+	for _, h := range heads {
+		for _, x := range h {
+			visit(x) // calling the visitor is fine
+		}
+	}
+	spill := make([][]T, len(parts)) // want `make in a //hhgb:noalloc function`
+	_ = spill
+}
+
 // unmarked is outside the directive's reach: every idiom above is fine.
 func unmarked() []uint64 {
 	out := make([]uint64, 0, 4)
