@@ -189,14 +189,25 @@ func EWiseMult[T Number](a, b *Matrix[T], mul BinaryOp[T]) (*Matrix[T], error) {
 // Sum folds EWiseAdd over all operands with the plus operator, returning the
 // materialized total. It implements the paper's query step A = Σ Ai. A nil
 // or empty operand list is invalid; single operands are duplicated so the
-// caller may mutate the result freely.
+// caller may mutate the result freely. The result is allocated once, at the
+// operands' total size, and every operand merges into it in place — folding
+// many operands never regrows it round by round.
 func Sum[T Number](ms ...*Matrix[T]) (*Matrix[T], error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("%w: Sum of no matrices", ErrInvalidValue)
 	}
-	acc := ms[0].Dup()
+	nr, nnz := 0, 0
+	for _, m := range ms {
+		m.Wait()
+		nr, nnz = nr+len(m.rows), nnz+len(m.col)
+	}
+	acc := &Matrix[T]{
+		nrows: ms[0].nrows, ncols: ms[0].ncols, accum: ms[0].accum,
+		rows: make([]Index, 0, nr), ptr: make([]int, 1, nr+1),
+		col: make([]Index, 0, nnz), val: make([]T, 0, nnz),
+	}
 	plus := Plus[T]().Op
-	for _, m := range ms[1:] {
+	for _, m := range ms {
 		if err := AddAssign(acc, m, plus); err != nil {
 			return nil, err
 		}

@@ -42,7 +42,8 @@ import (
 // the ingest loop clears it whenever a batch lands — see worker.loop), so
 // repeated analytics on a quiescent stream cost only the read-time merge:
 // every per-shard scalar, vector, and degree reduction is served from
-// here. Cached vectors come out of the gb reductions fully materialized
+// here. A closed group's cache holds the scalars alone (see partials).
+// Cached vectors come out of the gb reductions fully materialized
 // (nothing stages into them) and are treated as immutable afterwards, so
 // handing the same *gb.Vector to several concurrent merges is safe.
 type shardCache[T gb.Number] struct {
@@ -316,7 +317,10 @@ func degrees[T gb.Number](q *gb.Matrix[T], kind vectorKind) (*gb.Vector[T], erro
 
 // partials runs the per-shard half of one pushdown vector query: each
 // worker's partial of the kind, from its cache or computed and cached. The
-// partials are the cache entries themselves — read, never written.
+// partials are the cache entries themselves — read, never written. A closed
+// group computes its vectors per call and caches only scalars: its readers
+// (a ranged query over sealed windows) come a few times and never again,
+// and a vector cached on every sealed window would outweigh its entries.
 func (g *Group[T]) partials(kind vectorKind) ([]*gb.Vector[T], error) {
 	parts := make([]*gb.Vector[T], len(g.workers))
 	errs := make([]error, len(g.workers))
@@ -332,7 +336,7 @@ func (g *Group[T]) partials(kind vectorKind) ([]*gb.Vector[T], error) {
 		}
 		w.miss()
 		parts[i], errs[i] = shardVector[T](w.m, kind, g.size(kind))
-		if errs[i] == nil {
+		if errs[i] == nil && !w.closed {
 			w.cache.vecs[kind] = parts[i]
 		}
 	}); err != nil {
@@ -413,9 +417,9 @@ type Aggregates[T gb.Number] struct {
 
 // AggregateAll computes the summary scalars in a single barrier: each
 // worker reads its Σ once (see sigma) for its cell count, value total and
-// two degree partials, all cached; the degree partials are then folded
-// across shards into a count and a maximum each — no merged vector is
-// built.
+// two degree partials, all cached (the partials only while the group is
+// live, as in partials); the degree partials are then folded across shards
+// into a count and a maximum each — no merged vector is built.
 func (g *Group[T]) AggregateAll() (Aggregates[T], error) {
 	plus := gb.Plus[T]()
 	nvals := make([]int, len(g.workers))
@@ -439,6 +443,9 @@ func (g *Group[T]) AggregateAll() (Aggregates[T], error) {
 		}
 		nvals[i], totals[i] = *c.nvals, *c.total
 		rowD[i], colD[i] = c.vecs[rowDegrees], c.vecs[colDegrees]
+		if w.closed {
+			c.vecs = [4]*gb.Vector[T]{} // scalars only, as in partials
+		}
 	}); err != nil {
 		return Aggregates[T]{}, err
 	}

@@ -133,6 +133,11 @@ type worker[T gb.Number] struct {
 
 	cache                               shardCache[T]
 	cacheHits, cacheMisses, cacheInvals int64
+
+	// closed is set by Group.Close once the goroutine has exited; from then
+	// on the cache keeps scalars only (see partials). Written and read under
+	// the group's exclusive lock, or on the worker before it exits.
+	closed bool
 }
 
 func (w *worker[T]) loop(wg *sync.WaitGroup) {
@@ -193,14 +198,7 @@ func (w *worker[T]) ingest(msg msg[T]) {
 			spanMark = now
 		}
 	}
-	if w.cache != (shardCache[T]{}) {
-		// Only clearing a cache that held something counts as an
-		// invalidation — the common streaming case (batch after batch,
-		// nothing cached) stays at one struct store.
-		w.cacheInvals++
-		w.met.CacheInvalidations.Inc()
-	}
-	w.cache = shardCache[T]{} // this shard's reductions are stale now
+	w.invalidate()
 	w.err = w.m.Update(msg.rows, msg.cols, msg.vals)
 	if msg.span != nil {
 		msg.span.ObserveMax(flight.StageApply, time.Duration(flight.Now()-spanMark))
@@ -215,6 +213,18 @@ func (w *worker[T]) ingest(msg msg[T]) {
 		}
 		w.sessions[msg.sess] = msg.seq
 	}
+}
+
+// invalidate drops the shard's cached reductions before its matrix changes.
+// Only clearing a cache that held something counts as an invalidation — the
+// common streaming case (batch after batch, nothing cached) stays at one
+// struct store.
+func (w *worker[T]) invalidate() {
+	if w.cache != (shardCache[T]{}) {
+		w.cacheInvals++
+		w.met.CacheInvalidations.Inc()
+	}
+	w.cache = shardCache[T]{}
 }
 
 // Group is one logical nrows x ncols traffic matrix hash-partitioned across
@@ -791,8 +801,9 @@ func (g *Group[T]) Flush() error {
 }
 
 // Close drains the producer buffers and queues, stops the workers,
-// completes all cascade work, and releases the cascades' ingest buffers
-// (hier.Matrix.Trim; a mid-stream Flush keeps them). The group stays
+// completes all cascade work, and releases everything only ingest used:
+// the cascades' staging (hier.Matrix.Trim; a mid-stream Flush keeps it),
+// the handoff free-lists, and the cached vectors. The group stays
 // readable — queries keep working on the final state — but Update and
 // Append return ErrClosed.
 // On a durable group Close also takes a final checkpoint (so a later
@@ -813,17 +824,21 @@ func (g *Group[T]) Close() error {
 		close(w.in)
 	}
 	g.wg.Wait() // workers drain their queues before exiting
+	// Ingest is over for good: stop holding what only ingest uses — the
+	// slab and partition free-lists here, the cascades' staging, sort
+	// scratch and growth slack below, and any cached vector — so the sealed
+	// windows and roll-up parents a windowed store keeps cost their entries
+	// and nothing more.
+	g.dropFreeLists()
 	errs := make([]error, len(g.workers))
 	for i, w := range g.workers {
+		w.closed = true
+		w.cache.vecs = [4]*gb.Vector[T]{}
 		if w.err != nil {
 			errs[i] = w.err
 			continue
 		}
 		if _, errs[i] = w.m.Flush(); errs[i] == nil {
-			// Ingest is over for good: stop holding what only ingest uses
-			// (staging, sort scratch, growth slack), so the sealed windows
-			// and roll-up parents a windowed store keeps cost their entries
-			// and nothing more.
 			w.m.Trim()
 		}
 	}
@@ -879,6 +894,105 @@ func (g *Group[T]) Query() (*gb.Matrix[T], error) {
 		return nil, err
 	}
 	return gb.Sum(parts...)
+}
+
+// AddAssign adds closed child groups into g shard by shard — g's shard k ⊕=
+// Σ of the children's shard-k matrices, merged on g's own workers with one
+// sized gb.Sum — the paper's A(i+1) += A(i) between groups, with no tuples
+// in between. The hash routes a cell to the same shard in every group of a
+// shard count, so a child with g's count merges shard for shard; one with
+// another count (recovered from a run with a different default) is
+// re-partitioned first. The children must be closed: their matrices are
+// final then, and are read outside their barriers. The merged entries
+// bypass g's write-ahead log — on a durable group they count as a change
+// that the next Checkpoint, or Close's final checkpoint, snapshots; Flush
+// alone does not make them durable.
+func (g *Group[T]) AddAssign(children ...*Group[T]) error {
+	parts := make([][]*gb.Matrix[T], len(g.workers))
+	for _, c := range children {
+		if c.nrows != g.nrows || c.ncols != g.ncols {
+			return fmt.Errorf("%w: adding %dx%d into %dx%d", gb.ErrDimensionMismatch, c.nrows, c.ncols, g.nrows, g.ncols)
+		}
+		sig := make([]*gb.Matrix[T], len(c.workers))
+		errs := make([]error, len(c.workers))
+		if err := c.run(func(i int, w *worker[T]) {
+			switch {
+			case !w.closed:
+				errs[i] = fmt.Errorf("%w: adding a live group", gb.ErrInvalidValue)
+			case w.err != nil:
+				errs[i] = w.err
+			default:
+				sig[i], errs[i] = sigma(w.m)
+			}
+		}); err != nil {
+			return err
+		}
+		if err := firstError(errs); err != nil {
+			return err
+		}
+		if len(sig) != len(g.workers) {
+			var err error
+			if sig, err = g.repartition(sig); err != nil {
+				return err
+			}
+		}
+		for k, m := range sig {
+			if m.NVals() > 0 {
+				parts[k] = append(parts[k], m)
+			}
+		}
+	}
+	errs := make([]error, len(g.workers))
+	if err := g.run(func(i int, w *worker[T]) {
+		if w.closed {
+			errs[i] = ErrClosed
+			return
+		}
+		if w.err != nil || len(parts[i]) == 0 {
+			errs[i] = w.err
+			return
+		}
+		sum := parts[i][0]
+		if len(parts[i]) > 1 {
+			if sum, errs[i] = gb.Sum(parts[i]...); errs[i] != nil {
+				return
+			}
+		}
+		w.invalidate()
+		if w.err = w.m.UpdateMatrix(sum); w.err != nil {
+			errs[i] = w.err
+			return
+		}
+		if w.log != nil {
+			w.log.dirty++ // not logged: only a snapshot can hold it
+		}
+	}); err != nil {
+		return err
+	}
+	return firstError(errs)
+}
+
+// repartition routes the entries of another shard count's per-shard
+// matrices through g's cell hash, one matrix per g shard.
+func (g *Group[T]) repartition(ms []*gb.Matrix[T]) ([]*gb.Matrix[T], error) {
+	rows := make([][]gb.Index, len(g.workers))
+	cols := make([][]gb.Index, len(g.workers))
+	vals := make([][]T, len(g.workers))
+	for _, m := range ms {
+		m.Iterate(func(i, j gb.Index, v T) bool {
+			k := g.shardOf(i, j)
+			rows[k], cols[k], vals[k] = append(rows[k], i), append(cols[k], j), append(vals[k], v)
+			return true
+		})
+	}
+	out := make([]*gb.Matrix[T], len(g.workers))
+	for k := range out {
+		var err error
+		if out[k], err = gb.MatrixFromTuples(g.nrows, g.ncols, rows[k], cols[k], vals[k], gb.Plus[T]().Op); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ShardStats snapshots every shard's cascade counters.
@@ -940,4 +1054,22 @@ func (g *Group[T]) LevelCaps() (stored, staging []int) {
 		}
 	})
 	return stored, staging
+}
+
+// Retained reports what the group holds beside its entries: handoff slabs
+// parked on the free-list and per-shard vectors in the pushdown cache. A
+// closed group holds neither.
+func (g *Group[T]) Retained() (slabs, vectors int) {
+	counts := make([]int, len(g.workers))
+	_ = g.run(func(i int, w *worker[T]) {
+		for _, v := range w.cache.vecs {
+			if v != nil {
+				counts[i]++
+			}
+		}
+	})
+	for _, n := range counts {
+		vectors += n
+	}
+	return len(g.slabs), vectors
 }

@@ -56,6 +56,19 @@ func putSlab[T gb.Number](slabs chan slab[T], s slab[T]) {
 	}
 }
 
+// dropFreeLists empties both free-lists for good; Close calls it once the
+// workers have exited, since a closed group never hands off again.
+func (g *Group[T]) dropFreeLists() {
+	for {
+		select {
+		case <-g.slabs:
+		case <-g.parts:
+		default:
+			return
+		}
+	}
+}
+
 // partScratch is the reusable per-call workspace of UpdateSession: the
 // slice-of-slice headers that point each shard at its partition slab.
 type partScratch[T gb.Number] struct {

@@ -199,8 +199,8 @@ func (s *Store[T]) persistMetaBestEffort() {
 }
 
 // markSealed drops the SEALED marker in a window's directory.
-func (s *Store[T]) markSealed(w *win[T]) {
-	_ = os.WriteFile(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n"), 0o644)
+func (s *Store[T]) markSealed(w *win[T]) error {
+	return os.WriteFile(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n"), 0o644)
 }
 
 // removeWinDir deletes an expired window's durable state.
@@ -299,8 +299,9 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		_, merr := os.Stat(filepath.Join(dir, sealedMarkerName))
 		if level > 0 && merr != nil {
 			// A roll-up whose SEALED marker never landed is a crash
-			// mid-materialization: its group manifest commits at creation,
-			// so the directory may hold any prefix of the children's sum.
+			// mid-materialization: its group manifest commits at creation
+			// and its snapshots at the final checkpoint, so the directory
+			// holds nothing or the whole sum, never known to be final.
 			// Discard it — the children are not marked rolled below, so
 			// the next seal pass re-materializes the parent from scratch.
 			_ = os.RemoveAll(dir)
@@ -378,7 +379,7 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		}
 		if sealed {
 			w.g.Close() // no-op checkpoint on a cleanly-closed group
-			s.markSealed(w)
+			_ = s.markSealed(w)
 			// Re-stash the sealed window's session table (the barrier runs
 			// inline on a closed group) so retransmissions behind the
 			// frontier are still recognized as duplicates after a restart.

@@ -23,6 +23,9 @@ import (
 //	after Seal, marker present        sealed windows final, no replay
 //	after Seal, marker lost           re-sealed idempotently (Resealed>0)
 //	rolled up, then crash             parent + rolled children both durable
+//	roll-up merged, not checkpointed  parent discarded, children re-roll once
+//	parent checkpointed, no marker    parent discarded, children re-roll once
+//	parent checkpoint fails           parent never published, re-rolls later
 //	after Close                       clean restart, active windows resume
 //	accepted, never flushed           per-window durable prefix only
 
@@ -74,11 +77,18 @@ func durableCfg(dir string) Config {
 // windows 0..3 sealed (and rolled into one 4s parent), 4..5 active and
 // flushed. Entry weights are 10*w+1 at cell (w, w), one per window.
 func seedDurable(t *testing.T, dir string) (*Store[uint64], []entry) {
+	return seedDurableHooked(t, dir, nil)
+}
+
+// seedDurableHooked is seedDurable with a roll-up hook installed before
+// the first seal.
+func seedDurableHooked(t *testing.T, dir string, hook func(stage string)) (*Store[uint64], []entry) {
 	t.Helper()
 	s, err := New[uint64](dim, dim, durableCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.rollUpHook = hook
 	sec := int64(time.Second)
 	var entries []entry
 	for w := int64(0); w < 6; w++ {
@@ -324,6 +334,96 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 		}
 	})
 
+	// Crashes inside a roll-up: the copy is taken at the named step. The
+	// parent's directory exists by then but carries no SEALED marker, so
+	// recovery must discard it, serve the children, and re-roll once.
+	for _, stage := range []string{"merged", "closed"} {
+		t.Run("rollup-crash-after-"+stage, func(t *testing.T) {
+			dir := t.TempDir()
+			var crash string
+			s, entries := seedDurableHooked(t, dir, func(at string) {
+				if at == stage && crash == "" {
+					crash = copyDir(t, dir)
+				}
+			})
+			defer s.Close()
+			if crash == "" {
+				t.Fatalf("roll-up hook %q never fired", stage)
+			}
+			rec, st, err := Recover[uint64](durableCfg(crash))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			verifyRerollOnce(t, rec, st, entries)
+		})
+	}
+
+	t.Run("rollup-parent-checkpoint-fails", func(t *testing.T) {
+		// Sabotage the parent's final checkpoint: once the children are
+		// merged in, a plain file takes the parent directory's place, so
+		// Close cannot write its snapshots; an empty directory is back by
+		// the time the marker would be written, so only Close's error can
+		// stop it. The parent must not be marked, published or served; the
+		// next seal pass re-rolls it.
+		dir := t.TempDir()
+		parent := ""
+		s, entries := seedDurableHooked(t, dir, func(at string) {
+			switch {
+			case at == "merged" && parent == "":
+				parent = victimDir(t, dir, 1, 0)
+				if err := os.RemoveAll(parent); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(parent, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			case at == "closed" && parent != "":
+				if fi, err := os.Stat(parent); err == nil && !fi.IsDir() {
+					if err := os.Remove(parent); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.Mkdir(parent, 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		defer s.Close()
+		if parent == "" {
+			t.Fatal("roll-up hook never fired")
+		}
+		sub := s.Subscribe(1)
+		if st := s.Stats(); st.RollUps != 0 || st.Sealed != 4 {
+			t.Fatalf("failed roll-up counted: %+v", st)
+		}
+		for _, info := range s.Windows() {
+			if info.Level > 0 || info.Rolled {
+				t.Fatalf("failed roll-up left %+v behind", info)
+			}
+		}
+		if _, err := os.Stat(parent); !os.IsNotExist(err) {
+			t.Fatalf("failed parent's path survived: %v", err)
+		}
+		verifyRecovered(t, s, entries, 0, 6*sec)
+		crash := copyDir(t, dir)
+		if err := s.Seal(5 * sec); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().RollUps; got != 1 {
+			t.Fatalf("live re-roll: RollUps = %d, want 1", got)
+		}
+		if sum, ok := sub.Next(); !ok || sum.Level != 1 || sum.Entries != 4 {
+			t.Fatalf("re-rolled parent summary %+v (%v)", sum, ok)
+		}
+		rec, st, err := Recover[uint64](durableCfg(crash))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		verifyRerollOnce(t, rec, st, entries)
+	})
+
 	t.Run("after-close-clean-restart", func(t *testing.T) {
 		dir := t.TempDir()
 		s, entries := seedDurable(t, dir)
@@ -369,6 +469,42 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 		defer rec.Close()
 		verifyRecovered(t, rec, entries, 0, 5*sec) // the flushed prefix, exact
 	})
+}
+
+// verifyRerollOnce checks a store recovered without its roll-up parent:
+// the children alone answer exactly, no level-1 window is served, and the
+// next seal re-rolls the parent exactly once, bit-identical. Only the
+// rolled epoch [0, 4s) is checked: a crash inside the seal that rolled it
+// up precedes the flush of the later windows.
+func verifyRerollOnce(t *testing.T, rec *Store[uint64], st RecoverStats, entries []entry) {
+	t.Helper()
+	sec := int64(time.Second)
+	if st.Sealed != 4 { // the four level-0 children
+		t.Fatalf("recovered sealed=%d, want 4", st.Sealed)
+	}
+	r, err := rec.QueryRange(0, 4*sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Windows() != 4 {
+		t.Fatalf("before the re-roll the epoch is covered by %v", r.Spans())
+	}
+	verifyRecovered(t, rec, entries, 0, 4*sec)
+	for pass := 0; pass < 2; pass++ {
+		if err := rec.Seal(int64(5+pass) * sec); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Stats().RollUps; got != 1 {
+			t.Fatalf("seal pass %d: RollUps = %d, want 1", pass, got)
+		}
+	}
+	if r, err = rec.QueryRange(0, 4*sec); err != nil {
+		t.Fatal(err)
+	}
+	if r.Windows() != 1 {
+		t.Fatalf("re-rolled epoch cover = %v", r.Spans())
+	}
+	verifyRecovered(t, rec, entries, 0, 4*sec)
 }
 
 // victimDir returns the window directory for (level, start) under root.

@@ -55,7 +55,6 @@ import (
 
 	"hhgb/internal/flight"
 	"hhgb/internal/gb"
-	"hhgb/internal/hier"
 	"hhgb/internal/shard"
 )
 
@@ -218,6 +217,11 @@ type Store[T gb.Number] struct {
 	nextSub uint64
 
 	stats Stats
+
+	// rollUpHook, when set (tests only), is called at each roll-up step:
+	// "merged" after the children were added into the parent, "closed"
+	// after the parent's group closed (its final checkpoint taken).
+	rollUpHook func(stage string)
 }
 
 // Stats counts the store's lifecycle events.
@@ -339,24 +343,17 @@ func (s *Store[T]) groupConfig(dir string) shard.Config {
 	return cfg
 }
 
-// newWin creates (and registers) a window at the given level and start.
-// Callers hold mu.
-func (s *Store[T]) newWin(level int, start int64) (*win[T], error) {
+// newWin creates (and registers) a window at the given level and start;
+// shards, when positive, overrides the configured shard count. Callers
+// hold mu.
+func (s *Store[T]) newWin(level int, start int64, shards int) (*win[T], error) {
 	dir := ""
 	if s.Durable() {
 		dir = s.winDir(level, start)
 	}
 	cfg := s.groupConfig(dir)
-	if level > 0 {
-		// Roll-up windows are write-once and immediately sealed: a flat
-		// single-level store with a large producer handoff ingests their
-		// few huge sorted runs with linear merges, where the streaming
-		// cascade (sized for endless small batches) would re-pay its
-		// whole promotion ladder on historical data.
-		cfg.Hier = hier.Config{}
-		if cfg.Handoff < 1<<16 {
-			cfg.Handoff = 1 << 16
-		}
+	if shards > 0 {
+		cfg.Shards = shards
 	}
 	g, err := shard.NewGroup[T](s.nrows, s.ncols, cfg)
 	if err != nil {
@@ -403,7 +400,7 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 	w := s.wins[key{0, start}]
 	if w == nil {
 		var err error
-		if w, err = s.newWin(0, start); err != nil {
+		if w, err = s.newWin(0, start, 0); err != nil {
 			s.mu.Unlock()
 			return err
 		}
@@ -493,7 +490,7 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	w := s.wins[key{0, start}]
 	if w == nil {
 		var err error
-		if w, err = s.newWin(0, start); err != nil {
+		if w, err = s.newWin(0, start, 0); err != nil {
 			s.mu.Unlock()
 			return false, err
 		}
@@ -685,9 +682,9 @@ func (s *Store[T]) runSeals() {
 	}
 }
 
-// sealWin seals one window: exclude in-flight appends, close the group
-// (final checkpoint when durable), mark it on disk, publish its summary.
-// Runs under sealMu.
+// sealWin seals one level-0 window: exclude in-flight appends, close the
+// group (final checkpoint when durable), mark it on disk, publish its
+// summary. Runs under sealMu.
 func (s *Store[T]) sealWin(w *win[T]) {
 	w.wmu.Lock()
 	// State was Sealing since scheduling; appends that raced the schedule
@@ -699,8 +696,14 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	// queryable — a sealed window costs zero goroutines.
 	_ = w.g.Close()
 	if w.dir != "" {
-		s.markSealed(w)
+		_ = s.markSealed(w)
 	}
+	s.publishSeal(w)
+}
+
+// publishSeal marks a closed window Sealed — servable — and pushes its
+// summary to the subscribers of its level. Runs under sealMu.
+func (s *Store[T]) publishSeal(w *win[T]) {
 	// Stash the window's merged session table before publishing the seal:
 	// a retransmission behind the new frontier consults it to tell
 	// duplicate from late. NOT committed to the store's durable frontier —
@@ -738,35 +741,17 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	s.cfg.Metrics.SummariesPushed.Add(delivered)
 }
 
-// summarize computes a sealed window's published summary in ONE row-major
-// pass over the window's merged matrix: total and distinct-row count fall
-// out of the iteration order, distinct columns from a set. The pushdown
-// vector reductions would answer the same questions, but their
-// column-wise vectors pay a comparison sort per seal — an order of
-// magnitude over this scan on the profile — and a sealed window will
-// never amortize a cache fill.
+// summarize computes a sealed window's published summary from the shard
+// scalars: one AggregateAll barrier, run inline on the closed group.
 func (s *Store[T]) summarize(w *win[T]) Summary[T] {
 	sum := Summary[T]{Level: w.level, Start: w.start, End: w.end}
-	q, err := w.g.Query()
+	agg, err := w.g.AggregateAll()
 	if err != nil {
 		sum.Err = err
 		return sum
 	}
-	sum.Entries = q.NVals()
-	var total T
-	cols := make(map[gb.Index]struct{}, sum.Entries)
-	var lastRow gb.Index
-	q.Iterate(func(i, j gb.Index, v T) bool {
-		total += v
-		if sum.Sources == 0 || i != lastRow {
-			sum.Sources++
-			lastRow = i
-		}
-		cols[j] = struct{}{}
-		return true
-	})
-	sum.Total = total
-	sum.Destinations = len(cols)
+	sum.Entries, sum.Total = agg.NVals, agg.Total
+	sum.Sources, sum.Destinations = agg.Rows, agg.Cols
 	return sum
 }
 
@@ -825,11 +810,11 @@ func (s *Store[T]) rollUp() {
 }
 
 // materializeParent builds one roll-up window as the matrix sum of its
-// children and seals it. Runs under sealMu. The parent's entries arrive
-// as a handful of huge row-major-sorted runs (each child's materialized
-// Σ), so the chunks are sized to keep the per-chunk merge linear work
-// dominant — re-cascading a historical matrix through small ingest
-// batches would roughly double the whole stream's ingest cost.
+// children — shard.Group.AddAssign, shard by shard on the parent's workers,
+// so the parent takes its children's shard count — and seals it. Runs
+// under sealMu. The parent is final once its group closed (the final
+// checkpoint snapshots the merged sum on a durable store) and its SEALED
+// marker landed; only then is it published and servable.
 func (s *Store[T]) materializeParent(level int, pstart int64, children []*win[T]) error {
 	begun := wallNow()
 	defer func() { s.cfg.Metrics.RollUp.Observe(wallSince(begun).Seconds()) }()
@@ -838,53 +823,28 @@ func (s *Store[T]) materializeParent(level int, pstart int64, children []*win[T]
 		s.mu.Unlock()
 		return nil // already materialized (recovery can leave one behind)
 	}
-	p, err := s.newWin(level, pstart)
+	p, err := s.newWin(level, pstart, children[len(children)-1].g.NumShards())
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	// On ANY failure past this point the half-filled parent must vanish
-	// entirely — deregistered, closed, durable state deleted — or a later
-	// roll-up pass would see it registered, assume the work done, and a
-	// cover could serve the partial sum forever.
-	fill := func() error {
-		const chunk = 1 << 17
-		rows := make([]gb.Index, 0, chunk)
-		cols := make([]gb.Index, 0, chunk)
-		vals := make([]T, 0, chunk)
-		for _, c := range children {
-			q, err := c.g.Query()
-			if err != nil {
-				return err
-			}
-			flush := func() error {
-				if len(rows) == 0 {
-					return nil
-				}
-				err := p.g.Update(rows, cols, vals)
-				rows, cols, vals = rows[:0], cols[:0], vals[:0]
-				return err
-			}
-			var uerr error
-			q.Iterate(func(i, j gb.Index, v T) bool {
-				rows, cols, vals = append(rows, i), append(cols, j), append(vals, v)
-				if len(rows) == chunk {
-					if uerr = flush(); uerr != nil {
-						return false
-					}
-				}
-				return true
-			})
-			if uerr == nil {
-				uerr = flush()
-			}
-			if uerr != nil {
-				return uerr
-			}
-		}
-		return nil
+	groups := make([]*shard.Group[T], len(children))
+	for i, c := range children {
+		groups[i] = c.g
 	}
-	if err := fill(); err != nil {
+	err = p.g.AddAssign(groups...)
+	s.hook("merged")
+	if err == nil {
+		err = p.g.Close()
+	}
+	s.hook("closed")
+	if err == nil && p.dir != "" {
+		err = s.markSealed(p)
+	}
+	if err != nil {
+		// The parent must vanish entirely — deregistered, closed, durable
+		// state deleted — or a later roll-up pass would see it registered,
+		// assume the work done, and a cover could serve a partial sum.
 		s.mu.Lock()
 		delete(s.wins, key{level, pstart})
 		s.mu.Unlock()
@@ -899,8 +859,15 @@ func (s *Store[T]) materializeParent(level int, pstart int64, children []*win[T]
 	s.stats.RollUps++
 	s.mu.Unlock()
 	s.cfg.Shard.Flight.Record(flight.KindRollup, 0, "", 0, uint64(level), uint64(len(children)), wallSince(begun))
-	s.sealWin(p)
+	s.publishSeal(p)
 	return nil
+}
+
+// hook calls the test hook, if one is set, at a roll-up step.
+func (s *Store[T]) hook(stage string) {
+	if s.rollUpHook != nil {
+		s.rollUpHook(stage)
+	}
 }
 
 // expire removes sealed windows whose retention has passed. Runs under

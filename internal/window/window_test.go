@@ -456,11 +456,13 @@ func TestSealIdempotentAndClockDriven(t *testing.T) {
 
 // TestSealedWindowsHoldNoIngestBuffers guards the windowed server's
 // memory: every sealed window and roll-up parent the store retains is a
-// closed group, and a closed group's cascades hold their entries and
-// nothing else — no staging, no emptied lower levels, no growth slack
-// beyond 1/8.
+// closed group, and a closed group holds its entries and nothing else — no
+// staging, no emptied lower levels, no growth slack beyond 1/8, no handoff
+// slabs, and no cached vectors even after ranged top-k and summary reads
+// touched it. A live window, by contrast, keeps its vector cache warm.
 func TestSealedWindowsHoldNoIngestBuffers(t *testing.T) {
 	const nWindows = 4
+	sec := int64(time.Second)
 	cfg := testCfg(nWindows)
 	cfg.Shard.Hier = hier.Config{Cuts: []int{64, 512}}
 	s, err := New[uint64](dim, dim, cfg)
@@ -469,17 +471,43 @@ func TestSealedWindowsHoldNoIngestBuffers(t *testing.T) {
 	}
 	defer s.Close()
 	appendAll(t, s, genEntries(21, 6000, nWindows))
-	if err := s.Seal(nWindows * int64(time.Second)); err != nil {
+	if err := s.Seal(nWindows * sec); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Seals != nWindows+1 || st.RollUps != 1 {
 		t.Fatalf("stats %+v: want %d seals including 1 roll-up", st, nWindows+1)
 	}
+	if err := s.Append(nWindows*sec+5, []gb.Index{1, 2}, []gb.Index{3, 4}, []uint64{5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	// The parent alone, two children, and children plus the live window.
+	for _, span := range [][2]int64{{0, nWindows}, {1, 3}, {2, nWindows + 1}} {
+		r, err := s.QueryRange(span[0]*sec, span[1]*sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.TopRows(5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Materialize(); err != nil { // the range summary's path
+			t.Fatal(err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, w := range s.wins {
+		slabs, vecs := w.g.Retained()
+		if w.state.Load() == Active {
+			if vecs == 0 {
+				t.Fatalf("live window %v dropped its vector cache", k)
+			}
+			continue
+		}
 		if w.state.Load() != Sealed {
-			t.Fatalf("window %v is not sealed", k)
+			t.Fatalf("window %v is %v", k, w.state.Load())
+		}
+		if slabs != 0 || vecs != 0 {
+			t.Fatalf("sealed window %v retains %d slabs, %d cached vectors", k, slabs, vecs)
 		}
 		stored, staging := w.g.LevelCaps()
 		top := len(stored) - 1
