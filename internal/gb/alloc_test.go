@@ -66,3 +66,43 @@ func TestAllocBudgetWait(t *testing.T) {
 		t.Fatalf("warm Wait allocates %.1f/op, budget is %d", allocs, waitAllocBudget)
 	}
 }
+
+// TestAllocBudgetPromoteRowGap: a warm Promote whose every source row is
+// already in dst — the row gap the merge's upper-bound sizing leaves,
+// closed by sliding dst's shorter prefix up and later moving it back to
+// the front of its arrays — allocates nothing.
+func TestAllocBudgetPromoteRowGap(t *testing.T) {
+	const nrows, runs = 256, 50
+	dst := MustNewMatrix[float64](1024, 1024)
+	src := MustNewMatrix[float64](1024, 1024)
+	rows, cols, vals := make([]Index, nrows), make([]Index, nrows), make([]float64, nrows)
+	for i := range rows {
+		rows[i], vals[i] = Index(i), 1
+	}
+	if err := dst.AppendTuples(rows, cols, vals); err != nil {
+		t.Fatal(err)
+	}
+	// src holds the top three quarters of dst's rows, in a new column each
+	// time: every row shared, no cell.
+	srcRows, srcCols, srcVals := rows[nrows/4:], cols[nrows/4:], vals[nrows/4:]
+	promote := func() {
+		for k := range srcCols {
+			srcCols[k]++
+		}
+		if err := src.AppendTuples(srcRows, srcCols, srcVals); err != nil {
+			t.Fatal(err)
+		}
+		if err := Promote(dst, src, Plus[float64]().Op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promote() // warm src's staging and sort scratch
+	withCapacity(dst, 2*nrows, nrows+(runs+2)*len(srcRows))
+	if allocs := testing.AllocsPerRun(runs, promote); allocs != 0 {
+		t.Fatalf("warm Promote closing a row gap allocates %.1f/op, budget is 0", allocs)
+	}
+	if n, want := dst.NVals(), nrows+(runs+2)*len(srcRows); n != want || dst.NNZRows() != nrows {
+		t.Fatalf("dst holds %d entries in %d rows, want %d in %d", n, dst.NNZRows(), want, nrows)
+	}
+	mustInvariants(t, dst)
+}

@@ -117,6 +117,8 @@ func Promote[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 	if len(dst.col) == 0 && cap(dst.col) < len(src.col) {
 		dst.rows, src.rows = src.rows, dst.rows
 		dst.ptr, src.ptr = src.ptr, dst.ptr
+		dst.rowsBase, src.rowsBase = src.rowsBase, dst.rowsBase
+		dst.ptrBase, src.ptrBase = src.ptrBase, dst.ptrBase
 		dst.col, src.col = src.col, dst.col
 		dst.val, src.val = src.val, dst.val
 	} else {

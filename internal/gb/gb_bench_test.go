@@ -88,6 +88,9 @@ func BenchmarkAddAssignCascade(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				if dst.rowsBase != nil {
+					dst.unslide()
+				}
 				dst.rows = append(dst.rows[:0], base.rows...)
 				dst.ptr = append(dst.ptr[:0], base.ptr...)
 				dst.col = append(dst.col[:0], base.col...)

@@ -23,6 +23,12 @@ type Matrix[T Number] struct {
 	col  []Index
 	val  []T
 
+	// rowsBase and ptrBase are rows' and ptr's whole backing arrays while
+	// a merge has started rows and ptr part way into them (slide); nil
+	// otherwise. Whatever gives rows and ptr other arrays clears them.
+	rowsBase []Index
+	ptrBase  []int
+
 	// Pending updates not yet merged into the DCSR arrays, in
 	// struct-of-arrays layout: entry k is (pRow[k], pCol[k], pVal[k]).
 	// SoA keeps the Wait sort/merge loop cache-friendly (the radix passes
@@ -214,6 +220,7 @@ func (m *Matrix[T]) RemoveElement(i, j Index) error {
 func (m *Matrix[T]) Clear() {
 	m.rows = nil
 	m.ptr = []int{0}
+	m.rowsBase, m.ptrBase = nil, nil
 	m.col = nil
 	m.val = nil
 	m.pRow = nil
@@ -224,13 +231,17 @@ func (m *Matrix[T]) Clear() {
 
 // Trim completes pending work and releases what only further ingest would
 // use: the pending buffers, the sort scratch, and any DCSR capacity beyond
-// 1/8 of the stored length (the slack amortised growth leaves behind). An
+// 1/8 of the stored length (the slack amortised growth leaves behind, and
+// the front of the row arrays a merge slid past). An
 // empty matrix ends up holding nothing. A matrix retains its buffers for as
 // long as it can still ingest; Trim is for the moment it no longer will.
 func (m *Matrix[T]) Trim() {
 	m.Wait()
 	m.pRow, m.pCol, m.pVal = nil, nil, nil
 	m.scratch = sortScratch[T]{}
+	if m.rowsBase != nil {
+		m.unslide()
+	}
 	m.rows = trimmed(m.rows)
 	m.ptr = trimmed(m.ptr)
 	m.col = trimmed(m.col)

@@ -1,8 +1,10 @@
 package gb
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -361,6 +363,75 @@ func TestInterleavedWaitsEqualSingleWait(t *testing.T) {
 	}
 	if !Equal(a, b) {
 		t.Fatal("interleaved waits diverged from single wait")
+	}
+}
+
+// TestRadixSortMatchesStableSort holds radixSortPacked (one histogram pass,
+// constant bytes skipped) to slices.SortStableFunc by key, on both sides
+// of the 128-entry radix threshold and at a level-1 fill. Values are input
+// positions, so a reordering of equal keys shows; the duplicate keys then
+// go through Wait under a non-commutative accumulator.
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	const fixed = uint64(0x0123456789abcdef)
+	keyFuncs := map[string]func() uint64{
+		"random":           r.Uint64,
+		"every byte equal": func() uint64 { return fixed },
+		"one varying byte": func() uint64 { return fixed&^(0xff<<24) | uint64(r.Intn(256))<<24 },
+		"duplicates":       func() uint64 { return uint64(r.Intn(7))<<32 | uint64(r.Intn(5)) },
+	}
+	type pair struct {
+		key uint64
+		pos int
+	}
+	for name, next := range keyFuncs {
+		for _, n := range []int{128, 129, 20480} {
+			keys, pos := make([]uint64, n), make([]int, n)
+			want := make([]pair, n)
+			andKey, orKey := ^uint64(0), uint64(0)
+			for k := range keys {
+				keys[k], pos[k] = next(), k
+				want[k] = pair{keys[k], k}
+				andKey &= keys[k]
+				orKey |= keys[k]
+			}
+			slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+			gotKeys, gotPos := radixSortPacked(slices.Clone(keys), make([]uint64, n), pos, make([]int, n), andKey, orKey)
+			for k, w := range want {
+				if gotKeys[k] != w.key || gotPos[k] != w.pos {
+					t.Fatalf("%s n=%d: entry %d is (%#x, from %d), want (%#x, from %d)",
+						name, n, k, gotKeys[k], gotPos[k], w.key, w.pos)
+				}
+			}
+			if name != "duplicates" {
+				continue
+			}
+			m := MustNewMatrix[int64](8, 8)
+			if err := m.SetAccum(minus[int64]); err != nil {
+				t.Fatal(err)
+			}
+			model := make(map[[2]Index]int64)
+			for k, key := range keys {
+				c := [2]Index{Index(key >> 32), Index(key & 0xffffffff)}
+				v := int64(k + 1)
+				if err := m.SetElement(c[0], c[1], v); err != nil {
+					t.Fatal(err)
+				}
+				if d, ok := model[c]; ok {
+					v = d - v
+				}
+				model[c] = v
+			}
+			got := denseOf(m)
+			if len(got) != len(model) {
+				t.Fatalf("duplicates n=%d: %d cells, model has %d", n, len(got), len(model))
+			}
+			for c, v := range model {
+				if got[c] != v {
+					t.Fatalf("duplicates n=%d: cell %v = %d, folding in input order gives %d", n, c, got[c], v)
+				}
+			}
+		}
 	}
 }
 

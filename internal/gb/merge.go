@@ -6,14 +6,23 @@ package gb
 // AddAssign and Promote — the cascade step "A(i+1) += A(i)" — so the price
 // of one moved entry here is the ingest rate.
 //
-// A counting pass sizes the result exactly, the arrays grow once (reserve,
-// amortised), and the merge runs backwards from the high end with plain
-// index writes. A write cursor is never below the matching read cursor —
-// the gap is the number of s rows/cells still to be placed — so nothing
+// There is no counting pass. The arrays are sized for the upper bounds
+// len(m)+len(s) rows and cells (reserve, amortised), and the merge runs
+// backwards from the high end with plain index writes. A write cursor is
+// never below the matching read cursor — the gap is the number of s rows or
+// cells still to be placed plus the shared ones already placed — so nothing
 // unread is overwritten, and once s is exhausted the remaining prefix of m
-// is already where it belongs and the loop stops. There is deliberately no
+// is already in place and the loop stops. There is deliberately no
 // galloping or bulk-copy path: at the cascade's size ratios (nnz(m)/nnz(s)
 // ≈ 8, rows of ~1.3 cells) runs are too short to pay for a memmove call.
+//
+// What the bounds overcounted is then a gap between m's untouched prefix
+// and the written block: dr shared rows, dc colliding cells. The row gap,
+// common on power-law streams, closes by moving the shorter side: usually
+// the prefix below s's first row slides up and rows/ptr start dr places
+// later in their arrays (slide), otherwise the written rows move down. The
+// cell gap, rare at scale, closes by moving the written cells down and
+// fixing their row pointers.
 //
 // s must not alias m's arrays.
 //
@@ -22,10 +31,9 @@ func (m *Matrix[T]) mergeInPlace(sr []Index, sp []int, sc []Index, sv []T, op Bi
 	if len(sc) == 0 {
 		return
 	}
-	nr, nnz := m.mergedSize(sr, sp, sc)
 	i, x := len(m.rows)-1, len(m.col)-1 // read cursors: m's last unread row and cell
-	m.rows = reserve(m.rows, nr)[:nr]
-	m.ptr = reserve(m.ptr, nr+1)[:nr+1]
+	nr, nnz := len(m.rows)+len(sr), len(m.col)+len(sc)
+	m.reserveRows(nr)
 	m.col = reserve(m.col, nnz)[:nnz]
 	m.val = reserve(m.val, nnz)[:nnz]
 	rows, ptr, col, val := m.rows, m.ptr, m.col, m.val
@@ -81,45 +89,60 @@ func (m *Matrix[T]) mergeInPlace(sr []Index, sp []int, sc []Index, sv []T, op Bi
 		rows[wr], ptr[wr] = s, w+1
 		wr--
 	}
+	// Rows 0..i and cells 0..x are m's untouched prefix; the written block
+	// is rows wr+1..nr-1 and cells w+1..nnz-1.
+	if dc := w - x; dc > 0 {
+		copy(col[x+1:], col[w+1:])
+		copy(val[x+1:], val[w+1:])
+		m.col, m.val = col[:nnz-dc], val[:nnz-dc]
+		for k := wr + 1; k <= nr; k++ {
+			ptr[k] -= dc
+		}
+	}
+	if dr := wr - i; dr > 0 {
+		if i+1 < nr-1-wr {
+			copy(rows[dr:], rows[:i+1])
+			copy(ptr[dr:], ptr[:i+1])
+			m.slide(dr)
+		} else {
+			copy(rows[i+1:], rows[wr+1:nr])
+			copy(ptr[i+1:], ptr[wr+1:])
+			m.rows, m.ptr = rows[:nr-dr], ptr[:nr-dr+1]
+		}
+	}
 }
 
-// mergedSize returns the exact row and cell counts of m ∪ s: the sums,
-// less the rows and cells present on both sides. It reads m's row ids from
-// s's first row on, and column runs only of shared rows.
-//
-//hhgb:noalloc
-func (m *Matrix[T]) mergedSize(sr []Index, sp []int, sc []Index) (nr, nnz int) {
-	rows, ptr, col := m.rows, m.ptr, m.col
-	nr, nnz = len(rows)+len(sr), len(col)+len(sc)
-	i, _ := searchIndex(rows, sr[0])
-	for j, s := range sr {
-		for i < len(rows) && rows[i] < s {
-			i++
-		}
-		if i == len(rows) {
-			break
-		}
-		if rows[i] != s {
-			continue
-		}
-		nr--
-		x, xe := ptr[i], ptr[i+1]
-		y, ye := sp[j], sp[j+1]
-		for x < xe && y < ye {
-			switch cx, cy := col[x], sc[y]; {
-			case cx < cy:
-				x++
-			case cx > cy:
-				y++
-			default:
-				nnz--
-				x++
-				y++
-			}
-		}
-		i++
+// slide starts rows and ptr d places later in their arrays, keeping the
+// arrays whole in rowsBase and ptrBase so that the front it leaves behind
+// can be handed back (unslide).
+func (m *Matrix[T]) slide(d int) {
+	if m.rowsBase == nil {
+		m.rowsBase, m.ptrBase = m.rows[:cap(m.rows)], m.ptr[:cap(m.ptr)]
 	}
-	return nr, nnz
+	m.rows, m.ptr = m.rows[d:], m.ptr[d:]
+}
+
+// unslide moves rows and ptr back to the start of their arrays.
+func (m *Matrix[T]) unslide() {
+	m.rows = m.rowsBase[:copy(m.rowsBase, m.rows)]
+	m.ptr = m.ptrBase[:copy(m.ptrBase, m.ptr)]
+	m.rowsBase, m.ptrBase = nil, nil
+}
+
+// reserveRows extends rows and ptr to n and n+1 elements, keeping what they
+// hold. The front a slide left is used before anything is allocated: rows
+// and ptr move back to the start of their arrays when they are empty or
+// when the room after them is too short but the whole array is not.
+func (m *Matrix[T]) reserveRows(n int) {
+	if m.rowsBase != nil && (len(m.rows) == 0 || cap(m.rows) < n || cap(m.ptr) <= n) {
+		if cap(m.rowsBase) >= n && cap(m.ptrBase) > n {
+			m.unslide()
+		} else {
+			m.rowsBase, m.ptrBase = nil, nil
+		}
+	}
+	m.rows = reserve(m.rows, n)[:n]
+	m.ptr = reserve(m.ptr, n+1)[:n+1]
 }
 
 // reserve returns s with capacity for at least n elements. When it has to

@@ -3,6 +3,7 @@ package gb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,20 +33,110 @@ func matrixOf[T Number](cells []cell, scale T) *Matrix[T] {
 // cells (never less than they hold now).
 func withCapacity[T Number](m *Matrix[T], nr, nnz int) {
 	nr, nnz = max(nr, len(m.rows)), max(nnz, len(m.col))
+	m.rowsBase, m.ptrBase = nil, nil
 	m.rows = append(make([]Index, 0, nr), m.rows...)
 	m.ptr = append(make([]int, 0, nr+1), m.ptr...)
 	m.col = append(make([]Index, 0, nnz), m.col...)
 	m.val = append(make([]T, 0, nnz), m.val...)
 }
 
-// checkMerge runs dst ⊕= src through AddAssign and through Promote, with
-// dst's capacity left as built, exactly the merged size, and one short of
-// it, and compares each result with mergeDCSR's and the map model's.
+// The capacities checkMergeCap gives dst before merging src into it.
+const (
+	capAsBuilt    = iota
+	capExact      // the merged size
+	capUpperBound // len(dst)+len(src) rows and cells: the kernel's own sizing, so it closes its gaps in place
+	capOneShort   // one row and one cell short of the merged size
+	numCaps
+)
+
+// checkMerge runs checkMergeCap at every capacity.
 func checkMerge[T Number](t *testing.T, dstCells, srcCells []cell) {
 	t.Helper()
-	build := func() (dst, src *Matrix[T]) { return matrixOf(dstCells, T(100)), matrixOf(srcCells, T(1)) }
+	for c := 0; c < numCaps; c++ {
+		checkMergeCap[T](t, dstCells, srcCells, c)
+	}
+}
 
+// checkMergeCap runs dst ⊕= src through AddAssign and through Promote, with
+// dst given capacity c, and compares each result with mergeDCSR's and the
+// map model's. Each result then moves to an empty matrix, takes a second
+// Promote there — a merge into arrays the first may have slid — and a Trim,
+// which must hand the slid front back.
+func checkMergeCap[T Number](t *testing.T, dstCells, srcCells []cell, c int) {
+	t.Helper()
+	build := func() (dst, src *Matrix[T]) { return matrixOf(dstCells, T(100)), matrixOf(srcCells, T(1)) }
 	dst, src := build()
+	want, model := mergeRef(dst, src)
+	again := matrixOf(srcCells, T(3))
+	want2, model2 := mergeRef(want, again)
+
+	for _, promote := range []bool{false, true} {
+		dst, src := build()
+		srcBefore := src.Dup()
+		switch c {
+		case capExact:
+			withCapacity(dst, len(want.rows), len(want.col))
+		case capUpperBound:
+			withCapacity(dst, len(dst.rows)+len(src.rows), len(dst.col)+len(src.col))
+		case capOneShort:
+			withCapacity(dst, len(want.rows)-1, len(want.col)-1)
+		}
+		rowsArr, colArr := dst.rows[:cap(dst.rows)], dst.col[:cap(dst.col)]
+		var err error
+		if promote {
+			err = Promote(dst, src, minus[T])
+		} else {
+			err = AddAssign(dst, src, minus[T])
+		}
+		name := fmt.Sprintf("promote=%v capacity=%d", promote, c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAgainst(t, name, dst, want, model)
+		if c == capUpperBound && len(colArr) > 0 {
+			rows := dst.rows
+			if dst.rowsBase != nil {
+				rows = dst.rowsBase
+			}
+			if &rows[:1][0] != &rowsArr[0] || &dst.col[:1][0] != &colArr[0] {
+				t.Fatalf("%s: the merge reallocated within its upper bound", name)
+			}
+		}
+		mustInvariants(t, src)
+		if promote {
+			if src.NVals() != 0 {
+				t.Fatalf("%s: Promote left %d entries in src", name, src.NVals())
+			}
+		} else if !Equal(src, srcBefore) {
+			t.Fatalf("%s: AddAssign changed src", name)
+		}
+
+		// An empty matrix takes the result's arrays whole (Promote's
+		// hand-over) and merges once more in them; the arrays dst is left
+		// with are refilled, and must not be the ones it handed over.
+		moved := MustNewMatrix[T](dst.nrows, dst.ncols)
+		if err := Promote(moved, dst, minus[T]); err != nil {
+			t.Fatalf("%s, handed over: %v", name, err)
+		}
+		if err := Promote(dst, again.Dup(), minus[T]); err != nil {
+			t.Fatalf("%s, refilled: %v", name, err)
+		}
+		if err := Promote(moved, again.Dup(), minus[T]); err != nil {
+			t.Fatalf("%s, handed over, then Promote: %v", name, err)
+		}
+		checkAgainst(t, name+", refilled", dst, again, denseOf(again))
+		checkAgainst(t, name+", handed over, then Promote", moved, want2, model2)
+		moved.Trim()
+		slid := moved.rowsBase != nil || inside(rowsArr, moved.rows) && &moved.rows[:1][0] != &rowsArr[0]
+		if slid || cap(moved.rows)-len(moved.rows) > len(moved.rows)/8 {
+			t.Fatalf("%s, then Trim: %d rows kept in %d (slid: %v)", name, len(moved.rows), cap(moved.rows), slid)
+		}
+		checkAgainst(t, name+", then Trim", moved, want2, model2)
+	}
+}
+
+// mergeRef returns dst ⊕ src under minus by mergeDCSR and by the map model.
+func mergeRef[T Number](dst, src *Matrix[T]) (*Matrix[T], map[[2]Index]T) {
 	want := &Matrix[T]{nrows: dst.nrows, ncols: dst.ncols, accum: dst.accum}
 	want.rows, want.ptr, want.col, want.val = mergeDCSR(
 		dst.rows, dst.ptr, dst.col, dst.val, src.rows, src.ptr, src.col, src.val, minus[T])
@@ -57,47 +148,36 @@ func checkMerge[T Number](t *testing.T, dstCells, srcCells []cell) {
 			model[c] = v
 		}
 	}
+	return want, model
+}
 
-	for _, short := range []int{-1, 0, 1} { // -1: capacity as built
-		for _, promote := range []bool{false, true} {
-			dst, src := build()
-			srcBefore := src.Dup()
-			if short >= 0 {
-				withCapacity(dst, len(want.rows)-short, len(want.col)-short)
-			}
-			var err error
-			if promote {
-				err = Promote(dst, src, minus[T])
-			} else {
-				err = AddAssign(dst, src, minus[T])
-			}
-			name := fmt.Sprintf("promote=%v short=%d", promote, short)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			mustInvariants(t, dst)
-			if !Equal(dst, want) {
-				t.Fatalf("%s: in-place result differs from mergeDCSR\n got %v\nwant %v", name, tuplesOf(dst), tuplesOf(want))
-			}
-			got := denseOf(dst)
-			if len(got) != len(model) {
-				t.Fatalf("%s: %d cells, model has %d", name, len(got), len(model))
-			}
-			for c, v := range model {
-				if got[c] != v {
-					t.Fatalf("%s: cell %v = %v, model says %v", name, c, got[c], v)
-				}
-			}
-			mustInvariants(t, src)
-			if promote {
-				if src.NVals() != 0 {
-					t.Fatalf("%s: Promote left %d entries in src", name, src.NVals())
-				}
-			} else if !Equal(src, srcBefore) {
-				t.Fatalf("%s: AddAssign changed src", name)
-			}
+// checkAgainst fails the test unless got is well formed, equals want and
+// agrees with model cell by cell. Slid rows and ptr must lie inside the
+// arrays kept for them.
+func checkAgainst[T Number](t *testing.T, name string, got, want *Matrix[T], model map[[2]Index]T) {
+	t.Helper()
+	mustInvariants(t, got)
+	if got.rowsBase != nil && (!inside(got.rowsBase, got.rows) || !inside(got.ptrBase, got.ptr)) {
+		t.Fatalf("%s: slid rows/ptr are not inside the arrays kept for them", name)
+	}
+	if !Equal(got, want) {
+		t.Fatalf("%s: in-place result differs from mergeDCSR\n got %v\nwant %v", name, tuplesOf(got), tuplesOf(want))
+	}
+	dense := denseOf(got)
+	if len(dense) != len(model) {
+		t.Fatalf("%s: %d cells, model has %d", name, len(dense), len(model))
+	}
+	for c, v := range model {
+		if dense[c] != v {
+			t.Fatalf("%s: cell %v = %v, model says %v", name, c, dense[c], v)
 		}
 	}
+}
+
+// inside reports whether s is a tail of base's backing array.
+func inside[E any](base, s []E) bool {
+	cb, cs := cap(base), cap(s)
+	return cs > 0 && cb >= cs && &base[:cb][cb-1] == &s[:cs][cs-1]
 }
 
 func mergeShapes() map[string][2][]cell {
@@ -106,6 +186,20 @@ func mergeShapes() map[string][2][]cell {
 		var out []cell
 		for k := 0; k < n; k++ {
 			out = append(out, cell{Index(from + k), Index(3 * k)}, cell{Index(from + k), Index(3*k + 7)})
+		}
+		return out
+	}
+	shift := func(cs []cell) []cell { // same rows, no cell in common
+		out := make([]cell, len(cs))
+		for k, c := range cs {
+			out[k] = cell{c.i, c.j + 1}
+		}
+		return out
+	}
+	everyOther := func(cs []cell) []cell {
+		var out []cell
+		for k := 0; k < len(cs); k += 2 {
+			out = append(out, cs[k])
 		}
 		return out
 	}
@@ -131,6 +225,14 @@ func mergeShapes() map[string][2][]cell {
 			{{wide, wide + 1}, {wide, wide + 3}, {wide + 2, 1}},
 			{{3, wide}, {wide, wide + 2}, {wide, wide + 3}, {wide + 5, wide + 5}},
 		},
+		// The row gap closed by sliding dst's shorter prefix up.
+		"every src row shared, no cell shared": {rowsOf(0, 30), shift(rowsOf(5, 25))},
+		// The row gap closed by moving the shorter written block down.
+		"shared rows, prefix longer than the written block": {rowsOf(0, 30), shift(rowsOf(27, 3))},
+		// The cell gap opens at the first row written and is carried by all others.
+		"collisions only in the last row":               {rowsOf(0, 10), append(shift(rowsOf(0, 9)), rowsOf(0, 10)[18:]...)},
+		"src entirely below dst, sharing its first row": {rowsOf(10, 5), shift(rowsOf(0, 11))},
+		"every src cell colliding":                      {rowsOf(0, 20), everyOther(rowsOf(0, 20))},
 	}
 }
 
@@ -243,4 +345,50 @@ func TestPromoteRetainsAndTrimReleases(t *testing.T) {
 	if !Equal(dst, want) {
 		t.Fatal("three promotions of one batch differ from three times the batch")
 	}
+}
+
+// FuzzMergeInPlace runs checkMergeCap on two small decoded cell sets at a
+// decoded capacity, for both value types. Seeded from mergeShapes at every
+// capacity.
+func FuzzMergeInPlace(f *testing.F) {
+	for _, s := range mergeShapes() {
+		for c := 0; c < numCaps; c++ {
+			f.Add(encodeShape(c, s[0], s[1]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, dst, src := decodeShape(data)
+		checkMergeCap[uint64](t, dst, src, c)
+		checkMergeCap[float64](t, dst, src, c)
+	})
+}
+
+// decodeShape reads a capacity (data[0] mod numCaps), a dimension
+// (1+data[1]) and a dst cell count (data[2]), then (row, col) byte pairs
+// taken modulo the dimension: the first data[2] pairs are dst's cells, the
+// rest src's.
+func decodeShape(data []byte) (c int, dst, src []cell) {
+	if len(data) < 3 {
+		return 0, nil, nil
+	}
+	c, dim, nd := int(data[0])%numCaps, Index(data[1])+1, int(data[2])
+	for k := 3; k+1 < len(data); k += 2 {
+		x := cell{Index(data[k]) % dim, Index(data[k+1]) % dim}
+		if (k-3)/2 < nd {
+			dst = append(dst, x)
+		} else {
+			src = append(src, x)
+		}
+	}
+	return c, dst, src
+}
+
+// encodeShape is decodeShape's inverse for cells below 256; larger indices
+// keep their low byte.
+func encodeShape(c int, dst, src []cell) []byte {
+	out := []byte{byte(c), 255, byte(len(dst))}
+	for _, x := range slices.Concat(dst, src) {
+		out = append(out, byte(x.i), byte(x.j))
+	}
+	return out
 }

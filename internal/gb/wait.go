@@ -123,35 +123,40 @@ func (m *Matrix[T]) sortPendingWide() {
 
 // radixSortPacked sorts the packed keys (values riding along) with an LSD
 // byte-wise counting sort, ping-ponging between the (ka, va) and (kb, vb)
-// buffer pairs. Counting sort is stable, so the composition is stable.
-// Byte positions where every key agrees (and/or masks) are skipped —
-// power-law batches typically need only 4-6 of the 8 passes. Returns the
-// buffer pair holding the sorted result.
+// buffer pairs. Counting sort is stable, so the composition is stable. One
+// read pass counts all eight byte digits (a scatter pass permutes the keys,
+// not their digit histograms); byte positions where every key agrees
+// (and/or masks) are then skipped — power-law batches typically need only
+// 4-6 of the 8 scatter passes. Returns the buffer pair holding the sorted
+// result.
 func radixSortPacked[T any](ka, kb []uint64, va, vb []T, andKey, orKey uint64) ([]uint64, []T) {
-	n := len(ka)
-	var counts [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		// Skip the pass if this byte is identical across all keys.
+	var counts [8][256]int
+	for _, key := range ka {
+		counts[0][byte(key)]++
+		counts[1][byte(key>>8)]++
+		counts[2][byte(key>>16)]++
+		counts[3][byte(key>>24)]++
+		counts[4][byte(key>>32)]++
+		counts[5][byte(key>>40)]++
+		counts[6][byte(key>>48)]++
+		counts[7][byte(key>>56)]++
+	}
+	for digit := range counts {
+		shift := uint(8 * digit)
 		if byte(andKey>>shift) == byte(orKey>>shift) {
 			continue
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for k := 0; k < n; k++ {
-			counts[byte(ka[k]>>shift)]++
-		}
+		c := &counts[digit]
 		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
+		for i, n := range c {
+			c[i] = sum
+			sum += n
 		}
-		for k := 0; k < n; k++ {
-			d := byte(ka[k] >> shift)
-			kb[counts[d]] = ka[k]
-			vb[counts[d]] = va[k]
-			counts[d]++
+		for k, key := range ka {
+			d := byte(key >> shift)
+			kb[c[d]] = key
+			vb[c[d]] = va[k]
+			c[d]++
 		}
 		ka, kb = kb, ka
 		va, vb = vb, va

@@ -17,6 +17,7 @@ package hier
 
 import (
 	"fmt"
+	"math"
 
 	"hhgb/internal/gb"
 )
@@ -43,7 +44,8 @@ const DefaultCutRatio = 16
 
 // GeometricCuts returns cuts c_i = base * ratio^(i-1) for a cascade with
 // the given number of levels (levels-1 cuts). It is the tuning family from
-// the paper's Section II.
+// the paper's Section II. A cut past math.MaxInt is math.MaxInt: a level
+// that never promotes.
 func GeometricCuts(levels, base, ratio int) []int {
 	if levels < 1 {
 		return nil
@@ -52,7 +54,11 @@ func GeometricCuts(levels, base, ratio int) []int {
 	c := base
 	for i := range cuts {
 		cuts[i] = c
-		c *= ratio
+		if c > 0 && ratio > 0 && c > math.MaxInt/ratio {
+			c = math.MaxInt
+		} else {
+			c *= ratio
+		}
 	}
 	return cuts
 }

@@ -2,8 +2,10 @@ package hier
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,21 +40,38 @@ func streamInto(t *testing.T, r *rand.Rand, h *Matrix[int64], flat *gb.Matrix[in
 }
 
 func TestGeometricCuts(t *testing.T) {
-	cuts := GeometricCuts(4, 100, 10)
-	want := []int{100, 1000, 10000}
-	if len(cuts) != 3 {
-		t.Fatalf("cuts = %v", cuts)
-	}
-	for i := range want {
-		if cuts[i] != want[i] {
-			t.Fatalf("cuts = %v, want %v", cuts, want)
+	// powers returns ratio^0 … ratio^(fit-1), then math.MaxInt up to n cuts.
+	powers := func(n, ratio, fit int) []int {
+		out := make([]int, n)
+		for i, c := 0, 1; i < n; i++ {
+			if i < fit {
+				out[i], c = c, c*ratio
+			} else {
+				out[i] = math.MaxInt
+			}
 		}
+		return out
 	}
-	if c := GeometricCuts(1, 100, 10); len(c) != 0 {
-		t.Fatalf("single level cuts = %v", c)
-	}
-	if c := GeometricCuts(0, 100, 10); c != nil {
-		t.Fatalf("zero levels cuts = %v", c)
+	for _, c := range []struct {
+		name                string
+		levels, base, ratio int
+		want                []int
+	}{
+		{"four levels", 4, 100, 10, []int{100, 1000, 10000}},
+		{"one level", 1, 100, 10, []int{}},
+		{"no levels", 0, 100, 10, nil},
+		// 5^28 wraps to a positive cut below 5^27.
+		{"would wrap positive", 30, 1, 5, powers(29, 5, 28)},
+		// 2^63 wraps to math.MinInt.
+		{"would wrap negative", 66, 1, 2, powers(65, 2, 63)},
+	} {
+		got := GeometricCuts(c.levels, c.base, c.ratio)
+		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Fatalf("%s: GeometricCuts(%d, %d, %d) = %v, want %v", c.name, c.levels, c.base, c.ratio, got, c.want)
+		}
+		if err := (Config{Cuts: got}).Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }
 

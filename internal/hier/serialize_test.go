@@ -118,64 +118,3 @@ func TestEncodeEmptyHierarchy(t *testing.T) {
 		t.Fatalf("dims = %d", restored.NRows())
 	}
 }
-
-func TestAutoTunerPicksACandidate(t *testing.T) {
-	g, _ := powerlaw.NewRMAT(22, 9)
-	edges := g.Edges(30_000)
-	rows, cols, _ := powerlaw.ToTuples(edges)
-	at := AutoTuner{
-		Candidates:    []int{1 << 8, 1 << 12, 1 << 16},
-		Ratio:         16,
-		Levels:        4,
-		WindowUpdates: len(edges),
-	}
-	results, best, err := at.Tune(rows, cols, 1000, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, res := range results {
-		if res.WorkPerUpdate < 1 {
-			t.Fatalf("work/update %v < 1 (every entry is at least sorted once)", res.WorkPerUpdate)
-		}
-		if res.BaseCut != at.Candidates[i] {
-			t.Fatalf("result order scrambled: %+v", results)
-		}
-	}
-	if best < 0 || best >= len(results) {
-		t.Fatalf("best = %d", best)
-	}
-	// The winner must have minimal work.
-	for _, res := range results {
-		if res.WorkPerUpdate < results[best].WorkPerUpdate {
-			t.Fatalf("best %v is not minimal (found %v)", results[best], res)
-		}
-	}
-	// With a 1000-entry batch, tiny cuts cascade constantly; the largest
-	// cut should beat the smallest on this window.
-	if results[0].WorkPerUpdate <= results[2].WorkPerUpdate {
-		t.Fatalf("expected small cut to cost more: %+v", results)
-	}
-}
-
-func TestAutoTunerValidation(t *testing.T) {
-	at := DefaultAutoTuner()
-	if _, _, err := at.Tune(nil, nil, 10, 1<<20); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	if _, _, err := at.Tune([]gb.Index{1}, []gb.Index{1, 2}, 10, 1<<20); err == nil {
-		t.Fatal("mismatched slices accepted")
-	}
-	if _, _, err := at.Tune([]gb.Index{1}, []gb.Index{1}, 0, 1<<20); err == nil {
-		t.Fatal("zero batch accepted")
-	}
-	bad := AutoTuner{Ratio: 16, Levels: 4}
-	if _, _, err := bad.Tune([]gb.Index{1}, []gb.Index{1}, 1, 1<<20); err == nil {
-		t.Fatal("no candidates accepted")
-	}
-	if len(DefaultAutoTuner().Candidates) == 0 {
-		t.Fatal("default tuner has no candidates")
-	}
-}

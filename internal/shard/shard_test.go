@@ -383,6 +383,82 @@ func BenchmarkGroupIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkCascadeCuts sweeps the cascade geometry — the paper's tuning
+// knob — in the shape of the benchmark's lib_ingest workload: two shards,
+// two producers with one Appender each, 8 M scale-32 R-MAT entries in
+// 100,000-entry sets into a fresh group per iteration, timed from the
+// group's creation to the return of Flush. The default geometry comes
+// first.
+func BenchmarkCascadeCuts(b *testing.B) {
+	const sets, setSize = 80, 100_000
+	spec := powerlaw.StreamSpec{TotalEdges: sets * setSize, SetSize: setSize, Scale: 32, Seed: 0xc075}
+	rows, cols := make([]gb.Index, sets*setSize), make([]gb.Index, sets*setSize)
+	for k := 0; k < sets; k++ {
+		lo, hi := k*setSize, (k+1)*setSize
+		if err := spec.FillSet(k, rows[lo:hi], cols[lo:hi]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ones := make([]uint64, setSize)
+	for i := range ones {
+		ones[i] = 1
+	}
+	ingest := func(b *testing.B, cuts []int) *Group[uint64] {
+		g, err := NewGroup[uint64](1<<32, 1<<32, Config{Shards: 2, Hier: hier.Config{Cuts: cuts}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for p := range errs {
+			a, err := g.NewAppender()
+			if err != nil {
+				b.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := p; k < sets && errs[p] == nil; k += 2 {
+					lo, hi := k*setSize, (k+1)*setSize
+					errs[p] = a.Append(rows[lo:hi], cols[lo:hi], ones)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(append(errs, g.Flush())...); err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	// An untimed pass first: otherwise whichever geometry runs first also
+	// pays for growing the heap.
+	if err := ingest(b, hier.DefaultConfig().Cuts).Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, geo := range []struct{ levels, base, ratio int }{
+		{hier.DefaultLevels, hier.DefaultBaseCut, hier.DefaultCutRatio},
+		{5, 16 << 10, 8},
+		{6, 16 << 10, 4},
+		{5, 32 << 10, 6},
+		{4, 32 << 10, 12},
+	} {
+		name := fmt.Sprintf("levels=%d,c1=%dKi,ratio=%d", geo.levels, geo.base>>10, geo.ratio)
+		b.Run(name, func(b *testing.B) {
+			cuts := hier.GeometricCuts(geo.levels, geo.base, geo.ratio)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := ingest(b, cuts)
+				b.StopTimer()
+				if err := g.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.N)*sets*setSize/b.Elapsed().Seconds(), "entries/s")
+		})
+	}
+}
+
 // TestCloseReleasesIngestBuffers guards the memory of everything that
 // keeps closed groups around (a windowed store's sealed windows and
 // roll-up parents): a cascade retains its staging and growth slack for as
