@@ -109,16 +109,17 @@ func NewMetrics() *Metrics { return metrics.NewRegistry() }
 type FlightRecorder = flight.Recorder
 
 // IngestSpan is a sampled frame's stage-latency span, threaded through
-// the session append paths by the network server. Most callers never
-// touch it; the plain Append methods pass nil.
+// the session append paths by the network server. It is the same span
+// type as QuerySpan, sampled by the ingest-plane tracer. Most callers
+// never touch it; the plain Append methods pass nil.
 type IngestSpan = flight.Span
 
-// QuerySpan is a spanned read op's stage-latency span, the query-path
-// analog of IngestSpan: the network server threads it through a
-// RangeView (Instrument) so per-window fan-out legs attribute into the
-// hhgb_query_stage_seconds histograms and the flight ring. Nil is always
-// a valid span.
-type QuerySpan = flight.QuerySpan
+// QuerySpan is a spanned read op's stage-latency span — the same type as
+// IngestSpan, sampled by the query-plane tracer: the network server
+// threads it through a RangeView (Instrument) so per-window fan-out legs
+// attribute into the hhgb_query_stage_seconds histograms and the flight
+// ring. Nil is always a valid span.
+type QuerySpan = flight.Span
 
 // QueryExplain is the structured EXPLAIN trailer collected alongside a
 // query: the served cover (one timed leg per window), the uncovered

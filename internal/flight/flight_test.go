@@ -67,6 +67,8 @@ func TestNilRecorderAndSpanSafe(t *testing.T) {
 	s.MarkHandoff()
 	s.ObserveMax(StageWAL, time.Second)
 	s.ObserveShardWait()
+	s.AdvanceStage(QStageFanout)
+	s.Touch(0, 1)
 	s.Hold()
 	s.Done()
 	s.Drop()
@@ -104,7 +106,7 @@ func TestHandlerServesValidJSON(t *testing.T) {
 }
 
 func TestTracerSamplesOneInN(t *testing.T) {
-	tr := NewTracer(nil, nil, 4, -1)
+	tr := NewTracer(IngestPlane, nil, nil, 4, -1)
 	if !tr.Active() {
 		t.Fatal("tracer with rate 4 not active")
 	}
@@ -119,7 +121,7 @@ func TestTracerSamplesOneInN(t *testing.T) {
 		t.Fatalf("sampled %d of 400 at rate 4", sampled)
 	}
 	// Rate 0: enabled-but-disabled tracer never samples.
-	off := NewTracer(nil, nil, 0, -1)
+	off := NewTracer(IngestPlane, nil, nil, 0, -1)
 	if off.Active() {
 		t.Fatal("rate-0 tracer active")
 	}
@@ -135,8 +137,8 @@ func TestTracerSamplesOneInN(t *testing.T) {
 // total exactly — not approximately.
 func TestSpanSyncStagesSumToTotal(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := NewTracer(reg, nil, 1, -1)
-	hist := RegisterStageHistograms(reg)
+	tr := NewTracer(IngestPlane, reg, nil, 1, -1)
+	hist := IngestPlane.Histograms(reg)
 
 	sp := tr.Sample(3, "sess", 9, Now())
 	if sp == nil {
@@ -166,9 +168,9 @@ func TestSpanSyncStagesSumToTotal(t *testing.T) {
 	if !strings.Contains(b.String(), StageHistogramName) {
 		t.Fatalf("no %s family in exposition:\n%s", StageHistogramName, b.String())
 	}
-	for st := Stage(0); st < Stage(NumStages); st++ {
+	for st := range hist {
 		if hist[st].Count() != 1 {
-			t.Fatalf("stage %s observed %d times, want 1", st, hist[st].Count())
+			t.Fatalf("stage %d observed %d times, want 1", st, hist[st].Count())
 		}
 	}
 	_, _, _, totalSum := hist[StageTotal].Snapshot()
@@ -185,93 +187,155 @@ func TestSpanSyncStagesSumToTotal(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsPipelineToRing: a sampled span past the slow
-// threshold lands in the ring as one causally ordered run.
-func TestTracerRecordsPipelineToRing(t *testing.T) {
-	rec := NewRecorder(64)
-	tr := NewTracer(nil, rec, 1, 0) // slow=0: record every sampled span
-	sp := tr.Sample(5, "sess", 42, Now())
-	sp.EndStage(StageDecode)
-	sp.EndStage(StageQueue)
-	sp.MarkHandoff()
-	sp.Hold()
-	sp.EndStage(StagePartition)
-	sp.EndStage(StageAck)
-	sp.ObserveShardWait()
-	sp.ObserveMax(StageWAL, time.Millisecond)
-	sp.ObserveMax(StageApply, time.Millisecond)
-	sp.Done()
-	sp.Done()
-
-	var kinds []string
-	var lastSeq uint64
-	for _, e := range rec.Snapshot() {
-		if e.FrameSeq != 42 {
-			continue
-		}
-		if len(kinds) > 0 && e.Seq != lastSeq+1 {
-			t.Fatalf("pipeline events not consecutive: seq %d after %d", e.Seq, lastSeq)
-		}
-		lastSeq = e.Seq
-		kinds = append(kinds, e.Kind)
-	}
-	want := []string{"frame_decode", "dequeue", "wal_append", "shard_apply", "ack"}
-	if len(kinds) != len(want) {
-		t.Fatalf("pipeline kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("pipeline kinds = %v, want %v", kinds, want)
-		}
-	}
-
-	// A dropped span must leave no trace and no observations.
-	before := rec.Len()
-	dp := tr.Sample(5, "sess", 43, Now())
-	dp.EndStage(StageDecode)
-	dp.Drop()
-	if rec.Len() != before {
-		t.Fatal("dropped span recorded events")
-	}
+// planeCase is one span plane as the tests below drive it: its table, a
+// full sampled lifecycle (every stage the server marks, ending in the
+// last Done), and the ring chain that lifecycle records.
+type planeCase struct {
+	name  string
+	plane *Plane
+	// drive runs one sampled span to finalization, sleeping mid-chain
+	// when sleep > 0 so the span crosses a slow threshold.
+	drive func(sp *Span, sleep time.Duration)
+	chain []string
+	slow  string // the slow marker's kind
 }
 
-// TestSlowFrameMarker: with a positive threshold, only spans at or above
-// it are ring-recorded, and they carry the slow_frame marker.
-func TestSlowFrameMarker(t *testing.T) {
-	rec := NewRecorder(64)
-	tr := NewTracer(nil, rec, 1, 2*time.Millisecond)
-	fast := tr.Sample(1, "s", 1, Now())
-	fast.EndStage(StageDecode)
-	fast.EndStage(StageQueue)
-	fast.EndStage(StagePartition)
-	fast.EndStage(StageAck)
-	fast.Done()
-	if rec.Len() != 0 {
-		t.Fatalf("fast span recorded %d events", rec.Len())
-	}
-	slow := tr.Sample(1, "s", 2, Now())
-	slow.EndStage(StageDecode)
-	time.Sleep(3 * time.Millisecond)
-	slow.EndStage(StageQueue)
-	slow.EndStage(StagePartition)
-	slow.EndStage(StageAck)
-	slow.Done()
-	evs := rec.Snapshot()
-	if len(evs) == 0 {
-		t.Fatal("slow span not recorded")
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != "slow_frame" || last.FrameSeq != 2 {
-		t.Fatalf("last event = %+v, want slow_frame for frame 2", last)
-	}
-	if int64(last.A) != last.Dur || last.Dur < int64(2*time.Millisecond) {
-		t.Fatalf("slow_frame total = a:%d dur:%d", last.A, last.Dur)
+var planes = []planeCase{
+	{
+		name:  "ingest",
+		plane: IngestPlane,
+		drive: func(sp *Span, sleep time.Duration) {
+			sp.EndStage(StageDecode)
+			if sleep > 0 {
+				time.Sleep(sleep)
+			}
+			sp.EndStage(StageQueue)
+			sp.MarkHandoff()
+			sp.Hold() // one shard partition
+			sp.EndStage(StagePartition)
+			sp.EndStage(StageAck)
+			// The "worker": async attribution arrives after the ack.
+			sp.ObserveShardWait()
+			sp.ObserveMax(StageWAL, time.Millisecond)
+			sp.ObserveMax(StageApply, time.Millisecond)
+			sp.Done() // worker ref
+			sp.Done() // owner ref — finalizes
+		},
+		chain: []string{"frame_decode", "dequeue", "wal_append", "shard_apply", "ack"},
+		slow:  "slow_frame",
+	},
+	{
+		name:  "query",
+		plane: QueryPlane,
+		drive: func(sp *Span, sleep time.Duration) {
+			sp.EndStage(QStageDecode)
+			sp.EndStage(QStageQueue)
+			sp.EndStage(QStagePlan)
+			if sleep > 0 {
+				time.Sleep(sleep)
+			}
+			sp.Touch(0, 2)
+			sp.ObserveMax(QStageFanoutMax, time.Microsecond)
+			sp.AdvanceStage(QStageFanout)
+			sp.EndStage(QStageMerge)
+			sp.EndStage(QStageEncode)
+			sp.EndStage(QStageAck)
+			sp.Done()
+		},
+		chain: []string{"query_decode", "query_plan", "query_fanout", "query_merge", "query_encode", "query_ack"},
+		slow:  "slow_query",
+	},
+}
+
+// TestTracerRecordsPipelineToRing pins, per plane, the three
+// ring-recording regimes — slow < 0 never records; slow == 0 records every
+// sampled span as one causally ordered run in the plane's exact order,
+// with no marker; slow > 0 records only spans at or over the threshold and
+// ends their chain with the slow marker carrying the total — and that a
+// dropped span leaves no trace and no observations.
+func TestTracerRecordsPipelineToRing(t *testing.T) {
+	for _, pc := range planes {
+		t.Run(pc.name, func(t *testing.T) {
+			drive := func(tr *Tracer, fseq uint64, sleep time.Duration) {
+				sp := tr.Sample(1, "s", fseq, Now())
+				if sp == nil {
+					t.Fatal("rate-1 tracer did not sample")
+				}
+				pc.drive(sp, sleep)
+			}
+			rec := NewRecorder(64)
+			drive(NewTracer(pc.plane, nil, rec, 1, -1), 1, 0)
+			if rec.Len() != 0 {
+				t.Fatalf("slow<0 recorded %d events", rec.Len())
+			}
+
+			drive(NewTracer(pc.plane, nil, rec, 1, 0), 2, 0)
+			evs := rec.Snapshot()
+			if len(evs) != len(pc.chain) {
+				t.Fatalf("slow=0 recorded %d events, want %d (no marker)", len(evs), len(pc.chain))
+			}
+			for i, e := range evs {
+				if e.Kind != pc.chain[i] || e.FrameSeq != 2 {
+					t.Fatalf("event %d = %+v, want kind %s for request 2", i, e, pc.chain[i])
+				}
+				if i > 0 && e.Seq != evs[i-1].Seq+1 {
+					t.Fatalf("pipeline events not consecutive: seq %d after %d", e.Seq, evs[i-1].Seq)
+				}
+				switch {
+				case e.Kind == "query_fanout" && (e.A != 2 || e.B != 1):
+					t.Fatalf("fanout event shape a=%d b=%d, want 2 shard tasks over 1 window", e.A, e.B)
+				case e.Kind != "query_fanout" && (e.A != 0 || e.B != 0):
+					t.Fatalf("%s event carries a=%d b=%d, want none", e.Kind, e.A, e.B)
+				}
+			}
+
+			slow := NewTracer(pc.plane, nil, rec, 1, 2*time.Millisecond)
+			drive(slow, 3, 0) // fast: under threshold, not recorded
+			if n := len(rec.Snapshot()); n != len(pc.chain) {
+				t.Fatalf("fast span under slow>0 recorded: ring has %d events", n)
+			}
+			drive(slow, 4, 3*time.Millisecond)
+			evs = rec.Snapshot()
+			last := evs[len(evs)-1]
+			if last.Kind != pc.slow || last.FrameSeq != 4 {
+				t.Fatalf("last event = %+v, want %s for request 4", last, pc.slow)
+			}
+			if int64(last.A) != last.Dur || last.Dur < int64(2*time.Millisecond) {
+				t.Fatalf("%s total = a:%d dur:%d", pc.slow, last.A, last.Dur)
+			}
+			var chain []string
+			for _, e := range evs {
+				if e.FrameSeq == 4 && e.Kind != pc.slow {
+					chain = append(chain, e.Kind)
+				}
+			}
+			if strings.Join(chain, ",") != strings.Join(pc.chain, ",") {
+				t.Fatalf("slow chain = %v, want %v", chain, pc.chain)
+			}
+
+			reg := metrics.NewRegistry()
+			tr := NewTracer(pc.plane, reg, rec, 1, 0)
+			before := rec.Len()
+			dp := tr.Sample(1, "s", 5, Now())
+			dp.EndStage(StageDecode)
+			dp.Drop()
+			if rec.Len() != before {
+				t.Fatal("dropped span recorded events")
+			}
+			for st, h := range tr.hist {
+				if h.Count() != 0 {
+					t.Fatalf("dropped span observed stage %d", st)
+				}
+			}
+		})
 	}
 }
 
 // TestAllocBudgets pins the tracing plane's hot-path allocation costs:
-// ring records and unsampled Sample calls are free; a warm sampled span's
-// whole lifecycle allocates nothing (spans are pooled, not sync.Pooled).
+// ring records, nil spans, and nil, rate-0 and unsampled tracers are
+// free; a warm sampled span's whole lifecycle — stages, fan-out shape,
+// finalize, and with slow == 0 the ring record — allocates nothing on
+// either plane (spans are pooled, not sync.Pooled).
 func TestAllocBudgets(t *testing.T) {
 	rec := NewRecorder(1024)
 	if a := testing.AllocsPerRun(200, func() {
@@ -280,51 +344,60 @@ func TestAllocBudgets(t *testing.T) {
 		t.Fatalf("Record allocates %.1f/op, budget is 0", a)
 	}
 
-	off := NewTracer(nil, nil, 0, -1)
+	// Nil-span methods (an unsampled request's per-stage cost) are free.
+	var nilSpan *Span
 	if a := testing.AllocsPerRun(200, func() {
-		if off.Sample(1, "s", 2, 0) != nil {
-			t.Fatal("rate-0 sampled")
-		}
+		nilSpan.EndStage(StageDecode)
+		nilSpan.AdvanceStage(QStageFanout)
+		nilSpan.MarkHandoff()
+		nilSpan.ObserveMax(QStageFanoutMax, time.Microsecond)
+		nilSpan.ObserveShardWait()
+		nilSpan.Touch(0, 1)
+		nilSpan.Hold()
+		nilSpan.Done()
+		nilSpan.Drop()
 	}); a != 0 {
-		t.Fatalf("rate-0 Sample allocates %.1f/op, budget is 0", a)
+		t.Fatalf("nil-span methods allocate %.1f/op, budget is 0", a)
 	}
 
-	miss := NewTracer(nil, nil, 1<<30, -1)
-	if a := testing.AllocsPerRun(200, func() {
-		if miss.Sample(1, "s", 2, Now()) != nil {
-			t.Fatal("unexpected sample")
-		}
-	}); a != 0 {
-		t.Fatalf("unsampled Sample allocates %.1f/op, budget is 0", a)
-	}
-
-	// Warm sampled lifecycle: Sample → stages → Done, span recycled each
-	// run. slow=-1 keeps the ring out of it; a second run with ring
-	// recording must also be free (RecordAt writes preallocated slots).
-	for _, cfg := range []struct {
-		name string
-		slow time.Duration
-	}{{"histograms-only", -1}, {"ring-recorded", 0}} {
-		tr := NewTracer(nil, rec, 1, cfg.slow)
-		warm := tr.Sample(9, "sess", 1, Now())
-		warm.Done()
-		if a := testing.AllocsPerRun(200, func() {
-			sp := tr.Sample(9, "sess", 1, Now())
-			if sp == nil {
-				t.Fatal("rate-1 did not sample")
+	for _, pc := range planes {
+		for _, off := range []struct {
+			name string
+			tr   *Tracer
+		}{
+			{"nil", nil},
+			{"rate-0", NewTracer(pc.plane, nil, nil, 0, -1)},
+			{"unsampled", NewTracer(pc.plane, nil, nil, 1<<30, -1)},
+		} {
+			if off.name != "unsampled" && off.tr.Active() {
+				t.Fatalf("%s %s tracer active", pc.name, off.name)
 			}
-			sp.EndStage(StageDecode)
-			sp.EndStage(StageQueue)
-			sp.MarkHandoff()
-			sp.Hold()
-			sp.EndStage(StagePartition)
-			sp.EndStage(StageAck)
-			sp.ObserveShardWait()
-			sp.ObserveMax(StageWAL, time.Millisecond)
-			sp.Done()
-			sp.Done()
-		}); a != 0 {
-			t.Fatalf("%s: warm sampled span lifecycle allocates %.1f/op, budget is 0", cfg.name, a)
+			if a := testing.AllocsPerRun(200, func() {
+				if off.tr.Sample(1, "s", 2, Now()) != nil {
+					t.Fatalf("%s %s tracer sampled", pc.name, off.name)
+				}
+			}); a != 0 {
+				t.Fatalf("%s %s Sample allocates %.1f/op, budget is 0", pc.name, off.name, a)
+			}
+		}
+
+		// Warm sampled lifecycle, span recycled each run: slow=-1 keeps the
+		// ring out of it; with slow=0 RecordAt writes preallocated slots.
+		for _, cfg := range []struct {
+			name string
+			slow time.Duration
+		}{{"histograms-only", -1}, {"ring-recorded", 0}} {
+			tr := NewTracer(pc.plane, nil, rec, 1, cfg.slow)
+			pc.drive(tr.Sample(9, "sess", 1, Now()), 0)
+			if a := testing.AllocsPerRun(200, func() {
+				sp := tr.Sample(9, "sess", 1, Now())
+				if sp == nil {
+					t.Fatal("rate-1 did not sample")
+				}
+				pc.drive(sp, 0)
+			}); a != 0 {
+				t.Fatalf("%s %s: warm sampled span lifecycle allocates %.1f/op, budget is 0", pc.name, cfg.name, a)
+			}
 		}
 	}
 }
@@ -411,156 +484,5 @@ func TestHandlerFilters(t *testing.T) {
 	}
 	if code, _ := get("/debug/events?limit=-1"); code != 400 {
 		t.Fatalf("negative limit: code %d, want 400", code)
-	}
-}
-
-// TestQueryTracerSlowPolicy pins the three ring-recording regimes:
-// slow < 0 never records, slow == 0 records every sampled span without a
-// marker, slow > 0 records only spans at or over the threshold and ends
-// their chain with the slow_query marker carrying the total.
-func TestQueryTracerSlowPolicy(t *testing.T) {
-	drive := func(tr *QueryTracer, fseq uint64, sleep time.Duration) {
-		sp := tr.Sample(1, "s", fseq, Now())
-		if sp == nil {
-			t.Fatal("rate-1 query tracer did not sample")
-		}
-		sp.EndStage(QStageDecode)
-		sp.EndStage(QStageQueue)
-		sp.EndStage(QStagePlan)
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-		sp.Touch(0, 2)
-		sp.ObserveLeg(time.Microsecond)
-		sp.AdvanceStage(QStageFanout)
-		sp.EndStage(QStageMerge)
-		sp.EndStage(QStageEncode)
-		sp.EndStage(QStageAck)
-		sp.Done()
-	}
-
-	rec := NewRecorder(64)
-	drive(NewQueryTracer(nil, rec, 1, -1), 1, 0)
-	if rec.Len() != 0 {
-		t.Fatalf("slow<0 recorded %d events", rec.Len())
-	}
-
-	drive(NewQueryTracer(nil, rec, 1, 0), 2, 0)
-	evs := rec.Snapshot()
-	want := []string{"query_decode", "query_plan", "query_fanout", "query_merge", "query_encode", "query_ack"}
-	if len(evs) != len(want) {
-		t.Fatalf("slow=0 recorded %d events, want %d", len(evs), len(want))
-	}
-	for i, e := range evs {
-		if e.Kind != want[i] || e.FrameSeq != 2 {
-			t.Fatalf("event %d = %+v, want kind %s for query 2", i, e, want[i])
-		}
-	}
-	if evs[2].A != 2 || evs[2].B != 1 {
-		t.Fatalf("fanout event shape a=%d b=%d, want 2 shard tasks over 1 window", evs[2].A, evs[2].B)
-	}
-
-	slow := NewQueryTracer(nil, rec, 1, 2*time.Millisecond)
-	drive(slow, 3, 0) // fast: under threshold, not recorded
-	if n := len(rec.Snapshot()); n != len(want) {
-		t.Fatalf("fast query under slow>0 recorded: ring has %d events", n)
-	}
-	drive(slow, 4, 3*time.Millisecond)
-	evs = rec.Snapshot()
-	last := evs[len(evs)-1]
-	if last.Kind != "slow_query" || last.FrameSeq != 4 {
-		t.Fatalf("last event = %+v, want slow_query for query 4", last)
-	}
-	if int64(last.A) != last.Dur || last.Dur < int64(2*time.Millisecond) {
-		t.Fatalf("slow_query total = a:%d dur:%d", last.A, last.Dur)
-	}
-	var chain []string
-	for _, e := range evs {
-		if e.FrameSeq == 4 && e.Kind != "slow_query" {
-			chain = append(chain, e.Kind)
-		}
-	}
-	if len(chain) != len(want) {
-		t.Fatalf("slow query chain = %v, want %v", chain, want)
-	}
-
-	// A dropped span leaves no trace.
-	before := rec.Len()
-	dp := NewQueryTracer(nil, rec, 1, 0).Sample(1, "s", 5, Now())
-	dp.EndStage(QStageDecode)
-	dp.Drop()
-	if rec.Len() != before {
-		t.Fatal("dropped query span recorded events")
-	}
-}
-
-// TestQuerySpanAllocBudgets pins the read path's tracing costs: inactive
-// and unsampled tracers are free, and a warm sampled span's whole
-// lifecycle — stages, fan-out shape, finalize, ring record — allocates
-// nothing (spans are pooled).
-func TestQuerySpanAllocBudgets(t *testing.T) {
-	var off *QueryTracer
-	if off.Active() {
-		t.Fatal("nil query tracer active")
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		if off.Sample(1, "s", 2, 0) != nil {
-			t.Fatal("nil tracer sampled")
-		}
-	}); a != 0 {
-		t.Fatalf("nil-tracer Sample allocates %.1f/op, budget is 0", a)
-	}
-
-	zero := NewQueryTracer(nil, nil, 0, -1)
-	if zero.Active() {
-		t.Fatal("rate-0 query tracer active")
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		if zero.Sample(1, "s", 2, 0) != nil {
-			t.Fatal("rate-0 sampled")
-		}
-	}); a != 0 {
-		t.Fatalf("rate-0 Sample allocates %.1f/op, budget is 0", a)
-	}
-
-	// Nil-span methods (the unsampled query's per-stage cost) are free.
-	var nilSpan *QuerySpan
-	if a := testing.AllocsPerRun(200, func() {
-		nilSpan.EndStage(QStageDecode)
-		nilSpan.AdvanceStage(QStageFanout)
-		nilSpan.ObserveLeg(time.Microsecond)
-		nilSpan.Touch(0, 1)
-		nilSpan.TouchShards(1)
-		nilSpan.Done()
-	}); a != 0 {
-		t.Fatalf("nil-span methods allocate %.1f/op, budget is 0", a)
-	}
-
-	rec := NewRecorder(1024)
-	for _, cfg := range []struct {
-		name string
-		slow time.Duration
-	}{{"histograms-only", -1}, {"ring-recorded", 0}} {
-		tr := NewQueryTracer(nil, rec, 1, cfg.slow)
-		warm := tr.Sample(9, "sess", 1, Now())
-		warm.Done()
-		if a := testing.AllocsPerRun(200, func() {
-			sp := tr.Sample(9, "sess", 1, Now())
-			if sp == nil {
-				t.Fatal("rate-1 did not sample")
-			}
-			sp.EndStage(QStageDecode)
-			sp.EndStage(QStageQueue)
-			sp.EndStage(QStagePlan)
-			sp.Touch(0, 2)
-			sp.ObserveLeg(time.Microsecond)
-			sp.AdvanceStage(QStageFanout)
-			sp.EndStage(QStageMerge)
-			sp.EndStage(QStageEncode)
-			sp.EndStage(QStageAck)
-			sp.Done()
-		}); a != 0 {
-			t.Fatalf("%s query span lifecycle allocates %.1f/op, budget is 0", cfg.name, a)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package flight is the server's latency-attribution plane: a fixed-size
 // preallocated ring of structured events (the flight recorder) plus
-// sampled per-frame spans that decompose end-to-end ingest latency into
+// sampled spans that decompose end-to-end ingest and query latency into
 // per-stage histograms.
 //
 // Everything here is built to ride the allocation-free ingest hot path:
@@ -52,55 +52,37 @@ const (
 	KindSlowQuery
 )
 
+// kindNames are the kinds' JSON names, indexed by Kind.
+var kindNames = [...]string{
+	KindConnOpen:        "conn_open",
+	KindConnClose:       "conn_close",
+	KindFrameDecode:     "frame_decode",
+	KindDequeue:         "dequeue",
+	KindWALAppend:       "wal_append",
+	KindWALFsync:        "wal_fsync",
+	KindShardApply:      "shard_apply",
+	KindAck:             "ack",
+	KindRefusal:         "refusal",
+	KindEviction:        "eviction",
+	KindSeal:            "seal",
+	KindRollup:          "rollup",
+	KindExpiry:          "expiry",
+	KindCheckpointBegin: "checkpoint_begin",
+	KindCheckpointEnd:   "checkpoint_end",
+	KindSlowFrame:       "slow_frame",
+	KindQueryDecode:     "query_decode",
+	KindQueryPlan:       "query_plan",
+	KindQueryFanout:     "query_fanout",
+	KindQueryMerge:      "query_merge",
+	KindQueryEncode:     "query_encode",
+	KindQueryAck:        "query_ack",
+	KindSlowQuery:       "slow_query",
+}
+
 // String returns the kind's JSON name.
 func (k Kind) String() string {
-	switch k {
-	case KindConnOpen:
-		return "conn_open"
-	case KindConnClose:
-		return "conn_close"
-	case KindFrameDecode:
-		return "frame_decode"
-	case KindDequeue:
-		return "dequeue"
-	case KindWALAppend:
-		return "wal_append"
-	case KindWALFsync:
-		return "wal_fsync"
-	case KindShardApply:
-		return "shard_apply"
-	case KindAck:
-		return "ack"
-	case KindRefusal:
-		return "refusal"
-	case KindEviction:
-		return "eviction"
-	case KindSeal:
-		return "seal"
-	case KindRollup:
-		return "rollup"
-	case KindExpiry:
-		return "expiry"
-	case KindCheckpointBegin:
-		return "checkpoint_begin"
-	case KindCheckpointEnd:
-		return "checkpoint_end"
-	case KindSlowFrame:
-		return "slow_frame"
-	case KindQueryDecode:
-		return "query_decode"
-	case KindQueryPlan:
-		return "query_plan"
-	case KindQueryFanout:
-		return "query_fanout"
-	case KindQueryMerge:
-		return "query_merge"
-	case KindQueryEncode:
-		return "query_encode"
-	case KindQueryAck:
-		return "query_ack"
-	case KindSlowQuery:
-		return "slow_query"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "unknown"
 }

@@ -8,16 +8,17 @@ import (
 	"hhgb/internal/pool"
 )
 
-// Stage is one leg of a sampled frame's journey through the ingest
-// pipeline. The first four are the synchronous chain the applier walks —
-// their durations share boundary timestamps, so
-// decode + queue + partition + ack == total exactly (the reconciliation
-// tests depend on it). The async stages are recorded by shard workers
-// after the ack may already be on the wire (the server acks on
-// queue-accept, not apply); each keeps the max across the frame's shard
-// partitions, approximating the critical path.
+// Stage is one leg of a sampled request's journey. Each plane numbers its
+// own stages from zero, synchronous chain first: those share boundary
+// timestamps, so they sum exactly to total (the reconciliation tests
+// depend on it). Both planes open with decode and queue, so code that
+// handles either kind of request closes those two with the ingest names.
 type Stage uint8
 
+// Ingest stages. The async ones are recorded by shard workers after the
+// ack may already be on the wire (the server acks on queue-accept, not
+// apply); each keeps the max across the frame's shard partitions,
+// approximating the critical path.
 const (
 	// StageDecode: frame body parse into a pooled batch (reader goroutine).
 	StageDecode Stage = iota
@@ -36,61 +37,146 @@ const (
 	StageApply
 	// StageTotal: decode start to ack written — what the client observes.
 	StageTotal
-
-	numStages
 )
 
-// NumStages is the number of span stages (len of RegisterStageHistograms'
-// result).
-const NumStages = int(numStages)
+// Query stages.
+const (
+	// QStageDecode: query frame body parse (reader goroutine).
+	QStageDecode Stage = iota
+	// QStageQueue: wait in the connection's bounded apply queue.
+	QStageQueue
+	// QStagePlan: cover/route selection — QueryRange's greedy cover walk
+	// on a windowed store, the trivial shard route on a flat one.
+	QStagePlan
+	// QStageFanout: the per-shard (and per-window) fan-out: every cover
+	// window's pushdown barrier, including the interleaved per-window
+	// monoid merges a range query does between legs.
+	QStageFanout
+	// QStageMerge: the read-time merge tail after the last leg returns —
+	// top-k selection, summary reduction, cross-window accumulation.
+	QStageMerge
+	// QStageEncode: response body build.
+	QStageEncode
+	// QStageAck: response handed to the connection writer.
+	QStageAck
+	// QStageFanoutMax: the slowest single fan-out leg (one cover window's
+	// barrier on a windowed store, the whole pushdown call on a flat one),
+	// folded by max like the ingest plane's per-shard stages.
+	QStageFanoutMax
+	// QStageTotal: decode start to response written.
+	QStageTotal
 
-// String returns the stage's metric label.
-func (st Stage) String() string {
-	switch st {
-	case StageDecode:
-		return "decode"
-	case StageQueue:
-		return "queue"
-	case StagePartition:
-		return "partition"
-	case StageAck:
-		return "ack"
-	case StageShardWait:
-		return "shard_wait"
-	case StageWAL:
-		return "wal"
-	case StageApply:
-		return "apply"
-	case StageTotal:
-		return "total"
-	}
-	return "unknown"
+	maxStages // the larger plane's stage count
+)
+
+// Histogram family names. Both planes observe one series per stage label;
+// the query plane adds the fan-out-shape families.
+const (
+	StageHistogramName        = "hhgb_server_ingest_stage_seconds"
+	QueryStageHistogramName   = "hhgb_query_stage_seconds"
+	QueryShardsHistogramName  = "hhgb_query_shards_touched"
+	QueryWindowsHistogramName = "hhgb_query_windows_touched"
+)
+
+// NoWindow is Touch's level for a fan-out leg that hit no window (a flat
+// store's single pushdown call).
+const NoWindow = -1
+
+// countBuckets is the bucket layout for fan-out-shape histograms: counts,
+// not seconds. Powers of two up to 256 place both a single-shard lookup
+// and a cover that touched hundreds of fine windows.
+var countBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// windowLevelLabels is the fixed label set for the windows-touched family:
+// levels beyond the deepest practical roll-up hierarchy share "4+", so the
+// metric schema stays pinned regardless of store configuration.
+var windowLevelLabels = [...]string{"0", "1", "2", "3", "4+"}
+
+// step is one ring event of a plane's pipeline record: the stage whose
+// duration it carries and its kind. shape puts the fan-out shape in the
+// event's a (shard tasks) and b (windows).
+type step struct {
+	stage Stage
+	kind  Kind
+	shape bool
 }
 
-// StageHistogramName is the per-stage ingest latency family every
-// sampled span observes into; one series per Stage label.
-const StageHistogramName = "hhgb_server_ingest_stage_seconds"
+// Plane is a span plane as data: everything a Tracer registers, observes
+// and records for one kind of request. IngestPlane and QueryPlane are the
+// two there are.
+type Plane struct {
+	family, help string
+	labels       []string // stage label by Stage; the last stage is total
+	// async marks, one bit per Stage, the stages folded by ObserveMax off
+	// the sync chain. They are absent, not zero, on requests that never
+	// reached them, so they are observed only when nonzero; their ring
+	// events are stamped at the finalize instant. A sync event is stamped
+	// at its stage's reconstructed end: span start plus every sync stage
+	// up to and including it (ring-skipped ones too).
+	async    uint16
+	ring     []step // pipeline order
+	slowKind Kind
+	// Fan-out-shape families; empty for a plane without fan-out.
+	shardsFamily, shardsHelp, windowsFamily, windowsHelp string
+}
 
-// RegisterStageHistograms registers (or fetches, the registry dedups)
-// the stage-latency histogram family and returns the series indexed by
-// Stage. A nil registry wires them to the discard registry.
-func RegisterStageHistograms(reg *metrics.Registry) []*metrics.Histogram {
+// IngestPlane traces insert frames.
+var IngestPlane = &Plane{
+	family: StageHistogramName,
+	help:   "Sampled ingest frame latency decomposed by pipeline stage; decode+queue+partition+ack sum to total, shard_wait/wal/apply are async worker attribution.",
+	labels: []string{"decode", "queue", "partition", "ack", "shard_wait", "wal", "apply", "total"},
+	async:  1<<StageShardWait | 1<<StageWAL | 1<<StageApply,
+	ring: []step{
+		{stage: StageDecode, kind: KindFrameDecode},
+		{stage: StageQueue, kind: KindDequeue},
+		{stage: StageWAL, kind: KindWALAppend},
+		{stage: StageApply, kind: KindShardApply},
+		{stage: StageAck, kind: KindAck},
+	},
+	slowKind: KindSlowFrame,
+}
+
+// QueryPlane traces read ops.
+var QueryPlane = &Plane{
+	family: QueryStageHistogramName,
+	help:   "Sampled query latency decomposed by read-path stage; decode+queue+plan+fanout+merge+encode+ack sum to total, fanout_max is the slowest single fan-out leg.",
+	labels: []string{"decode", "queue", "plan", "fanout", "merge", "encode", "ack", "fanout_max", "total"},
+	async:  1 << QStageFanoutMax,
+	ring: []step{
+		{stage: QStageDecode, kind: KindQueryDecode},
+		{stage: QStagePlan, kind: KindQueryPlan},
+		{stage: QStageFanout, kind: KindQueryFanout, shape: true},
+		{stage: QStageMerge, kind: KindQueryMerge},
+		{stage: QStageEncode, kind: KindQueryEncode},
+		{stage: QStageAck, kind: KindQueryAck},
+	},
+	slowKind:      KindSlowQuery,
+	shardsFamily:  QueryShardsHistogramName,
+	shardsHelp:    "Per-shard fan-out tasks one sampled query issued, summed across its cover windows.",
+	windowsFamily: QueryWindowsHistogramName,
+	windowsHelp:   "Cover windows one sampled query touched, per hierarchy level.",
+}
+
+// Histograms registers (or fetches, the registry dedups) the plane's
+// stage family and returns the series indexed by Stage. A nil registry
+// wires them to the discard registry.
+func (p *Plane) Histograms(reg *metrics.Registry) []*metrics.Histogram {
 	r := metrics.OrDiscard(reg)
-	h := make([]*metrics.Histogram, NumStages)
-	for st := Stage(0); st < numStages; st++ {
-		h[st] = r.Histogram(StageHistogramName,
-			"Sampled ingest frame latency decomposed by pipeline stage; decode+queue+partition+ack sum to total, shard_wait/wal/apply are async worker attribution.",
-			nil, metrics.L("stage", st.String()))
+	h := make([]*metrics.Histogram, len(p.labels))
+	for st, label := range p.labels {
+		h[st] = r.Histogram(p.family, p.help, nil, metrics.L("stage", label))
 	}
 	return h
 }
 
-// Span tracks one sampled frame through the pipeline. Spans are pooled:
-// the tracer owns their lifecycle via a refcount — the applier holds one
-// reference, each shard partition carrying the frame holds one more, and
-// the last release finalizes (observes histograms, records the ring,
-// recycles). All methods are nil-receiver safe, so unsampled frames cost
-// one branch per call site.
+// Span tracks one sampled request through its plane's pipeline. Spans are
+// pooled; the tracer owns their lifecycle via a refcount — the owner holds
+// one reference, each ingest shard partition carrying the frame holds one
+// more, and the last release finalizes (observes histograms, records the
+// ring, recycles). Stages are atomic because ingest shard workers fold
+// into them concurrently; the fan-out shape is written only by the query
+// plane, whose span has a single owner at every instant. All methods are
+// nil-receiver safe, so unsampled requests cost one branch per call site.
 type Span struct {
 	t       *Tracer
 	conn    uint64
@@ -99,14 +185,17 @@ type Span struct {
 	start   int64 // Now() when decode began
 	last    int64 // end of the previous sync stage
 	handoff int64 // Now() when the frame entered the shard queues
-	dropped bool  // refused/duplicate frame: recycle without observing
+	dropped bool  // refused/duplicate request: recycle without observing
 	refs    atomic.Int32
-	stages  [numStages]atomic.Int64 // ns per stage
+	stages  [maxStages]atomic.Int64 // ns per stage
+	// shape counts per-shard fan-out tasks (index 0, summed across legs)
+	// and cover windows touched by level (1 + windowLevelLabels index).
+	shape [1 + len(windowLevelLabels)]int64
 }
 
 // EndStage closes the current synchronous stage at the current clock:
-// the stage's duration is the time since the previous EndStage (or the
-// span's start). Sync stages are single-threaded along the request's
+// the stage's duration is the time since the previous stage boundary (or
+// the span's start). Sync stages are single-threaded along the request's
 // path (reader → channel → applier), which is what lets them share
 // boundaries and sum exactly to total.
 //
@@ -117,6 +206,23 @@ func (s *Span) EndStage(st Stage) {
 	}
 	now := Now()
 	s.stages[st].Store(now - s.last)
+	s.last = now
+}
+
+// AdvanceStage extends a stage to the current clock, accumulating: each
+// call adds the time since the previous stage boundary. Fan-out uses it —
+// a range query's legs interleave with per-window merges, so the fanout
+// stage is advanced once per leg (the interleaved merges accrue to it)
+// and the final merge tail is whatever EndStage(QStageMerge) closes
+// afterwards. The stages still partition [start, last] exactly.
+//
+//hhgb:noalloc
+func (s *Span) AdvanceStage(st Stage) {
+	if s == nil {
+		return
+	}
+	now := Now()
+	s.stages[st].Add(now - s.last)
 	s.last = now
 }
 
@@ -131,8 +237,8 @@ func (s *Span) MarkHandoff() {
 	s.handoff = Now()
 }
 
-// ObserveMax folds one shard's duration into an async stage, keeping the
-// maximum across the frame's partitions — the critical-path share.
+// ObserveMax folds one duration into a max stage (an ingest shard's
+// share, a query's fan-out leg), keeping the maximum — the critical path.
 //
 //hhgb:noalloc
 func (s *Span) ObserveMax(st Stage, d time.Duration) {
@@ -159,6 +265,22 @@ func (s *Span) ObserveShardWait() {
 	s.ObserveMax(StageShardWait, time.Duration(Now()-s.handoff))
 }
 
+// Touch records one fan-out leg's shape: the hierarchy level of the
+// window it hit (NoWindow for none) and the number of per-shard tasks it
+// issued (1 for a routed lookup, the group's shard count for a barrier
+// query).
+//
+//hhgb:noalloc
+func (s *Span) Touch(level, shards int) {
+	if s == nil {
+		return
+	}
+	if level >= 0 {
+		s.shape[1+min(level, len(windowLevelLabels)-1)]++
+	}
+	s.shape[0] += int64(shards)
+}
+
 // Hold adds one reference — taken once per shard partition the frame
 // fans out to, before the partition is enqueued.
 //
@@ -183,7 +305,7 @@ func (s *Span) Done() {
 	}
 }
 
-// Drop abandons the span without observing it — for frames that were
+// Drop abandons the span without observing it — for requests that were
 // refused or deduplicated, whose timings would pollute the stage
 // histograms. Only valid while the owner holds the sole reference.
 //
@@ -199,36 +321,55 @@ func (s *Span) Drop() {
 // StageNanos returns a stage's recorded duration (test hook).
 func (s *Span) StageNanos(st Stage) int64 { return s.stages[st].Load() }
 
-// Tracer samples 1-in-N ingest frames into pooled spans and owns their
-// finalization. A nil *Tracer, or one with sample rate 0, never samples
-// and adds zero allocations to the hot path (Sample is one atomic add).
+// Tracer samples 1-in-N requests of one plane into pooled spans and owns
+// their finalization. A nil *Tracer, or one with sample rate 0, never
+// samples and adds zero allocations to the hot path (Sample is one
+// atomic add).
 type Tracer struct {
+	p     *Plane
 	rec   *Recorder
 	every uint64 // sample 1 in every; 0 = never
 	slow  int64  // ring-record threshold in ns; see NewTracer
 	n     atomic.Uint64
-	spans *pool.FreeList[*Span]
+	spans pool.Pool[*Span]
 	hist  []*metrics.Histogram
+	shape []*metrics.Histogram // by Span.shape index; empty without fan-out
 }
 
-// spanPoolSize bounds idle pooled spans; sampled frames in flight beyond
+// spanPoolSize bounds idle pooled spans; sampled requests in flight beyond
 // it fall back to fresh allocations (recycled by the GC).
 const spanPoolSize = 64
 
-// NewTracer returns a tracer sampling one in every `every` frames
-// (every < 1 disables sampling entirely — the tracer stays usable and
-// free). Stage histograms register on reg (nil = discard). Sampled spans
-// whose total latency reaches `slow` are recorded stage-by-stage into
-// rec; slow == 0 records every sampled span, slow < 0 records none.
-// KindSlowFrame marker events are only emitted when slow > 0.
-func NewTracer(reg *metrics.Registry, rec *Recorder, every int, slow time.Duration) *Tracer {
-	t := &Tracer{rec: rec, slow: int64(slow), hist: RegisterStageHistograms(reg)}
+// NewTracer returns a tracer of plane p sampling one in every `every`
+// requests (every < 1 disables sampling entirely — the tracer stays
+// usable and free). The plane's histograms register on reg (nil =
+// discard). Sampled spans whose total latency reaches `slow` are recorded
+// stage-by-stage into rec as one causally ordered chain; slow == 0
+// records every sampled span, slow < 0 records none. The plane's slow
+// marker event is only emitted when slow > 0.
+func NewTracer(p *Plane, reg *metrics.Registry, rec *Recorder, every int, slow time.Duration) *Tracer {
+	t := &Tracer{p: p, rec: rec, slow: int64(slow), hist: p.Histograms(reg)}
 	if every > 0 {
 		t.every = uint64(every)
 	}
-	t.spans = pool.New(spanPoolSize, func() *Span { return &Span{t: t} })
+	if p.shardsFamily != "" {
+		r := metrics.OrDiscard(reg)
+		t.shape = append(t.shape, r.Histogram(p.shardsFamily, p.shardsHelp, countBuckets))
+		for _, lv := range windowLevelLabels {
+			t.shape = append(t.shape, r.Histogram(p.windowsFamily, p.windowsHelp, countBuckets, metrics.L("level", lv)))
+		}
+	}
+	t.spans = pool.New(spanPoolSize, t.AllocSpan)
 	return t
 }
+
+// SetPool replaces the span free-list — tests swap in a pool.Checked to
+// prove every sampled span is returned exactly once.
+func (t *Tracer) SetPool(p pool.Pool[*Span]) { t.spans = p }
+
+// AllocSpan allocates a fresh span owned by this tracer — the alloc hook
+// a SetPool replacement needs, since a span finalizes through its tracer.
+func (t *Tracer) AllocSpan() *Span { return &Span{t: t} }
 
 // Active reports whether Sample can ever return a span — the hot path
 // uses it to skip even the clock read when tracing is off.
@@ -236,8 +377,8 @@ func NewTracer(reg *metrics.Registry, rec *Recorder, every int, slow time.Durati
 //hhgb:noalloc
 func (t *Tracer) Active() bool { return t != nil && t.every != 0 }
 
-// Sample returns a reset span for this frame if it is the 1-in-N pick,
-// nil otherwise. start is the frame's decode-begin instant (from Now).
+// Sample returns a reset span for this request if it is the 1-in-N pick,
+// nil otherwise. start is the request's decode-begin instant (from Now).
 // The caller owns the returned span's initial reference.
 //
 //hhgb:noalloc
@@ -249,39 +390,27 @@ func (t *Tracer) Sample(conn uint64, sess string, fseq uint64, start int64) *Spa
 		return nil
 	}
 	s := t.spans.Get()
-	s.conn, s.sess, s.fseq = conn, sess, fseq
-	s.start, s.last, s.handoff = start, start, 0
-	s.dropped = false
-	for i := range s.stages {
-		s.stages[i].Store(0)
-	}
+	*s = Span{t: t, conn: conn, sess: sess, fseq: fseq, start: start, last: start}
 	s.refs.Store(1)
 	return s
 }
 
-// finalize runs on the goroutine releasing the span's last reference:
-// observe the stage histograms, record the pipeline into the ring when
-// the span clears the slow threshold, and recycle.
+// finalize runs on the goroutine releasing the span's last reference.
 func (t *Tracer) finalize(s *Span) {
 	if !s.dropped {
 		total := s.last - s.start
-		s.stages[StageTotal].Store(total)
-		for st := Stage(0); st < numStages; st++ {
-			d := s.stages[st].Load()
-			if d < 0 {
-				d = 0
+		s.stages[len(t.hist)-1].Store(total)
+		for st, h := range t.hist {
+			// The sync chain observes unconditionally to keep counts
+			// reconcilable; async stages only when the request reached them.
+			if d := max(s.stages[st].Load(), 0); d != 0 || t.p.async&(1<<st) == 0 {
+				h.Observe(float64(d) / 1e9)
 			}
-			// Async stages are absent (not zero) on frames that never
-			// reached a shard worker — skip them so their histograms
-			// only describe frames they actually measured. Sync stages
-			// observe unconditionally to keep counts reconcilable.
-			switch st {
-			case StageShardWait, StageWAL, StageApply:
-				if d == 0 {
-					continue
-				}
+		}
+		for i, h := range t.shape {
+			if n := s.shape[i]; n > 0 {
+				h.Observe(float64(n))
 			}
-			t.hist[st].Observe(float64(d) / 1e9)
 		}
 		if t.rec != nil && t.slow >= 0 && total >= t.slow {
 			t.recordPipeline(s, total)
@@ -292,25 +421,59 @@ func (t *Tracer) finalize(s *Span) {
 }
 
 // recordPipeline writes the span's stages to the ring as one causally
-// ordered run of events (consecutive claim numbers, pipeline order):
-// decode → queue → wal → apply → ack, with reconstructed end timestamps
-// for the sync stages and the finalize instant for the async ones.
+// ordered run of events (consecutive claim numbers, the plane's ring
+// order), capped by the plane's slow marker when slow > 0.
 func (t *Tracer) recordPipeline(s *Span, total int64) {
 	r := t.rec
 	now := Now()
-	end := s.start + s.stages[StageDecode].Load()
-	r.RecordAt(end, KindFrameDecode, s.conn, s.sess, s.fseq, 0, 0, time.Duration(s.stages[StageDecode].Load()))
-	end += s.stages[StageQueue].Load()
-	r.RecordAt(end, KindDequeue, s.conn, s.sess, s.fseq, 0, 0, time.Duration(s.stages[StageQueue].Load()))
-	if d := s.stages[StageWAL].Load(); d > 0 {
-		r.RecordAt(now, KindWALAppend, s.conn, s.sess, s.fseq, 0, 0, time.Duration(d))
+	end, next := s.start, Stage(0)
+	for _, e := range t.p.ring {
+		d := s.stages[e.stage].Load()
+		ts := now
+		if t.p.async&(1<<e.stage) != 0 {
+			if d <= 0 {
+				continue
+			}
+		} else {
+			for ; next <= e.stage; next++ {
+				end += s.stages[next].Load()
+			}
+			ts = end
+		}
+		var a, b uint64
+		if e.shape {
+			a = uint64(s.shape[0])
+			for _, n := range s.shape[1:] {
+				b += uint64(n)
+			}
+		}
+		r.RecordAt(ts, e.kind, s.conn, s.sess, s.fseq, a, b, time.Duration(d))
 	}
-	if d := s.stages[StageApply].Load(); d > 0 {
-		r.RecordAt(now, KindShardApply, s.conn, s.sess, s.fseq, 0, 0, time.Duration(d))
-	}
-	end += s.stages[StagePartition].Load() + s.stages[StageAck].Load()
-	r.RecordAt(end, KindAck, s.conn, s.sess, s.fseq, 0, 0, time.Duration(s.stages[StageAck].Load()))
 	if t.slow > 0 {
-		r.RecordAt(end, KindSlowFrame, s.conn, s.sess, s.fseq, uint64(total), 0, time.Duration(total))
+		r.RecordAt(end, t.p.slowKind, s.conn, s.sess, s.fseq, uint64(total), 0, time.Duration(total))
 	}
+}
+
+// ExplainLeg is one fan-out leg of an explained query: the cover window
+// it hit (level and event-time bounds; zero for a flat store's single
+// leg), the per-shard tasks it issued, and how long the leg took.
+type ExplainLeg struct {
+	Level      int
+	Start, End int64 // event-time bounds, unix nanoseconds
+	Shards     int
+	Dur        time.Duration
+}
+
+// ExplainSpan is one uncovered hole of an explained range query.
+type ExplainSpan struct {
+	Start, End int64
+}
+
+// QueryExplain collects the structured EXPLAIN trailer for one query:
+// the served cover (one leg per window, timed), the uncovered holes, and
+// per-leg fan-out shape. The server fills it alongside (or instead of) a
+// sampled span; explain queries are diagnostic, so it may allocate.
+type QueryExplain struct {
+	Legs      []ExplainLeg
+	Uncovered []ExplainSpan
 }

@@ -99,8 +99,8 @@ type Stats struct {
 }
 
 // Matrix is an N-level hierarchical hypersparse matrix of T values.
-// It is not safe for concurrent use; wrap it in Concurrent or shard it
-// with Sharded for parallel ingest.
+// It is not safe for concurrent use; shard.Group gives each shard its own
+// Matrix, owned by one goroutine, for parallel ingest.
 type Matrix[T gb.Number] struct {
 	nrows, ncols gb.Index
 	cuts         []int

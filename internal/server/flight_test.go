@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"hhgb"
 	"hhgb/internal/flight"
+	"hhgb/internal/pool"
 	"hhgb/internal/proto"
 )
 
@@ -39,7 +41,7 @@ func TestIngestStageSpansReconcile(t *testing.T) {
 
 	// A span finalizes when the last shard reference drops, which may
 	// trail the ack; wait for all totals to land.
-	hists := flight.RegisterStageHistograms(reg)
+	hists := flight.IngestPlane.Histograms(reg)
 	total := hists[flight.StageTotal]
 	deadline := time.Now().Add(5 * time.Second)
 	for total.Count() < frames {
@@ -57,7 +59,7 @@ func TestIngestStageSpansReconcile(t *testing.T) {
 	var syncSum float64
 	for _, st := range syncStages {
 		if n := hists[st].Count(); n != frames {
-			t.Errorf("stage %s has %d observations, want %d", st, n, frames)
+			t.Errorf("stage %d has %d observations, want %d", st, n, frames)
 		}
 		syncSum += sum(st)
 	}
@@ -97,5 +99,65 @@ func TestIngestStageSpansReconcile(t *testing.T) {
 				t.Fatalf("frame %d pipeline out of order: %v, want %v", seq, order, want)
 			}
 		}
+	}
+}
+
+// TestIngestSpanPoolBalanced is the ingest twin of
+// TestQuerySpanPoolBalanced: it swaps the ingest tracer's span free-list
+// for a leak-detecting pool, samples every frame of concurrent sessioned
+// producers on a 2-shard matrix — so most spans are released by several
+// shard workers — and adds the paths around the Drop calls: a duplicate
+// retransmit and a rejected frame drop their span, and an overload
+// refusal never takes one. After Close, every sampled span must have been
+// returned exactly once.
+func TestIngestSpanPoolBalanced(t *testing.T) {
+	const maxInFlight = 1024
+	srv, _, addr := startServer(t, 64, Config{TraceSample: 1, MaxInFlight: maxInFlight})
+	checked := pool.NewChecked(8, srv.tracer.AllocSpan, nil)
+	srv.tracer.SetPool(checked)
+
+	// Each producer sends 40 frames plus one retransmit after a reconnect,
+	// and ends on a Flush barrier: every shard has released its span
+	// references by the time the producer returns.
+	const producers, framesEach = 4, 40 + 1
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			errs <- leakProducer(addr, fmt.Sprintf("span-%d", p), int64(p+1), func(r, c, v uint64) {})
+		}(p)
+	}
+	for p := 0; p < producers; p++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := dialRaw(t, addr)
+	c.handshake()
+	over := make([]uint64, maxInFlight+1)
+	body, err := proto.AppendInsert(nil, 1, over, over, over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.send(proto.KindInsert, body)
+	c.expectError(1, proto.ErrCodeOverload)
+	// A timestamped frame on a flat server is sampled, then rejected.
+	body, err = proto.AppendInsertAt(nil, 2, 5, []uint64{1}, []uint64{2}, []uint64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.send(proto.KindInsertAt, body)
+	c.expectError(2, proto.ErrCodeRejected)
+
+	c.nc.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := checked.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	gets, puts := checked.Stats()
+	if want := int64(producers*framesEach + 1); gets != want || puts != gets {
+		t.Fatalf("span pool gets=%d puts=%d, want %d each (every admitted frame sampled once)", gets, puts, want)
 	}
 }

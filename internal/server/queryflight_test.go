@@ -63,7 +63,7 @@ func TestQueryStageSpansReconcile(t *testing.T) {
 	nq := uint64(len(queries))
 
 	// A span finalizes just after its response is written; wait for all.
-	hists := flight.RegisterQueryStageHistograms(reg)
+	hists := flight.QueryPlane.Histograms(reg)
 	total := hists[flight.QStageTotal]
 	deadline := time.Now().Add(5 * time.Second)
 	for total.Count() < nq {
@@ -73,18 +73,18 @@ func TestQueryStageSpansReconcile(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	sum := func(st flight.QStage) float64 {
+	sum := func(st flight.Stage) float64 {
 		_, _, _, s := hists[st].Snapshot()
 		return s
 	}
-	syncStages := []flight.QStage{
+	syncStages := []flight.Stage{
 		flight.QStageDecode, flight.QStageQueue, flight.QStagePlan, flight.QStageFanout,
 		flight.QStageMerge, flight.QStageEncode, flight.QStageAck,
 	}
 	var syncSum float64
 	for _, st := range syncStages {
 		if n := hists[st].Count(); n != nq {
-			t.Errorf("stage %s has %d observations, want %d", st, n, nq)
+			t.Errorf("stage %d has %d observations, want %d", st, n, nq)
 		}
 		syncSum += sum(st)
 	}
@@ -314,7 +314,7 @@ func TestUntracedQueryDecodeAllocFree(t *testing.T) {
 			t.Fatal("inactive tracer read the clock")
 		}
 		c.sampleQuery(&req, start)
-		if req.qspan != nil {
+		if req.span != nil {
 			t.Fatal("inactive tracer attached a span")
 		}
 	}); a != 0 {

@@ -206,7 +206,7 @@ type Server struct {
 	tracer *flight.Tracer
 	// qtracer spans read ops the same way; always non-nil. Every query is
 	// spanned when tracing is on at all (see Config.SlowQuery).
-	qtracer *flight.QueryTracer
+	qtracer *flight.Tracer
 	// shardMet is the registry's shard instrument set — the same counters
 	// the fronted matrix's workers bump when Config.Metrics matches the
 	// matrix's registry (the deployment shape). EXPLAIN reads the
@@ -265,8 +265,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		conns:     make(map[*conn]struct{}),
 		opHist:    opHistograms(cfg.Metrics),
-		tracer:    flight.NewTracer(cfg.Metrics, cfg.Flight, cfg.TraceSample, cfg.SlowFrame),
-		qtracer:   flight.NewQueryTracer(cfg.Metrics, cfg.Flight, qEvery, cfg.SlowQuery),
+		tracer:    flight.NewTracer(flight.IngestPlane, cfg.Metrics, cfg.Flight, cfg.TraceSample, cfg.SlowFrame),
+		qtracer:   flight.NewTracer(flight.QueryPlane, cfg.Metrics, cfg.Flight, qEvery, cfg.SlowQuery),
 		shardMet:  shard.NewMetrics(cfg.Metrics),
 		batchPool: pool.New(batchPoolCap, func() *proto.Batch { return new(proto.Batch) }),
 	}
@@ -464,12 +464,11 @@ type request struct {
 	ts    uint64       // insertAt: event time, unix nanoseconds
 	q     proto.Query  // the six query kinds and explain
 	level byte         // subscribe
-	// span is the frame's sampled latency span (inserts only, 1 in
-	// Config.TraceSample); nil on unsampled frames, and every span method
-	// is nil-safe, so the common path pays one branch per mark.
+	// span is the request's sampled latency span: an ingest span on 1 in
+	// Config.TraceSample inserts, a query span on read ops when query
+	// tracing is on. Nil otherwise, and every span method is nil-safe, so
+	// the common path pays one branch per mark.
 	span *flight.Span
-	// qspan is the query-path analog (read ops only); same nil-safety.
-	qspan *flight.QuerySpan
 }
 
 // conn is one accepted connection.
@@ -840,7 +839,7 @@ func (c *conn) queryStart() int64 {
 func (c *conn) sampleQuery(req *request, start int64) {
 	if sp := c.srv.qtracer.Sample(c.id, c.session, req.seq, start); sp != nil {
 		sp.EndStage(flight.QStageDecode)
-		req.qspan = sp
+		req.span = sp
 	}
 }
 
@@ -959,10 +958,9 @@ func (c *conn) apply(app *hhgb.Appender) {
 	for req := range c.queue {
 		begun := time.Now()
 		flush := len(c.queue) == 0
-		// Sampled inserts close their queue-wait stage at dequeue; nil-safe
-		// no-op for everything else. Spanned queries likewise.
+		// Sampled inserts and spanned queries close their queue-wait stage
+		// at dequeue (stage 1 on both planes); nil-safe no-op otherwise.
 		req.span.EndStage(flight.StageQueue)
-		req.qspan.EndStage(flight.QStageQueue)
 		var err error
 		switch req.kind {
 		case proto.KindInsert, proto.KindInsertAt:
@@ -1126,7 +1124,7 @@ type querier interface {
 // because it is that query. Diagnostic path: Explain may allocate.
 func (c *conn) serveQuery(req request, flush bool) error {
 	s := c.srv
-	q, sp := req.q, req.qspan
+	q, sp := req.q, req.span
 	s.queries.Add(1)
 	var (
 		ex           *flight.QueryExplain
@@ -1194,8 +1192,8 @@ func (c *conn) serveQuery(req request, flush bool) error {
 		if q.Op != proto.KindLookup {
 			shards = s.cfg.Matrix.Shards() // all-shard barrier
 		}
-		sp.ObserveLeg(d)
-		sp.TouchShards(shards)
+		sp.ObserveMax(flight.QStageFanoutMax, d)
+		sp.Touch(flight.NoWindow, shards)
 		sp.AdvanceStage(flight.QStageFanout)
 		if ex != nil {
 			ex.Legs = []flight.ExplainLeg{{Shards: shards, Dur: d}}
@@ -1277,7 +1275,7 @@ func explainToWire(ex *flight.QueryExplain) proto.Explain {
 // is ErrCodeRejected, a closed store ErrCodeClosed, anything else
 // ErrCodeInternal.
 func (c *conn) queryFailed(req request, err error) error {
-	req.qspan.Drop()
+	req.span.Drop()
 	var rej rejection
 	switch {
 	case errors.As(err, &rej):
@@ -1322,7 +1320,6 @@ func (c *conn) drainQuietly() {
 			c.srv.batchPool.Put(req.batch)
 		}
 		req.span.Drop() // never applied; recycle unobserved
-		req.qspan.Drop()
 	}
 }
 

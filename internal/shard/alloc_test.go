@@ -90,14 +90,14 @@ func TestAllocBudgetSessionDedupTraced(t *testing.T) {
 	vals := []float64{1, 1, 1}
 	// Advance the session frontier past the seq the loop replays, then
 	// drain so the workers are parked before the measurement.
-	if dup, err := g.UpdateSessionSpan("storm", 8, rows, cols, vals, nil); err != nil || dup {
+	if dup, err := g.UpdateSession("storm", 8, rows, cols, vals, nil); err != nil || dup {
 		t.Fatalf("seed frame: dup=%v err=%v", dup, err)
 	}
 	if err := g.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		dup, err := g.UpdateSessionSpan("storm", 3, rows, cols, vals, nil)
+		dup, err := g.UpdateSession("storm", 3, rows, cols, vals, nil)
 		if err != nil || !dup {
 			t.Fatalf("dup=%v err=%v, want dup", dup, err)
 		}

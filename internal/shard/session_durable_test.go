@@ -22,7 +22,7 @@ func ktSessApply(t *testing.T, g *Group[uint64], batches []int) {
 	t.Helper()
 	for _, i := range batches {
 		r, c, v := ktBatch(i)
-		dup, err := g.UpdateSession("sess-kt", uint64(i)+1, r, c, v)
+		dup, err := g.UpdateSession("sess-kt", uint64(i)+1, r, c, v, nil)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -38,7 +38,7 @@ func ktSessReplay(t *testing.T, g *Group[uint64], batches []int) (dups int) {
 	t.Helper()
 	for _, i := range batches {
 		r, c, v := ktBatch(i)
-		dup, err := g.UpdateSession("sess-kt", uint64(i)+1, r, c, v)
+		dup, err := g.UpdateSession("sess-kt", uint64(i)+1, r, c, v, nil)
 		if err != nil {
 			t.Fatalf("replay batch %d: %v", i, err)
 		}
@@ -265,7 +265,7 @@ func TestSessionMinFrontierUnderReport(t *testing.T) {
 	ktSessApply(t, g, seq(0, 10))
 	// Seq 11: a single-cell frame — exactly one shard's table reaches 11.
 	one := []gb.Index{42}
-	if dup, err := g.UpdateSession("sess-kt", 11, one, one, []uint64{5}); err != nil || dup {
+	if dup, err := g.UpdateSession("sess-kt", 11, one, one, []uint64{5}, nil); err != nil || dup {
 		t.Fatalf("seq 11: dup=%v err=%v", dup, err)
 	}
 	if err := g.Flush(); err != nil { // everything above is fully durable
@@ -283,7 +283,7 @@ func TestSessionMinFrontierUnderReport(t *testing.T) {
 	}
 	// The client, told 10, retransmits seq 11. The group frontier (also
 	// 10) lets it through; the owning shard's table says 11 and drops it.
-	if dup, err := rec.UpdateSession("sess-kt", 11, one, one, []uint64{5}); err != nil || dup {
+	if dup, err := rec.UpdateSession("sess-kt", 11, one, one, []uint64{5}, nil); err != nil || dup {
 		t.Fatalf("retransmit of seq 11: dup=%v err=%v (group frontier must under-report)", dup, err)
 	}
 	if err := rec.Flush(); err != nil {

@@ -512,17 +512,14 @@ func (g *Group[T]) Update(rows, cols []gb.Index, vals []T) error {
 // high-water mark a complete dedup test). An empty batch still advances
 // the frontier, so seq holes never form. Sessions longer than
 // wal.MaxSessionID, empty sessions, and zero seqs are rejected.
-func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Index, vals []T) (bool, error) {
-	return g.UpdateSessionSpan(session, seq, rows, cols, vals, nil)
-}
-
-// UpdateSessionSpan is UpdateSession carrying a sampled frame's latency
-// span. When sp is non-nil, the handoff instant is stamped and each
-// non-empty partition takes one span reference before it is enqueued;
-// the shard workers attribute queue-wait, WAL, and apply time to the
-// span and release the references as they finish. The caller keeps its
-// own reference throughout — a dup or error return never transfers any.
-func (g *Group[T]) UpdateSessionSpan(session string, seq uint64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
+//
+// sp is the frame's sampled latency span, nil when unsampled. When it is
+// non-nil, the handoff instant is stamped and each non-empty partition
+// takes one span reference before it is enqueued; the shard workers
+// attribute queue-wait, WAL, and apply time to the span and release the
+// references as they finish. The caller keeps its own reference
+// throughout — a dup or error return never transfers any.
+func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
 	if session == "" || seq == 0 {
 		return false, fmt.Errorf("%w: session %q seq %d", gb.ErrInvalidValue, session, seq)
 	}

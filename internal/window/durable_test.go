@@ -179,13 +179,13 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if dup, err := s.AppendSession("sess-W", 1, 5, []gb.Index{1}, []gb.Index{2}, []uint64{3}); err != nil || dup {
+		if dup, err := s.AppendSession("sess-W", 1, 5, []gb.Index{1}, []gb.Index{2}, []uint64{3}, nil); err != nil || dup {
 			t.Fatalf("seq 1: dup=%v err=%v", dup, err)
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if dup, err := s.AppendSession("sess-W", 2, 7, []gb.Index{3}, []gb.Index{4}, []uint64{5}); err != nil || dup {
+		if dup, err := s.AppendSession("sess-W", 2, 7, []gb.Index{3}, []gb.Index{4}, []uint64{5}, nil); err != nil || dup {
 			t.Fatalf("seq 2: dup=%v err=%v", dup, err)
 		}
 		// Drain the owning window's group (not a store barrier: the
@@ -208,10 +208,10 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 		}
 		// The resuming client retransmits seq 2 — absorbed by the window's
 		// per-shard tables — and mints new data at 3, which must land.
-		if _, err := rec.AppendSession("sess-W", 2, 7, []gb.Index{3}, []gb.Index{4}, []uint64{5}); err != nil {
+		if _, err := rec.AppendSession("sess-W", 2, 7, []gb.Index{3}, []gb.Index{4}, []uint64{5}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if dup, err := rec.AppendSession("sess-W", 3, 9, []gb.Index{5}, []gb.Index{6}, []uint64{7}); err != nil || dup {
+		if dup, err := rec.AppendSession("sess-W", 3, 9, []gb.Index{5}, []gb.Index{6}, []uint64{7}, nil); err != nil || dup {
 			t.Fatalf("seq 3: dup=%v err=%v", dup, err)
 		}
 		if err := rec.Flush(); err != nil {

@@ -35,7 +35,7 @@ type Range[T gb.Number] struct {
 	// goroutine (a Range is not safe for concurrent queries once
 	// instrumented). Both nil on the normal path: each leg then costs
 	// two nil checks and no clock reads.
-	sp     *flight.QuerySpan
+	sp     *flight.Span
 	ex     *flight.QueryExplain
 	single bool // the in-flight query routes each leg to one shard
 }
@@ -47,7 +47,7 @@ type Range[T gb.Number] struct {
 // timings and fan-out counts are filled in as the next query method
 // executes. Instrument supports one query method per call (re-instrument
 // to run another).
-func (r *Range[T]) Instrument(sp *flight.QuerySpan, ex *flight.QueryExplain) {
+func (r *Range[T]) Instrument(sp *flight.Span, ex *flight.QueryExplain) {
 	r.sp, r.ex = sp, ex
 	if ex == nil {
 		return
@@ -82,7 +82,7 @@ func (r *Range[T]) leg(i int, w *win[T], f func(w *win[T]) error) error {
 	t0 := flight.Now()
 	err := f(w)
 	d := time.Duration(flight.Now() - t0)
-	r.sp.ObserveLeg(d)
+	r.sp.ObserveMax(flight.QStageFanoutMax, d)
 	r.sp.Touch(w.level, shards)
 	r.sp.AdvanceStage(flight.QStageFanout)
 	if r.ex != nil && i < len(r.ex.Legs) {

@@ -379,56 +379,7 @@ func (s *Store[T]) newWin(level int, start int64, shards int) (*win[T], error) {
 // ErrLate; crossing a window boundary may trigger sealing (and roll-up and
 // expiry) work, which runs on the caller.
 func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
-	if ts < 0 {
-		return fmt.Errorf("%w: negative timestamp %d", gb.ErrInvalidValue, ts)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if ts > s.watermark {
-		s.watermark = ts
-	}
-	start := alignDown(ts, s.spans[0])
-	if start < s.sealedTo {
-		s.stats.LateDrops += int64(len(rows))
-		frontier := s.sealedTo
-		s.mu.Unlock()
-		return fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, frontier)
-	}
-	w := s.wins[key{0, start}]
-	if w == nil {
-		var err error
-		if w, err = s.newWin(0, start, 0); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	sealWork := s.scheduleSealsLocked()
-	s.mu.Unlock()
-
-	// Ingest outside the store lock: Update may block on a full shard
-	// queue, and the shared wmu excludes the sealer, so a seal-time
-	// summary always includes every append that beat it here.
-	w.wmu.RLock()
-	var err error
-	if w.state.Load() != Active {
-		// The window was picked for sealing between the lookup and the
-		// lock: the entry became late mid-flight (another producer pushed
-		// the watermark past it). Refuse it exactly like any late append.
-		err = fmt.Errorf("%w: window [%d,%d) sealed mid-append", ErrLate, w.start, w.end)
-		s.mu.Lock()
-		s.stats.LateDrops += int64(len(rows))
-		s.mu.Unlock()
-	} else {
-		err = w.g.Update(rows, cols, vals)
-	}
-	w.wmu.RUnlock()
-
-	if sealWork {
-		s.runSeals()
-	}
+	_, err := s.append("", 0, ts, rows, cols, vals, nil)
 	return err
 }
 
@@ -443,27 +394,29 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 // corner stays loud by design: a frame whose original delivery was lost
 // un-synced in a crash, retransmitted after its window was re-sealed,
 // fails with ErrLate — the data missed its window and is refused, never
-// silently dropped.
-func (s *Store[T]) AppendSession(session string, seq uint64, ts int64, rows, cols []gb.Index, vals []T) (bool, error) {
-	return s.AppendSessionSpan(session, seq, ts, rows, cols, vals, nil)
-}
-
-// AppendSessionSpan is AppendSession carrying a sampled frame's latency
-// span, threaded through to the window group's UpdateSessionSpan so
-// shard workers can attribute the frame's async stages. A nil span is
-// the common (unsampled) case and costs nothing.
-func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
+// silently dropped. sp is the frame's sampled latency span (nil when
+// unsampled), threaded through to the window group's UpdateSession so
+// shard workers can attribute the frame's async stages.
+func (s *Store[T]) AppendSession(session string, seq uint64, ts int64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
 	if session == "" || seq == 0 {
 		return false, fmt.Errorf("%w: session %q seq %d", gb.ErrInvalidValue, session, seq)
 	}
+	return s.append(session, seq, ts, rows, cols, vals, sp)
+}
+
+// append is the body of Append and AppendSession. An empty session is a
+// plain append: no dedup lookup and no frontier advance.
+func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
 	if ts < 0 {
 		return false, fmt.Errorf("%w: negative timestamp %d", gb.ErrInvalidValue, ts)
 	}
-	s.sessMu.Lock()
-	prev := s.accepted[session]
-	s.sessMu.Unlock()
-	if seq <= prev {
-		return true, nil
+	if session != "" {
+		s.sessMu.Lock()
+		prev := s.accepted[session]
+		s.sessMu.Unlock()
+		if seq <= prev {
+			return true, nil
+		}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -477,7 +430,7 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	if start < s.sealedTo {
 		// Behind the frontier: a retransmission of a frame the sealed
 		// window already holds is a duplicate, not a late arrival.
-		if w := s.wins[key{0, start}]; w != nil && w.state.Load() == Sealed && seq <= w.sessHigh[session] {
+		if w := s.wins[key{0, start}]; session != "" && w != nil && w.state.Load() == Sealed && seq <= w.sessHigh[session] {
 			s.mu.Unlock()
 			s.advanceAccepted(session, seq)
 			return true, nil
@@ -498,20 +451,29 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	sealWork := s.scheduleSealsLocked()
 	s.mu.Unlock()
 
+	// Ingest outside the store lock: Update may block on a full shard
+	// queue, and the shared wmu excludes the sealer, so a seal-time
+	// summary always includes every append that beat it here.
 	w.wmu.RLock()
 	var dup bool
 	var err error
-	if w.state.Load() != Active {
+	switch {
+	case w.state.Load() != Active:
+		// The window was picked for sealing between the lookup and the
+		// lock: the entry became late mid-flight (another producer pushed
+		// the watermark past it). Refuse it exactly like any late append.
 		err = fmt.Errorf("%w: window [%d,%d) sealed mid-append", ErrLate, w.start, w.end)
 		s.mu.Lock()
 		s.stats.LateDrops += int64(len(rows))
 		s.mu.Unlock()
-	} else {
+	case session == "":
+		err = w.g.Update(rows, cols, vals)
+	default:
 		// The group may still recognize the frame (its own frontier can
 		// run ahead of the store's after a recovery); either way a nil
 		// error means the frame is accounted for, so the store frontier
 		// advances.
-		dup, err = w.g.UpdateSessionSpan(session, seq, rows, cols, vals, sp)
+		dup, err = w.g.UpdateSession(session, seq, rows, cols, vals, sp)
 		if err == nil {
 			s.advanceAccepted(session, seq)
 		}

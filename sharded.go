@@ -205,7 +205,7 @@ func (s *Sharded) AppendWeightedSession(session string, seq uint64, src, dst, we
 // frame's latency span (see the network server's tracing); a nil span —
 // the unsampled common case — costs nothing.
 func (s *Sharded) AppendWeightedSessionSpan(session string, seq uint64, src, dst, weight []uint64, sp *IngestSpan) (bool, error) {
-	return s.g.UpdateSessionSpan(session, seq, src, dst, weight, sp)
+	return s.g.UpdateSession(session, seq, src, dst, weight, sp)
 }
 
 // SessionResume reports a session's resume frontier: the highest insert

@@ -182,7 +182,7 @@ func (w *Windowed) AppendWeightedAtSession(session string, seq uint64, ts time.T
 // sampled frame's latency span (see the network server's tracing); a
 // nil span — the unsampled common case — costs nothing.
 func (w *Windowed) AppendWeightedAtSessionSpan(session string, seq uint64, ts time.Time, src, dst, weight []uint64, sp *IngestSpan) (bool, error) {
-	return w.s.AppendSessionSpan(session, seq, ts.UnixNano(), src, dst, weight, sp)
+	return w.s.AppendSession(session, seq, ts.UnixNano(), src, dst, weight, sp)
 }
 
 // SessionResume reports a session's resume frontier, like
