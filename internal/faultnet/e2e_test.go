@@ -178,6 +178,9 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		// restored (the kill -9 test below).
 		{"cut-mid-stream", []faultnet.ConnPlan{{CutAfterC2SFrames: 5}}, 2, false},
 		{"blackhole-acks", []faultnet.ConnPlan{{BlackholeS2CAfter: 3, CutAfterC2SFrames: 9}}, 2, false},
+		// No frame-count cut: the final Flush's ack vanishes and only the
+		// relay's idle cut frees the client to reconnect and retransmit.
+		{"blackhole-until-idle", []faultnet.ConnPlan{{BlackholeS2CAfter: 3}}, 2, false},
 		{"duplicate-delivery", []faultnet.ConnPlan{{DuplicateC2SFrame: 4}}, 1, true},
 		{"truncate-mid-frame", []faultnet.ConnPlan{{TruncateC2SFrame: 6}}, 2, false},
 		{"double-cut", []faultnet.ConnPlan{{CutAfterC2SFrames: 4}, {CutAfterC2SFrames: 3}}, 3, false},

@@ -11,6 +11,11 @@
 // exactly-once end-to-end tests assert bit-identical recovery instead of
 // "mostly survived".
 //
+// One fault is bounded by wall time: a blackholing connection whose
+// client falls silent (see ConnPlan.BlackholeS2CAfter) is severed after
+// blackholeIdleCut, so a client waiting on a vanished ack cannot wait
+// forever.
+//
 // The relay redials a vanished upstream with retries, so a test can
 // SIGKILL the real server and restart it on the same address while
 // clients reconnect through the relay.
@@ -22,6 +27,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,6 +35,15 @@ import (
 // shape-only) — a larger length prefix means the stream is torn or
 // hostile, and the relay severs rather than buffering it.
 const maxFrame = 1 << 24
+
+// blackholeIdleCut severs a blackholing connection once its client has
+// sent nothing for this long — the relay's stand-in for a client's ack
+// timeout. A client blocked on a vanished ack (a Flush barrier, or its
+// last frames before it would have reached CutAfterC2SFrames) sends
+// nothing more, so a frame-count cut alone could leave it waiting
+// forever. Streaming clients send far more often than this, so the
+// frame-count cut still fires first whenever the stream reaches it.
+const blackholeIdleCut = 500 * time.Millisecond
 
 // ConnPlan scripts the faults for one relayed connection. The zero value
 // is a transparent relay. Frame counts are 1-based and count only the
@@ -40,7 +55,9 @@ type ConnPlan struct {
 	// BlackholeS2CAfter silently drops every server→client frame after
 	// this many have been relayed (0 = relay all). Inserts keep flowing
 	// upstream while their acks vanish — the sharpest dedup test, since
-	// the server applied frames the client still holds in doubt.
+	// the server applied frames the client still holds in doubt. Once a
+	// frame has been dropped, a client silent for blackholeIdleCut is
+	// severed as if by CutAfterC2SFrames.
 	BlackholeS2CAfter int
 	// DuplicateC2SFrame delivers this client→server frame twice, back to
 	// back (0 = none): duplicate delivery without any disconnect.
@@ -158,6 +175,9 @@ func (r *Relay) relay(down net.Conn, plan ConnPlan) {
 			up.Close()
 		})
 	}
+	// dropping is set once the server → client direction has dropped a
+	// frame; from then on down carries the idle read deadline.
+	var dropping atomic.Bool
 	var pair sync.WaitGroup
 	pair.Add(2)
 	go func() { // client → server: the scripted direction
@@ -171,6 +191,9 @@ func (r *Relay) relay(down net.Conn, plan ConnPlan) {
 				return
 			}
 			frames++
+			if dropping.Load() {
+				down.SetReadDeadline(time.Now().Add(blackholeIdleCut))
+			}
 			whole := append(hdr, payload...)
 			if plan.TruncateC2SFrame == frames {
 				up.Write(whole[:len(whole)/2]) // torn mid-frame, then gone
@@ -201,7 +224,11 @@ func (r *Relay) relay(down net.Conn, plan ConnPlan) {
 			}
 			frames++
 			if plan.BlackholeS2CAfter > 0 && frames > plan.BlackholeS2CAfter {
-				continue // the ack vanishes; keep draining upstream
+				// The ack vanishes; keep draining upstream, and give the
+				// client blackholeIdleCut to send again before severing.
+				dropping.Store(true)
+				down.SetReadDeadline(time.Now().Add(blackholeIdleCut))
+				continue
 			}
 			if _, err := down.Write(append(hdr, payload...)); err != nil {
 				return

@@ -332,10 +332,8 @@ func TestTracerRecordsPipelineToRing(t *testing.T) {
 }
 
 // TestAllocBudgets pins the tracing plane's hot-path allocation costs:
-// ring records, nil spans, and nil, rate-0 and unsampled tracers are
-// free; a warm sampled span's whole lifecycle — stages, fan-out shape,
-// finalize, and with slow == 0 the ring record — allocates nothing on
-// either plane (spans are pooled, not sync.Pooled).
+// ring records and nil spans are free, and so is the ingest plane's
+// span lifecycle (see planeAllocBudgets).
 func TestAllocBudgets(t *testing.T) {
 	rec := NewRecorder(1024)
 	if a := testing.AllocsPerRun(200, func() {
@@ -360,44 +358,57 @@ func TestAllocBudgets(t *testing.T) {
 		t.Fatalf("nil-span methods allocate %.1f/op, budget is 0", a)
 	}
 
-	for _, pc := range planes {
-		for _, off := range []struct {
-			name string
-			tr   *Tracer
-		}{
-			{"nil", nil},
-			{"rate-0", NewTracer(pc.plane, nil, nil, 0, -1)},
-			{"unsampled", NewTracer(pc.plane, nil, nil, 1<<30, -1)},
-		} {
-			if off.name != "unsampled" && off.tr.Active() {
-				t.Fatalf("%s %s tracer active", pc.name, off.name)
-			}
-			if a := testing.AllocsPerRun(200, func() {
-				if off.tr.Sample(1, "s", 2, Now()) != nil {
-					t.Fatalf("%s %s tracer sampled", pc.name, off.name)
-				}
-			}); a != 0 {
-				t.Fatalf("%s %s Sample allocates %.1f/op, budget is 0", pc.name, off.name, a)
-			}
-		}
+	planeAllocBudgets(t, planes[0], rec)
+}
 
-		// Warm sampled lifecycle, span recycled each run: slow=-1 keeps the
-		// ring out of it; with slow=0 RecordAt writes preallocated slots.
-		for _, cfg := range []struct {
-			name string
-			slow time.Duration
-		}{{"histograms-only", -1}, {"ring-recorded", 0}} {
-			tr := NewTracer(pc.plane, nil, rec, 1, cfg.slow)
-			pc.drive(tr.Sample(9, "sess", 1, Now()), 0)
-			if a := testing.AllocsPerRun(200, func() {
-				sp := tr.Sample(9, "sess", 1, Now())
-				if sp == nil {
-					t.Fatal("rate-1 did not sample")
-				}
-				pc.drive(sp, 0)
-			}); a != 0 {
-				t.Fatalf("%s %s: warm sampled span lifecycle allocates %.1f/op, budget is 0", pc.name, cfg.name, a)
+// TestQuerySpanAllocBudgets pins the query plane's span lifecycle costs
+// (see planeAllocBudgets) — the same budgets as the ingest plane's.
+func TestQuerySpanAllocBudgets(t *testing.T) {
+	planeAllocBudgets(t, planes[1], NewRecorder(1024))
+}
+
+// planeAllocBudgets checks one plane: nil, rate-0 and unsampled tracers
+// are free, and a warm sampled span's whole lifecycle — stages, fan-out
+// shape, finalize, and with slow == 0 the ring record into rec —
+// allocates nothing (spans are pooled, not sync.Pooled).
+func planeAllocBudgets(t *testing.T, pc planeCase, rec *Recorder) {
+	t.Helper()
+	for _, off := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"nil", nil},
+		{"rate-0", NewTracer(pc.plane, nil, nil, 0, -1)},
+		{"unsampled", NewTracer(pc.plane, nil, nil, 1<<30, -1)},
+	} {
+		if off.name != "unsampled" && off.tr.Active() {
+			t.Fatalf("%s %s tracer active", pc.name, off.name)
+		}
+		if a := testing.AllocsPerRun(200, func() {
+			if off.tr.Sample(1, "s", 2, Now()) != nil {
+				t.Fatalf("%s %s tracer sampled", pc.name, off.name)
 			}
+		}); a != 0 {
+			t.Fatalf("%s %s Sample allocates %.1f/op, budget is 0", pc.name, off.name, a)
+		}
+	}
+
+	// Warm sampled lifecycle, span recycled each run: slow=-1 keeps the
+	// ring out of it; with slow=0 RecordAt writes preallocated slots.
+	for _, cfg := range []struct {
+		name string
+		slow time.Duration
+	}{{"histograms-only", -1}, {"ring-recorded", 0}} {
+		tr := NewTracer(pc.plane, nil, rec, 1, cfg.slow)
+		pc.drive(tr.Sample(9, "sess", 1, Now()), 0)
+		if a := testing.AllocsPerRun(200, func() {
+			sp := tr.Sample(9, "sess", 1, Now())
+			if sp == nil {
+				t.Fatal("rate-1 did not sample")
+			}
+			pc.drive(sp, 0)
+		}); a != 0 {
+			t.Fatalf("%s %s: warm sampled span lifecycle allocates %.1f/op, budget is 0", pc.name, cfg.name, a)
 		}
 	}
 }
