@@ -400,20 +400,23 @@ func (t *Tracer) finalize(s *Span) {
 	if !s.dropped {
 		total := s.last - s.start
 		s.stages[len(t.hist)-1].Store(total)
-		for st, h := range t.hist {
-			// The sync chain observes unconditionally to keep counts
-			// reconcilable; async stages only when the request reached them.
-			if d := max(s.stages[st].Load(), 0); d != 0 || t.p.async&(1<<st) == 0 {
-				h.Observe(float64(d) / 1e9)
-			}
+		// The total is observed last, after the ring, the shape and every
+		// other stage: a reader that waits on the total's count and then
+		// reads the rest finds the span's whole record.
+		if t.rec != nil && t.slow >= 0 && total >= t.slow {
+			t.recordPipeline(s, total)
 		}
 		for i, h := range t.shape {
 			if n := s.shape[i]; n > 0 {
 				h.Observe(float64(n))
 			}
 		}
-		if t.rec != nil && t.slow >= 0 && total >= t.slow {
-			t.recordPipeline(s, total)
+		for st, h := range t.hist {
+			// The sync chain observes unconditionally to keep counts
+			// reconcilable; async stages only when the request reached them.
+			if d := max(s.stages[st].Load(), 0); d != 0 || t.p.async&(1<<st) == 0 {
+				h.Observe(float64(d) / 1e9)
+			}
 		}
 	}
 	s.sess = "" // drop the session string reference before pooling

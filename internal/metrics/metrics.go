@@ -111,20 +111,21 @@ type Histogram struct {
 	sum    atomicFloat
 }
 
-// Observe records one observation.
+// Observe records one observation. The sum is added before the count, so
+// a reader that waits for a count and then reads the sum finds every
+// counted observation in it.
 func (h *Histogram) Observe(v float64) {
+	h.sum.add(v)
 	// Find the first bucket whose upper bound contains v. Linear scan:
 	// bucket counts are small (16 by default) and the branch predictor
 	// wins over binary search at this size.
 	for i, ub := range h.uppers {
 		if v <= ub {
 			h.counts[i].Add(1)
-			h.sum.add(v)
 			return
 		}
 	}
 	h.inf.Add(1)
-	h.sum.add(v)
 }
 
 // Count returns the total number of observations.

@@ -16,9 +16,12 @@
 // The reader decodes frames and enqueues requests; the applier executes
 // them in order — inserts go into the connection's own hhgb.Appender (one
 // producer, zero cross-connection contention), queries and flushes run the
-// facade's barrier path — and writes the responses. Per-connection program
-// order is therefore preserved: a Lookup after an acked Insert on the same
-// connection observes that insert.
+// facade's barrier path — and writes the responses. A query that arrives
+// while nothing is queued or executing on the connection skips the queue:
+// the reader serves it and writes its response itself, saving a goroutine
+// hop each way. Per-connection program order is therefore preserved: a
+// Lookup after an Insert on the same connection — acked or only
+// pipelined — observes that insert.
 //
 // # Backpressure and overload
 //
@@ -487,6 +490,13 @@ type conn struct {
 
 	queue    chan request
 	draining atomic.Bool
+	// busy counts the requests the reader has enqueued and the applier has
+	// not yet answered. Only the reader adds to it, so when the reader
+	// reads zero, nothing is queued or executing on the connection and
+	// every earlier frame has taken effect and been answered: the reader
+	// may serve a query itself (see run). After a write failure the
+	// applier drains without answering, and busy stays above zero.
+	busy atomic.Int64
 
 	// ackBuf is the applier's reusable Ack body scratch (see conn.ack);
 	// owned by the applier goroutine exclusively.
@@ -704,6 +714,17 @@ func (c *conn) run() {
 		if drop {
 			continue
 		}
+		if isQuery(req.kind) && c.busy.Load() == 0 {
+			// An idle connection's query runs here: program order holds
+			// with nothing ahead of it, and the hop to the applier and
+			// back is most of a small read's latency.
+			if err := c.serve(req, app, true); err != nil {
+				c.srv.logf("conn %d: write: %v", c.id, err)
+				break
+			}
+			continue
+		}
+		c.busy.Add(1)
 		c.queue <- req
 		if req.kind == proto.KindGoodbye {
 			break
@@ -944,6 +965,18 @@ func rangeView(wm *hhgb.Windowed, t0, t1 uint64) (*hhgb.RangeView, error) {
 	return wm.QueryRange(time.Unix(0, int64(t0)), time.Unix(0, int64(t1)))
 }
 
+// isQuery reports whether a request kind is a read op: the six query
+// kinds and Explain. Only these may run on the reader (see run).
+func isQuery(kind byte) bool {
+	switch kind {
+	case proto.KindLookup, proto.KindTopK, proto.KindSummary,
+		proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
+		proto.KindExplain:
+		return true
+	}
+	return false
+}
+
 // apply executes queued requests in order. Responses flush when the queue
 // is momentarily empty (or on error frames), so acks batch under load.
 // app is the per-connection appender on a flat server, nil on a windowed
@@ -952,80 +985,9 @@ func (c *conn) apply(app *hhgb.Appender) {
 	if app != nil {
 		defer app.Close() // hands off any buffered entries
 	}
-	s := c.srv
-	m := s.cfg.Matrix
-	wm := s.cfg.Windowed
 	for req := range c.queue {
-		begun := time.Now()
-		flush := len(c.queue) == 0
-		// Sampled inserts and spanned queries close their queue-wait stage
-		// at dequeue (stage 1 on both planes); nil-safe no-op otherwise.
-		req.span.EndStage(flight.StageQueue)
-		var err error
-		switch req.kind {
-		case proto.KindInsert, proto.KindInsertAt:
-			err = c.serveInsert(req, app, flush)
-		case proto.KindFlush:
-			s.flushes.Add(1)
-			if wm != nil {
-				err = c.ackOp(req.seq, wm.Flush(), flush)
-			} else {
-				err = c.ackOp(req.seq, m.Flush(), flush)
-			}
-		case proto.KindCheckpoint:
-			s.checkpoints.Add(1)
-			if wm != nil {
-				err = c.ackOp(req.seq, wm.Checkpoint(), flush)
-			} else {
-				err = c.ackOp(req.seq, m.Checkpoint(), flush)
-			}
-		case proto.KindGoodbye:
-			// Drain this connection's buffers so a client that saw the
-			// ack can immediately observe its inserts via another
-			// connection's queries. Windowed appends apply synchronously;
-			// Flush makes them query-visible the same way.
-			switch {
-			case wm != nil:
-				err = c.ackOp(req.seq, wm.Flush(), true)
-			case app != nil:
-				err = c.ackOp(req.seq, app.Flush(), true)
-			default:
-				// Sessioned flat connection: no per-conn appender to
-				// drain, but a full Flush gives the same visibility
-				// guarantee to the goodbye ack.
-				err = c.ackOp(req.seq, m.Flush(), true)
-			}
-		case proto.KindLookup, proto.KindTopK, proto.KindSummary,
-			proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
-			proto.KindExplain:
-			err = c.serveQuery(req, flush)
-		case proto.KindSubscribe:
-			if wm == nil {
-				err = c.reject(req.seq, "subscriptions need a windowed server")
-				break
-			}
-			var sub *hhgb.WindowSub
-			if req.level == proto.SubscribeAllLevels {
-				sub = wm.Subscribe()
-			} else if int(req.level) < wm.Levels() {
-				sub = wm.Subscribe(int(req.level))
-			} else {
-				err = c.reject(req.seq, fmt.Sprintf("level %d beyond the server's %d levels", req.level, wm.Levels()))
-				break
-			}
-			s.subscriptions.Add(1)
-			// Ack first (under program order), then start the pusher:
-			// every summary the client sees follows its subscribe ack.
-			err = c.ack(req.seq, true)
-			if err != nil {
-				sub.Close()
-				break
-			}
-			c.startSub(sub, req.seq)
-		}
-		if h := s.opHist[req.kind]; h != nil {
-			h.Observe(time.Since(begun).Seconds())
-		}
+		err := c.serve(req, app, len(c.queue) == 0)
+		c.busy.Add(-1)
 		if err != nil {
 			// The write side is gone; stop responding but keep draining
 			// the queue so in-flight accounting and appender handoff
@@ -1036,6 +998,88 @@ func (c *conn) apply(app *hhgb.Appender) {
 		}
 	}
 	c.flushWriter()
+}
+
+// serve executes one request and writes its response; flush pushes the
+// response to the wire. The applier calls it for every queued request, the
+// reader for a query on an idle connection. Only the applier may pass an
+// insert, flush, checkpoint, goodbye or subscribe: those use the
+// applier-owned appender and ack scratch.
+func (c *conn) serve(req request, app *hhgb.Appender, flush bool) error {
+	s := c.srv
+	m := s.cfg.Matrix
+	wm := s.cfg.Windowed
+	begun := time.Now()
+	// Sampled inserts and spanned queries close their queue-wait stage
+	// at dequeue (stage 1 on both planes) — at once, ≈ 0, for a query the
+	// reader serves itself; nil-safe no-op otherwise.
+	req.span.EndStage(flight.StageQueue)
+	var err error
+	switch req.kind {
+	case proto.KindInsert, proto.KindInsertAt:
+		err = c.serveInsert(req, app, flush)
+	case proto.KindFlush:
+		s.flushes.Add(1)
+		if wm != nil {
+			err = c.ackOp(req.seq, wm.Flush(), flush)
+		} else {
+			err = c.ackOp(req.seq, m.Flush(), flush)
+		}
+	case proto.KindCheckpoint:
+		s.checkpoints.Add(1)
+		if wm != nil {
+			err = c.ackOp(req.seq, wm.Checkpoint(), flush)
+		} else {
+			err = c.ackOp(req.seq, m.Checkpoint(), flush)
+		}
+	case proto.KindGoodbye:
+		// Drain this connection's buffers so a client that saw the
+		// ack can immediately observe its inserts via another
+		// connection's queries. Windowed appends apply synchronously;
+		// Flush makes them query-visible the same way.
+		switch {
+		case wm != nil:
+			err = c.ackOp(req.seq, wm.Flush(), true)
+		case app != nil:
+			err = c.ackOp(req.seq, app.Flush(), true)
+		default:
+			// Sessioned flat connection: no per-conn appender to
+			// drain, but a full Flush gives the same visibility
+			// guarantee to the goodbye ack.
+			err = c.ackOp(req.seq, m.Flush(), true)
+		}
+	case proto.KindLookup, proto.KindTopK, proto.KindSummary,
+		proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
+		proto.KindExplain:
+		err = c.serveQuery(req, flush)
+	case proto.KindSubscribe:
+		if wm == nil {
+			err = c.reject(req.seq, "subscriptions need a windowed server")
+			break
+		}
+		var sub *hhgb.WindowSub
+		if req.level == proto.SubscribeAllLevels {
+			sub = wm.Subscribe()
+		} else if int(req.level) < wm.Levels() {
+			sub = wm.Subscribe(int(req.level))
+		} else {
+			err = c.reject(req.seq, fmt.Sprintf("level %d beyond the server's %d levels", req.level, wm.Levels()))
+			break
+		}
+		s.subscriptions.Add(1)
+		// Ack first (under program order), then start the pusher:
+		// every summary the client sees follows its subscribe ack.
+		err = c.ack(req.seq, true)
+		if err != nil {
+			sub.Close()
+			break
+		}
+		c.startSub(sub, req.seq)
+	}
+	if h := s.opHist[req.kind]; h != nil {
+		h.Observe(time.Since(begun).Seconds())
+	}
+	return err
 }
 
 // serveInsert applies one Insert or InsertAt frame and acks it. The two

@@ -213,3 +213,44 @@ func TestAllocBudgetWarmReads(t *testing.T) {
 		}
 	}
 }
+
+// A lookup on a quiescent shard is read on the caller's goroutine with no
+// barrier closure, no done channel and no escaping result: zero
+// allocations. The queued barrier allocates both, so a zero here also
+// proves the inline path served every call.
+func TestAllocBudgetQuiescentLookup(t *testing.T) {
+	g, err := NewGroup[uint64](testDim, testDim, Config{Shards: 4, Hier: hier.DefaultConfig()})
+	if err != nil {
+		t.Fatalf("NewGroup: %v", err)
+	}
+	defer g.Close()
+	const entries = 10_000
+	rows := make([]gb.Index, entries)
+	cols := make([]gb.Index, entries)
+	vals := make([]uint64, entries)
+	for k := range rows {
+		rows[k] = gb.Index(k)
+		cols[k] = gb.Index(k*2654435761) % testDim
+		vals[k] = uint64(k%7 + 1)
+	}
+	if err := g.Update(rows, cols, vals); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 977) % entries
+		v, ok, err := g.Lookup(rows[k], cols[k])
+		if err != nil || !ok || v != vals[k] {
+			t.Fatalf("Lookup(%d,%d) = %d, %v, %v; want %d", rows[k], cols[k], v, ok, err, vals[k])
+		}
+		if _, ok, err := g.Lookup(rows[k], (cols[k]+1)%testDim); err != nil || ok {
+			t.Fatalf("Lookup of an empty cell: found %v, err %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("quiescent Lookup allocates %.1f/op, budget is 0", allocs)
+	}
+}

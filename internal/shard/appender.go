@@ -138,7 +138,7 @@ func (a *Appender[T]) attachSlab(sh int) {
 // the slab free-list after applying), and leaves an empty buffer behind
 // (re-backed from the free-list on next use). Requires g.mu held.
 func (a *Appender[T]) handoffShard(sh int) {
-	a.g.workers[sh].in <- msg[T]{rows: a.rows[sh], cols: a.cols[sh], vals: a.vals[sh]}
+	a.g.workers[sh].send(msg[T]{rows: a.rows[sh], cols: a.cols[sh], vals: a.vals[sh]})
 	a.rows[sh] = nil
 	a.cols[sh] = nil
 	a.vals[sh] = nil

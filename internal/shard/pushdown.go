@@ -13,8 +13,10 @@ import (
 // Every query here runs its per-shard computation on the shard's own
 // worker goroutine (through the run barrier, so the snapshot is
 // batch-atomic and concurrent with ingest on the other shards) and merges
-// the S partial results at read time. Because the hash partition assigns
-// each (row, col) cell to exactly one shard, the merges are exact:
+// the S partial results at read time; Lookup alone reads one shard, on the
+// caller's goroutine when that shard is quiescent (see holdOne). Because
+// the hash partition assigns each (row, col) cell to exactly one shard,
+// the merges are exact:
 //
 //   - counts and value totals add (monoid merge),
 //   - row/column vectors (sums, degrees) merge elementwise with the plus
@@ -174,31 +176,54 @@ func (g *Group[T]) Total() (T, error) {
 
 // Lookup returns the accumulated value of one cell and whether any traffic
 // was recorded for it. The cell lives on exactly one shard, so only that
-// shard is drained and barriered and only its worker does lookup work —
-// O(levels x log shard-nnz), with no materialization anywhere and latency
-// independent of the other shards' queue depth.
+// shard is drained and read — O(levels x log shard-nnz), with no
+// materialization anywhere and latency independent of the other shards'
+// queue depth. A quiescent shard is read on the caller's goroutine,
+// without allocating; a shard with work queued is read by its worker
+// behind a barrier.
 func (g *Group[T]) Lookup(row, col gb.Index) (T, bool, error) {
 	var zero T
 	if row >= g.nrows || col >= g.ncols {
 		return zero, false, fmt.Errorf("%w: (%d,%d) outside %d x %d", gb.ErrIndexOutOfBounds, row, col, g.nrows, g.ncols)
 	}
 	sh := g.shardOf(row, col)
-	var v T
-	var ok bool
-	var lookupErr error
-	if err := g.runOne(sh, func(w *worker[T]) {
-		if w.err != nil {
-			lookupErr = w.err
-			return
-		}
-		v, ok, lookupErr = w.m.ExtractElement(row, col)
-	}); err != nil {
+	if w := g.holdOne(sh); w != nil {
+		v, ok, err := w.lookup(row, col)
+		w.mu.Unlock()
+		return v, ok, shardErr(sh, err)
+	}
+	// Declared past the inline return: the barrier closure captures them,
+	// which moves them to the heap.
+	var (
+		v   T
+		ok  bool
+		err error
+	)
+	if rerr := g.runOne(sh, func(w *worker[T]) { v, ok, err = w.lookup(row, col) }); rerr != nil {
+		return zero, false, rerr
+	}
+	return v, ok, shardErr(sh, err)
+}
+
+// lookup reads one cell of the shard's cascade; zero and false on error.
+func (w *worker[T]) lookup(row, col gb.Index) (T, bool, error) {
+	var zero T
+	if w.err != nil {
+		return zero, false, w.err
+	}
+	v, ok, err := w.m.ExtractElement(row, col)
+	if err != nil {
 		return zero, false, err
 	}
-	if lookupErr != nil {
-		return zero, false, fmt.Errorf("shard %d: %w", sh, lookupErr)
-	}
 	return v, ok, nil
+}
+
+// shardErr attributes a shard-local error to its shard; nil stays nil.
+func shardErr(sh int, err error) error {
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", sh, err)
+	}
+	return nil
 }
 
 // sigma returns, for reading only, a matrix holding the shard's Σ: the one

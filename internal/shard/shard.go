@@ -86,7 +86,8 @@ func (c Config) withDefaults() Config {
 // msg is one unit of work on a shard queue: a buffer to ingest (rows set),
 // or a control request to run on the worker's goroutine (do set). Control
 // requests double as barriers: the queue is FIFO, so by the time do runs,
-// every buffer enqueued before it has been ingested.
+// every buffer enqueued before it has been ingested. Every msg is sent with
+// worker.send, which counts it in flight until the worker has finished it.
 type msg[T gb.Number] struct {
 	rows []gb.Index
 	cols []gb.Index
@@ -109,9 +110,18 @@ type msg[T gb.Number] struct {
 // goroutine (barrier callbacks run on it too, so the log needs no lock).
 // The pushdown result cache (see pushdown.go) lives here for the same
 // reason: queries execute on the worker goroutine, so cache reads, fills,
-// and the ingest-side invalidation all happen on one owner, lock-free.
+// and the ingest-side invalidation all happen on one owner. The one
+// exception is a read of a quiescent shard (see holdOne), which runs on the
+// reader's goroutine under mu instead.
 type worker[T gb.Number] struct {
-	in  chan msg[T]
+	in chan msg[T]
+	// queued counts the messages sent on in and not yet finished: zero
+	// means nothing is queued or executing on the shard.
+	queued atomic.Int64
+	// mu is held by the worker for each message it runs, and by a quiescent
+	// read for its duration, so the two never overlap.
+	mu sync.Mutex
+
 	m   *hier.Matrix[T]
 	log *shardWAL[T] // nil when the group is not durable
 	met *Metrics
@@ -143,19 +153,33 @@ type worker[T gb.Number] struct {
 func (w *worker[T]) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for msg := range w.in {
+		w.mu.Lock()
 		if msg.do != nil {
 			msg.do(w.m)
-			close(msg.done)
-			continue
+		} else {
+			w.ingest(msg)
 		}
-		w.ingest(msg)
+		w.mu.Unlock()
 		// The buffers are dead on every path out of ingest — dropped,
 		// dedup-skipped, or copied into the cascade's pending staging —
 		// so recycle them for the next producer handoff.
 		if msg.rows != nil {
 			putSlab(w.slabs, slab[T]{rows: msg.rows[:0], cols: msg.cols[:0], vals: msg.vals[:0]})
 		}
+		// Finished before the barrier is released: a caller that returns
+		// from a barrier finds the count settled.
+		w.queued.Add(-1)
+		if msg.done != nil {
+			close(msg.done)
+		}
 	}
+}
+
+// send enqueues one message, counting it in flight before the send so the
+// count never trails the queue.
+func (w *worker[T]) send(m msg[T]) {
+	w.queued.Add(1)
+	w.in <- m
 }
 
 // ingest applies one data message: exactly-once dedup, WAL logging,
@@ -257,8 +281,10 @@ type Group[T gb.Number] struct {
 	closeErr error
 
 	// regMu guards the appender registry alone and nests inside mu:
-	// registration happens under mu held shared (NewAppender), reads
-	// happen under mu held exclusively (barrier drains).
+	// registration happens under mu held shared (NewAppender), removal
+	// under mu held exclusively (Appender.Close). The barrier drains hold
+	// mu exclusively, under which the registry cannot change, so they read
+	// it without regMu.
 	regMu     sync.Mutex
 	appenders []*Appender[T]
 
@@ -460,10 +486,7 @@ func (g *Group[T]) unregister(a *Appender[T]) {
 // be mid-flight — so the drain plus whatever the caller enqueues next (a
 // barrier, or nothing before Close) forms one atomic cut of the stream.
 func (g *Group[T]) drainAppenders() {
-	g.regMu.Lock()
-	apps := append([]*Appender[T](nil), g.appenders...)
-	g.regMu.Unlock()
-	for _, a := range apps {
+	for _, a := range g.appenders {
 		a.flushBuffers()
 	}
 }
@@ -565,10 +588,10 @@ func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Ind
 			// the worker's release must never race a reference not yet
 			// counted.
 			sp.Hold()
-			g.workers[s].in <- msg[T]{
+			g.workers[s].send(msg[T]{
 				rows: p.rows[s], cols: p.cols[s], vals: p.vals[s],
 				sess: session, seq: seq, span: sp,
-			}
+			})
 			p.rows[s], p.cols[s], p.vals[s] = nil, nil, nil
 		}
 		g.putParts(p)
@@ -705,7 +728,7 @@ func (g *Group[T]) run(f func(i int, w *worker[T])) error {
 	for i, w := range g.workers {
 		done := make(chan struct{})
 		dones[i] = done
-		w.in <- msg[T]{do: func(m *hier.Matrix[T]) { f(i, w) }, done: done}
+		w.send(msg[T]{do: func(*hier.Matrix[T]) { f(i, w) }, done: done})
 	}
 	g.mu.Unlock() // the barrier is placed; waiting needs no lock
 	for _, done := range dones {
@@ -714,32 +737,55 @@ func (g *Group[T]) run(f func(i int, w *worker[T])) error {
 	return nil
 }
 
-// runOne is run for a single shard: it drains only that shard's slice of
-// every producer buffer and barriers only that shard's queue, so the
-// latency of a shard-local read (Lookup) is independent of the other
-// shards' queue depth. Consistency: all of a batch's entries for THIS
-// shard sit in one buffer slice and are drained together, so any state f
-// observes includes each accepted batch's contribution to this shard
-// either entirely or not at all — exactly the batch atomicity a
+// holdOne places a read cut on a single shard: under g.mu held exclusively
+// it hands only that shard's slice of every producer buffer to the shard
+// queue, so the latency of a shard-local read (Lookup) is independent of
+// the other shards' queue depth. Consistency: all of a batch's entries for
+// THIS shard sit in one buffer slice and are handed off together, so any
+// state read at the cut includes each accepted batch's contribution to
+// this shard either entirely or not at all — exactly the batch atomicity a
 // shard-local read can distinguish.
-func (g *Group[T]) runOne(sh int, f func(w *worker[T])) error {
+//
+// When the group is live and nothing is queued or executing on the shard
+// after the handoff, holdOne locks the worker, releases g.mu — producers
+// never wait on the read — and returns the worker: the caller reads it on
+// its own goroutine, then unlocks w.mu. Whatever is enqueued after the cut
+// waits for the read, because the worker takes w.mu for every message.
+// Otherwise holdOne returns nil with g.mu still held, and the caller
+// finishes the read with runOne. Neither path allocates on its own.
+func (g *Group[T]) holdOne(sh int) *worker[T] {
 	g.mu.Lock()
 	if g.closed {
-		defer g.mu.Unlock()
-		f(g.workers[sh])
-		return g.closeErr
+		return nil
 	}
-	g.regMu.Lock()
-	apps := append([]*Appender[T](nil), g.appenders...)
-	g.regMu.Unlock()
-	for _, a := range apps {
+	for _, a := range g.appenders {
 		if len(a.rows[sh]) > 0 {
 			a.handoffShard(sh)
 		}
 	}
 	w := g.workers[sh]
+	if w.queued.Load() != 0 {
+		return nil
+	}
+	w.mu.Lock()
+	g.mu.Unlock()
+	return w
+}
+
+// runOne finishes a read cut that holdOne could not take inline; it
+// requires g.mu held exclusively and releases it. On a live group f runs
+// on the shard's worker behind a barrier queued at the cut, and runOne
+// waits for it. After Close the workers are gone and f runs inline, still
+// under g.mu, like run.
+func (g *Group[T]) runOne(sh int, f func(w *worker[T])) error {
+	if g.closed {
+		defer g.mu.Unlock()
+		f(g.workers[sh])
+		return g.closeErr
+	}
+	w := g.workers[sh]
 	done := make(chan struct{})
-	w.in <- msg[T]{do: func(m *hier.Matrix[T]) { f(w) }, done: done}
+	w.send(msg[T]{do: func(*hier.Matrix[T]) { f(w) }, done: done})
 	g.mu.Unlock()
 	<-done
 	return nil
@@ -829,15 +875,17 @@ func (g *Group[T]) Close() error {
 	g.dropFreeLists()
 	errs := make([]error, len(g.workers))
 	for i, w := range g.workers {
+		// A quiescent read placed before Close may still hold the shard;
+		// none can start now that closed is set under mu.
+		w.mu.Lock()
 		w.closed = true
 		w.cache.vecs = [4]*gb.Vector[T]{}
 		if w.err != nil {
 			errs[i] = w.err
-			continue
-		}
-		if _, errs[i] = w.m.Flush(); errs[i] == nil {
+		} else if _, errs[i] = w.m.Flush(); errs[i] == nil {
 			w.m.Trim()
 		}
+		w.mu.Unlock()
 	}
 	g.closeErr = firstError(errs)
 	if g.cfg.Durable.Dir != "" {

@@ -208,8 +208,9 @@ func (r *Range[T]) Total() (T, error) {
 // Lookup returns the accumulated value of one cell over the range: the
 // per-window single-shard lookups, added.
 func (r *Range[T]) Lookup(row, col gb.Index) (T, bool, error) {
-	// A lookup routes each window's leg to exactly one shard (runOne, not
-	// the all-shard barrier) — mark it so instrumented legs count 1.
+	// A lookup routes each window's leg to exactly one shard (a
+	// single-shard cut, not the all-shard barrier) — mark it so
+	// instrumented legs count 1.
 	r.single = true
 	defer func() { r.single = false }()
 	var total T
