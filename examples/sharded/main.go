@@ -1,4 +1,4 @@
-// Sharded: the concurrent ingest frontend. Where examples/scaling gives
+// Sharded: the concurrent ingest frontend. Where cmd/hhgb-cluster gives
 // every "process" its own private matrix (the paper's shared-nothing
 // experiment), this example keeps ONE logical traffic matrix and
 // hash-partitions it across shards — independent hierarchical cascades fed

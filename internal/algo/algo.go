@@ -1,15 +1,13 @@
 // Package algo implements the graph algorithms the SuiteSparse GraphBLAS
-// ecosystem is known for — BFS, triangle counting, k-truss, PageRank and
-// connected components — expressed over the semiring kernels in
-// internal/gb. Davis's companion papers (ACM TOMS Algorithm 1000; HPEC'18
-// "triangle counting and k-truss") evaluate exactly these workloads; they
-// are the analyses a traffic-matrix deployment runs on the accumulated
-// hypersparse matrices.
+// ecosystem is known for — BFS, triangle counting and k-truss — expressed
+// over the semiring kernels in internal/gb. Davis's companion papers (ACM
+// TOMS Algorithm 1000; HPEC'18 "triangle counting and k-truss") evaluate
+// exactly these workloads; they are the analyses a traffic-matrix
+// deployment runs on the accumulated hypersparse matrices.
 package algo
 
 import (
 	"fmt"
-	"math"
 
 	"hhgb/internal/gb"
 )
@@ -153,169 +151,5 @@ func KTruss(a *gb.Matrix[uint64], k int) (*gb.Matrix[uint64], error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-}
-
-// PageRank computes the PageRank of every vertex with damping factor d,
-// iterating until the L1 delta drops below tol or maxIter sweeps. Returns
-// a dense-ish hypersparse vector over the graph's non-isolated vertices.
-func PageRank(a *gb.Matrix[uint64], d float64, tol float64, maxIter int) (*gb.Vector[float64], error) {
-	n := a.NRows()
-	if a.NCols() != n {
-		return nil, fmt.Errorf("%w: adjacency matrix not square", gb.ErrDimensionMismatch)
-	}
-	if d <= 0 || d >= 1 {
-		return nil, fmt.Errorf("%w: damping %v outside (0,1)", gb.ErrInvalidValue, d)
-	}
-	if maxIter < 1 {
-		return nil, fmt.Errorf("%w: maxIter %d < 1", gb.ErrInvalidValue, maxIter)
-	}
-
-	// Column-stochastic transition: P(j,i) = 1/outdeg(j) for edge j->i.
-	// Build as float matrix with rows scaled by 1/outdeg.
-	rows, cols, _ := a.ExtractTuples()
-	outdeg := make(map[gb.Index]float64)
-	for _, r := range rows {
-		outdeg[r]++
-	}
-	vals := make([]float64, len(rows))
-	for k, r := range rows {
-		vals[k] = 1 / outdeg[r]
-	}
-	p, err := gb.MatrixFromTuples(n, n, rows, cols, vals, gb.Plus[float64]().Op)
-	if err != nil {
-		return nil, err
-	}
-
-	// Vertex universe: every endpoint of an edge.
-	verts := make(map[gb.Index]bool)
-	for k := range rows {
-		verts[rows[k]] = true
-		verts[cols[k]] = true
-	}
-	nv := float64(len(verts))
-	if nv == 0 {
-		return gb.NewVector[float64](n)
-	}
-	var vidx []gb.Index
-	for v := range verts {
-		vidx = append(vidx, v)
-	}
-	rank, err := gb.NewVector[float64](n)
-	if err != nil {
-		return nil, err
-	}
-	init := make([]float64, len(vidx))
-	for k := range init {
-		init[k] = 1 / nv
-	}
-	if err := rank.Build(vidx, init, gb.First[float64]); err != nil {
-		return nil, err
-	}
-
-	teleport := (1 - d) / nv
-	for iter := 0; iter < maxIter; iter++ {
-		spread, err := gb.VxM(rank, p, gb.PlusTimes[float64]())
-		if err != nil {
-			return nil, err
-		}
-		next, err := gb.NewVector[float64](n)
-		if err != nil {
-			return nil, err
-		}
-		// next = teleport + d*spread over the vertex universe; dangling
-		// mass (rank at vertices with no out-edges) redistributes evenly.
-		var dangling float64
-		rank.Iterate(func(i gb.Index, x float64) bool {
-			if _, hasOut := outdeg[i]; !hasOut {
-				dangling += x
-			}
-			return true
-		})
-		base := teleport + d*dangling/nv
-		nvals := make([]float64, len(vidx))
-		for k, v := range vidx {
-			s, err := spread.ExtractElement(v)
-			if err != nil {
-				s = 0
-			}
-			nvals[k] = base + d*s
-		}
-		if err := next.Build(vidx, nvals, gb.First[float64]); err != nil {
-			return nil, err
-		}
-		// L1 delta.
-		var delta float64
-		next.Iterate(func(i gb.Index, x float64) bool {
-			prev, err := rank.ExtractElement(i)
-			if err != nil {
-				prev = 0
-			}
-			delta += math.Abs(x - prev)
-			return true
-		})
-		rank = next
-		if delta < tol {
-			break
-		}
-	}
-	return rank, nil
-}
-
-// ConnectedComponents labels every non-isolated vertex of the undirected
-// graph a with the smallest vertex id of its component, via label
-// propagation over the min.first semiring until a fixed point.
-func ConnectedComponents(a *gb.Matrix[uint64]) (*gb.Vector[uint64], error) {
-	n := a.NRows()
-	if a.NCols() != n {
-		return nil, fmt.Errorf("%w: adjacency matrix not square", gb.ErrDimensionMismatch)
-	}
-	rows, cols, _ := a.ExtractTuples()
-	verts := make(map[gb.Index]bool)
-	for k := range rows {
-		verts[rows[k]] = true
-		verts[cols[k]] = true
-	}
-	labels, err := gb.NewVector[uint64](n)
-	if err != nil {
-		return nil, err
-	}
-	var vidx []gb.Index
-	var vlab []uint64
-	for v := range verts {
-		vidx = append(vidx, v)
-		vlab = append(vlab, uint64(v))
-	}
-	if len(vidx) == 0 {
-		return labels, nil
-	}
-	if err := labels.Build(vidx, vlab, gb.First[uint64]); err != nil {
-		return nil, err
-	}
-
-	const inf = math.MaxUint64
-	minFirst := gb.Semiring[uint64]{
-		Add:  gb.MinWith[uint64](inf),
-		Mul:  gb.First[uint64],
-		Name: "min.first",
-	}
-	for {
-		prop, err := gb.VxM(labels, a, minFirst)
-		if err != nil {
-			return nil, err
-		}
-		next, err := gb.VecEWiseAdd(labels, prop, func(x, y uint64) uint64 {
-			if x < y {
-				return x
-			}
-			return y
-		})
-		if err != nil {
-			return nil, err
-		}
-		if gb.VecEqual(next, labels) {
-			return labels, nil
-		}
-		labels = next
 	}
 }

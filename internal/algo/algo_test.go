@@ -2,7 +2,6 @@ package algo
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -245,169 +244,5 @@ func TestKTrussValidation(t *testing.T) {
 	rect := gb.MustNewMatrix[uint64](4, 5)
 	if _, err := KTruss(rect, 3); !errors.Is(err, gb.ErrDimensionMismatch) {
 		t.Fatalf("rect: %v", err)
-	}
-}
-
-func TestPageRankUniformOnCycle(t *testing.T) {
-	// Directed 4-cycle: symmetric structure → uniform ranks of 1/4.
-	a := gb.MustNewMatrix[uint64](4, 4)
-	for i := gb.Index(0); i < 4; i++ {
-		_ = a.SetElement(i, (i+1)%4, 1)
-	}
-	pr, err := PageRank(a, 0.85, 1e-9, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.NVals() != 4 {
-		t.Fatalf("ranked %d vertices", pr.NVals())
-	}
-	pr.Iterate(func(i gb.Index, x float64) bool {
-		if math.Abs(x-0.25) > 1e-6 {
-			t.Fatalf("rank(%d) = %v, want 0.25", i, x)
-		}
-		return true
-	})
-}
-
-func TestPageRankSumsToOne(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := gb.MustNewMatrix[uint64](50, 50)
-	for k := 0; k < 120; k++ {
-		_ = a.SetElement(gb.Index(r.Uint64()%50), gb.Index(r.Uint64()%50), 1)
-	}
-	pr, err := PageRank(a, 0.85, 1e-10, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := gb.VecReduce(pr, gb.Plus[float64]())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Fatalf("rank mass = %v, want 1", sum)
-	}
-}
-
-func TestPageRankHubWins(t *testing.T) {
-	// Star pointing into vertex 0: vertex 0 must hold the highest rank.
-	a := gb.MustNewMatrix[uint64](6, 6)
-	for i := gb.Index(1); i < 6; i++ {
-		_ = a.SetElement(i, 0, 1)
-	}
-	_ = a.SetElement(0, 1, 1) // give the hub an out-edge
-	pr, err := PageRank(a, 0.85, 1e-10, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, _ := pr.ExtractElement(0)
-	pr.Iterate(func(i gb.Index, x float64) bool {
-		if i != 0 && x >= hub {
-			t.Fatalf("vertex %d rank %v >= hub %v", i, x, hub)
-		}
-		return true
-	})
-}
-
-func TestPageRankValidation(t *testing.T) {
-	a := gb.MustNewMatrix[uint64](4, 4)
-	if _, err := PageRank(a, 0, 1e-6, 10); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("d=0: %v", err)
-	}
-	if _, err := PageRank(a, 1, 1e-6, 10); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("d=1: %v", err)
-	}
-	if _, err := PageRank(a, 0.85, 1e-6, 0); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("maxIter=0: %v", err)
-	}
-	empty, err := PageRank(a, 0.85, 1e-6, 10)
-	if err != nil || empty.NVals() != 0 {
-		t.Fatalf("empty graph: %v, %v", empty, err)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	// Two components: {0,1,2} and {5,6}; 9 isolated (absent).
-	a := undirected(t, 10, [][2]gb.Index{{0, 1}, {1, 2}, {5, 6}})
-	cc, err := ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.NVals() != 5 {
-		t.Fatalf("labeled %d vertices, want 5", cc.NVals())
-	}
-	for _, v := range []gb.Index{0, 1, 2} {
-		l, _ := cc.ExtractElement(v)
-		if l != 0 {
-			t.Fatalf("label(%d) = %d, want 0", v, l)
-		}
-	}
-	for _, v := range []gb.Index{5, 6} {
-		l, _ := cc.ExtractElement(v)
-		if l != 5 {
-			t.Fatalf("label(%d) = %d, want 5", v, l)
-		}
-	}
-}
-
-func TestConnectedComponentsLongPath(t *testing.T) {
-	// Label propagation on a path takes many rounds: exercises the fixed
-	// point loop.
-	a := pathGraph(t, 40)
-	cc, err := ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc.Iterate(func(i gb.Index, l uint64) bool {
-		if l != 0 {
-			t.Fatalf("label(%d) = %d", i, l)
-		}
-		return true
-	})
-}
-
-func TestConnectedComponentsAgainstUnionFind(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	const n = 50
-	var edges [][2]gb.Index
-	for k := 0; k < 40; k++ {
-		edges = append(edges, [2]gb.Index{gb.Index(r.Uint64() % n), gb.Index(r.Uint64() % n)})
-	}
-	a := undirected(t, n, edges)
-	cc, err := ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Union-find reference.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, e := range edges {
-		a, b := find(int(e[0])), find(int(e[1]))
-		if a != b {
-			parent[a] = b
-		}
-	}
-	// Same-component in reference ⇔ same label in result.
-	labels := make(map[gb.Index]uint64)
-	cc.Iterate(func(i gb.Index, l uint64) bool {
-		labels[i] = l
-		return true
-	})
-	for v1 := range labels {
-		for v2 := range labels {
-			sameRef := find(int(v1)) == find(int(v2))
-			sameGot := labels[v1] == labels[v2]
-			if sameRef != sameGot {
-				t.Fatalf("vertices %d,%d: reference same=%v, got same=%v", v1, v2, sameRef, sameGot)
-			}
-		}
 	}
 }

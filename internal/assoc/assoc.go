@@ -83,9 +83,6 @@ func (a *Assoc) NNZ() int {
 // RowKeys returns a copy of the sorted row key list.
 func (a *Assoc) RowKeys() []string { return append([]string(nil), a.rows...) }
 
-// ColKeys returns a copy of the sorted column key list.
-func (a *Assoc) ColKeys() []string { return append([]string(nil), a.cols...) }
-
 // Value returns the value at (row, col) and whether an entry exists.
 func (a *Assoc) Value(row, col string) (float64, bool) {
 	if a.mat == nil {
@@ -229,42 +226,12 @@ func (a *Assoc) SumRows() ([]string, []float64, error) {
 	return keys, vals, nil
 }
 
-// SumCols returns, for each column key with entries, the sum of its values.
-func (a *Assoc) SumCols() ([]string, []float64, error) {
-	if a.mat == nil {
-		return nil, nil, nil
-	}
-	v, err := gb.ReduceCols(a.mat, gb.Plus[float64]())
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, vals := v.ExtractTuples()
-	keys := make([]string, len(idx))
-	for k := range idx {
-		keys[k] = a.cols[idx[k]]
-	}
-	return keys, vals, nil
-}
-
 // Total returns the sum of all values.
 func (a *Assoc) Total() (float64, error) {
 	if a.mat == nil {
 		return 0, nil
 	}
 	return gb.ReduceScalar(a.mat, gb.Plus[float64]())
-}
-
-// SubsrefRows returns the sub-array containing only the given row keys
-// (absent keys are ignored), with keys preserved — D4M A(keys, :).
-func (a *Assoc) SubsrefRows(keys []string) (*Assoc, error) {
-	if a.mat == nil {
-		return New(), nil
-	}
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	return a.filter(func(r, _ string) bool { return want[r] })
 }
 
 // SubsrefColsPrefix returns the sub-array whose column keys start with the

@@ -91,15 +91,6 @@ func (h *Hier) NNZ() (int, error) {
 	return q.NNZ(), nil
 }
 
-// LevelNNZ reports per-level entry counts.
-func (h *Hier) LevelNNZ() []int {
-	out := make([]int, len(h.levels))
-	for i, lvl := range h.levels {
-		out[i] = lvl.NNZ()
-	}
-	return out
-}
-
 // Updates returns the cumulative number of entries ingested.
 func (h *Hier) Updates() int64 { return h.updates }
 

@@ -101,8 +101,8 @@ func TestAllocBudgetPromoteRowGap(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, promote); allocs != 0 {
 		t.Fatalf("warm Promote closing a row gap allocates %.1f/op, budget is 0", allocs)
 	}
-	if n, want := dst.NVals(), nrows+(runs+2)*len(srcRows); n != want || dst.NNZRows() != nrows {
-		t.Fatalf("dst holds %d entries in %d rows, want %d in %d", n, dst.NNZRows(), want, nrows)
+	if n, want := dst.NVals(), nrows+(runs+2)*len(srcRows); n != want || len(dst.rows) != nrows {
+		t.Fatalf("dst holds %d entries in %d rows, want %d in %d", n, len(dst.rows), want, nrows)
 	}
 	mustInvariants(t, dst)
 }

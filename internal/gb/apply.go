@@ -53,18 +53,3 @@ func Tril[T Number](a *Matrix[T], k int64) (*Matrix[T], error) {
 		return int64(j)-int64(i) <= k
 	})
 }
-
-// Triu returns the entries on or above the diagonal shifted by k
-// (j >= i + k), matching GxB_TRIU.
-func Triu[T Number](a *Matrix[T], k int64) (*Matrix[T], error) {
-	return Select(a, func(i, j Index, _ T) bool {
-		return int64(j)-int64(i) >= k
-	})
-}
-
-// Prune returns a copy of a without entries equal to v (commonly 0),
-// shrinking the stored pattern. GraphBLAS keeps explicit zeros; Prune is the
-// explicit way to drop them when an application wants to.
-func Prune[T Number](a *Matrix[T], v T) (*Matrix[T], error) {
-	return Select(a, func(_, _ Index, x T) bool { return x != v })
-}

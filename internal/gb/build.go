@@ -40,16 +40,3 @@ func MatrixFromTuples[T Number](nrows, ncols Index, rows, cols []Index, vals []T
 	}
 	return m, nil
 }
-
-// Diag returns an n x n matrix whose diagonal entries are taken from the
-// vector v (one entry per stored element of v).
-func Diag[T Number](v *Vector[T]) (*Matrix[T], error) {
-	v.Wait()
-	m, err := NewMatrix[T](v.n, v.n)
-	if err != nil {
-		return nil, err
-	}
-	idx := append([]Index(nil), v.idx...)
-	val := append([]T(nil), v.val...)
-	return m, m.Build(idx, idx, val, First[T])
-}

@@ -139,55 +139,6 @@ func checkAddAssign[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 	return nil
 }
 
-// EWiseMult returns the set-intersection element-wise combination of a and
-// b: only entries present in both operands appear in the result, combined
-// with mul.
-func EWiseMult[T Number](a, b *Matrix[T], mul BinaryOp[T]) (*Matrix[T], error) {
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return nil, fmt.Errorf("%w: %dx%d .* %dx%d", ErrDimensionMismatch, a.nrows, a.ncols, b.nrows, b.ncols)
-	}
-	if mul == nil {
-		return nil, fmt.Errorf("%w: nil mul operator", ErrInvalidValue)
-	}
-	a.Wait()
-	b.Wait()
-	c := &Matrix[T]{nrows: a.nrows, ncols: a.ncols, accum: a.accum, ptr: []int{0}}
-
-	i, j := 0, 0
-	for i < len(a.rows) && j < len(b.rows) {
-		switch {
-		case a.rows[i] < b.rows[j]:
-			i++
-		case b.rows[j] < a.rows[i]:
-			j++
-		default:
-			before := len(c.col)
-			x, xe := a.ptr[i], a.ptr[i+1]
-			y, ye := b.ptr[j], b.ptr[j+1]
-			for x < xe && y < ye {
-				switch {
-				case a.col[x] < b.col[y]:
-					x++
-				case b.col[y] < a.col[x]:
-					y++
-				default:
-					c.col = append(c.col, a.col[x])
-					c.val = append(c.val, mul(a.val[x], b.val[y]))
-					x++
-					y++
-				}
-			}
-			if len(c.col) > before {
-				c.rows = append(c.rows, a.rows[i])
-				c.ptr = append(c.ptr, len(c.col))
-			}
-			i++
-			j++
-		}
-	}
-	return c, nil
-}
-
 // Sum folds EWiseAdd over all operands with the plus operator, returning the
 // materialized total. It implements the paper's query step A = Σ Ai. A nil
 // or empty operand list is invalid; single operands are duplicated so the

@@ -181,68 +181,6 @@ func TestAddAssignEmptySrcNoop(t *testing.T) {
 	}
 }
 
-func TestEWiseMultIntersection(t *testing.T) {
-	a := MustNewMatrix[int64](8, 8)
-	b := MustNewMatrix[int64](8, 8)
-	_ = a.SetElement(1, 1, 3)
-	_ = a.SetElement(2, 2, 4)
-	_ = b.SetElement(2, 2, 5)
-	_ = b.SetElement(3, 3, 6)
-	c, err := EWiseMult(a, b, Times[int64]().Op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, c)
-	if c.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", c.NVals())
-	}
-	v, _ := c.ExtractElement(2, 2)
-	if v != 20 {
-		t.Fatalf("value = %d, want 20", v)
-	}
-}
-
-func TestEWiseMultAgainstDenseReference(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 30; trial++ {
-		a := randMatrix(r, 24, 24, 120)
-		b := randMatrix(r, 24, 24, 120)
-		c, err := EWiseMult(a, b, Times[int64]().Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, db := denseOf(a), denseOf(b)
-		ref := make(map[[2]Index]int64)
-		for k, v := range da {
-			if w, ok := db[k]; ok {
-				ref[k] = v * w
-			}
-		}
-		got := denseOf(c)
-		if len(got) != len(ref) {
-			t.Fatalf("trial %d: nnz %d vs ref %d", trial, len(got), len(ref))
-		}
-		for k, v := range ref {
-			if got[k] != v {
-				t.Fatalf("trial %d: entry %v = %d, want %d", trial, k, got[k], v)
-			}
-		}
-	}
-}
-
-func TestEWiseMultWithEmptyIsEmpty(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	a := randMatrix(r, 16, 16, 50)
-	empty := MustNewMatrix[int64](16, 16)
-	c, err := EWiseMult(a, empty, Times[int64]().Op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NVals() != 0 {
-		t.Fatalf("NVals = %d", c.NVals())
-	}
-}
-
 func TestSumOfLevels(t *testing.T) {
 	// Sum is the paper's query step: A = Σ Ai.
 	var levels []*Matrix[int64]
@@ -294,9 +232,6 @@ func TestNilOperatorRejected(t *testing.T) {
 	b := MustNewMatrix[int64](4, 4)
 	if _, err := EWiseAdd(a, b, nil); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("EWiseAdd nil op: %v", err)
-	}
-	if _, err := EWiseMult(a, b, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("EWiseMult nil op: %v", err)
 	}
 	if err := AddAssign(a, b, nil); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("AddAssign nil op: %v", err)

@@ -2,9 +2,6 @@ package gb
 
 import "fmt"
 
-// All is the nil index list, meaning "every index" (GrB_ALL).
-var All []Index = nil
-
 // Extract returns C(i', j') = A(rowIdx[i'], colIdx[j']) — the submatrix
 // selected (and relabeled) by the given index lists. A nil list selects
 // every index in order (GrB_ALL); for a hypersparse matrix that means the
@@ -75,61 +72,4 @@ func Extract[T Number](a *Matrix[T], rowIdx, colIdx []Index) (*Matrix[T], error)
 		}
 	}
 	return MatrixFromTuples(outRows, outCols, rr, cc, vv, Second[T])
-}
-
-// ExtractRow returns row i of A as a vector over the column space.
-func ExtractRow[T Number](a *Matrix[T], i Index) (*Vector[T], error) {
-	if i >= a.nrows {
-		return nil, fmt.Errorf("%w: row %d outside %d", ErrIndexOutOfBounds, i, a.nrows)
-	}
-	a.Wait()
-	v, err := NewVector[T](a.ncols)
-	if err != nil {
-		return nil, err
-	}
-	k, ok := searchIndex(a.rows, i)
-	if !ok {
-		return v, nil
-	}
-	v.idx = append([]Index(nil), a.col[a.ptr[k]:a.ptr[k+1]]...)
-	v.val = append([]T(nil), a.val[a.ptr[k]:a.ptr[k+1]]...)
-	return v, nil
-}
-
-// ExtractCol returns column j of A as a vector over the row space.
-func ExtractCol[T Number](a *Matrix[T], j Index) (*Vector[T], error) {
-	if j >= a.ncols {
-		return nil, fmt.Errorf("%w: col %d outside %d", ErrIndexOutOfBounds, j, a.ncols)
-	}
-	a.Wait()
-	v, err := NewVector[T](a.nrows)
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range a.rows {
-		lo, hi := a.ptr[k], a.ptr[k+1]
-		if p, ok := searchIndex(a.col[lo:hi], j); ok {
-			v.idx = append(v.idx, r)
-			v.val = append(v.val, a.val[lo+p])
-		}
-	}
-	return v, nil
-}
-
-// AssignScalar stages A(i,j) = v for every (i,j) in the cross product of
-// the index lists, accumulated with the matrix accumulator. Nil lists are
-// rejected here (unlike Extract) because GrB_ALL over a 2^64 space is not
-// materializable.
-func AssignScalar[T Number](a *Matrix[T], rowIdx, colIdx []Index, v T) error {
-	if rowIdx == nil || colIdx == nil {
-		return fmt.Errorf("%w: AssignScalar requires explicit index lists", ErrInvalidValue)
-	}
-	for _, i := range rowIdx {
-		for _, j := range colIdx {
-			if err := a.SetElement(i, j, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -8,8 +8,9 @@
 //     valid for dimensions up to 2^64 (IPv6-scale traffic matrices).
 //   - Non-blocking updates: SetElement and AppendTuples buffer "pending
 //     tuples" (as SuiteSparse:GraphBLAS does); Wait materializes them.
-//   - Element-wise algebra (EWiseAdd, EWiseMult), Apply, Select, Reduce,
-//     Transpose, MxM/MxV/VxM over semirings, Kron, and Extract.
+//   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum), Apply,
+//     Select, Reduce, Transpose, MxM/MxMMasked/VxM over semirings, and
+//     Extract.
 //
 // Storage is always DCSR ("doubly compressed sparse row"): a sorted list of
 // non-empty row ids plus per-row sorted column/value runs. This is the
@@ -51,7 +52,7 @@ var (
 	// ErrOutputNotEmpty is returned by Build when the target already has entries.
 	ErrOutputNotEmpty = errors.New("gb: output matrix must be empty")
 	// ErrInvalidValue is returned for malformed arguments (mismatched slice
-	// lengths, zero dimensions, overflowing Kronecker shapes, ...).
+	// lengths, zero dimensions, nil operators, ...).
 	ErrInvalidValue = errors.New("gb: invalid value")
 	// ErrNoValue is returned by ExtractElement when no entry is present.
 	ErrNoValue = errors.New("gb: no entry at index")

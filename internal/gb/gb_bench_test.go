@@ -113,7 +113,7 @@ func BenchmarkMxM(b *testing.B) {
 	y, _ := MatrixFromTuples(1<<14, 1<<14, r2, c2, v2, Plus[uint64]().Op)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MxM(x, y, PlusTimes[uint64]()); err != nil {
+		if _, err := MxM(x, y, plusTimes[uint64]()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,3 +63,9 @@ func tuplesOf[T Number](m *Matrix[T]) []Tuple[T] {
 	})
 	return out
 }
+
+// plusTimes is the arithmetic (+, *) semiring the multiply tests check
+// against dense products.
+func plusTimes[T Number]() Semiring[T] {
+	return Semiring[T]{Add: Plus[T](), Mul: func(x, y T) T { return x * y }, Name: "plus.times"}
+}

@@ -176,23 +176,3 @@ func Decode[T Number](r io.Reader, c Codec[T]) (*Matrix[T], error) {
 	}
 	return m, nil
 }
-
-// WriteTSV writes the matrix as "row<TAB>col<TAB>value" lines in row-major
-// order — the interchange format consumed by the D4M tooling and by
-// cmd/trafficgen. Values are printed with %v.
-func WriteTSV[T Number](w io.Writer, m *Matrix[T]) error {
-	m.Wait()
-	bw := bufio.NewWriter(w)
-	var outer error
-	m.Iterate(func(i, j Index, v T) bool {
-		if _, err := fmt.Fprintf(bw, "%d\t%d\t%v\n", i, j, v); err != nil {
-			outer = err
-			return false
-		}
-		return true
-	})
-	if outer != nil {
-		return outer
-	}
-	return bw.Flush()
-}

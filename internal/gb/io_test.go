@@ -100,17 +100,3 @@ func TestInt64CodecLossless(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteTSV(t *testing.T) {
-	m := MustNewMatrix[int64](10, 10)
-	_ = m.SetElement(1, 2, 3)
-	_ = m.SetElement(4, 5, 6)
-	var buf bytes.Buffer
-	if err := WriteTSV(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	want := "1\t2\t3\n4\t5\t6\n"
-	if buf.String() != want {
-		t.Fatalf("TSV = %q, want %q", buf.String(), want)
-	}
-}

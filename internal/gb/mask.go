@@ -3,12 +3,11 @@ package gb
 import "fmt"
 
 // Mask is a structural mask over a matrix pattern: a masked operation may
-// only produce entries at positions present in the mask (or absent, for a
-// complement mask). Values in the mask matrix are ignored — only the
-// pattern matters, matching GraphBLAS structural masks.
+// only produce entries at positions present in the mask. Values in the mask
+// matrix are ignored — only the pattern matters, matching GraphBLAS
+// structural masks.
 type Mask[T Number] struct {
-	pattern    *Matrix[T]
-	complement bool
+	pattern *Matrix[T]
 }
 
 // StructuralMask returns a mask selecting the positions where m has
@@ -17,29 +16,8 @@ func StructuralMask[T Number](m *Matrix[T]) Mask[T] {
 	return Mask[T]{pattern: m}
 }
 
-// ComplementMask returns a mask selecting the positions where m has no
-// entry.
-func ComplementMask[T Number](m *Matrix[T]) Mask[T] {
-	return Mask[T]{pattern: m, complement: true}
-}
-
-// allows reports whether the mask admits position (i, j).
-func (k Mask[T]) allows(i, j Index) bool {
-	k.pattern.Wait()
-	r, ok := searchIndex(k.pattern.rows, i)
-	if !ok {
-		return k.complement
-	}
-	lo, hi := k.pattern.ptr[r], k.pattern.ptr[r+1]
-	_, found := searchIndex(k.pattern.col[lo:hi], j)
-	if k.complement {
-		return !found
-	}
-	return found
-}
-
 // rowPattern returns the sorted column ids of the mask's row i (nil if the
-// row is empty). Only meaningful for non-complement masks.
+// row is empty).
 func (k Mask[T]) rowPattern(i Index) []Index {
 	r, ok := searchIndex(k.pattern.rows, i)
 	if !ok {
@@ -48,25 +26,11 @@ func (k Mask[T]) rowPattern(i Index) []Index {
 	return k.pattern.col[k.pattern.ptr[r]:k.pattern.ptr[r+1]]
 }
 
-// ApplyMask returns the entries of a admitted by the mask.
-func ApplyMask[T Number](a *Matrix[T], mask Mask[T]) (*Matrix[T], error) {
-	if mask.pattern == nil {
-		return nil, fmt.Errorf("%w: nil mask pattern", ErrInvalidValue)
-	}
-	if mask.pattern.nrows != a.nrows || mask.pattern.ncols != a.ncols {
-		return nil, fmt.Errorf("%w: mask %dx%d over %dx%d", ErrDimensionMismatch,
-			mask.pattern.nrows, mask.pattern.ncols, a.nrows, a.ncols)
-	}
-	a.Wait()
-	mask.pattern.Wait()
-	return Select(a, func(i, j Index, _ T) bool { return mask.allows(i, j) })
-}
-
 // MxMMasked computes C<mask> = A ⊕.⊗ B: only output positions admitted by
-// the mask are computed and stored. For a non-complement mask this prunes
-// the Gustavson accumulation to the mask's row patterns — the "masked
-// multiply" at the heart of GraphBLAS triangle counting, where it turns an
-// O(n^3)-flavored product into work proportional to the mask's nnz.
+// the mask are computed and stored. This prunes the Gustavson accumulation
+// to the mask's row patterns — the "masked multiply" at the heart of
+// GraphBLAS triangle counting, where it turns an O(n^3)-flavored product
+// into work proportional to the mask's nnz.
 func MxMMasked[T Number](a, b *Matrix[T], s Semiring[T], mask Mask[T]) (*Matrix[T], error) {
 	if mask.pattern == nil {
 		return nil, fmt.Errorf("%w: nil mask pattern", ErrInvalidValue)
@@ -88,15 +52,6 @@ func MxMMasked[T Number](a, b *Matrix[T], s Semiring[T], mask Mask[T]) (*Matrix[
 	c := &Matrix[T]{nrows: a.nrows, ncols: b.ncols, accum: a.accum, ptr: []int{0}}
 	if len(a.col) == 0 || len(b.col) == 0 {
 		return c, nil
-	}
-
-	if mask.complement {
-		// Complement masks cannot prune the sweep; compute then filter.
-		full, err := MxM(a, b, s)
-		if err != nil {
-			return nil, err
-		}
-		return Select(full, func(i, j Index, _ T) bool { return mask.allows(i, j) })
 	}
 
 	acc := make(map[Index]T)

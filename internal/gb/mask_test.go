@@ -1,90 +1,11 @@
 package gb
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestApplyMaskStructural(t *testing.T) {
-	a := MustNewMatrix[int64](8, 8)
-	_ = a.SetElement(1, 1, 10)
-	_ = a.SetElement(2, 2, 20)
-	_ = a.SetElement(3, 3, 30)
-	mask := MustNewMatrix[int64](8, 8)
-	_ = mask.SetElement(1, 1, 0) // mask values are ignored; pattern matters
-	_ = mask.SetElement(3, 3, 999)
-	_ = mask.SetElement(5, 5, 1) // mask position with no input entry
-
-	c, err := ApplyMask(a, StructuralMask(mask))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NVals() != 2 {
-		t.Fatalf("NVals = %d, want 2", c.NVals())
-	}
-	if _, err := c.ExtractElement(2, 2); !errors.Is(err, ErrNoValue) {
-		t.Fatal("unmasked entry survived")
-	}
-	v, _ := c.ExtractElement(1, 1)
-	if v != 10 {
-		t.Fatalf("masked value = %d", v)
-	}
-}
-
-func TestApplyComplementMask(t *testing.T) {
-	a := MustNewMatrix[int64](8, 8)
-	_ = a.SetElement(1, 1, 10)
-	_ = a.SetElement(2, 2, 20)
-	mask := MustNewMatrix[int64](8, 8)
-	_ = mask.SetElement(1, 1, 1)
-	c, err := ApplyMask(a, ComplementMask(mask))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NVals() != 1 {
-		t.Fatalf("NVals = %d", c.NVals())
-	}
-	if _, err := c.ExtractElement(2, 2); err != nil {
-		t.Fatal("complement-admitted entry missing")
-	}
-}
-
-func TestMaskPartitionProperty(t *testing.T) {
-	// mask-selected + complement-selected == original, always.
-	r := rand.New(rand.NewSource(70))
-	f := func() bool {
-		a := randMatrix(r, 32, 32, 120)
-		mk := randMatrix(r, 32, 32, 80)
-		sel, err1 := ApplyMask(a, StructuralMask(mk))
-		com, err2 := ApplyMask(a, ComplementMask(mk))
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		sum, err := EWiseAdd(sel, com, Plus[int64]().Op)
-		if err != nil {
-			return false
-		}
-		return Equal(sum, a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestApplyMaskErrors(t *testing.T) {
-	a := MustNewMatrix[int64](8, 8)
-	if _, err := ApplyMask(a, Mask[int64]{}); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("nil mask: %v", err)
-	}
-	wrong := MustNewMatrix[int64](4, 4)
-	if _, err := ApplyMask(a, StructuralMask(wrong)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("dim mismatch: %v", err)
-	}
-}
 
 func TestMxMMaskedMatchesFilteredMxM(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
@@ -92,15 +13,18 @@ func TestMxMMaskedMatchesFilteredMxM(t *testing.T) {
 		a := randMatrix(r, 24, 20, 80)
 		b := randMatrix(r, 20, 28, 80)
 		mk := randMatrix(r, 24, 28, 100)
-		masked, err := MxMMasked(a, b, PlusTimes[int64](), StructuralMask(mk))
+		masked, err := MxMMasked(a, b, plusTimes[int64](), StructuralMask(mk))
 		if err != nil {
 			return false
 		}
-		full, err := MxM(a, b, PlusTimes[int64]())
+		full, err := MxM(a, b, plusTimes[int64]())
 		if err != nil {
 			return false
 		}
-		want, err := ApplyMask(full, StructuralMask(mk))
+		want, err := Select(full, func(i, j Index, _ int64) bool {
+			_, err := mk.ExtractElement(i, j)
+			return err == nil
+		})
 		if err != nil {
 			return false
 		}
@@ -111,35 +35,19 @@ func TestMxMMaskedMatchesFilteredMxM(t *testing.T) {
 	}
 }
 
-func TestMxMMaskedComplement(t *testing.T) {
-	r := rand.New(rand.NewSource(72))
-	a := randMatrix(r, 16, 16, 60)
-	b := randMatrix(r, 16, 16, 60)
-	mk := randMatrix(r, 16, 16, 40)
-	masked, err := MxMMasked(a, b, PlusTimes[int64](), ComplementMask(mk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := MxM(a, b, PlusTimes[int64]())
-	want, _ := ApplyMask(full, ComplementMask(mk))
-	if !Equal(masked, want) {
-		t.Fatal("complement masked multiply mismatch")
-	}
-}
-
 func TestMxMMaskedErrors(t *testing.T) {
 	a := MustNewMatrix[int64](4, 5)
 	b := MustNewMatrix[int64](5, 6)
 	mk := MustNewMatrix[int64](4, 6)
-	if _, err := MxMMasked(a, b, PlusTimes[int64](), Mask[int64]{}); !errors.Is(err, ErrInvalidValue) {
+	if _, err := MxMMasked(a, b, plusTimes[int64](), Mask[int64]{}); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("nil mask: %v", err)
 	}
 	badMask := MustNewMatrix[int64](4, 5)
-	if _, err := MxMMasked(a, b, PlusTimes[int64](), StructuralMask(badMask)); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := MxMMasked(a, b, plusTimes[int64](), StructuralMask(badMask)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("mask dims: %v", err)
 	}
 	badB := MustNewMatrix[int64](9, 6)
-	if _, err := MxMMasked(a, badB, PlusTimes[int64](), StructuralMask(mk)); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := MxMMasked(a, badB, plusTimes[int64](), StructuralMask(mk)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("inner dims: %v", err)
 	}
 }
@@ -149,63 +57,8 @@ func TestMxMMaskedEmptyOperands(t *testing.T) {
 	b := MustNewMatrix[int64](4, 4)
 	mk := MustNewMatrix[int64](4, 4)
 	_ = mk.SetElement(0, 0, 1)
-	c, err := MxMMasked(a, b, PlusTimes[int64](), StructuralMask(mk))
+	c, err := MxMMasked(a, b, plusTimes[int64](), StructuralMask(mk))
 	if err != nil || c.NVals() != 0 {
 		t.Fatalf("empty: %v, %v", c, err)
-	}
-}
-
-func TestWriteReadMatrixMarketRoundTrip(t *testing.T) {
-	m := MustNewMatrix[float64](100, 80)
-	_ = m.SetElement(0, 0, 1.5)
-	_ = m.SetElement(42, 7, -2)
-	_ = m.SetElement(99, 79, 3.25)
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(m, got) {
-		t.Fatal("MatrixMarket round trip mismatch")
-	}
-}
-
-func TestReadMatrixMarketPatternAndSymmetric(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate pattern symmetric
-% comment line
-3 3 2
-2 1
-3 2
-`
-	m, err := ReadMatrixMarket(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NVals() != 4 { // each off-diagonal entry expands to two
-		t.Fatalf("NVals = %d, want 4", m.NVals())
-	}
-	v, err := m.ExtractElement(0, 1) // mirror of "2 1"
-	if err != nil || v != 1 {
-		t.Fatalf("mirrored entry = %v, %v", v, err)
-	}
-}
-
-func TestReadMatrixMarketRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"not a header\n1 1 1\n1 1 1\n",
-		"%%MatrixMarket matrix array real general\n1 1\n1\n",
-		"%%MatrixMarket matrix coordinate real general\nbogus\n",
-		"%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 5\n",          // truncated
-		"%%MatrixMarket matrix coordinate real general\n3 3 1\n0 1 5\n",          // 0-based coord
-		"%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 notanumber\n", // bad value
-		"%%MatrixMarket matrix coordinate real general\n3 3 1\n1\n",              // short line
-	}
-	for i, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
 	}
 }

@@ -60,41 +60,6 @@ func MxM[T Number](a, b *Matrix[T], s Semiring[T]) (*Matrix[T], error) {
 	return c, nil
 }
 
-// MxV returns y = A ⊕.⊗ x: y(i) = ⊕_k A(i,k) ⊗ x(k).
-func MxV[T Number](a *Matrix[T], x *Vector[T], s Semiring[T]) (*Vector[T], error) {
-	if a.ncols != x.n {
-		return nil, fmt.Errorf("%w: %dx%d * vector(%d)", ErrDimensionMismatch, a.nrows, a.ncols, x.n)
-	}
-	if s.Add.Op == nil || s.Mul == nil {
-		return nil, fmt.Errorf("%w: incomplete semiring", ErrInvalidValue)
-	}
-	a.Wait()
-	x.Wait()
-	y := &Vector[T]{n: a.nrows, accum: Plus[T]().Op}
-	for k, i := range a.rows {
-		acc := s.Add.Identity
-		hit := false
-		for p := a.ptr[k]; p < a.ptr[k+1]; p++ {
-			q, ok := searchIndex(x.idx, a.col[p])
-			if !ok {
-				continue
-			}
-			prod := s.Mul(a.val[p], x.val[q])
-			if hit {
-				acc = s.Add.Op(acc, prod)
-			} else {
-				acc = prod
-				hit = true
-			}
-		}
-		if hit {
-			y.idx = append(y.idx, i)
-			y.val = append(y.val, acc)
-		}
-	}
-	return y, nil
-}
-
 // VxM returns y = x ⊕.⊗ A: y(j) = ⊕_i x(i) ⊗ A(i,j).
 func VxM[T Number](x *Vector[T], a *Matrix[T], s Semiring[T]) (*Vector[T], error) {
 	if x.n != a.nrows {

@@ -78,17 +78,6 @@ func MustNewMatrix[T Number](nrows, ncols Index) *Matrix[T] {
 	return m
 }
 
-// SetAccum replaces the duplicate-combining operator used when pending
-// updates are materialized. It must be called while no pending updates are
-// staged (typically right after construction).
-func (m *Matrix[T]) SetAccum(op BinaryOp[T]) error {
-	if len(m.pRow) != 0 {
-		return fmt.Errorf("%w: cannot change accumulator with pending updates", ErrInvalidValue)
-	}
-	m.accum = op
-	return nil
-}
-
 // NRows returns the number of rows of the matrix's index space.
 func (m *Matrix[T]) NRows() Index { return m.nrows }
 
@@ -185,35 +174,6 @@ func (m *Matrix[T]) ExtractElement(i, j Index) (T, error) {
 	return m.val[lo+p], nil
 }
 
-// RemoveElement deletes the entry at (i, j) if present. It forces completion
-// of pending updates. Removing an absent entry is not an error.
-func (m *Matrix[T]) RemoveElement(i, j Index) error {
-	if i >= m.nrows || j >= m.ncols {
-		return fmt.Errorf("%w: (%d,%d) outside %d x %d", ErrIndexOutOfBounds, i, j, m.nrows, m.ncols)
-	}
-	m.Wait()
-	k, ok := searchIndex(m.rows, i)
-	if !ok {
-		return nil
-	}
-	lo, hi := m.ptr[k], m.ptr[k+1]
-	p, ok := searchIndex(m.col[lo:hi], j)
-	if !ok {
-		return nil
-	}
-	at := lo + p
-	m.col = append(m.col[:at], m.col[at+1:]...)
-	m.val = append(m.val[:at], m.val[at+1:]...)
-	for q := k + 1; q < len(m.ptr); q++ {
-		m.ptr[q]--
-	}
-	if m.ptr[k] == m.ptr[k+1] { // row became empty
-		m.rows = append(m.rows[:k], m.rows[k+1:]...)
-		m.ptr = append(m.ptr[:k+1], m.ptr[k+2:]...)
-	}
-	return nil
-}
-
 // Clear removes all entries (stored and pending), keeping dimensions and
 // accumulator. Storage is released so a cleared level really returns its
 // memory, which is the point of the hierarchical cascade.
@@ -277,12 +237,6 @@ func (m *Matrix[T]) Dup() *Matrix[T] {
 	d.col = append([]Index(nil), m.col...)
 	d.val = append([]T(nil), m.val...)
 	return d
-}
-
-// NNZRows returns the number of non-empty rows (the hypersparse row count).
-func (m *Matrix[T]) NNZRows() int {
-	m.Wait()
-	return len(m.rows)
 }
 
 // Iterate calls f for each stored entry in row-major order, stopping early

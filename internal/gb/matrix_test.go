@@ -154,35 +154,6 @@ func TestExtractElementNoValue(t *testing.T) {
 	}
 }
 
-func TestRemoveElement(t *testing.T) {
-	m := MustNewMatrix[int64](8, 8)
-	_ = m.SetElement(1, 1, 1)
-	_ = m.SetElement(1, 3, 2)
-	_ = m.SetElement(4, 4, 3)
-	if err := m.RemoveElement(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	if m.NVals() != 2 {
-		t.Fatalf("NVals = %d, want 2", m.NVals())
-	}
-	// Removing the last entry of a row removes the row itself.
-	if err := m.RemoveElement(4, 4); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	if m.NNZRows() != 1 {
-		t.Fatalf("NNZRows = %d, want 1", m.NNZRows())
-	}
-	// Removing an absent entry is a no-op.
-	if err := m.RemoveElement(7, 7); err != nil {
-		t.Fatal(err)
-	}
-	if m.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", m.NVals())
-	}
-}
-
 func TestClearReleasesEverything(t *testing.T) {
 	m := MustNewMatrix[int64](8, 8)
 	_ = m.SetElement(1, 1, 1)
@@ -216,39 +187,6 @@ func TestDupIsDeep(t *testing.T) {
 	d.Wait()
 	if _, err := m.ExtractElement(2, 2); !errors.Is(err, ErrNoValue) {
 		t.Fatalf("original mutated through dup: %v", err)
-	}
-}
-
-func TestSetAccumRequiresNoPending(t *testing.T) {
-	m := MustNewMatrix[int64](4, 4)
-	_ = m.SetElement(0, 0, 1)
-	if err := m.SetAccum(First[int64]); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("got %v", err)
-	}
-	m.Wait()
-	if err := m.SetAccum(First[int64]); err != nil {
-		t.Fatal(err)
-	}
-	_ = m.SetElement(0, 0, 42)
-	m.Wait()
-	// first(stored, pending): existing value wins.
-	v, _ := m.ExtractElement(0, 0)
-	if v != 1 {
-		t.Fatalf("first accum gave %d, want 1", v)
-	}
-}
-
-func TestSecondAccumOverwrites(t *testing.T) {
-	m := MustNewMatrix[int64](4, 4)
-	if err := m.SetAccum(Second[int64]); err != nil {
-		t.Fatal(err)
-	}
-	_ = m.SetElement(0, 0, 1)
-	_ = m.SetElement(0, 0, 2)
-	_ = m.SetElement(0, 0, 3)
-	v, _ := m.ExtractElement(0, 0)
-	if v != 3 {
-		t.Fatalf("second accum gave %d, want 3 (last write wins)", v)
 	}
 }
 
@@ -407,9 +345,7 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 				continue
 			}
 			m := MustNewMatrix[int64](8, 8)
-			if err := m.SetAccum(minus[int64]); err != nil {
-				t.Fatal(err)
-			}
+			m.accum = minus[int64]
 			model := make(map[[2]Index]int64)
 			for k, key := range keys {
 				c := [2]Index{Index(key >> 32), Index(key & 0xffffffff)}
@@ -443,16 +379,6 @@ func TestMatrixFromTuples(t *testing.T) {
 	}
 	if m.NVals() != 2 {
 		t.Fatalf("NVals = %d", m.NVals())
-	}
-}
-
-func TestNNZRowsHypersparse(t *testing.T) {
-	m := MustNewMatrix[int64](1<<40, 1<<40)
-	for k := 0; k < 100; k++ {
-		_ = m.SetElement(Index(uint64(k)*(1<<30)), 5, 1)
-	}
-	if m.NNZRows() != 100 {
-		t.Fatalf("NNZRows = %d, want 100", m.NNZRows())
 	}
 }
 

@@ -20,7 +20,7 @@ type Monoid[T Number] struct {
 }
 
 // Semiring pairs an additive monoid with a multiplicative binary operator,
-// as used by MxM, MxV and VxM.
+// as used by MxM, MxMMasked and VxM.
 type Semiring[T Number] struct {
 	Add  Monoid[T]
 	Mul  BinaryOp[T]
@@ -31,28 +31,6 @@ type Semiring[T Number] struct {
 // hierarchical cascade is built on.
 func Plus[T Number]() Monoid[T] {
 	return Monoid[T]{Op: func(x, y T) T { return x + y }, Identity: 0, Name: "plus"}
-}
-
-// Times returns the (*, 1) monoid.
-func Times[T Number]() Monoid[T] {
-	return Monoid[T]{Op: func(x, y T) T { return x * y }, Identity: 1, Name: "times"}
-}
-
-// MinWith returns the (min, identity) monoid. The identity must be the
-// largest representable value of T for the monoid laws to hold; it is taken
-// as an argument because Go generics cannot derive it for ~-constrained
-// types. See MinInt64, MinFloat64 for ready-made instances.
-func MinWith[T Number](identity T) Monoid[T] {
-	return Monoid[T]{
-		Op: func(x, y T) T {
-			if x < y {
-				return x
-			}
-			return y
-		},
-		Identity: identity,
-		Name:     "min",
-	}
 }
 
 // MaxWith returns the (max, identity) monoid; identity must be the smallest
@@ -79,34 +57,6 @@ func Any[T Number]() Monoid[T] {
 // First returns x; Second returns y. The standard positional operators.
 func First[T Number](x, _ T) T  { return x }
 func Second[T Number](_, y T) T { return y }
-
-// PlusTimes returns the conventional arithmetic (+, *) semiring.
-func PlusTimes[T Number]() Semiring[T] {
-	return Semiring[T]{Add: Plus[T](), Mul: func(x, y T) T { return x * y }, Name: "plus.times"}
-}
-
-// MinPlus returns the tropical (min, +) semiring; minIdentity must be the
-// largest representable value of T (acts as "infinity").
-func MinPlus[T Number](minIdentity T) Semiring[T] {
-	return Semiring[T]{Add: MinWith(minIdentity), Mul: func(x, y T) T { return x + y }, Name: "min.plus"}
-}
-
-// MaxPlus returns the (max, +) semiring; maxIdentity must be the smallest
-// representable value of T.
-func MaxPlus[T Number](maxIdentity T) Semiring[T] {
-	return Semiring[T]{Add: MaxWith(maxIdentity), Mul: func(x, y T) T { return x + y }, Name: "max.plus"}
-}
-
-// PlusFirst returns the (+, first) semiring, counting/propagating left
-// operands; widely used for degree-style computations.
-func PlusFirst[T Number]() Semiring[T] {
-	return Semiring[T]{Add: Plus[T](), Mul: First[T], Name: "plus.first"}
-}
-
-// PlusSecond returns the (+, second) semiring.
-func PlusSecond[T Number]() Semiring[T] {
-	return Semiring[T]{Add: Plus[T](), Mul: Second[T], Name: "plus.second"}
-}
 
 // PlusPair returns the (+, pair) semiring, where pair(x,y) == 1. MxM over
 // plus.pair counts structural overlaps (e.g. triangle counting).

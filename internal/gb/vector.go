@@ -47,16 +47,6 @@ func (v *Vector[T]) NVals() int {
 	return len(v.idx)
 }
 
-// SetAccum replaces the duplicate-combining operator. It must be called
-// while no pending updates are staged.
-func (v *Vector[T]) SetAccum(op BinaryOp[T]) error {
-	if len(v.pending) != 0 {
-		return fmt.Errorf("%w: cannot change accumulator with pending updates", ErrInvalidValue)
-	}
-	v.accum = op
-	return nil
-}
-
 // SetElement stages v(i) ⊕= x.
 func (v *Vector[T]) SetElement(i Index, x T) error {
 	if i >= v.n {
@@ -314,33 +304,6 @@ func VecEWiseAdd[T Number](a, b *Vector[T], add BinaryOp[T]) (*Vector[T], error)
 		c.idx = append(c.idx, i)
 		c.val = append(c.val, x)
 	})
-	return c, nil
-}
-
-// VecEWiseMult returns the intersection combination of a and b.
-func VecEWiseMult[T Number](a, b *Vector[T], mul BinaryOp[T]) (*Vector[T], error) {
-	if a.n != b.n {
-		return nil, fmt.Errorf("%w: vectors %d vs %d", ErrDimensionMismatch, a.n, b.n)
-	}
-	if mul == nil {
-		return nil, fmt.Errorf("%w: nil mul operator", ErrInvalidValue)
-	}
-	room := min(a.NVals(), b.NVals())
-	c := &Vector[T]{n: a.n, accum: a.accum, idx: make([]Index, 0, room), val: make([]T, 0, room)}
-	i, j := 0, 0
-	for i < len(a.idx) && j < len(b.idx) {
-		switch {
-		case a.idx[i] < b.idx[j]:
-			i++
-		case b.idx[j] < a.idx[i]:
-			j++
-		default:
-			c.idx = append(c.idx, a.idx[i])
-			c.val = append(c.val, mul(a.val[i], b.val[j]))
-			i++
-			j++
-		}
-	}
 	return c, nil
 }
 

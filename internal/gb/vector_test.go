@@ -156,34 +156,11 @@ func TestVecEWiseAddBruteForce(t *testing.T) {
 	}
 }
 
-func TestVecEWiseMultIntersection(t *testing.T) {
-	a := MustNewVector[int64](10)
-	b := MustNewVector[int64](10)
-	_ = a.SetElement(1, 2)
-	_ = a.SetElement(2, 3)
-	_ = b.SetElement(2, 4)
-	_ = b.SetElement(3, 5)
-	c, err := VecEWiseMult(a, b, Times[int64]().Op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NVals() != 1 {
-		t.Fatalf("NVals = %d", c.NVals())
-	}
-	x, _ := c.ExtractElement(2)
-	if x != 12 {
-		t.Fatalf("value = %d", x)
-	}
-}
-
 func TestVecDimensionMismatch(t *testing.T) {
 	a := MustNewVector[int64](4)
 	b := MustNewVector[int64](5)
 	if _, err := VecEWiseAdd(a, b, Plus[int64]().Op); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("add: %v", err)
-	}
-	if _, err := VecEWiseMult(a, b, Times[int64]().Op); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("mult: %v", err)
 	}
 }
 

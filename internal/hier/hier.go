@@ -82,7 +82,7 @@ func (c Config) Validate() error {
 func (c Config) Levels() int { return len(c.Cuts) + 1 }
 
 // Stats counts the work a hierarchical matrix has performed. All counters
-// are cumulative since construction (or the last ResetStats).
+// are cumulative since construction.
 type Stats struct {
 	// Updates is the number of individual entry updates ingested.
 	Updates int64
@@ -151,9 +151,6 @@ func (h *Matrix[T]) NCols() gb.Index { return h.ncols }
 
 // NumLevels returns the cascade depth N.
 func (h *Matrix[T]) NumLevels() int { return len(h.levels) }
-
-// Cuts returns a copy of the cut thresholds c1 … c(N-1).
-func (h *Matrix[T]) Cuts() []int { return append([]int(nil), h.cuts...) }
 
 // Update ingests a batch of streaming updates: A1 += A where A is the
 // hypersparse matrix assembled from the tuples, then cascades any level
@@ -322,14 +319,6 @@ func (h *Matrix[T]) Stats() Stats {
 	s.Cascades = append([]int64(nil), h.stats.Cascades...)
 	s.CascadedEntries = append([]int64(nil), h.stats.CascadedEntries...)
 	return s
-}
-
-// ResetStats zeroes the counters (cascade state is untouched).
-func (h *Matrix[T]) ResetStats() {
-	h.stats = Stats{
-		Cascades:        make([]int64, len(h.levels)),
-		CascadedEntries: make([]int64, len(h.levels)),
-	}
 }
 
 // Trim completes pending work and releases every buffer only further

@@ -39,9 +39,9 @@ func TestEncodeDecodeRoundTripMidStream(t *testing.T) {
 	if restored.NumLevels() != h.NumLevels() {
 		t.Fatalf("levels %d != %d", restored.NumLevels(), h.NumLevels())
 	}
-	for i, c := range h.Cuts() {
-		if restored.Cuts()[i] != c {
-			t.Fatalf("cuts %v != %v", restored.Cuts(), h.Cuts())
+	for i, c := range h.cuts {
+		if restored.cuts[i] != c {
+			t.Fatalf("cuts %v != %v", restored.cuts, h.cuts)
 		}
 	}
 	// Same per-level occupancy (exact cascade state).

@@ -13,7 +13,8 @@
 //     bytes). CounterFunc mirrors an existing atomic the /stats JSON
 //     already maintains, so the two surfaces can never disagree.
 //   - Gauge: an integer that goes both ways (queue depth, in-flight
-//     budget, active windows). GaugeFunc samples at scrape time.
+//     budget, active windows), registered with GaugeFunc and sampled at
+//     scrape time.
 //   - Histogram: fixed cumulative buckets plus sum and count, for
 //     latencies (fsync, checkpoint, per-op service time) and lags.
 //
@@ -87,20 +88,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an integer that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram counts observations into fixed cumulative buckets and tracks
 // their sum, the Prometheus histogram contract. The implicit +Inf bucket
 // always exists; Observe is two atomic adds.
@@ -149,44 +136,6 @@ func (h *Histogram) Snapshot() (uppers []float64, counts []uint64, inf uint64, s
 	return h.uppers, counts, h.inf.Load(), h.sum.load()
 }
 
-// Quantile estimates the q-quantile (q in [0, 1]) of the observations by
-// linear interpolation inside the bucket holding it — the standard
-// fixed-bucket estimate, as precise as the bucket layout. Observations
-// in the +Inf bucket are reported as the highest finite bound (an
-// underestimate, flagged by comparing against Sum/Count). Returns 0 when
-// the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	uppers, counts, inf, _ := h.Snapshot()
-	total := inf
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var seen float64
-	lower := 0.0
-	for i, c := range counts {
-		if c > 0 && seen+float64(c) >= target {
-			frac := (target - seen) / float64(c)
-			return lower + (uppers[i]-lower)*frac
-		}
-		seen += float64(c)
-		lower = uppers[i]
-	}
-	if len(uppers) > 0 {
-		return uppers[len(uppers)-1]
-	}
-	return 0
-}
-
 // atomicFloat is a float64 updated by CAS on its bits.
 type atomicFloat struct {
 	bits atomic.Uint64
@@ -209,7 +158,6 @@ type series struct {
 	labels []Label // sorted by name
 	sig    string  // rendered label signature, the dedup key
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -365,22 +313,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return sr.c
 }
 
-// Gauge returns the gauge with the given name and labels, registering it
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.ensure(name, help, KindGauge)
-	if len(f.funcs) > 0 {
-		panic(fmt.Sprintf("metrics: %s is function-backed", name))
-	}
-	sr := f.seriesFor(labels)
-	if sr.g == nil {
-		sr.g = &Gauge{}
-	}
-	return sr.g
-}
-
 // Histogram returns the histogram with the given name, bucket upper
 // bounds (ascending, seconds by convention; nil selects DurationBuckets),
 // and labels, registering it on first use. Every series in a family
@@ -488,8 +420,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			switch f.kind {
 			case KindCounter:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, sr.sig, sr.c.Value())
-			case KindGauge:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, sr.sig, sr.g.Value())
 			case KindHistogram:
 				writeHistogram(&b, f, sr)
 			}

@@ -21,9 +21,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	c := r.Counter("test_events_total", "Events seen.")
 	c.Inc()
 	c.Add(4)
-	g := r.Gauge("test_depth", "Queue depth.")
-	g.Set(7)
-	g.Add(-2)
+	r.GaugeFunc("test_depth", "Queue depth.", func() int64 { return 5 })
 	out := render(t, r)
 	for _, want := range []string{
 		"# HELP test_events_total Events seen.\n",
@@ -63,7 +61,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering a gauge over a counter must panic")
 		}
 	}()
-	r.Gauge("test_total", "x")
+	r.GaugeFunc("test_total", "x", func() int64 { return 0 })
 }
 
 func TestFuncBackedSum(t *testing.T) {
@@ -152,7 +150,7 @@ func TestConcurrentUse(t *testing.T) {
 func TestExpositionParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_events_total", "Events with \"quotes\" and \\ slash.").Add(3)
-	r.Gauge("test_depth", "d", L("shard", "0")).Set(-2)
+	r.GaugeFunc("test_depth", "d", func() int64 { return -2 })
 	r.Histogram("test_seconds", "h", nil, L("op", `quo"te`)).Observe(0.2)
 	r.GaugeFunc("test_sampled", "s", func() int64 { return 11 })
 	out := render(t, r)

@@ -7,7 +7,7 @@
 //   - RMAT: the recursive Kronecker-style sampler with Graph500 parameters,
 //     the de-facto standard power-law graph generator in the GraphBLAS and
 //     Graph Challenge literature.
-//   - Zipf / BoundedPareto: independent power-law row and column samplers,
+//   - BoundedPareto: independent power-law row and column samplers,
 //     matching the "perfect power-law" traffic matrices of the D4M papers.
 //
 // All generators are deterministic under an explicit seed, and StreamSpec
@@ -78,9 +78,6 @@ func NewRMATParams(scale int, seed uint64, a, b, c, d float64) (*RMAT, error) {
 	}, nil
 }
 
-// NumVertices returns 2^scale.
-func (g *RMAT) NumVertices() gb.Index { return 1 << uint(g.scale) }
-
 // Edge samples one edge.
 func (g *RMAT) Edge() Edge {
 	var row, col gb.Index
@@ -129,52 +126,6 @@ func (g *RMAT) Fill(rows, cols []gb.Index) error {
 		cols[k] = e.Col
 	}
 	return nil
-}
-
-// Zipf samples from an exact discrete Zipf distribution over {0,…,n-1}
-// with exponent s > 0, via an inverse-CDF table. Suitable for n up to a
-// few million; use BoundedPareto for address-space-sized ranges.
-type Zipf struct {
-	cdf []float64
-	rng *rand.Rand
-}
-
-// NewZipf builds the inverse-CDF table (O(n) memory).
-func NewZipf(n int, s float64, seed uint64) (*Zipf, error) {
-	if n < 1 || n > 1<<24 {
-		return nil, fmt.Errorf("%w: zipf n %d outside [1, 2^24] (use BoundedPareto for larger ranges)", gb.ErrInvalidValue, n)
-	}
-	if s <= 0 {
-		return nil, fmt.Errorf("%w: zipf exponent %v <= 0", gb.ErrInvalidValue, s)
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += math.Pow(float64(k+1), -s)
-		cdf[k] = sum
-	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: rand.New(rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9))}, nil
-}
-
-// Next samples one value in {0,…,n-1}; rank 0 is the most probable.
-func (z *Zipf) Next() gb.Index {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(z.cdf) {
-		lo = len(z.cdf) - 1
-	}
-	return gb.Index(uint64(lo))
 }
 
 // BoundedPareto samples power-law values over {0,…,n-1} for arbitrarily

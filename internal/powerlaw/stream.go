@@ -37,13 +37,6 @@ func (s StreamSpec) Validate() error {
 // Sets returns the number of sets the stream divides into.
 func (s StreamSpec) Sets() int { return s.TotalEdges / s.SetSize }
 
-// PaperSpec returns the exact workload of the paper's Section III:
-// 100,000,000 entries in 1,000 sets of 100,000, over a 2^32-vertex
-// (IPv4-scale) vertex space.
-func PaperSpec(seed uint64) StreamSpec {
-	return StreamSpec{TotalEdges: 100_000_000, SetSize: 100_000, Scale: 32, Seed: seed}
-}
-
 // ScaledSpec returns the paper's workload shape shrunk to totalEdges while
 // preserving the 1,000-sets structure where possible (set size is
 // totalEdges/1000, floored to at least 1,000 entries).

@@ -11,8 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
@@ -39,26 +37,6 @@ func IndexToIPv4(i gb.Index) (uint32, error) {
 		return 0, fmt.Errorf("%w: index %d outside IPv4 space", gb.ErrIndexOutOfBounds, i)
 	}
 	return uint32(i), nil
-}
-
-// ParseIPv4 parses a dotted-quad address.
-func ParseIPv4(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("%w: %q is not dotted-quad", gb.ErrInvalidValue, s)
-	}
-	var ip uint32
-	for _, p := range parts {
-		if p == "" || (len(p) > 1 && p[0] == '0') {
-			return 0, fmt.Errorf("%w: octet %q malformed", gb.ErrInvalidValue, p)
-		}
-		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil || v > 255 {
-			return 0, fmt.Errorf("%w: octet %q out of range", gb.ErrInvalidValue, p)
-		}
-		ip = ip<<8 | uint32(v)
-	}
-	return ip, nil
 }
 
 // FormatIPv4 renders an address as dotted-quad.
@@ -235,9 +213,3 @@ func (w *Window) rotate() error {
 
 // Completed returns the finalized window matrices so far.
 func (w *Window) Completed() []*gb.Matrix[uint64] { return w.completed }
-
-// CurrentFill reports how many flows the open window holds.
-func (w *Window) CurrentFill() int { return w.inWindow }
-
-// Current returns the live (partial) window's total.
-func (w *Window) Current() (*gb.Matrix[uint64], error) { return w.current.Query() }

@@ -59,10 +59,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer appends framed records to an underlying writer.
 type Writer struct {
-	bw      *bufio.Writer
-	records int64
-	bytes   int64
-	syncs   int64
+	bw    *bufio.Writer
+	bytes int64
+	syncs int64
 }
 
 // NewWriter returns a log writer over w.
@@ -90,7 +89,6 @@ func (w *Writer) Append(rec []byte) error {
 	if _, err := w.bw.Write(rec); err != nil {
 		return err
 	}
-	w.records++
 	w.bytes += int64(n + 4 + len(rec))
 	return nil
 }
@@ -100,9 +98,6 @@ func (w *Writer) Sync() error {
 	w.syncs++
 	return w.bw.Flush()
 }
-
-// Records returns the number of records appended.
-func (w *Writer) Records() int64 { return w.records }
 
 // Bytes returns the number of framed bytes produced.
 func (w *Writer) Bytes() int64 { return w.bytes }
@@ -199,8 +194,7 @@ func ReadUvarint(br io.ByteReader) (uint64, int, error) {
 // buffered group durable (flush + fsync), not merely visible.
 type File struct {
 	*Writer
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // Create creates (or truncates) a log file at path.
@@ -209,11 +203,8 @@ func Create(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{Writer: NewWriter(f), f: f, path: path}, nil
+	return &File{Writer: NewWriter(f), f: f}, nil
 }
-
-// Path returns the file path the log writes to.
-func (l *File) Path() string { return l.path }
 
 // Sync flushes the buffered frames and fsyncs the file: on return, every
 // appended record survives a crash.

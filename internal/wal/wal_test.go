@@ -25,8 +25,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 100 || w.Syncs() != 1 {
-		t.Fatalf("records=%d syncs=%d", w.Records(), w.Syncs())
+	if w.Syncs() != 1 {
+		t.Fatalf("syncs=%d", w.Syncs())
 	}
 	if w.Bytes() <= 0 {
 		t.Fatalf("bytes=%d", w.Bytes())
@@ -216,9 +216,6 @@ func TestFileSyncDurableAndRotate(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l2.Path() != p1 {
-		t.Fatalf("Path() = %q, want %q", l2.Path(), p1)
-	}
 
 	for i, p := range []string{p0, p1} {
 		f, err := os.Open(p)
@@ -250,7 +247,7 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	if err := w.Append(rec); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("want ErrRecordTooLarge, got %v", err)
 	}
-	if w.Records() != 0 {
-		t.Fatalf("oversized record counted: %d", w.Records())
+	if w.Bytes() != 0 {
+		t.Fatalf("oversized record counted: %d bytes", w.Bytes())
 	}
 }

@@ -198,9 +198,14 @@ func (s *Store[T]) persistMetaBestEffort() {
 	_ = s.persistMeta() // losing a frontier advance re-seals idempotently
 }
 
-// markSealed drops the SEALED marker in a window's directory.
+// markSealed drops the SEALED marker in a window's directory and makes it
+// durable: recovery discards a roll-up parent without one, even after
+// expiry has deleted its children.
 func (s *Store[T]) markSealed(w *win[T]) error {
-	return os.WriteFile(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n"), 0o644)
+	if err := writeFileSync(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n")); err != nil {
+		return err
+	}
+	return syncDir(w.dir)
 }
 
 // removeWinDir deletes an expired window's durable state.

@@ -67,10 +67,6 @@ var ErrClosed = errors.New("window: store is closed")
 // applied; Stats().LateDrops counts the dropped entries.
 var ErrLate = errors.New("window: timestamp behind the seal frontier")
 
-// DefaultLateness is the default out-of-orderness budget: a window seals
-// only once the watermark passes its end by this much.
-const DefaultLateness = 0 * time.Second
-
 // Config describes a temporal window store.
 type Config struct {
 	// Window is the level-0 window duration. Required, > 0.
