@@ -21,7 +21,7 @@ func TestProductImportBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
-	forbidden := []string{"algo", "assoc", "baselines", "bench", "btree", "cluster", "memsim", "skiplist", "trace", "faultnet"}
+	forbidden := []string{"algo", "assoc", "baselines", "bench", "cluster", "memsim", "trace", "faultnet"}
 	for _, dep := range strings.Fields(string(out)) {
 		for _, name := range forbidden {
 			pkg := "hhgb/internal/" + name

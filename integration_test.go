@@ -233,28 +233,24 @@ func TestIntegrationWindowedAnalyticsOverCluster(t *testing.T) {
 }
 
 // TestIntegrationFig2MiniSweep runs the actual Fig. 2 harness end to end
-// on two engines at tiny scale and checks the headline ordering.
+// on two engines at tiny scale and checks the headline ordering against
+// hierarchical D4M, the paper's prior system, measured here.
 func TestIntegrationFig2MiniSweep(t *testing.T) {
 	series, models, err := cluster.Fig2(cluster.Fig2Config{
 		Stream:             powerlaw.StreamSpec{TotalEdges: 20_000, SetSize: 2_000, Scale: 18, Seed: 2},
 		ServerCounts:       []int{1, 100, 1100},
 		CalibrationSeconds: 0.05,
-		Engines:            []string{"hier-graphblas", "accumulo", "tpcc"},
+		Engines:            []string{"hier-graphblas", "hier-d4m"},
 		Dim:                1 << 18,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 3 || len(models) != 3 {
+	if len(series) != 2 || len(models) != 2 {
 		t.Fatalf("series/models: %d/%d", len(series), len(models))
 	}
 	at1100 := func(i int) float64 { return series[i].Points[2].Y }
-	if !(at1100(0) > at1100(1) && at1100(1) > at1100(2)) {
-		t.Fatalf("ordering at 1100 servers broken: %v / %v / %v", at1100(0), at1100(1), at1100(2))
-	}
-	// Shared-nothing line must be at least a decade above the per-server
-	// database line at full scale.
-	if at1100(0) < 10*at1100(1) {
-		t.Fatalf("hier-graphblas (%v) not a decade above accumulo (%v)", at1100(0), at1100(1))
+	if !(at1100(0) > at1100(1)) {
+		t.Fatalf("ordering at 1100 servers broken: hier-graphblas %v, hier-d4m %v", at1100(0), at1100(1))
 	}
 }

@@ -235,8 +235,7 @@ func (a *Assoc) Total() (float64, error) {
 }
 
 // SubsrefColsPrefix returns the sub-array whose column keys start with the
-// given prefix — the D4M "StartsWith" range query that Accumulo serves with
-// a scan.
+// given prefix — the D4M "StartsWith" range query.
 func (a *Assoc) SubsrefColsPrefix(prefix string) (*Assoc, error) {
 	if a.mat == nil {
 		return New(), nil

@@ -37,7 +37,8 @@ func runEngine(t testing.TB, e Engine, stream [][]Edge) {
 }
 
 func TestAllEnginesConserveCount(t *testing.T) {
-	// Invariant 6 in DESIGN.md: every engine reports Count == Σ batches.
+	// Every engine reports Count == Σ batches: no update is lost or
+	// double-counted on the way in.
 	stream := testStream(t, 20, 500)
 	total := int64(20 * 500)
 	for name, factory := range Registry(testDim) {
@@ -154,214 +155,11 @@ func TestD4MKeyFixedWidthSorted(t *testing.T) {
 	}
 }
 
-func TestAccumuloCombinesAndCompacts(t *testing.T) {
-	cfg := DefaultAccumuloConfig()
-	cfg.MemtableBytes = 64 << 10 // force frequent minor compactions
-	cfg.MaxRuns = 3
-	a, err := NewAccumulo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hammer one key across many flush boundaries plus scatter traffic.
-	g, _ := powerlaw.NewRMAT(18, 5)
-	for step := 0; step < 20; step++ {
-		batch := g.Edges(2000)
-		for k := range batch {
-			if k%10 == 0 {
-				batch[k] = Edge{Row: 7, Col: 9, Val: 1}
-			}
-		}
-		if err := a.Ingest(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Flushes() == 0 {
-		t.Fatal("memtable never flushed despite tiny limit")
-	}
-	if a.Compactions() == 0 {
-		t.Fatal("no major compaction despite MaxRuns=3")
-	}
-	// The hammered key must have accumulated exactly its hits across
-	// memtable and runs (combining survived flush + compaction).
-	v, ok := a.Lookup(d4mKey('r', 7), d4mKey('c', 9))
-	if !ok {
-		t.Fatal("hammered key missing")
-	}
-	if v != 20*200 {
-		t.Fatalf("combined value = %d, want %d", v, 20*200)
-	}
-	if a.WALBytes() == 0 {
-		t.Fatal("no WAL bytes framed")
-	}
-}
-
-func TestAccumuloEntriesAfterCompaction(t *testing.T) {
-	cfg := DefaultAccumuloConfig()
-	cfg.MemtableBytes = 32 << 10
-	cfg.MaxRuns = 2
-	a, _ := NewAccumulo(cfg)
-	edges := make([]Edge, 0, 3000)
-	for k := 0; k < 3000; k++ {
-		edges = append(edges, Edge{Row: gb.Index(uint64(k % 500)), Col: gb.Index(uint64(k % 100)), Val: 1})
-	}
-	if err := a.Ingest(edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Entries(); got != 500 {
-		t.Fatalf("entries = %d, want 500 distinct keys", got)
-	}
-}
-
-func TestAccumuloD4MPreAggregates(t *testing.T) {
-	e, err := NewAccumuloD4M(DefaultAccumuloConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1000 updates to the same key: client-side combine collapses them to
-	// a single mutation per batch.
-	batch := make([]Edge, 1000)
-	for k := range batch {
-		batch[k] = Edge{Row: 1, Col: 2, Val: 1}
-	}
-	if err := e.Ingest(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Count() != 1000 {
-		t.Fatalf("count = %d", e.Count())
-	}
-	if e.Entries() != 1 {
-		t.Fatalf("entries = %d, want 1", e.Entries())
-	}
-	v, ok := e.acc.Lookup(d4mKey('r', 1), d4mKey('c', 2))
-	if !ok || v != 1000 {
-		t.Fatalf("value = %d, %v", v, ok)
-	}
-}
-
-func TestSciDBChunksAndVersions(t *testing.T) {
-	cfg := SciDBConfig{ChunkSize: 16, CommitEvery: 100}
-	s, err := NewSciDB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []Edge
-	for k := 0; k < 500; k++ {
-		edges = append(edges, Edge{Row: gb.Index(uint64(k % 64)), Col: gb.Index(uint64(k % 32)), Val: 2})
-	}
-	if err := s.Ingest(edges); err != nil {
-		t.Fatal(err)
-	}
-	if s.Versions() < 4 {
-		t.Fatalf("versions = %d, want >= 4 with CommitEvery=100", s.Versions())
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.Lookup(0, 0)
-	if !ok {
-		t.Fatal("cell (0,0) missing")
-	}
-	// k=0, 64 hit? k%64==0 && k%32==0 at k=0,64(row 0,col 0),128,... rows
-	// repeat every 64: cells (0,0) receive k=0,192,384 → wait, col repeats
-	// every 32. (0,0) gets k where k%64==0 and k%32==0: k=0,64,128,...
-	// every 64 → ceil(500/64)=8 hits of value 2.
-	if v != 16 {
-		t.Fatalf("cell (0,0) = %d, want 16", v)
-	}
-	if s.Entries() != 64 {
-		t.Fatalf("entries = %d, want 64 distinct cells", s.Entries())
-	}
-}
-
-func TestCrateDBSQLRoundTripAndSharding(t *testing.T) {
-	cfg := CrateDBConfig{Shards: 3, RefreshEvery: 100}
-	c, err := NewCrateDB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := powerlaw.NewRMAT(16, 9)
-	for step := 0; step < 5; step++ {
-		if err := c.Ingest(g.Edges(300)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != 1500 {
-		t.Fatalf("count = %d", c.Count())
-	}
-	if c.Rows() != 1500 {
-		t.Fatalf("rows = %d, want 1500", c.Rows())
-	}
-	// 300-row batches chunk into ceil(300/100) = 3 statements each.
-	if c.Statements() != 15 {
-		t.Fatalf("statements = %d, want 15", c.Statements())
-	}
-	// Empty batches are legal no-ops.
-	if err := c.Ingest(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseInsertRejectsMalformed(t *testing.T) {
-	if _, err := parseInsert("DELETE FROM traffic"); err == nil {
-		t.Fatal("malformed statement accepted")
-	}
-	if _, err := parseInsert("INSERT INTO traffic (src, dst, cnt) VALUES (1,2)"); err == nil {
-		t.Fatal("two-column row accepted")
-	}
-	if _, err := parseInsert("INSERT INTO traffic (src, dst, cnt) VALUES (a,b,c)"); err == nil {
-		t.Fatal("non-numeric row accepted")
-	}
-	rows, err := parseInsert(formatInsert([]Edge{{Row: 11, Col: 22, Val: 33}}))
-	if err != nil || len(rows) != 1 || rows[0] != (crateRow{11, 22, 33}) {
-		t.Fatalf("round trip: %v, %v", rows, err)
-	}
-}
-
-func TestTPCCTransactionsAndIndex(t *testing.T) {
-	cfg := TPCCConfig{TxnSize: 10}
-	e, err := NewTPCC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []Edge
-	for k := 0; k < 95; k++ {
-		edges = append(edges, Edge{Row: gb.Index(uint64(k % 7)), Col: gb.Index(uint64(k % 5)), Val: 1})
-	}
-	if err := e.Ingest(edges); err != nil {
-		t.Fatal(err)
-	}
-	if e.Transactions() != 10 { // ceil(95/10)
-		t.Fatalf("transactions = %d, want 10", e.Transactions())
-	}
-	if e.Rows() != 35 { // lcm(7,5) distinct keys
-		t.Fatalf("rows = %d, want 35", e.Rows())
-	}
-	v, ok := e.Lookup(0, 0)
-	if !ok || v != 3 { // k = 0, 35, 70
-		t.Fatalf("key (0,0) = %d, %v; want 3", v, ok)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEngineRelativeOrdering(t *testing.T) {
 	// The qualitative Fig. 2 claim at single-process scale: hierarchical
-	// GraphBLAS must ingest the same stream faster than hierarchical D4M,
-	// which must beat the OLTP model. (Coarse 3-point ordering check;
-	// the full sweep lives in the benchmark harness.)
+	// GraphBLAS must ingest the same stream faster than hierarchical D4M.
+	// (Coarse ordering check; the full sweep lives in the benchmark
+	// harness.)
 	if testing.Short() {
 		t.Skip("ordering check is timing-based")
 	}
@@ -388,11 +186,7 @@ func TestEngineRelativeOrdering(t *testing.T) {
 	reg := Registry(testDim)
 	tHier := timeOf(reg["hier-graphblas"])
 	tD4M := timeOf(reg["hier-d4m"])
-	tTPCC := timeOf(reg["tpcc"])
 	if !(tHier < tD4M) {
 		t.Errorf("hier-graphblas (%.4fs) not faster than hier-d4m (%.4fs)", tHier, tD4M)
-	}
-	if !(tHier < tTPCC) {
-		t.Errorf("hier-graphblas (%.4fs) not faster than tpcc (%.4fs)", tHier, tTPCC)
 	}
 }

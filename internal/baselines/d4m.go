@@ -8,7 +8,7 @@ import (
 
 // d4mKey formats an integer id the way D4M traffic-matrix scripts do:
 // a fixed-width decimal string, so lexicographic key order matches numeric
-// order. The formatting cost is part of what the D4M baselines pay.
+// order. The formatting cost is part of what the D4M engine pays.
 func d4mKey(prefix byte, id uint64) string {
 	var buf [21]byte
 	buf[0] = prefix
@@ -90,67 +90,3 @@ func (e *HierD4M) Close() error {
 
 // QueryAssoc materializes the total associative array.
 func (e *HierD4M) QueryAssoc() (*assoc.Assoc, error) { return e.h.Query() }
-
-// AccumuloD4M is the D4M-over-Accumulo pipeline [25]: triples are encoded
-// with D4M string keys, pre-summed client-side (the D4M batch combiner),
-// then written through the Accumulo tablet-server model in large batches.
-type AccumuloD4M struct {
-	acc    *Accumulo
-	count  int64
-	closed bool
-}
-
-// NewAccumuloD4M returns the engine over a fresh Accumulo model.
-func NewAccumuloD4M(cfg AccumuloConfig) (*AccumuloD4M, error) {
-	acc, err := NewAccumulo(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AccumuloD4M{acc: acc}, nil
-}
-
-// Name implements Engine.
-func (e *AccumuloD4M) Name() string { return "accumulo-d4m" }
-
-// Ingest implements Engine: client-side combine, then batched mutations.
-func (e *AccumuloD4M) Ingest(edges []Edge) error {
-	if e.closed {
-		return errClosed(e.Name())
-	}
-	// D4M pre-aggregation: sum duplicate (row, col) pairs in the batch
-	// before they reach the tablet server.
-	combined := make(map[[2]uint64]uint64, len(edges))
-	for _, ed := range edges {
-		combined[[2]uint64{uint64(ed.Row), uint64(ed.Col)}] += ed.Val
-	}
-	for key, val := range combined {
-		if err := e.acc.mutate(d4mKey('r', key[0]), d4mKey('c', key[1]), val); err != nil {
-			return err
-		}
-	}
-	e.count += int64(len(edges))
-	return e.acc.groupCommit()
-}
-
-// Flush implements Engine.
-func (e *AccumuloD4M) Flush() error {
-	if e.closed {
-		return errClosed(e.Name())
-	}
-	return e.acc.Flush()
-}
-
-// Count implements Engine.
-func (e *AccumuloD4M) Count() int64 { return e.count }
-
-// Close implements Engine.
-func (e *AccumuloD4M) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	return e.acc.Close()
-}
-
-// Entries exposes the tablet model's distinct entry count for tests.
-func (e *AccumuloD4M) Entries() int { return e.acc.Entries() }

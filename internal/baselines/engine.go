@@ -1,27 +1,21 @@
-// Package baselines implements the streaming-ingest engines compared in
-// the paper's Fig. 2, behind a single Engine interface:
+// Package baselines implements the streaming-ingest engines this
+// repository runs for the paper's Fig. 2, behind a single Engine interface:
 //
 //   - HierGraphBLAS — hierarchical hypersparse GraphBLAS (this paper)
 //   - FlatGraphBLAS — the same substrate without the hierarchy (ablation)
 //   - ShardedGraphBLAS — the hierarchy hash-partitioned across cores
 //     (the concurrent ingest frontend; one internally-parallel instance)
-//   - HierD4M       — hierarchical D4M associative arrays [19]
-//   - AccumuloD4M   — D4M batch ingest into an Accumulo tablet model [25]
-//   - Accumulo      — the Accumulo continuous-ingest model [27]
-//   - SciDB         — chunked-array store with synchronized commits [26]
-//   - CrateDB       — SQL statement + translog + shard refresh model [28]
-//   - TPCC          — OLTP row store: B+tree + redo log + per-txn commit
+//   - HierD4M       — hierarchical D4M associative arrays [19], the
+//     paper's prior system
 //
-// The closed/remote systems are behavioral models: they do real CPU work
-// with the same cost structure as the modelled system (key encoding, WAL
-// framing + CRC, ordered memtable insertion, flush/compaction, SQL
-// formatting/parsing, chunk packing, B+tree splits), not protocol-faithful
-// reimplementations. See DESIGN.md §2 for the substitution rationale.
+// Every engine here is measured, not modelled. The other systems in the
+// paper's Fig. 2 (Accumulo D4M, SciDB, Accumulo, CrateDB and Oracle/TPC-C)
+// appear there as their published rates; see
+// https://arxiv.org/abs/2001.06935. This package does not run them.
 package baselines
 
 import (
 	"fmt"
-	"io"
 
 	"hhgb/internal/gb"
 	"hhgb/internal/powerlaw"
@@ -36,7 +30,7 @@ type Engine interface {
 	Name() string
 	// Ingest streams one batch of updates into the engine.
 	Ingest(edges []Edge) error
-	// Flush completes all pending work (memtable flushes, commits, ...).
+	// Flush completes all pending work.
 	Flush() error
 	// Count returns the cumulative number of updates ingested.
 	Count() int64
@@ -62,34 +56,21 @@ type Drainer interface {
 // simulated process its own instance (shared-nothing).
 type Factory func() (Engine, error)
 
-// Registry maps engine names to factories with the default model
-// configurations used by the Fig. 2 harness.
+// Registry maps engine names to factories with the default configurations
+// used by the Fig. 2 harness.
 func Registry(dim gb.Index) map[string]Factory {
 	return map[string]Factory{
 		"hier-graphblas":    func() (Engine, error) { return NewHierGraphBLAS(dim, nil) },
 		"flat-graphblas":    func() (Engine, error) { return NewFlatGraphBLAS(dim) },
 		"sharded-graphblas": func() (Engine, error) { return NewShardedGraphBLAS(dim, nil, 0) },
 		"hier-d4m":          func() (Engine, error) { return NewHierD4M(nil) },
-		"accumulo-d4m":      func() (Engine, error) { return NewAccumuloD4M(DefaultAccumuloConfig()) },
-		"accumulo":          func() (Engine, error) { return NewAccumulo(DefaultAccumuloConfig()) },
-		"scidb":             func() (Engine, error) { return NewSciDB(DefaultSciDBConfig()) },
-		"cratedb":           func() (Engine, error) { return NewCrateDB(DefaultCrateDBConfig()) },
-		"tpcc":              func() (Engine, error) { return NewTPCC(DefaultTPCCConfig()) },
 	}
 }
 
-// Fig2Order lists the engines in the order the paper's Fig. 2 legend
-// presents them (fastest to slowest at scale).
+// Fig2Order lists the measured Fig. 2 engines in the order the paper's
+// legend presents them (fastest to slowest at scale).
 func Fig2Order() []string {
-	return []string{
-		"hier-graphblas",
-		"hier-d4m",
-		"accumulo-d4m",
-		"scidb",
-		"accumulo",
-		"cratedb",
-		"tpcc",
-	}
+	return []string{"hier-graphblas", "hier-d4m"}
 }
 
 // ScalingClass describes how an engine's aggregate throughput composes
@@ -101,14 +82,9 @@ const (
 	// no communication: aggregate = servers x procs/server x rate.
 	// The paper's hierarchical GraphBLAS and hierarchical D4M runs.
 	ScaleSharedNothing ScalingClass = iota
-	// ScalePerServer engines run one internally-parallel server process
-	// per node (tablet server, array instance, SQL node): aggregate =
-	// servers x rate.
+	// ScalePerServer engines run one internally-parallel process per
+	// node: aggregate = servers x rate.
 	ScalePerServer
-	// ScaleUp engines are single scale-up systems whose published
-	// cluster results grow far sublinearly: aggregate = rate x
-	// servers^0.3 (Oracle TPC-C).
-	ScaleUp
 )
 
 // ClassOf returns the scaling class of a registered engine.
@@ -116,8 +92,6 @@ func ClassOf(name string) ScalingClass {
 	switch name {
 	case "hier-graphblas", "flat-graphblas", "hier-d4m":
 		return ScaleSharedNothing
-	case "tpcc":
-		return ScaleUp
 	default:
 		// Includes sharded-graphblas: one internally-parallel instance
 		// per node, so aggregate throughput composes per server.
@@ -128,15 +102,4 @@ func ClassOf(name string) ScalingClass {
 // errClosed is returned when an engine is used after Close.
 func errClosed(name string) error {
 	return fmt.Errorf("%w: engine %s is closed", gb.ErrInvalidValue, name)
-}
-
-// sinkOrDiscard resolves an optional diagnostic/log sink: engines never
-// write to stdout/stderr on their own (TestEnginesQuiet pins this), so a
-// nil sink means the caller doesn't want the bytes and they go to
-// io.Discard rather than leaking anywhere visible.
-func sinkOrDiscard(w io.Writer) io.Writer {
-	if w == nil {
-		return io.Discard
-	}
-	return w
 }

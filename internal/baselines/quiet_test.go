@@ -10,10 +10,8 @@ import (
 
 // TestEnginesQuiet pins that no engine chatters on stdout or stderr
 // during normal operation: benchmark harnesses parse their own output,
-// and a baseline model that logs per-batch would both corrupt piped
-// results and distort the timing it exists to measure. Diagnostic byte
-// streams (WAL, translog, redo) go only to the injected sinks, which
-// default to io.Discard via sinkOrDiscard.
+// and an engine that logs per-batch would both corrupt piped results and
+// distort the timing it exists to measure.
 func TestEnginesQuiet(t *testing.T) {
 	// The engines run in-process, so swap the real file descriptors'
 	// os.File handles; restore them whatever happens.

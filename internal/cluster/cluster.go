@@ -18,6 +18,12 @@
 // (baselines.ScalePerServer) rather than per process, so the two scaling
 // axes — shards within a node, shared-nothing processes across nodes —
 // multiply in the extrapolation.
+//
+// Fig2 plots measured series only: every curve is an engine this
+// repository runs, calibrated on the local machine. The paper's Fig. 2
+// (https://arxiv.org/abs/2001.06935) also plots the published rates of
+// Accumulo D4M, SciDB, Accumulo, CrateDB and Oracle/TPC-C; compare against
+// those there, since nothing here runs those systems.
 package cluster
 
 import (
@@ -172,8 +178,8 @@ type Model struct {
 	// shared-nothing engines.
 	ProcsPerServer int
 	// Class selects how throughput composes across servers: per-process
-	// shared-nothing (the paper's hierarchical runs), per-server
-	// (distributed databases), or scale-up (Oracle TPC-C).
+	// shared-nothing (the paper's hierarchical runs) or per-server (the
+	// sharded frontend, one internally-parallel process per node).
 	Class baselines.ScalingClass
 	// Efficiency returns the parallel efficiency at a server count;
 	// DefaultEfficiency models the paper's slightly sublinear curve.
@@ -202,14 +208,11 @@ func (m Model) Aggregate(servers int) float64 {
 	if m.Efficiency != nil {
 		eff = m.Efficiency(servers)
 	}
-	switch m.Class {
-	case baselines.ScaleUp:
-		return m.PerProcessRate * math.Pow(float64(servers), 0.3)
-	case baselines.ScalePerServer:
+	if m.Class == baselines.ScalePerServer {
 		return float64(servers) * m.PerProcessRate * eff
-	default: // shared-nothing
-		return float64(servers) * float64(m.ProcsPerServer) * m.PerProcessRate * eff
 	}
+	// shared-nothing
+	return float64(servers) * float64(m.ProcsPerServer) * m.PerProcessRate * eff
 }
 
 // Calibrate builds a Model for the engine by measuring its single-process
@@ -252,9 +255,9 @@ func DefaultServerCounts() []int {
 	return []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1100}
 }
 
-// Fig2 runs the full Fig. 2 reproduction: it calibrates every engine
-// locally, then produces one modeled series per engine across the server
-// counts. The returned models carry the measured per-process rates for
+// Fig2 runs the Fig. 2 reproduction for the measured engines: it
+// calibrates every engine locally, then produces one extrapolated series
+// per engine across the server counts. The returned models carry the measured per-process rates for
 // reporting.
 func Fig2(cfg Fig2Config) ([]bench.Series, []Model, error) {
 	if cfg.ProcsPerServer < 1 {

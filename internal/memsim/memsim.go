@@ -6,7 +6,7 @@
 // replacement and per-level latencies. The ingest models in model.go replay
 // the address patterns of flat versus hierarchical batch-merge updates
 // through the simulator, producing a simulated cycles-per-update figure for
-// the memory-pressure ablation (experiment E10 in DESIGN.md).
+// the memory-pressure ablation (experiment E10, BenchmarkE10_MemoryPressure).
 package memsim
 
 import (

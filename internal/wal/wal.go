@@ -1,6 +1,5 @@
-// Package wal implements a CRC32-framed append-only write-ahead log. It is
-// the durability path shared by the Accumulo, CrateDB and TPC-C baseline
-// models and by the sharded ingest frontend's per-shard logs.
+// Package wal implements a CRC32-framed append-only write-ahead log: the
+// durability path of the sharded ingest frontend's per-shard logs.
 //
 // # Framing
 //

@@ -195,6 +195,11 @@ func syncDir(dir string) error {
 }
 
 func (s *Store[T]) persistMetaBestEffort() {
+	if s.failed() != nil {
+		// After a failed seal the on-disk frontier stays put, so the
+		// window whose seal failed resumes active after Recover.
+		return
+	}
 	_ = s.persistMeta() // losing a frontier advance re-seals idempotently
 }
 
@@ -383,8 +388,18 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 			st.Resealed++
 		}
 		if sealed {
-			w.g.Close() // no-op checkpoint on a cleanly-closed group
-			_ = s.markSealed(w)
+			// A no-op checkpoint on a cleanly-closed group; a re-sealed
+			// window takes its final checkpoint and then its marker.
+			err := w.g.Close()
+			if err == nil && !pend[i].marked {
+				err = s.markSealed(w)
+			}
+			if err != nil {
+				for _, w := range wins {
+					w.g.Close()
+				}
+				return nil, st, fmt.Errorf("sealing window %s: %w", filepath.Base(w.dir), err)
+			}
 			// Re-stash the sealed window's session table (the barrier runs
 			// inline on a closed group) so retransmissions behind the
 			// frontier are still recognized as duplicates after a restart.

@@ -552,3 +552,76 @@ func TestDurableLifecycleErrors(t *testing.T) {
 	}
 	rec.Close()
 }
+
+// TestFailedSealPoisonsStore pins the seal-error path: a level-0 window
+// whose SEALED marker cannot be written is neither published nor counted
+// sealed, and the store's sticky error then fails every Append, Flush,
+// Checkpoint and Seal instead of committing a session frontier over
+// frames whose durability the seal never proved. The window stays
+// unmarked on disk and the on-disk frontier stays behind it, so Recover
+// brings it back active with its content intact.
+func TestFailedSealPoisonsStore(t *testing.T) {
+	sec := int64(time.Second)
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.Lateness = 0 // the first append in window 1 seals window 0
+	s, err := New[uint64](dim, dim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sub := s.Subscribe(0)
+	first := entry{ts: 5, r: 1, c: 1, v: 7}
+	if err := s.Append(first.ts, []gb.Index{first.r}, []gb.Index{first.c}, []uint64{first.v}); err != nil {
+		t.Fatal(err)
+	}
+	// A directory in the marker's place fails the marker write, even for
+	// a process that ignores file permissions.
+	if err := os.Mkdir(filepath.Join(victimDir(t, dir, 0, 0), sealedMarkerName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	// The crossing append lands in window 1; the seal it triggers fails.
+	if err := s.Append(sec+5, []gb.Index{2}, []gb.Index{2}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush succeeded after a failed seal")
+	}
+	if st := s.Stats(); st.Sealed != before.Sealed || st.Seals != before.Seals {
+		t.Fatalf("failed seal counted: before %+v, after %+v", before, st)
+	}
+	for _, info := range s.Windows() {
+		if info.State == Sealed {
+			t.Fatalf("failed seal published %+v", info)
+		}
+	}
+	if err := s.Append(sec+6, []gb.Index{3}, []gb.Index{3}, []uint64{1}); err == nil {
+		t.Fatal("Append succeeded after a failed seal")
+	}
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded after a failed seal")
+	}
+	if err := s.Seal(3 * sec); err == nil {
+		t.Fatal("Seal succeeded after a failed seal")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close reported success after a failed seal")
+	}
+	if sum, ok := sub.Next(); ok {
+		t.Fatalf("subscriber got a summary for a failed seal: %+v", sum)
+	}
+
+	if err := os.Remove(filepath.Join(victimDir(t, dir, 0, 0), sealedMarkerName)); err != nil {
+		t.Fatal(err)
+	}
+	rec, st, err := Recover[uint64](durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if st.Sealed != 0 || st.Resealed != 0 {
+		t.Fatalf("recovered %+v: the unmarked window came back sealed", st)
+	}
+	verifyRecovered(t, rec, []entry{first}, 0, sec)
+}

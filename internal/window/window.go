@@ -189,6 +189,14 @@ type Store[T gb.Number] struct {
 	closed    bool
 	pending   []*win[T] // windows marked Sealing, in seal order
 
+	// err is the store's sticky error: the first seal whose group close
+	// (the final checkpoint) or SEALED marker failed. That window is
+	// neither marked nor published, and from then on Append, Seal, Flush
+	// and Checkpoint return err, and no seal, roll-up, session-frontier
+	// commit or manifest write runs: the frontier must never pass frames
+	// whose durability the failed seal left unproven.
+	err error
+
 	// sealMu serializes seal execution and subscriber dispatch, so every
 	// subscriber observes one summary per sealed window in global seal
 	// order. Never held together with mu.
@@ -419,6 +427,10 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
+	if err := s.err; err != nil {
+		s.mu.Unlock()
+		return false, err
+	}
 	if ts > s.watermark {
 		s.watermark = ts
 	}
@@ -535,11 +547,22 @@ func (s *Store[T]) snapshotAccepted() map[string]uint64 {
 	return snap
 }
 
+// failed returns the store's sticky error.
+func (s *Store[T]) failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
 // commitDurableSessions publishes a pre-barrier snapshot after every live
-// window synced; max per key, never backwards.
-func (s *Store[T]) commitDurableSessions(snap map[string]uint64) {
+// window synced; max per key, never backwards. It commits nothing and
+// returns the sticky error once a seal has failed.
+func (s *Store[T]) commitDurableSessions(snap map[string]uint64) error {
+	if err := s.failed(); err != nil {
+		return err
+	}
 	if len(snap) == 0 {
-		return
+		return nil
 	}
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
@@ -551,6 +574,7 @@ func (s *Store[T]) commitDurableSessions(snap map[string]uint64) {
 			s.durable[sess] = q
 		}
 	}
+	return nil
 }
 
 // Seal advances the seal frontier to cover every level-0 window ending at
@@ -563,6 +587,10 @@ func (s *Store[T]) Seal(upTo int64) error {
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
+	}
+	if err := s.err; err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	if upTo > s.watermark {
 		s.watermark = upTo
@@ -619,11 +647,17 @@ func (s *Store[T]) scheduleSealsTo(target int64) bool {
 // (append barrier, group close, summary publication), then roll-ups and
 // retention are applied. sealMu makes the whole sequence single-file, so
 // subscribers observe seal order and roll-ups never race their children.
+// The first failed seal sets the sticky error and stops all of it; the
+// windows still queued stay Sealing until Close closes their groups.
 func (s *Store[T]) runSeals() {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
 	for {
 		s.mu.Lock()
+		if s.err != nil {
+			s.mu.Unlock()
+			return
+		}
 		if len(s.pending) == 0 {
 			s.mu.Unlock()
 			break
@@ -631,7 +665,12 @@ func (s *Store[T]) runSeals() {
 		w := s.pending[0]
 		s.pending = s.pending[1:]
 		s.mu.Unlock()
-		s.sealWin(w)
+		if err := s.sealWin(w); err != nil {
+			s.mu.Lock()
+			s.err = err
+			s.mu.Unlock()
+			return
+		}
 	}
 	s.rollUp()
 	s.expire()
@@ -642,8 +681,9 @@ func (s *Store[T]) runSeals() {
 
 // sealWin seals one level-0 window: exclude in-flight appends, close the
 // group (final checkpoint when durable), mark it on disk, publish its
-// summary. Runs under sealMu.
-func (s *Store[T]) sealWin(w *win[T]) {
+// summary. Runs under sealMu. If the close or the marker fails, the
+// window is neither marked nor published and the error is returned.
+func (s *Store[T]) sealWin(w *win[T]) error {
 	w.wmu.Lock()
 	// State was Sealing since scheduling; appends that raced the schedule
 	// have either completed under the shared lock or will observe the
@@ -652,11 +692,15 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	// Close drains every producer buffer and queue, stops the workers,
 	// takes the final checkpoint when durable, and leaves the group fully
 	// queryable — a sealed window costs zero goroutines.
-	_ = w.g.Close()
-	if w.dir != "" {
-		_ = s.markSealed(w)
+	err := w.g.Close()
+	if err == nil && w.dir != "" {
+		err = s.markSealed(w)
+	}
+	if err != nil {
+		return fmt.Errorf("window: sealing [%d,%d): %w", w.start, w.end, err)
 	}
 	s.publishSeal(w)
+	return nil
 }
 
 // publishSeal marks a closed window Sealed — servable — and pushes its
@@ -869,7 +913,8 @@ func (s *Store[T]) retention(level int) int64 {
 
 // Flush drains and completes all pending ingest work in every active
 // window (a durable group-commit point, like Sharded.Flush). Sealed
-// windows are already final.
+// windows are already final. After a failed seal it returns the sticky
+// error and commits nothing.
 func (s *Store[T]) Flush() error {
 	var snap map[string]uint64
 	if s.Durable() {
@@ -894,9 +939,11 @@ func (s *Store[T]) Flush() error {
 	}
 	// Every frame in the snapshot is now on disk: its portions sit either
 	// in a live window just fsynced, or in a window sealed since — whose
-	// final checkpoint already made them durable.
+	// final checkpoint made them durable unless the seal failed.
+	if err := s.commitDurableSessions(snap); err != nil {
+		return err
+	}
 	if s.Durable() {
-		s.commitDurableSessions(snap)
 		s.persistMetaBestEffort()
 	}
 	return nil
@@ -904,7 +951,7 @@ func (s *Store[T]) Flush() error {
 
 // Checkpoint checkpoints every active window's group (sealed windows took
 // their final checkpoint at seal time). It fails with shard.ErrNotDurable
-// on an in-memory store.
+// on an in-memory store, and with the sticky error after a failed seal.
 func (s *Store[T]) Checkpoint() error {
 	if !s.Durable() {
 		return shard.ErrNotDurable
@@ -927,7 +974,9 @@ func (s *Store[T]) Checkpoint() error {
 			return err
 		}
 	}
-	s.commitDurableSessions(snap)
+	if err := s.commitDurableSessions(snap); err != nil {
+		return err
+	}
 	s.persistMetaBestEffort()
 	return nil
 }
@@ -960,7 +1009,13 @@ func (s *Store[T]) Close() error {
 	}
 	s.mu.Unlock()
 	// Drain any queued seal work first so its windows close exactly once.
+	// After a failed seal the queue stays put: close those groups too,
+	// unmarked, so they resume as active after Recover.
 	s.runSeals()
+	s.mu.Lock()
+	live = append(live, s.pending...)
+	s.pending = nil
+	s.mu.Unlock()
 	var first error
 	for _, w := range live {
 		w.wmu.Lock()
@@ -970,12 +1025,13 @@ func (s *Store[T]) Close() error {
 			first = err
 		}
 	}
+	if first == nil {
+		// Every live window's final checkpoint succeeded, so the whole
+		// accepted frontier is on disk — unless a seal failed, in which
+		// case this returns the sticky error and commits nothing.
+		first = s.commitDurableSessions(snap)
+	}
 	if s.Durable() {
-		if first == nil {
-			// Every live window's final checkpoint succeeded, so the
-			// whole accepted frontier is on disk.
-			s.commitDurableSessions(snap)
-		}
 		s.persistMetaBestEffort()
 		shard.ReleaseDirLock(s.cfg.Shard.Durable.Dir)
 	}
