@@ -11,11 +11,11 @@ import (
 	"log"
 	"math/rand/v2"
 
-	"hhgb/internal/algo"
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
+	"hhgb/internal/repro/algo"
+	"hhgb/internal/repro/trace"
 	"hhgb/internal/stats"
-	"hhgb/internal/trace"
 )
 
 func main() {

@@ -10,8 +10,8 @@ import (
 
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
+	"hhgb/internal/repro/trace"
 	"hhgb/internal/stats"
-	"hhgb/internal/trace"
 )
 
 func main() {

@@ -558,6 +558,18 @@ func rankedOf(v *gb.Vector[uint64], k int) ([]Ranked, error) {
 	return out, nil
 }
 
+// rankedFrom converts a pushed-down top-k result, passing its error through.
+func rankedFrom(top []stats.Top[uint64], err error) ([]Ranked, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Ranked, len(top))
+	for i, e := range top {
+		out[i] = Ranked{ID: uint64(e.Index), Value: e.Value}
+	}
+	return out, nil
+}
+
 // Summary computes the aggregate statistics of the accumulated matrix.
 func (t *TrafficMatrix) Summary() (Summary, error) {
 	q, err := t.h.Query()
@@ -568,8 +580,9 @@ func (t *TrafficMatrix) Summary() (Summary, error) {
 }
 
 // Stats returns the cumulative ingest counters.
-func (t *TrafficMatrix) Stats() CascadeStats {
-	s := t.h.Stats()
+func (t *TrafficMatrix) Stats() CascadeStats { return cascadeStatsOf(t.h.Stats()) }
+
+func cascadeStatsOf(s hier.Stats) CascadeStats {
 	return CascadeStats{
 		Updates:         s.Updates,
 		Batches:         s.Batches,

@@ -5,14 +5,14 @@ import (
 	"sync"
 	"testing"
 
-	"hhgb/internal/algo"
-	"hhgb/internal/baselines"
-	"hhgb/internal/cluster"
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
 	"hhgb/internal/powerlaw"
+	"hhgb/internal/repro/algo"
+	"hhgb/internal/repro/baselines"
+	"hhgb/internal/repro/cluster"
+	"hhgb/internal/repro/trace"
 	"hhgb/internal/stats"
-	"hhgb/internal/trace"
 )
 
 // TestIntegrationStreamingPipeline exercises the full paper pipeline in

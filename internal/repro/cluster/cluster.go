@@ -33,10 +33,9 @@ import (
 	"sync"
 	"time"
 
-	"hhgb/internal/baselines"
-	"hhgb/internal/bench"
 	"hhgb/internal/gb"
 	"hhgb/internal/powerlaw"
+	"hhgb/internal/repro/baselines"
 )
 
 // RunResult is one measured local run.
@@ -55,11 +54,27 @@ func (r RunResult) Rate() float64 {
 	return float64(r.Updates) / r.Seconds
 }
 
-// RunLocal executes the paper's experiment at local scale: procs goroutine
-// processes, each with its own engine instance, each generating and
-// ingesting its own round-robin share of the stream's sets. It returns the
-// measured aggregate result.
+// RunLocal executes the paper's experiment at local scale with the total
+// work fixed: procs goroutine processes, each with its own engine instance,
+// each generating and ingesting its own round-robin share of the stream's
+// sets. It returns the measured aggregate result.
 func RunLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) (RunResult, error) {
+	return runLocal(factory, stream, procs, false)
+}
+
+// RunLocalWeak executes the paper's actual experiment shape: every process
+// streams its *own* full copy of the workload ("each creating many
+// different graphs of 100,000,000 edges each"), with per-process seeds so
+// the graphs differ. Total work grows with the process count (weak
+// scaling).
+func RunLocalWeak(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) (RunResult, error) {
+	return runLocal(factory, stream, procs, true)
+}
+
+// runLocal runs procs processes concurrently and times them end to end.
+// Process p streams sets p, p+procs, … of stream, or with weak every set of
+// its own reseeded copy.
+func runLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int, weak bool) (RunResult, error) {
 	if procs < 1 {
 		return RunResult{}, fmt.Errorf("%w: procs %d < 1", gb.ErrInvalidValue, procs)
 	}
@@ -82,9 +97,14 @@ func RunLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) 
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			own, first, step := stream, p, procs
+			if weak {
+				own.Seed = stream.Seed + 0x9e3779b97f4a7c15*uint64(p+1)
+				first, step = 0, 1
+			}
 			e := engines[p]
-			for set := p; set < stream.Sets(); set += procs {
-				edges, err := stream.GenerateSet(set)
+			for set := first; set < own.Sets(); set += step {
+				edges, err := own.GenerateSet(set)
 				if err != nil {
 					errs[p] = err
 					return
@@ -106,11 +126,7 @@ func RunLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) 
 		}
 		total += engines[p].Count()
 	}
-	name := "unknown"
-	if procs > 0 {
-		name = engines[0].Name()
-	}
-	return RunResult{Engine: name, Processes: procs, Updates: total, Seconds: elapsed}, nil
+	return RunResult{Engine: engines[0].Name(), Processes: procs, Updates: total, Seconds: elapsed}, nil
 }
 
 // CalibrateTimed measures a single process's sustained ingest rate by
@@ -118,13 +134,13 @@ func RunLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) 
 // pool of the stream's sets, so generation cost stays outside the
 // measurement — the paper's processes load pre-generated data). Slow
 // engines get measured over fewer updates instead of taking unbounded time.
-func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSeconds float64) (bench.Rate, error) {
+func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSeconds float64) (Rate, error) {
 	if err := stream.Validate(); err != nil {
-		return bench.Rate{}, err
+		return Rate{}, err
 	}
 	e, err := factory()
 	if err != nil {
-		return bench.Rate{}, err
+		return Rate{}, err
 	}
 	defer e.Close()
 
@@ -136,7 +152,7 @@ func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSe
 	for k := range pool {
 		edges, err := stream.GenerateSet(k)
 		if err != nil {
-			return bench.Rate{}, err
+			return Rate{}, err
 		}
 		pool[k] = edges
 	}
@@ -145,7 +161,7 @@ func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSe
 	start := time.Now()
 	for set := 0; ; set = (set + 1) % len(pool) {
 		if err := e.Ingest(pool[set]); err != nil {
-			return bench.Rate{}, err
+			return Rate{}, err
 		}
 		updates += int64(len(pool[set]))
 		if time.Since(start).Seconds() >= minSeconds {
@@ -158,10 +174,10 @@ func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSe
 	// the synchronous engines.
 	if d, ok := e.(baselines.Drainer); ok {
 		if err := d.Drain(); err != nil {
-			return bench.Rate{}, err
+			return Rate{}, err
 		}
 	}
-	return bench.Rate{Updates: updates, Seconds: time.Since(start).Seconds()}, nil
+	return Rate{Updates: updates, Seconds: time.Since(start).Seconds()}, nil
 }
 
 // Model extrapolates aggregate throughput to server counts the local
@@ -259,7 +275,7 @@ func DefaultServerCounts() []int {
 // calibrates every engine locally, then produces one extrapolated series
 // per engine across the server counts. The returned models carry the measured per-process rates for
 // reporting.
-func Fig2(cfg Fig2Config) ([]bench.Series, []Model, error) {
+func Fig2(cfg Fig2Config) ([]Series, []Model, error) {
 	if cfg.ProcsPerServer < 1 {
 		cfg.ProcsPerServer = DefaultProcsPerServer
 	}
@@ -277,7 +293,7 @@ func Fig2(cfg Fig2Config) ([]bench.Series, []Model, error) {
 		names = baselines.Fig2Order()
 	}
 	registry := baselines.Registry(cfg.Dim)
-	var series []bench.Series
+	var series []Series
 	var models []Model
 	for _, name := range names {
 		factory, ok := registry[name]
@@ -288,7 +304,7 @@ func Fig2(cfg Fig2Config) ([]bench.Series, []Model, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("calibrating %s: %w", name, err)
 		}
-		s := bench.Series{Name: name}
+		s := Series{Name: name}
 		for _, n := range cfg.ServerCounts {
 			s.Add(float64(n), model.Aggregate(n))
 		}
@@ -296,62 +312,6 @@ func Fig2(cfg Fig2Config) ([]bench.Series, []Model, error) {
 		models = append(models, model)
 	}
 	return series, models, nil
-}
-
-// RunLocalWeak executes the paper's actual experiment shape: every process
-// streams its *own* full copy of the workload ("each creating many
-// different graphs of 100,000,000 edges each"), with per-process seeds so
-// the graphs differ. Total work grows with the process count (weak
-// scaling).
-func RunLocalWeak(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) (RunResult, error) {
-	if procs < 1 {
-		return RunResult{}, fmt.Errorf("%w: procs %d < 1", gb.ErrInvalidValue, procs)
-	}
-	if err := stream.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	engines := make([]baselines.Engine, procs)
-	for p := range engines {
-		e, err := factory()
-		if err != nil {
-			return RunResult{}, err
-		}
-		engines[p] = e
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	start := time.Now()
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			own := stream
-			own.Seed = stream.Seed + 0x9e3779b97f4a7c15*uint64(p+1)
-			e := engines[p]
-			for set := 0; set < own.Sets(); set++ {
-				edges, err := own.GenerateSet(set)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				if err := e.Ingest(edges); err != nil {
-					errs[p] = err
-					return
-				}
-			}
-			errs[p] = e.Close()
-		}(p)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var total int64
-	for p, err := range errs {
-		if err != nil {
-			return RunResult{}, fmt.Errorf("process %d: %w", p, err)
-		}
-		total += engines[p].Count()
-	}
-	return RunResult{Engine: engines[0].Name(), Processes: procs, Updates: total, Seconds: elapsed}, nil
 }
 
 // procSweep runs f at power-of-two process counts up to maxProcs.

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"hhgb/internal/baselines"
 	"hhgb/internal/gb"
 	"hhgb/internal/powerlaw"
+	"hhgb/internal/repro/baselines"
 )
 
 func testStream() powerlaw.StreamSpec {

@@ -1,15 +1,14 @@
-// Package bench provides the measurement and reporting utilities shared by
-// the benchmark harnesses: rate timing, data series, aligned tables, CSV
-// output, and the ASCII log-log plot used to regenerate the paper's Fig. 2.
-package bench
+package cluster
+
+// The reporting half of the harness: measured rates, data series, aligned
+// tables, and the ASCII log-log plot that renders the paper's Fig. 2.
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
-	"time"
 )
 
 // Rate is a measured throughput.
@@ -24,31 +23,6 @@ func (r Rate) PerSecond() float64 {
 		return 0
 	}
 	return float64(r.Updates) / r.Seconds
-}
-
-// String renders the rate in engineering form.
-func (r Rate) String() string {
-	return fmt.Sprintf("%s updates/s (%d updates in %.3fs)", Eng(r.PerSecond()), r.Updates, r.Seconds)
-}
-
-// Measure times f, which performs the given number of updates.
-func Measure(updates int64, f func() error) (Rate, error) {
-	start := time.Now()
-	if err := f(); err != nil {
-		return Rate{}, err
-	}
-	return Rate{Updates: updates, Seconds: time.Since(start).Seconds()}, nil
-}
-
-// Speedup returns how many times faster the improved rate is than the
-// base rate (0 when the base is unmeasurable). The scaling harnesses use
-// it to report sharded-vs-flat and P-process-vs-1-process ratios.
-func Speedup(base, improved Rate) float64 {
-	b := base.PerSecond()
-	if b <= 0 {
-		return 0
-	}
-	return improved.PerSecond() / b
 }
 
 // Eng formats a number with an engineering suffix (K, M, G, T).
@@ -104,7 +78,7 @@ func FormatTable(xLabel string, series []Series) string {
 	}
 	rows := [][]string{headers}
 	for _, x := range xs {
-		row := []string{trimFloat(x)}
+		row := []string{strconv.FormatFloat(x, 'f', -1, 64)}
 		for _, s := range series {
 			cell := ""
 			for _, p := range s.Points {
@@ -146,52 +120,6 @@ func FormatTable(xLabel string, series []Series) string {
 		}
 	}
 	return sb.String()
-}
-
-// WriteCSV writes the series as CSV: xLabel, series1, series2, ...
-func WriteCSV(w io.Writer, xLabel string, series []Series) error {
-	headers := []string{xLabel}
-	for _, s := range series {
-		headers = append(headers, s.Name)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(headers, ",")); err != nil {
-		return err
-	}
-	xsSet := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xsSet[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	for _, x := range xs {
-		cells := []string{trimFloat(x)}
-		for _, s := range series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%g", p.Y)
-					break
-				}
-			}
-			cells = append(cells, cell)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func trimFloat(x float64) string {
-	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-		return fmt.Sprintf("%d", int64(x))
-	}
-	return fmt.Sprintf("%g", x)
 }
 
 // PlotLogLog renders the series as an ASCII log-log scatter plot —

@@ -1,8 +1,6 @@
-package bench
+package cluster
 
 import (
-	"bytes"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -14,34 +12,6 @@ func TestRatePerSecond(t *testing.T) {
 	}
 	if (Rate{Updates: 10}).PerSecond() != 0 {
 		t.Fatal("zero-duration rate not 0")
-	}
-	if r.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	base := Rate{Updates: 1000, Seconds: 1}
-	fast := Rate{Updates: 4000, Seconds: 1}
-	if got := Speedup(base, fast); got != 4 {
-		t.Fatalf("Speedup = %v, want 4", got)
-	}
-	if got := Speedup(Rate{}, fast); got != 0 {
-		t.Fatalf("Speedup over zero base = %v, want 0", got)
-	}
-}
-
-func TestMeasure(t *testing.T) {
-	r, err := Measure(42, func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Updates != 42 || r.Seconds < 0 {
-		t.Fatalf("rate = %+v", r)
-	}
-	wantErr := errors.New("boom")
-	if _, err := Measure(1, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("got %v", err)
 	}
 }
 
@@ -85,31 +55,6 @@ func TestFormatTableAlignsAndUnions(t *testing.T) {
 	}
 	if !strings.Contains(out, "1.00M") || !strings.Contains(out, "500.00K") {
 		t.Fatalf("values missing:\n%s", out)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	a := Series{Name: "alpha", Points: []Point{{1, 100}, {2, 200}}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, "x", []Series{a}); err != nil {
-		t.Fatal(err)
-	}
-	want := "x,alpha\n1,100\n2,200\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestWriteCSVMissingCells(t *testing.T) {
-	a := Series{Name: "a", Points: []Point{{1, 10}}}
-	b := Series{Name: "b", Points: []Point{{2, 20}}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, "x", []Series{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[1] != "1,10," || lines[2] != "2,,20" {
-		t.Fatalf("rows = %v", lines[1:])
 	}
 }
 

@@ -160,6 +160,33 @@ func releaseDirLock(dir string) {
 	}
 }
 
+// WriteFileSync writes data to path and fsyncs it before returning.
+func WriteFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// SyncDir fsyncs a directory so a just-renamed entry survives a crash.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 func walName(shard int, epoch uint64) string {
 	return fmt.Sprintf("wal-%04d.%010d%s", shard, epoch, walSuffix)
 }
@@ -257,44 +284,17 @@ func (g *Group[T]) commitManifest(epoch uint64, snaps []string, sessions []map[s
 		return err
 	}
 	dir := g.cfg.Durable.Dir
-	if err := syncDir(dir); err != nil { // persist the snapshot renames first
+	if err := SyncDir(dir); err != nil { // persist the snapshot renames first
 		return err
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
+	if err := WriteFileSync(tmp, append(data, '\n')); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return err
 	}
-	return syncDir(dir)
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return SyncDir(dir)
 }
 
 // shardWAL is one shard's write-ahead log: a wal.File plus the group-commit
@@ -369,7 +369,7 @@ func (l *shardWAL[T]) rotate(dir string, epoch uint64) error {
 	}
 	l.f = nf
 	l.unsynced = 0
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 func (l *shardWAL[T]) close() error { return l.f.Close() }
@@ -843,8 +843,8 @@ func RecoverGroup[T gb.Number](cfg Config) (*Group[T], RecoverStats, error) {
 	// Persist the new segments' directory entries: file fsync (what Flush
 	// does) does not cover them, and a power loss that dropped a segment's
 	// entry would silently void every group commit made into it. The
-	// NewGroup path gets this for free from commitManifest's syncDir.
-	if err := syncDir(dir); err != nil {
+	// NewGroup path gets this for free from commitManifest's SyncDir.
+	if err := SyncDir(dir); err != nil {
 		g.closeLogs()
 		return nil, st, err
 	}

@@ -156,42 +156,16 @@ func (s *Store[T]) persistMeta() error {
 	}
 	root := s.cfg.Shard.Durable.Dir
 	tmp := filepath.Join(root, storeManifestName+".tmp")
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
+	// Fsynced, not just written: the manifest carries the durable session
+	// frontier, and a frontier advance should survive the same crash the
+	// barrier that produced it survived.
+	if err := shard.WriteFileSync(tmp, append(data, '\n')); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(root, storeManifestName)); err != nil {
 		return err
 	}
-	return syncDir(root)
-}
-
-// writeFileSync writes data to path and fsyncs it before returning; the
-// manifest carries the durable session frontier, and a frontier advance
-// should survive the same crash the barrier that produced it survived.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return shard.SyncDir(root)
 }
 
 func (s *Store[T]) persistMetaBestEffort() {
@@ -207,10 +181,10 @@ func (s *Store[T]) persistMetaBestEffort() {
 // durable: recovery discards a roll-up parent without one, even after
 // expiry has deleted its children.
 func (s *Store[T]) markSealed(w *win[T]) error {
-	if err := writeFileSync(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n")); err != nil {
+	if err := shard.WriteFileSync(filepath.Join(w.dir, sealedMarkerName), []byte("sealed\n")); err != nil {
 		return err
 	}
-	return syncDir(w.dir)
+	return shard.SyncDir(w.dir)
 }
 
 // removeWinDir deletes an expired window's durable state.

@@ -75,20 +75,27 @@ func NewSharded(dim uint64, opts ...Option) (*Sharded, error) {
 	if o.windowedOnly() {
 		return nil, fmt.Errorf("%w: windowing options apply to NewWindowed, not NewSharded", gb.ErrInvalidValue)
 	}
-	g, err := shard.NewGroup[uint64](gb.Index(dim), gb.Index(dim), shard.Config{
-		Shards:  o.shards,
-		Depth:   o.queueDepth,
-		Handoff: o.handoff,
-		Hier:    hier.Config{Cuts: o.cuts},
-		Durable: shard.Durability{Dir: o.durDir, SyncEvery: o.syncEvery},
-		Metrics: shard.NewMetrics(o.metrics),
-		Flight:  o.flight,
-	})
+	g, err := shard.NewGroup[uint64](gb.Index(dim), gb.Index(dim), o.shardConfig(o.durDir))
 	if err != nil {
 		return nil, err
 	}
 	registerShardedFuncs(g, o.metrics)
 	return &Sharded{g: g, dim: dim}, nil
+}
+
+// shardConfig is the cascade-group configuration the options describe,
+// durable under dir when dir is set. A recovered group takes its shard
+// count and cuts from the manifest, so recovery passes neither option.
+func (o *options) shardConfig(dir string) shard.Config {
+	return shard.Config{
+		Shards:  o.shards,
+		Depth:   o.queueDepth,
+		Handoff: o.handoff,
+		Hier:    hier.Config{Cuts: o.cuts},
+		Durable: shard.Durability{Dir: dir, SyncEvery: o.syncEvery},
+		Metrics: shard.NewMetrics(o.metrics),
+		Flight:  o.flight,
+	}
 }
 
 // registerShardedFuncs registers the flat matrix's sampled queue-depth
@@ -139,13 +146,7 @@ func Recover(dir string, opts ...Option) (*Sharded, error) {
 	if o.durDir != "" && o.durDir != dir {
 		return nil, fmt.Errorf("%w: WithDurability(%q) conflicts with Recover dir %q", gb.ErrInvalidValue, o.durDir, dir)
 	}
-	g, _, err := shard.RecoverGroup[uint64](shard.Config{
-		Depth:   o.queueDepth,
-		Handoff: o.handoff,
-		Durable: shard.Durability{Dir: dir, SyncEvery: o.syncEvery},
-		Metrics: shard.NewMetrics(o.metrics),
-		Flight:  o.flight,
-	})
+	g, _, err := shard.RecoverGroup[uint64](o.shardConfig(dir))
 	if err != nil {
 		return nil, err
 	}
@@ -326,29 +327,13 @@ func (s *Sharded) Lookup(src, dst uint64) (uint64, bool, error) {
 // traffic vectors are computed on the shard workers and merged at read
 // time; the result is identical to the unsharded TrafficMatrix's.
 func (s *Sharded) TopSources(k int) ([]Ranked, error) {
-	top, err := s.g.TopRows(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(top))
-	for i, e := range top {
-		out[i] = Ranked{ID: uint64(e.Index), Value: e.Value}
-	}
-	return out, nil
+	return rankedFrom(s.g.TopRows(k))
 }
 
 // TopDestinations returns the k destinations with the most total traffic,
 // merged across shards like TopSources.
 func (s *Sharded) TopDestinations(k int) ([]Ranked, error) {
-	top, err := s.g.TopCols(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(top))
-	for i, e := range top {
-		out[i] = Ranked{ID: uint64(e.Index), Value: e.Value}
-	}
-	return out, nil
+	return rankedFrom(s.g.TopCols(k))
 }
 
 // Summary computes the aggregate statistics of the merged matrix in a
@@ -372,15 +357,7 @@ func (s *Sharded) Summary() (Summary, error) {
 
 // Stats returns the cumulative ingest counters merged across shards:
 // scalar counters add, per-level promotion counters add elementwise.
-func (s *Sharded) Stats() CascadeStats {
-	st := s.g.Stats()
-	return CascadeStats{
-		Updates:         st.Updates,
-		Batches:         st.Batches,
-		Cascades:        st.Cascades,
-		CascadedEntries: st.CascadedEntries,
-	}
-}
+func (s *Sharded) Stats() CascadeStats { return cascadeStatsOf(s.g.Stats()) }
 
 // ShardStats reports every shard's own cascade counters, for inspecting
 // partition balance.
@@ -388,12 +365,7 @@ func (s *Sharded) ShardStats() []CascadeStats {
 	per := s.g.ShardStats()
 	out := make([]CascadeStats, len(per))
 	for i, st := range per {
-		out[i] = CascadeStats{
-			Updates:         st.Updates,
-			Batches:         st.Batches,
-			Cascades:        st.Cascades,
-			CascadedEntries: st.CascadedEntries,
-		}
+		out[i] = cascadeStatsOf(st)
 	}
 	return out
 }

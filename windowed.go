@@ -6,7 +6,6 @@ import (
 
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
-	"hhgb/internal/shard"
 	"hhgb/internal/window"
 )
 
@@ -56,19 +55,11 @@ func NewWindowed(dim uint64, windowDur time.Duration, opts ...Option) (*Windowed
 		return nil, fmt.Errorf("%w: WithSyncEvery requires WithDurability", gb.ErrInvalidValue)
 	}
 	s, err := window.New[uint64](gb.Index(dim), gb.Index(dim), window.Config{
-		Window:     windowDur,
-		RollUps:    o.rollups,
-		Retentions: o.retentions,
-		Lateness:   o.lateness,
-		Shard: shard.Config{
-			Shards:  o.shards,
-			Depth:   o.queueDepth,
-			Handoff: o.handoff,
-			Hier:    hier.Config{Cuts: o.cuts},
-			Durable: shard.Durability{Dir: o.durDir, SyncEvery: o.syncEvery},
-			Metrics: shard.NewMetrics(o.metrics),
-			Flight:  o.flight,
-		},
+		Window:             windowDur,
+		RollUps:            o.rollups,
+		Retentions:         o.retentions,
+		Lateness:           o.lateness,
+		Shard:              o.shardConfig(o.durDir),
 		Metrics:            window.NewMetrics(o.metrics),
 		SubscriberQueue:    o.subQueue,
 		SubscriberPatience: o.subPatience,
@@ -102,13 +93,7 @@ func RecoverWindowed(dir string, opts ...Option) (*Windowed, error) {
 		return nil, fmt.Errorf("%w: WithDurability(%q) conflicts with RecoverWindowed dir %q", gb.ErrInvalidValue, o.durDir, dir)
 	}
 	s, _, err := window.Recover[uint64](window.Config{
-		Shard: shard.Config{
-			Depth:   o.queueDepth,
-			Handoff: o.handoff,
-			Durable: shard.Durability{Dir: dir, SyncEvery: o.syncEvery},
-			Metrics: shard.NewMetrics(o.metrics),
-			Flight:  o.flight,
-		},
+		Shard:              o.shardConfig(dir),
 		Metrics:            window.NewMetrics(o.metrics),
 		SubscriberQueue:    o.subQueue,
 		SubscriberPatience: o.subPatience,
@@ -300,29 +285,13 @@ func (v *RangeView) Lookup(src, dst uint64) (uint64, bool, error) {
 
 // TopSources returns the k sources with the most traffic in the range.
 func (v *RangeView) TopSources(k int) ([]Ranked, error) {
-	top, err := v.r.TopRows(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(top))
-	for i, e := range top {
-		out[i] = Ranked{ID: uint64(e.Index), Value: e.Value}
-	}
-	return out, nil
+	return rankedFrom(v.r.TopRows(k))
 }
 
 // TopDestinations returns the k destinations with the most traffic in the
 // range.
 func (v *RangeView) TopDestinations(k int) ([]Ranked, error) {
-	top, err := v.r.TopCols(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(top))
-	for i, e := range top {
-		out[i] = Ranked{ID: uint64(e.Index), Value: e.Value}
-	}
-	return out, nil
+	return rankedFrom(v.r.TopCols(k))
 }
 
 // Summary computes the aggregate statistics of the range's traffic.
