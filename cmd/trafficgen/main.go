@@ -172,9 +172,10 @@ func retryTransient(op func() error) error {
 }
 
 // ackStats aggregates client-observed ack round trips across every
-// connection. The observer runs on each client's receive goroutine, so
-// the append is mutex-guarded; one duration per acked frame is cheap
-// next to the frame itself.
+// connection. Each client calls the observer from whichever goroutine
+// reads the ack, and the clients share it, so the append is
+// mutex-guarded; one duration per acked frame is cheap next to the frame
+// itself.
 type ackStats struct {
 	mu      sync.Mutex
 	samples []time.Duration

@@ -239,8 +239,11 @@ func WithTLS(cfg *tls.Config) Option {
 
 // WithAckLatency registers an observer invoked with the round-trip time
 // of every acked insert frame: ship (or retransmit) to server ack. The
-// observer runs on the client's receive goroutine with internal locks
-// held — it must be fast and must not call back into the client. Frames
+// observer runs on whichever goroutine reads the ack — the background
+// receiver, or a call reading its own response — with the client's lock
+// held: it must be fast and must not call back into the client. Calls are
+// serialized under that lock, and each happens before the Flush that
+// covers its frame returns. Frames
 // retransmitted after a reconnect restart their clock at retransmission,
 // so a reported latency is always for one wire round trip, not the total
 // time in doubt.
@@ -286,11 +289,23 @@ type Client struct {
 	opt     options
 	session string // exactly-once session id; constant for the client's life
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled when the pipeline window opens or the conn dies
+	mu   sync.Mutex
+	cond *sync.Cond // signaled when the pipeline window opens or the conn dies
+	// rcond parks the background receiver while it has nothing to read or
+	// a caller holds the read token; signaled when that changes.
+	rcond   *sync.Cond
 	nc      net.Conn
 	w       *proto.Writer
+	r       *proto.Reader
 	welcome proto.Welcome
+	// reading is the connection's read token: set while one goroutine —
+	// the background receiver, or a caller reading its own response — is
+	// reading r. Scoped to gen: a reconnect starts with it clear.
+	reading bool
+	// subscribed: this connection has carried a Subscribe. The server
+	// pushes a subscription's summaries until the connection closes, even
+	// after cancel, so such a connection is read continuously.
+	subscribed bool
 	// seq numbers every request frame, monotonically across reconnects —
 	// never reset, because insert seqs are the session's dedup keys.
 	seq     uint64
@@ -355,6 +370,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	c := &Client{addr: addr, opt: o, session: session, stop: make(chan struct{})}
 	c.sent = make(map[uint64]sentFrame)
 	c.cond = sync.NewCond(&c.mu)
+	c.rcond = sync.NewCond(&c.mu)
 	c.mu.Lock()
 	err := c.connectLocked()
 	c.mu.Unlock()
@@ -433,6 +449,9 @@ func (c *Client) connectLocked() error {
 	}
 	c.nc = nc
 	c.w = w
+	c.r = r
+	c.reading = false
+	c.subscribed = false
 	c.welcome = wel
 	c.pending = make(map[uint64]*call)
 	c.unacked = 0
@@ -472,7 +491,7 @@ func (c *Client) connectLocked() error {
 		sub.close()
 	}
 	c.subs = make(map[uint64]*clientSub)
-	go c.receive(r, nc, c.gen)
+	go c.receive(r, c.gen)
 	// Retransmit the ring in seq order under the resumed session, ahead
 	// of any new traffic. The server recognizes every frame it already
 	// applied by its seq and just re-acks it.
@@ -523,10 +542,24 @@ func errForCode(code uint64) error {
 	}
 }
 
-// receive is the background ack loop of one session (generation tags keep
-// a dead session's receiver from touching its successor's state).
-func (c *Client) receive(r *proto.Reader, nc net.Conn, gen int) {
+// receive is the background reader of one connection (generation tags
+// keep a dead connection's receiver from touching its successor's state).
+// It reads only while it can take the read token and a response is owed —
+// or always, once the connection has carried a Subscribe — and parks on
+// rcond otherwise, so an idle connection has no reader: its death is
+// noticed by the next call's own read.
+func (c *Client) receive(r *proto.Reader, gen int) {
+	c.mu.Lock()
 	for {
+		for gen == c.gen && !c.dead && (c.reading || len(c.pending) == 0 && !c.subscribed) {
+			c.rcond.Wait()
+		}
+		if gen != c.gen || c.dead {
+			c.mu.Unlock()
+			return
+		}
+		c.reading = true
+		c.mu.Unlock()
 		f, err := r.Next()
 		if err != nil {
 			c.sessionFailed(gen, fmt.Errorf("%w: %v", ErrDisconnected, err))
@@ -535,7 +568,53 @@ func (c *Client) receive(r *proto.Reader, nc net.Conn, gen int) {
 		if fatal := c.dispatch(gen, f); fatal {
 			return
 		}
+		c.mu.Lock()
+		if gen == c.gen {
+			c.reading = false
+		}
 	}
+}
+
+// wakeReceiverLocked signals the parked receiver when there is something
+// to read and no caller holds the read token (a holder signals on its way
+// out instead). Callers hold mu.
+func (c *Client) wakeReceiverLocked() {
+	if !c.reading && (len(c.pending) > 0 || c.subscribed) {
+		c.rcond.Signal()
+	}
+}
+
+// readOwn is a round trip's read under the token: it reads frames itself,
+// dispatching each in place (acks of concurrent appends included), until
+// its own response has been delivered to done. It then returns the token,
+// handing the connection to the receiver if anything is still owed.
+func (c *Client) readOwn(gen int, r *proto.Reader, done chan response) response {
+	defer func() {
+		c.mu.Lock()
+		if gen == c.gen {
+			c.reading = false
+			c.wakeReceiverLocked()
+		}
+		c.mu.Unlock()
+	}()
+	for {
+		f, err := r.Next()
+		if err != nil {
+			c.sessionFailed(gen, fmt.Errorf("%w: %v", ErrDisconnected, err))
+			break
+		}
+		if c.dispatch(gen, f) {
+			break
+		}
+		select {
+		case resp := <-done:
+			return resp
+		default:
+		}
+	}
+	// The connection is gone, and failLocked has answered every pending
+	// call, this one included.
+	return <-done
 }
 
 // dispatch routes one response frame; it reports true when the session is
@@ -745,6 +824,7 @@ func (c *Client) failLocked(err error) {
 		c.nc.Close()
 	}
 	c.cond.Broadcast()
+	c.rcond.Broadcast()
 }
 
 // ready ensures the session is usable, reconnecting when allowed. Callers
@@ -789,21 +869,30 @@ func (c *Client) flusher() {
 	}
 }
 
-// Dim returns the server matrix's dimension (from the handshake).
-func (c *Client) Dim() uint64 { return c.welcome.Dim }
+// handshake returns the current connection's Welcome; every reconnect
+// rewrites it (and a different server may report another shard count).
+func (c *Client) handshake() proto.Welcome {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.welcome
+}
 
-// Shards returns the server matrix's shard count (from the handshake).
-func (c *Client) Shards() int { return int(c.welcome.Shards) }
+// Dim returns the server matrix's dimension (from the handshake).
+func (c *Client) Dim() uint64 { return c.handshake().Dim }
+
+// Shards returns the server matrix's shard count (from the latest
+// handshake).
+func (c *Client) Shards() int { return int(c.handshake().Shards) }
 
 // Durable reports whether the server write-ahead-logs inserts: if true,
 // a nil Flush means everything appended before it survives a server
 // crash.
-func (c *Client) Durable() bool { return c.welcome.Durable }
+func (c *Client) Durable() bool { return c.handshake().Durable }
 
 // Window returns the server's level-0 window duration (from the
 // handshake); 0 means the server is flat. On a windowed server use
 // AppendAt/AppendWeightedAt — plain Append is refused on both ends.
-func (c *Client) Window() time.Duration { return time.Duration(c.welcome.Window) }
+func (c *Client) Window() time.Duration { return time.Duration(c.handshake().Window) }
 
 // Reconnect explicitly restarts a failed connection — a dead one, or a
 // live one poisoned by a sticky batch error (which WithReconnect alone
@@ -1024,6 +1113,7 @@ func (c *Client) shipBufferLocked() error {
 	c.pending[seq] = pc
 	c.unacked++
 	c.autoFlushLocked()
+	c.wakeReceiverLocked()
 	return nil
 }
 
@@ -1058,7 +1148,9 @@ func (c *Client) flushWireLocked() error {
 }
 
 // roundTrip ships the local buffer, sends one request frame, and waits
-// for its response.
+// for its response. A call that is alone on the connection reads the
+// response itself (readOwn) instead of waiting for the receiver to hand it
+// over: that hop is a goroutine wake-up on every idle round trip.
 func (c *Client) roundTrip(kind byte, build func(seq uint64) []byte) (response, error) {
 	c.mu.Lock()
 	if err := c.readyLocked(); err != nil {
@@ -1085,8 +1177,16 @@ func (c *Client) roundTrip(kind byte, build func(seq uint64) []byte) (response, 
 		c.mu.Unlock()
 		return response{}, err
 	}
+	if len(c.pending) > 1 || c.reading || c.subscribed {
+		c.wakeReceiverLocked()
+		c.mu.Unlock()
+		resp := <-call.done
+		return resp, resp.err
+	}
+	c.reading = true
+	gen, r := c.gen, c.r
 	c.mu.Unlock()
-	resp := <-call.done
+	resp := c.readOwn(gen, r, call.done)
 	return resp, resp.err
 }
 
@@ -1351,7 +1451,7 @@ const SubscribeAllLevels = -1
 
 // clientSub delivers one subscription's summaries to its callback from a
 // dedicated goroutine, preserving seal order without ever blocking the
-// receive loop.
+// goroutine reading the connection.
 type clientSub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -1426,12 +1526,13 @@ func (c *Client) Subscribe(level int, fn func(hhgb.WindowSummary)) (cancel func(
 		return nil, fmt.Errorf("hhgbclient: server is not windowed")
 	}
 	// Register the handler BEFORE the frame ships: the server's first
-	// summary may arrive right behind the ack, and the receive loop must
+	// summary may arrive right behind the ack, and its reader must
 	// already know where to route it.
 	c.seq++
 	seq := c.seq
 	sub := newClientSub(fn)
 	c.subs[seq] = sub
+	c.subscribed = true
 	call := &call{kind: proto.KindSubscribe, done: make(chan response, 1)}
 	if err := c.w.WriteFrame(proto.KindSubscribe, proto.AppendSubscribe(nil, seq, lv)); err != nil {
 		c.failLocked(fmt.Errorf("%w: %v", ErrDisconnected, err))
@@ -1444,6 +1545,7 @@ func (c *Client) Subscribe(level int, fn func(hhgb.WindowSummary)) (cancel func(
 		c.mu.Unlock()
 		return nil, err
 	}
+	c.wakeReceiverLocked()
 	c.mu.Unlock()
 	resp := <-call.done
 	if resp.err != nil {
@@ -1490,15 +1592,10 @@ func (c *Client) Close() error {
 		c.tick.Stop()
 	}
 	close(c.stop)
-	if c.nc != nil {
-		c.nc.Close()
-	}
-	c.dead = true
-	for seq, sub := range c.subs {
-		delete(c.subs, seq)
-		sub.close()
-	}
-	c.cond.Broadcast()
+	// Tear down through the shared death path: it also answers any call
+	// still pending (with ErrClosed — the sticky error is left alone once
+	// closed), which a caller reading under the token relies on.
+	c.failLocked(ErrClosed)
 	err := c.err
 	c.mu.Unlock()
 	if err != nil {
