@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -299,4 +301,81 @@ func TestColumnReductionsMatchStagedReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVecFoldRangesMatchVecFold cuts every VecFold case into 1, 2, 3 and 8
+// ranges with AppendSplit and checks the bounds (ascending from 0 to the
+// largest Index, at most the asked-for count of ranges) and that folding
+// the ranges one after another visits exactly the sequence one VecFold
+// visits, fold order included (minus is not commutative).
+func TestVecFoldRangesMatchVecFold(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	minus := func(x, y int64) int64 { return x - y }
+	for _, c := range foldCases(r) {
+		parts := make([]*Vector[int64], len(c.parts))
+		stored := 0
+		for p, m := range c.parts {
+			parts[p] = vecOf(t, m)
+			stored += len(m)
+		}
+		var wantIdx []Index
+		var wantVal []int64
+		VecFold(parts, minus, func(i Index, x int64) {
+			wantIdx = append(wantIdx, i)
+			wantVal = append(wantVal, x)
+		})
+		for _, n := range []int{1, 2, 3, 8} {
+			t.Run(fmt.Sprintf("%s/ranges=%d", c.name, n), func(t *testing.T) {
+				bounds := AppendSplit(nil, parts, n)
+				if len(bounds) < 2 || len(bounds) > n+1 || bounds[0] != 0 || bounds[len(bounds)-1] != ^Index(0) {
+					t.Fatalf("bounds %v for %d ranges", bounds, n)
+				}
+				var gotIdx []Index
+				var gotVal []int64
+				counted := 0
+				for b := range bounds[1:] {
+					if bounds[b] >= bounds[b+1] {
+						t.Fatalf("bounds not ascending: %v", bounds)
+					}
+					counted += VecNValsRange(parts, bounds[b], bounds[b+1])
+					VecFoldRange(parts, bounds[b], bounds[b+1], minus, func(i Index, x int64) {
+						if i < bounds[b] || i >= bounds[b+1] {
+							t.Fatalf("range [%d,%d) visited %d", bounds[b], bounds[b+1], i)
+						}
+						gotIdx = append(gotIdx, i)
+						gotVal = append(gotVal, x)
+					})
+				}
+				if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(gotVal, wantVal) {
+					t.Fatalf("ranged folds visit %d entries, VecFold %d", len(gotIdx), len(wantIdx))
+				}
+				if counted != stored {
+					t.Fatalf("VecNValsRange sums to %d over the ranges, parts store %d", counted, stored)
+				}
+			})
+		}
+	}
+}
+
+// TestParallelForCallsEachOnce runs overlapping ParallelFor calls and
+// checks that each calls f exactly once per r, whatever the helpers were
+// busy with.
+func TestParallelForCallsEachOnce(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range []int{0, 1, 2, 3, 8, 100} {
+				calls := make([]atomic.Int32, n)
+				ParallelFor(n, func(r int) { calls[r].Add(1) })
+				for r := range calls {
+					if got := calls[r].Load(); got != 1 {
+						t.Errorf("n=%d: f(%d) ran %d times", n, r, got)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -191,13 +191,13 @@ func (v *Vector[T]) Wait() {
 	v.idx, v.val = nidx, nval
 }
 
-// vecHead is one input's unread suffix during a VecFold.
+// vecHead is one input's unread stretch during a VecFoldRange.
 type vecHead[T Number] struct {
 	idx []Index
 	val []T
 }
 
-// manyHeads is VecFold's growth path: more parts than its stack array
+// manyHeads is VecFoldRange's growth path: more parts than its stack array
 // holds take one O(len(parts)) allocation here.
 func manyHeads[T Number](n int) []vecHead[T] { return make([]vecHead[T], 0, n) }
 
@@ -211,6 +211,16 @@ func manyHeads[T Number](n int) []vecHead[T] { return make([]vecHead[T], 0, n) }
 //
 //hhgb:noalloc
 func VecFold[T Number](parts []*Vector[T], add BinaryOp[T], visit func(Index, T)) {
+	VecFoldRange(parts, 0, ^Index(0), add, visit)
+}
+
+// VecFoldRange is VecFold restricted to the indices in [lo, hi): each
+// part's stretch is found by binary search and folded in place, as
+// zero-copy sub-slices. Folding the ranges AppendSplit returns, one call
+// each, visits exactly what one VecFold over the same parts visits.
+//
+//hhgb:noalloc
+func VecFoldRange[T Number](parts []*Vector[T], lo, hi Index, add BinaryOp[T], visit func(Index, T)) {
 	var stack [8]vecHead[T]
 	heads := stack[:0]
 	if len(parts) > len(stack) {
@@ -220,9 +230,8 @@ func VecFold[T Number](parts []*Vector[T], add BinaryOp[T], visit func(Index, T)
 		if p == nil {
 			continue
 		}
-		p.Wait()
-		if len(p.idx) != 0 {
-			heads = append(heads, vecHead[T]{idx: p.idx, val: p.val})
+		if a, b := p.span(lo, hi); a < b {
+			heads = append(heads, vecHead[T]{idx: p.idx[a:b], val: p.val[a:b]})
 		}
 	}
 	// k-way: a linear scan for the least head index, then fold the heads

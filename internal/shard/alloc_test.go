@@ -141,39 +141,12 @@ func TestAllocBudgetAppenderAppendSingleShard(t *testing.T) {
 	}
 }
 
-// Warm analytic reads fold the cached per-shard partials; they must not
-// build anything proportional to them. Both budgets are per call on a
-// flushed two-shard group holding 250,000 distinct rows (so each merged
-// vector the reads used to build was megabytes): a handful of small
-// objects — the barrier's channels and closures, the result slices, the
-// k-entry heap — and never a vector. This is what keeps a server's
-// resident set flat under a read-heavy load.
-func TestAllocBudgetWarmReads(t *testing.T) {
-	const (
-		entries     = 250_000
-		allocBudget = 16
-		byteBudget  = 16 << 10
-	)
-	g, err := NewGroup[uint64](testDim, testDim, Config{Shards: 2, Hier: hier.DefaultConfig()})
-	if err != nil {
-		t.Fatalf("NewGroup: %v", err)
-	}
-	defer g.Close()
-	rows := make([]gb.Index, entries)
-	cols := make([]gb.Index, entries)
-	vals := make([]uint64, entries)
-	for k := range rows {
-		rows[k] = gb.Index(k)
-		cols[k] = gb.Index(k*2654435761) % testDim
-		vals[k] = uint64(k%7 + 1)
-	}
-	if err := g.Update(rows, cols, vals); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if err := g.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	for _, read := range []struct {
+// warmReads are the reads the warm-read budgets hold, with their checks.
+func warmReads(g *Group[uint64], rows int) []struct {
+	name string
+	call func() error
+} {
+	return []struct {
 		name string
 		call func() error
 	}{
@@ -186,30 +159,127 @@ func TestAllocBudgetWarmReads(t *testing.T) {
 		}},
 		{"AggregateAll", func() error {
 			agg, err := g.AggregateAll()
-			if err == nil && (agg.Rows != entries || agg.NVals != entries) {
+			if err == nil && (agg.Rows != rows || agg.NVals != rows) {
 				err = fmt.Errorf("wrong answer: %+v", agg)
 			}
 			return err
 		}},
-	} {
-		if err := read.call(); err != nil { // prime the per-shard caches
+	}
+}
+
+// warmGroup returns a flushed two-shard group holding one cell in each of
+// rows distinct rows.
+func warmGroup(t *testing.T, rows int) *Group[uint64] {
+	t.Helper()
+	g, err := NewGroup[uint64](testDim, testDim, Config{Shards: 2, Hier: hier.DefaultConfig()})
+	if err != nil {
+		t.Fatalf("NewGroup: %v", err)
+	}
+	r := make([]gb.Index, rows)
+	c := make([]gb.Index, rows)
+	v := make([]uint64, rows)
+	for k := range r {
+		r[k] = gb.Index(k)
+		c[k] = gb.Index(k*2654435761) % testDim
+		v[k] = uint64(k%7 + 1)
+	}
+	if err := g.Update(r, c, v); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	return g
+}
+
+// Warm analytic reads fold the cached per-shard partials; they must not
+// build anything proportional to them. Both budgets are per call on a
+// flushed two-shard group holding 250,000 distinct rows (so each merged
+// vector the reads used to build was megabytes): a handful of small
+// objects — the barrier's channels and closures, the result slices, the
+// k-entry heaps, the range bounds — and never a vector. This is what keeps
+// a server's resident set flat under a read-heavy load.
+//
+// The partials are far above gb.ParallelFoldMin, so at GOMAXPROCS > 1 every
+// read folds one index range per core; the budget holds at 2, 4 and 8.
+// testing.AllocsPerRun would pin GOMAXPROCS to 1 and measure the serial
+// fold instead, so the mallocs are counted from runtime.MemStats.
+func TestAllocBudgetWarmReads(t *testing.T) {
+	const (
+		entries     = 250_000
+		allocBudget = 16
+		byteBudget  = 16 << 10
+		runs        = 20
+	)
+	g := warmGroup(t, entries)
+	defer g.Close()
+	for _, procs := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, kind := range []vectorKind{rowSums, rowDegrees, colDegrees} {
+				parts, err := g.partials(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := gb.FoldRanges(parts); n != procs {
+					t.Fatalf("partials of kind %d fold on %d ranges, want %d: the parallel path is not taken", kind, n, procs)
+				}
+			}
+			for _, read := range warmReads(g, entries) {
+				for range 3 { // prime the caches, the fold helpers and the runtime's free lists
+					if err := read.call(); err != nil {
+						t.Fatalf("%s: %v", read.name, err)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					if err := read.call(); err != nil {
+						t.Fatalf("%s: %v", read.name, err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				allocs := float64(after.Mallocs-before.Mallocs) / runs
+				bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+				t.Logf("warm %s: %.1f allocs, %d bytes per call", read.name, allocs, bytes)
+				if allocs > allocBudget || bytes > byteBudget {
+					t.Fatalf("warm %s allocates %.1f objects / %d bytes per call, budget is %d / %d",
+						read.name, allocs, bytes, allocBudget, byteBudget)
+				}
+			}
+		})
+	}
+}
+
+// Below gb.ParallelFoldMin a warm read folds serially, whatever
+// GOMAXPROCS is, and allocates exactly what it did before the parallel
+// fold existed: no range bounds, no per-range heaps, no job.
+func TestAllocBudgetWarmReadsSerial(t *testing.T) {
+	const entries = 1_000
+	want := map[string]float64{"TopRows(10)": 9, "AggregateAll": 11}
+	g := warmGroup(t, entries)
+	defer g.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, kind := range []vectorKind{rowSums, rowDegrees, colDegrees} {
+		parts, err := g.partials(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := gb.FoldRanges(parts); n != 1 {
+			t.Fatalf("partials of kind %d fold on %d ranges below the cutoff", kind, n)
+		}
+	}
+	for _, read := range warmReads(g, entries) {
+		if err := read.call(); err != nil {
 			t.Fatalf("%s: %v", read.name, err)
 		}
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, func() {
+		allocs := testing.AllocsPerRun(20, func() {
 			if err := read.call(); err != nil {
 				t.Fatalf("%s: %v", read.name, err)
 			}
 		})
-		runtime.ReadMemStats(&after)
-		// AllocsPerRun makes one warm-up call beside the measured ones.
-		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-		t.Logf("warm %s: %.0f allocs, %d bytes per call", read.name, allocs, bytes)
-		if allocs > allocBudget || bytes > byteBudget {
-			t.Fatalf("warm %s allocates %.0f objects / %d bytes per call, budget is %d / %d",
-				read.name, allocs, bytes, allocBudget, byteBudget)
+		if allocs != want[read.name] {
+			t.Fatalf("warm serial %s allocates %.1f objects per call, want exactly %.0f", read.name, allocs, want[read.name])
 		}
 	}
 }

@@ -32,11 +32,19 @@ import (
 // the same cell), so they read the one non-empty level in place — every
 // flushed, sealed, checkpointed or recovered shard — and only a shard
 // caught with several levels populated pays a Σ over its levels. The
-// serial read-time step is O(Σ partial lengths) time; its space is
-// O(k + S) for top-k, O(S) for the Summary scalars, one cell for Lookup,
-// and the merged vector itself only for the callers that ask for one
-// (RowSums, ColSums, RowDegrees, ColDegrees). The package tests verify
-// every pushdown result is bit-identical to reducing the materialized flat
+// read-time step is O(Σ partial lengths) time; its space is O(k + S) for
+// top-k, O(S) for the Summary scalars, one cell for Lookup, and the merged
+// vector itself only for the callers that ask for one (RowSums, ColSums,
+// RowDegrees, ColDegrees). The folds of top-k and the Summary run on every
+// core once the partials hold gb.ParallelFoldMin entries between them:
+// gb.AppendSplit cuts the index space into GOMAXPROCS disjoint ranges at
+// the longest partial's quantiles, and each range folds on its own
+// goroutine into its own heap, or count and maximum. Every index lies in
+// exactly one range, with all of its pieces, so the combined answer is
+// the serial fold's, ties included; below the cutoff the fold stays
+// serial. The partials are immutable cache entries, so the folds run
+// after the barrier and never hold ingest. The package tests verify every
+// pushdown result is bit-identical to reducing the materialized flat
 // matrix.
 
 // shardCache memoizes one shard's pushdown reductions between ingest
@@ -415,13 +423,14 @@ func (g *Group[T]) topK(kind vectorKind, k int) ([]stats.Top[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return stats.FoldTopK(parts, gb.Plus[T]().Op, k)
+	return stats.FoldTopK(parts, k)
 }
 
 // TopRows returns the k rows with the largest value totals, in descending
 // order with ties broken by lower index — exactly the flat path's answer.
-// The per-shard sums are pushed down to the workers (and cached there); one
-// streaming merge into a k-entry heap is all that runs serially.
+// The per-shard sums are pushed down to the workers (and cached there); the
+// read-time step is a streaming merge into k-entry heaps, one per index
+// range and core.
 func (g *Group[T]) TopRows(k int) ([]stats.Top[T], error) { return g.topK(rowSums, k) }
 
 // TopCols returns the k columns with the largest value totals; see TopRows.
@@ -482,8 +491,9 @@ func (g *Group[T]) AggregateAll() (Aggregates[T], error) {
 		agg.NVals += nvals[i]
 		agg.Total = plus.Op(agg.Total, totals[i])
 	}
-	agg.Rows, agg.MaxRowDegree = countAndMax(rowD, plus.Op)
-	agg.Cols, agg.MaxColDegree = countAndMax(colD, plus.Op)
+	counts, most := foldDegrees(rowD, colD)
+	agg.Rows, agg.MaxRowDegree = counts[0], most[0]
+	agg.Cols, agg.MaxColDegree = counts[1], most[1]
 	return agg, nil
 }
 
@@ -511,14 +521,61 @@ func (w *worker[T]) fillAggregates() error {
 	return nil
 }
 
-// countAndMax folds the merged vector of the partials — how many indices
-// it has and its largest value — without building it.
-func countAndMax[T gb.Number](parts []*gb.Vector[T], add gb.BinaryOp[T]) (n int, most T) {
-	gb.VecFold(parts, add, func(_ gb.Index, x T) {
+// foldDegrees folds the row and the column degree partials, each into
+// the count and the maximum of its merged vector, without building either.
+// Partials holding gb.ParallelFoldMin entries or more are folded on every
+// core, one index range each (see countAndMaxRanges).
+func foldDegrees[T gb.Number](rowD, colD []*gb.Vector[T]) (counts [2]int, most [2]T) {
+	n := max(gb.FoldRanges(rowD), gb.FoldRanges(colD))
+	if n == 1 {
+		counts[0], most[0] = countAndMaxRange(rowD, 0, ^gb.Index(0))
+		counts[1], most[1] = countAndMaxRange(colD, 0, ^gb.Index(0))
+		return counts, most
+	}
+	rowB := gb.AppendSplit(make([]gb.Index, 0, 2*n+2), rowD, n)
+	colB := gb.AppendSplit(rowB, colD, n)[len(rowB):]
+	return countAndMaxRanges([2][]*gb.Vector[T]{rowD, colD}, [2][]gb.Index{rowB, colB})
+}
+
+// countAndMaxRange folds the merged vector of the partials, over the
+// indices in [lo, hi): how many indices it has and its largest value.
+func countAndMaxRange[T gb.Number](parts []*gb.Vector[T], lo, hi gb.Index) (n int, most T) {
+	gb.VecFoldRange(parts, lo, hi, gb.Plus[T]().Op, func(_ gb.Index, x T) {
 		n++
 		if x > most {
 			most = x
 		}
 	})
 	return n, most
+}
+
+// countAndMaxRanges folds each of the two partial sets over its own index
+// ranges (range r of set s is [bounds[s][r], bounds[s][r+1])), every range
+// of both concurrently. Each index lies in exactly one range of its set, so
+// the counts add and the maxima combine to exactly the serial answer.
+func countAndMaxRanges[T gb.Number](sets [2][]*gb.Vector[T], bounds [2][]gb.Index) (counts [2]int, most [2]T) {
+	type result struct {
+		n    int
+		most T
+	}
+	rows := len(bounds[0]) - 1
+	res := make([]result, rows+len(bounds[1])-1)
+	gb.ParallelFor(len(res), func(r int) {
+		s, i := 0, r
+		if r >= rows {
+			s, i = 1, r-rows
+		}
+		res[r].n, res[r].most = countAndMaxRange(sets[s], bounds[s][i], bounds[s][i+1])
+	})
+	for r, x := range res {
+		s := 0
+		if r >= rows {
+			s = 1
+		}
+		counts[s] += x.n
+		if x.most > most[s] {
+			most[s] = x.most
+		}
+	}
+	return counts, most
 }

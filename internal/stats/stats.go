@@ -142,17 +142,25 @@ func (h *topHeap[T]) sorted() []Top[T] {
 	return h.heap
 }
 
-// FoldTopK returns the k largest entries of the elementwise add-merge of
+// FoldTopK returns the k largest entries of the elementwise plus-merge of
 // the index-sorted sparse vectors in parts, in descending order (ties
 // broken by lower index first), without building the merged vector: the
 // union streams through gb.VecFold into a bounded heap, so the cost is
-// O(Σ len(parts) + kept · log k) time and O(k) space. An index's value is
-// add folded over every part that stores it, so the answer is exactly that
-// of sorting the merged vector and keeping the first k. Nil parts are
-// skipped; k larger than the entry count returns everything.
-func FoldTopK[T gb.Number](parts []*gb.Vector[T], add gb.BinaryOp[T], k int) ([]Top[T], error) {
+// O(Σ len(parts) + kept · log k) time and O(k) space per heap. An index's
+// value is the sum over every part that stores it, so the answer is
+// exactly that of sorting the merged vector and keeping the first k. Nil
+// parts are skipped; k larger than the entry count returns everything.
+//
+// Parts holding gb.ParallelFoldMin entries or more between them are folded
+// on every core: gb.AppendSplit cuts the index space into gb.FoldRanges
+// ranges, and each range streams into a heap of its own (see
+// foldTopKRanges).
+func FoldTopK[T gb.Number](parts []*gb.Vector[T], k int) ([]Top[T], error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: k = %d", gb.ErrInvalidValue, k)
+	}
+	if n := gb.FoldRanges(parts); n > 1 {
+		return foldTopKRanges(parts, gb.AppendSplit(make([]gb.Index, 0, n+1), parts, n), k), nil
 	}
 	n := 0
 	for _, p := range parts {
@@ -161,14 +169,50 @@ func FoldTopK[T gb.Number](parts []*gb.Vector[T], add gb.BinaryOp[T], k int) ([]
 		}
 	}
 	h := newTopHeap[T](k, n)
-	gb.VecFold(parts, add, h.offer)
+	gb.VecFold(parts, gb.Plus[T]().Op, h.offer)
 	return h.sorted(), nil
+}
+
+// foldTopKRanges is FoldTopK over the index ranges of bounds (range r is
+// [bounds[r], bounds[r+1])), folded concurrently. Every index lies in
+// exactly one range and the selection order is total, so the k best of
+// the union of the per-range k best are the k best overall: the answer is
+// bit-identical to the serial fold's, ties included. The heaps share one
+// backing array, which also holds the final ranking; as in the serial
+// fold, a range's heap has room for min(k, its entries), so a huge k costs
+// no more than the parts hold.
+func foldTopKRanges[T gb.Number](parts []*gb.Vector[T], bounds []gb.Index, k int) []Top[T] {
+	heaps := make([]topHeap[T], len(bounds)-1)
+	room := 0
+	for r := range heaps {
+		heaps[r].k = min(k, gb.VecNValsRange(parts, bounds[r], bounds[r+1]))
+		room += heaps[r].k
+	}
+	buf := make([]Top[T], room)
+	room = 0
+	for r := range heaps {
+		n := heaps[r].k
+		heaps[r] = topHeap[T]{k: k, heap: buf[room : room : room+n]}
+		room += n
+	}
+	// A copy for the helpers, so that a caller's parts slice never has to
+	// live on the heap for the serial path's sake.
+	ps := slices.Clone(parts)
+	gb.ParallelFor(len(heaps), func(r int) {
+		gb.VecFoldRange(ps, bounds[r], bounds[r+1], gb.Plus[T]().Op, heaps[r].offer)
+	})
+	kept := 0
+	for _, h := range heaps {
+		kept += copy(buf[kept:], h.heap)
+	}
+	all := topHeap[T]{heap: buf[:kept]}
+	return all.sorted()[:min(k, kept)]
 }
 
 // SelectTopK returns the k largest entries of v: FoldTopK of the one
 // vector.
 func SelectTopK[T gb.Number](v *gb.Vector[T], k int) ([]Top[T], error) {
-	return FoldTopK([]*gb.Vector[T]{v}, gb.Plus[T]().Op, k)
+	return FoldTopK([]*gb.Vector[T]{v}, k)
 }
 
 // Summary aggregates the headline statistics of a traffic matrix.

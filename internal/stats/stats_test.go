@@ -298,7 +298,7 @@ func TestFoldTopKMatchesSelectOfMerged(t *testing.T) {
 		}
 	}
 	for _, k := range []int{0, 1, 3, 50, n, n + 1, math.MaxInt} {
-		got, err := FoldTopK(parts, gb.Plus[uint64]().Op, k)
+		got, err := FoldTopK(parts, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -311,7 +311,7 @@ func TestFoldTopKMatchesSelectOfMerged(t *testing.T) {
 				k, len(got), len(want), got[:min(3, len(got))], want[:min(3, len(want))])
 		}
 	}
-	if _, err := FoldTopK(parts, gb.Plus[uint64]().Op, -1); !errors.Is(err, gb.ErrInvalidValue) {
+	if _, err := FoldTopK(parts, -1); !errors.Is(err, gb.ErrInvalidValue) {
 		t.Fatalf("negative k: %v, want ErrInvalidValue", err)
 	}
 }
@@ -330,5 +330,100 @@ func TestTopKDelegatesToSelect(t *testing.T) {
 	}
 	if len(top) != 2 || top[0] != (Entry{Index: 4, Value: 7}) || top[1] != (Entry{Index: 1, Value: 6}) {
 		t.Fatalf("TopK = %+v", top)
+	}
+}
+
+// TestFoldTopKRangesMatchSerialAndMap checks the parallel top-k fold,
+// driven through gb.AppendSplit at 1, 2, 3 and 8 ranges, against the
+// serial fold and against a map reference, on the arrangements that could
+// break it: ties whose members straddle a pivot, an index stored in one
+// part only, parts empty inside a range, nil parts, a single part, and
+// k = 0 and k beyond the entry count.
+func TestFoldTopKRangesMatchSerialAndMap(t *testing.T) {
+	vec := func(m map[gb.Index]uint64) *gb.Vector[uint64] {
+		v := gb.MustNewVector[uint64](1 << 40)
+		for i, x := range m {
+			if err := v.SetElement(i, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.Wait()
+		return v
+	}
+	// The longest part holds indices 0..99, so its quantile pivots fall at
+	// 50 for two ranges, 33 and 66 for three, and every 12 or 13 for eight.
+	// Value 9 is tied across 45..55 and 30..36, straddling those pivots; the
+	// rest of the part ties at 1.
+	long := map[gb.Index]uint64{}
+	for i := gb.Index(0); i < 100; i++ {
+		long[i] = 1
+		if (i >= 45 && i <= 55) || (i >= 30 && i <= 36) {
+			long[i] = 9
+		}
+	}
+	rng := uint64(0x9e3779b97f4a7c15)
+	random := func(n int, span gb.Index) map[gb.Index]uint64 {
+		m := map[gb.Index]uint64{}
+		for len(m) < n {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			m[gb.Index(rng)%span] = rng >> 60
+		}
+		return m
+	}
+	cases := []struct {
+		name  string
+		parts []map[gb.Index]uint64
+	}{
+		{"ties-straddle-pivots", []map[gb.Index]uint64{long}},
+		{"ties-straddle-pivots-split", []map[gb.Index]uint64{long, {50: 0, 12: 8, 13: 1}}},
+		// 1000 is stored by the short part alone, beyond every pivot.
+		{"index-in-one-part", []map[gb.Index]uint64{long, {1000: 9}}},
+		// The second part has nothing above 5: empty in every later range.
+		{"part-empty-in-ranges", []map[gb.Index]uint64{long, {0: 4, 3: 8, 5: 9}}},
+		{"nil-parts", []map[gb.Index]uint64{nil, long, nil, {70: 8}}},
+		{"single-part", []map[gb.Index]uint64{random(500, 1<<20)}},
+		{"random-three", []map[gb.Index]uint64{random(300, 4000), random(900, 4000), random(40, 4000)}},
+		{"all-nil", []map[gb.Index]uint64{nil, nil}},
+	}
+	for _, c := range cases {
+		parts := make([]*gb.Vector[uint64], len(c.parts))
+		sums := map[gb.Index]uint64{}
+		for p, m := range c.parts {
+			if m == nil {
+				continue
+			}
+			parts[p] = vec(m)
+			for i, x := range m {
+				sums[i] += x
+			}
+		}
+		var ref []Top[uint64]
+		for i, x := range sums {
+			ref = append(ref, Top[uint64]{Index: i, Value: x})
+		}
+		slices.SortFunc(ref, func(a, b Top[uint64]) int {
+			if topLess(a, b) {
+				return -1
+			}
+			return 1
+		})
+		for _, k := range []int{0, 1, 5, 12, len(sums), len(sums) + 7} {
+			serial, err := FoldTopK(parts, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref[:min(k, len(ref))]
+			if !slices.Equal(serial, want) {
+				t.Fatalf("%s k=%d: serial fold %v, map %v", c.name, k, serial, want)
+			}
+			for _, n := range []int{1, 2, 3, 8} {
+				got := foldTopKRanges(parts, gb.AppendSplit(nil, parts, n), k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d ranges=%d: parallel fold %v, map %v", c.name, k, n, got, want)
+				}
+			}
+		}
 	}
 }

@@ -299,6 +299,16 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		}
 		return pend[a].start < pend[b].start
 	})
+	// Level-0 windows seal one at a time in start order, so every window
+	// before a marked one is marked too. A marked window past the recorded
+	// frontier is a crash between its marker and the next manifest write:
+	// move the frontier past it, so that every level-0 window at or after
+	// the frontier is active, as append relies on.
+	for _, p := range pend {
+		if p.level == 0 && p.marked {
+			s.sealedTo = max(s.sealedTo, p.start+s.spans[0])
+		}
+	}
 
 	// Recover the window groups in parallel — each is an independent
 	// durable directory, and the shard layer already parallelizes within
@@ -387,10 +397,8 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 			s.stats.Active++
 			st.Active++
 			// An active window implies the stream reached at least its
-			// start; keep the recovered watermark monotone with that.
-			if w.start > s.watermark {
-				s.watermark = w.start
-			}
+			// start (see Store.reached).
+			s.reached = max(s.reached, w.start)
 		}
 		if w.level > 0 {
 			// A roll-up window's children are identifiable by span

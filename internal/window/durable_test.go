@@ -1,6 +1,7 @@
 package window
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,6 +29,13 @@ import (
 //	parent checkpoint fails           parent never published, re-rolls later
 //	after Close                       clean restart, active windows resume
 //	accepted, never flushed           per-window durable prefix only
+//	seal scheduled, marker and        window resumes active; its first
+//	  manifest not written              frame's retransmission is a dup
+//	seal marked, manifest not         window sealed, frontier moved past
+//	  written                           it; the retransmission is a dup
+//	Flush beside a queued seal        every frame Flush acked survives
+//	seal queued, nothing synced       replay reopens nothing, refuses
+//	                                    nothing: each frame lands once
 
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
@@ -449,6 +457,211 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 		if got := rec.Stats().Seals; got != 7 { // 5 recovered + 2 new
 			t.Fatalf("Seals after resumed sealing = %d, want 7", got)
 		}
+	})
+
+	// The append that opens window 1 schedules window 0's seal, and a
+	// kill -9 lands before the manifest records it: before the SEALED
+	// marker too, or after it. Recovery brings window 0 back active in the
+	// first case and sealed in the second, and the client's first
+	// retransmission — window 0's first frame, which window 0 holds — must
+	// be accepted once either way, never refused as late.
+	for _, marker := range []bool{false, true} {
+		name := "seal-scheduled-marker-and-manifest-not-written"
+		if marker {
+			name = "seal-marked-manifest-not-written"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir)
+			cfg.RollUps, cfg.Lateness = nil, 0
+			s, err := New[uint64](dim, dim, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			half := sec / 2
+			for seq := uint64(1); seq <= 2; seq++ {
+				if _, err := s.AppendSession("sess-K", seq, half, []gb.Index{1}, []gb.Index{2}, []uint64{seq}, nil); err != nil {
+					t.Fatalf("seq %d: %v", seq, err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendSession("sess-K", 3, sec+sec/5, []gb.Index{3}, []gb.Index{4}, []uint64{7}, nil); err != nil {
+				t.Fatalf("seq 3: %v", err)
+			}
+			crash := copyDir(t, dir)
+			if !marker {
+				if err := os.Remove(filepath.Join(victimDir(t, crash, 0, 0), sealedMarkerName)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join(crash, storeManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m storeManifest
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			m.SealedTo, m.Watermark, m.Sessions = 0, half, nil
+			if data, err = json.Marshal(&m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Shard.Durable.Dir = crash
+			rec, _, err := Recover[uint64](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			// Accepted either way: as a duplicate, or handed to window 0's
+			// group, whose own frontier drops it.
+			if _, err := rec.AppendSession("sess-K", 1, half, []gb.Index{1}, []gb.Index{2}, []uint64{1}, nil); err != nil {
+				t.Fatalf("retransmitted seq 1: %v", err)
+			}
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			entries := []entry{{ts: half, r: 1, c: 2, v: 1}, {ts: half, r: 1, c: 2, v: 2}}
+			verifyRecovered(t, rec, entries, 0, sec)
+		})
+	}
+
+	t.Run("replay-after-unsynced-crash", func(t *testing.T) {
+		// A kill -9 while window 0's seal is queued loses window 0's
+		// unsynced frames, and window 1 — opened by the frame that
+		// scheduled the seal — recovers active. The client then replays
+		// its frames in order. The first replayed frame must not seal
+		// window 0 on the strength of window 1's existence: that would
+		// refuse the next replayed frame of window 0 as late. Each window
+		// must stay open until the replay passes its end.
+		dir := t.TempDir()
+		cfg := durableCfg(dir)
+		cfg.RollUps, cfg.Lateness = nil, 0
+		cfg.Shard.Durable.SyncEvery = 64 // group commit: nothing synced before the crash
+		s, err := New[uint64](dim, dim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		frames := []entry{
+			{ts: sec / 5, r: 1, c: 2, v: 3},
+			{ts: sec / 2, r: 5, c: 6, v: 7},
+			{ts: sec + sec/5, r: 8, c: 9, v: 10},
+		}
+		send := func(s *Store[uint64], seq int) (bool, error) {
+			f := frames[seq-1]
+			return s.AppendSession("sess-R", uint64(seq), f.ts, []gb.Index{f.r}, []gb.Index{f.c}, []uint64{f.v}, nil)
+		}
+		for seq := 1; seq <= 2; seq++ {
+			if _, err := send(s, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.sealMu.Lock() // window 0's seal stays queued
+		opened := make(chan error, 1)
+		go func() {
+			_, err := send(s, 3)
+			opened <- err
+		}()
+		for func() bool {
+			s.sessMu.Lock()
+			defer s.sessMu.Unlock()
+			return s.accepted["sess-R"] < 3
+		}() {
+			time.Sleep(time.Millisecond)
+		}
+		crash := copyDir(t, dir)
+		s.sealMu.Unlock()
+		if err := <-opened; err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shard.Durable.Dir = crash
+		rec, st, err := Recover[uint64](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		if st.Active != 2 || st.Sealed != 0 {
+			t.Fatalf("recovered %+v, want windows 0 and 1 active", st)
+		}
+		if got := rec.Watermark(); got < sec {
+			t.Fatalf("recovered Watermark = %d, want at least window 1's start", got)
+		}
+		for seq := 1; seq <= len(frames); seq++ {
+			if _, err := send(rec, seq); err != nil {
+				t.Fatalf("replayed seq %d: %v", seq, err)
+			}
+		}
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		verifyRecovered(t, rec, frames, 0, 2*sec)
+	})
+
+	t.Run("flush-beside-queued-seal", func(t *testing.T) {
+		// Flush commits the session frontier for every frame accepted
+		// before it, including frames in a window whose seal is scheduled
+		// but still queued behind sealMu — a window Flush finds Sealing,
+		// not Active. A kill -9 before that seal closes the group must not
+		// lose such a frame: the recovered frontier may only cover frames
+		// the recovered store holds.
+		dir := t.TempDir()
+		cfg := durableCfg(dir)
+		cfg.RollUps, cfg.Lateness = nil, 0
+		// Group commit, not per-batch sync: seq 1's WAL record waits in
+		// memory for a barrier, as on a server run with -sync-every > 1.
+		cfg.Shard.Durable.SyncEvery = 64
+		s, err := New[uint64](dim, dim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.AppendSession("sess-F", 1, sec/2, []gb.Index{1}, []gb.Index{2}, []uint64{5}, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.sealMu.Lock() // the seal seq 2 schedules stays queued
+		opened := make(chan error, 1)
+		go func() {
+			_, err := s.AppendSession("sess-F", 2, sec+sec/5, []gb.Index{3}, []gb.Index{4}, []uint64{7}, nil)
+			opened <- err
+		}()
+		for func() bool {
+			s.sessMu.Lock()
+			defer s.sessMu.Unlock()
+			return s.accepted["sess-F"] < 2
+		}() {
+			time.Sleep(time.Millisecond)
+		}
+		if st := s.wins[key{0, 0}].state.Load(); st != Sealing {
+			s.sealMu.Unlock()
+			t.Fatalf("window 0 is %v, want sealing", st)
+		}
+		flushErr := s.Flush()
+		crash := copyDir(t, dir)
+		s.sealMu.Unlock()
+		if err := <-opened; err != nil {
+			t.Fatal(err)
+		}
+		if flushErr != nil {
+			t.Fatal(flushErr)
+		}
+		cfg.Shard.Durable.Dir = crash
+		rec, _, err := Recover[uint64](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		if got := rec.ResumeSeq("sess-F"); got != 2 {
+			t.Fatalf("recovered ResumeSeq = %d, want 2 (Flush returned after seq 2)", got)
+		}
+		entries := []entry{{ts: sec / 2, r: 1, c: 2, v: 5}, {ts: sec + sec/5, r: 3, c: 4, v: 7}}
+		verifyRecovered(t, rec, entries, 0, 2*sec)
 	})
 
 	t.Run("accepted-never-flushed", func(t *testing.T) {

@@ -145,12 +145,14 @@ type key struct {
 // win is one window: a shard.Group plus lifecycle state.
 //
 // Locking: queries and rolled are guarded by the store mutex. state is
-// written only under the store mutex, but atomically: the append paths
-// read it holding wmu alone. wmu is the append/seal barrier: appenders
-// hold it shared around the state check and g.Update; sealWin takes it
-// exclusively once state has left Active — so an append either finished
-// before the seal proceeds or observes the state and reports ErrLate, and
-// the seal-time summary is complete.
+// written only under the store mutex, atomically so that queries and
+// Flush may read it without the lock. wmu is the append/seal barrier: an
+// appender takes it shared under the store mutex, right after finding
+// the window Active and before scheduling any seal, and holds it around
+// g.Update; sealWin takes it exclusively once state has left Active. An
+// append that found its window Active therefore always lands before the
+// seal proceeds, and the seal-time summary is complete. Lock order is
+// mu, then wmu; nothing takes mu while holding wmu.
 type win[T gb.Number] struct {
 	level      int
 	start, end int64 // event-time bounds [start, end), unix nanoseconds
@@ -188,6 +190,14 @@ type Store[T gb.Number] struct {
 	sealedTo  int64 // level-0 windows ending at or before this are sealed
 	closed    bool
 	pending   []*win[T] // windows marked Sealing, in seal order
+
+	// reached is, after Recover, the latest recovered active window's
+	// start: the stream got at least that far before the restart, though
+	// the manifest's watermark may trail it. Watermark reports it; sealing
+	// does not follow it, because a client replaying its frames after the
+	// restart must find each window open until the replay itself passes
+	// the window's end, exactly as the original stream did.
+	reached int64
 
 	// err is the store's sticky error: the first seal whose group close
 	// (the final checkpoint) or SEALED marker failed. That window is
@@ -317,7 +327,7 @@ func (s *Store[T]) ShardsPerWindow() int {
 func (s *Store[T]) Watermark() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.watermark
+	return max(s.watermark, s.reached)
 }
 
 // SealedTo returns the seal frontier: every level-0 window ending at or
@@ -396,11 +406,14 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 // accepted frontier. The durable frontier, which ResumeSeq reports on
 // durable stores, follows at the next Flush, Checkpoint, or Close. One
 // corner stays loud by design: a frame whose original delivery was lost
-// un-synced in a crash, retransmitted after its window was re-sealed,
-// fails with ErrLate — the data missed its window and is refused, never
-// silently dropped. sp is the frame's sampled latency span (nil when
-// unsampled), threaded through to the window group's UpdateSession so
-// shard workers can attribute the frame's async stages.
+// un-synced in a crash fails with ErrLate if its window's seal was
+// persisted (marker or manifest frontier) before the crash — the data
+// missed its window and is refused, never silently dropped. A window
+// whose seal was only scheduled when the crash hit recovers Active, and
+// the retransmission lands in it or is recognized as a duplicate. sp is
+// the frame's sampled latency span (nil when unsampled), threaded through
+// to the window group's UpdateSession so shard workers can attribute the
+// frame's async stages.
 func (s *Store[T]) AppendSession(session string, seq uint64, ts int64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
 	if session == "" || seq == 0 {
 		return false, fmt.Errorf("%w: session %q seq %d", gb.ErrInvalidValue, session, seq)
@@ -456,24 +469,20 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 			return false, err
 		}
 	}
+	// The window is Active here, so no sealer holds or waits for wmu and
+	// the shared lock is taken at once. Taken before any seal is
+	// scheduled, it makes every seal this append schedules — its own
+	// window's included — wait for the ingest below.
+	w.wmu.RLock()
 	sealWork := s.scheduleSealsLocked()
 	s.mu.Unlock()
 
 	// Ingest outside the store lock: Update may block on a full shard
 	// queue, and the shared wmu excludes the sealer, so a seal-time
-	// summary always includes every append that beat it here.
-	w.wmu.RLock()
+	// summary always includes every append that got past the lookup.
 	var dup bool
 	var err error
 	switch {
-	case w.state.Load() != Active:
-		// The window was picked for sealing between the lookup and the
-		// lock: the entry became late mid-flight (another producer pushed
-		// the watermark past it). Refuse it exactly like any late append.
-		err = fmt.Errorf("%w: window [%d,%d) sealed mid-append", ErrLate, w.start, w.end)
-		s.mu.Lock()
-		s.stats.LateDrops += int64(len(rows))
-		s.mu.Unlock()
 	case session == "":
 		err = w.g.Update(rows, cols, vals)
 	default:
@@ -685,9 +694,9 @@ func (s *Store[T]) runSeals() {
 // window is neither marked nor published and the error is returned.
 func (s *Store[T]) sealWin(w *win[T]) error {
 	w.wmu.Lock()
-	// State was Sealing since scheduling; appends that raced the schedule
-	// have either completed under the shared lock or will observe the
-	// state and report ErrLate.
+	// State was Sealing since scheduling, and every append that found
+	// the window Active took the shared lock before that: waiting here
+	// lets each of them finish its ingest.
 	w.wmu.Unlock()
 	// Close drains every producer buffer and queue, stops the workers,
 	// takes the final checkpoint when durable, and leaves the group fully
@@ -911,8 +920,8 @@ func (s *Store[T]) retention(level int) int64 {
 	return 0
 }
 
-// Flush drains and completes all pending ingest work in every active
-// window (a durable group-commit point, like Sharded.Flush). Sealed
+// Flush drains and completes all pending ingest work in every window not
+// yet sealed (a durable group-commit point, like Sharded.Flush). Sealed
 // windows are already final. After a failed seal it returns the sticky
 // error and commits nothing.
 func (s *Store[T]) Flush() error {
@@ -920,26 +929,19 @@ func (s *Store[T]) Flush() error {
 	if s.Durable() {
 		snap = s.snapshotAccepted()
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	live, err := s.unsealed()
+	if err != nil {
+		return err
 	}
-	var live []*win[T]
-	for _, w := range s.wins {
-		if w.state.Load() == Active {
-			live = append(live, w)
-		}
-	}
-	s.mu.Unlock()
 	for _, w := range live {
 		if err := w.g.Flush(); err != nil && !errors.Is(err, shard.ErrClosed) {
 			return err
 		}
 	}
 	// Every frame in the snapshot is now on disk: its portions sit either
-	// in a live window just fsynced, or in a window sealed since — whose
-	// final checkpoint made them durable unless the seal failed.
+	// in a window just fsynced, or in a window whose seal closed its group
+	// first — and that final checkpoint made them durable unless the seal
+	// failed.
 	if err := s.commitDurableSessions(snap); err != nil {
 		return err
 	}
@@ -949,7 +951,27 @@ func (s *Store[T]) Flush() error {
 	return nil
 }
 
-// Checkpoint checkpoints every active window's group (sealed windows took
+// unsealed returns the windows a store barrier must make durable:
+// the active ones, and those Sealing — scheduled, with the seal that
+// closes their group possibly still queued. Their frames may sit in the
+// session snapshot the barrier commits, so the barrier cannot leave them
+// to the seal.
+func (s *Store[T]) unsealed() ([]*win[T], error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	var live []*win[T]
+	for _, w := range s.wins {
+		if st := w.state.Load(); st == Active || st == Sealing {
+			live = append(live, w)
+		}
+	}
+	return live, nil
+}
+
+// Checkpoint checkpoints every unsealed window's group (sealed windows took
 // their final checkpoint at seal time). It fails with shard.ErrNotDurable
 // on an in-memory store, and with the sticky error after a failed seal.
 func (s *Store[T]) Checkpoint() error {
@@ -957,18 +979,10 @@ func (s *Store[T]) Checkpoint() error {
 		return shard.ErrNotDurable
 	}
 	snap := s.snapshotAccepted()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	live, err := s.unsealed()
+	if err != nil {
+		return err
 	}
-	var live []*win[T]
-	for _, w := range s.wins {
-		if w.state.Load() == Active {
-			live = append(live, w)
-		}
-	}
-	s.mu.Unlock()
 	for _, w := range live {
 		if err := w.g.Checkpoint(); err != nil && !errors.Is(err, shard.ErrClosed) {
 			return err
