@@ -200,6 +200,9 @@ func WithDialTimeout(d time.Duration) Option {
 
 // WithReconnect makes a client whose connection died re-dial on the next
 // call instead of failing it; see the package comment for the semantics.
+// A read (a query or an Explain) that fails because its connection died
+// is retried once on a fresh connection: reads are idempotent. An insert
+// is never retried by the caller's call; the retransmit ring resends it.
 func WithReconnect() Option {
 	return func(o *options) error {
 		o.reconnect = true
@@ -1237,11 +1240,19 @@ func (c *Client) query(explain bool, q proto.Query, t0, t1 time.Time) (response,
 	if _, err := proto.AppendQuery(nil, kind, q); err != nil {
 		return response{}, err
 	}
-	return c.roundTrip(kind, func(seq uint64) []byte {
+	build := func(seq uint64) []byte {
 		q.Seq = seq
 		body, _ := proto.AppendQuery(nil, kind, q)
 		return body
-	})
+	}
+	resp, err := c.roundTrip(kind, build)
+	if err != nil && c.opt.reconnect && errors.Is(err, ErrDisconnected) {
+		// Reads are idempotent: one that met a dead connection, most often
+		// one that died idle since the last call, runs once more on a fresh
+		// one, as database/sql retries on driver.ErrBadConn.
+		resp, err = c.roundTrip(kind, build)
+	}
+	return resp, err
 }
 
 // allTime is the bounds argument of the flat ops: no event-time range.

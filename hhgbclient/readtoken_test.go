@@ -2,6 +2,7 @@ package hhgbclient_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -307,6 +308,90 @@ func TestCutWhileCallerHoldsReadToken(t *testing.T) {
 	}
 	if n := relay.Conns(); n != 2 {
 		t.Fatalf("relay saw %d connections, want 2", n)
+	}
+}
+
+// TestReadRetriedAfterIdleDeath makes the race TestCutWhileCallerHoldsReadToken
+// loses only sometimes happen on every run: the relay severs the
+// connection right after delivering the first lookup's response, so the
+// connection is dead and idle when the next read starts. Under
+// WithReconnect that read, of every kind, succeeds on a fresh connection;
+// without it, it fails typed.
+func TestReadRetriedAfterIdleDeath(t *testing.T) {
+	_, _, addr := startServer(t, 1<<20, server.Config{})
+	seed, err := hhgbclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.AppendWeighted([]uint64{3}, []uint64{4}, []uint64{9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct {
+		name string
+		read func(*hhgbclient.Client) error
+	}{
+		{"lookup", func(c *hhgbclient.Client) error {
+			v, found, err := c.Lookup(3, 4)
+			if err == nil && (!found || v != 9) {
+				return fmt.Errorf("Lookup = %d, %v; want 9", v, found)
+			}
+			return err
+		}},
+		{"topk", func(c *hhgbclient.Client) error {
+			top, err := c.TopSources(1)
+			if err == nil && (len(top) != 1 || top[0].ID != 3 || top[0].Value != 9) {
+				return fmt.Errorf("TopSources = %v; want source 3 at 9", top)
+			}
+			return err
+		}},
+		{"summary", func(c *hhgbclient.Client) error {
+			s, err := c.Summary()
+			if err == nil && s.TotalPackets != 9 {
+				return fmt.Errorf("Summary packets = %d; want 9", s.TotalPackets)
+			}
+			return err
+		}},
+		{"explain", func(c *hhgbclient.Client) error {
+			_, err := c.ExplainLookup(3, 4)
+			return err
+		}},
+	}
+	for _, rd := range reads {
+		for _, reconnect := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/reconnect=%v", rd.name, reconnect), func(t *testing.T) {
+				// Server→client frame 1 is the Welcome, 2 the first
+				// lookup's response.
+				relay := newRelay(t, addr, []faultnet.ConnPlan{{CutAfterS2CFrames: 2}})
+				opts := []hhgbclient.Option{hhgbclient.WithFlushInterval(0)}
+				if reconnect {
+					opts = append(opts, hhgbclient.WithReconnect())
+				}
+				c, err := hhgbclient.Dial(relay.Addr(), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if v, found, err := lookupWithin(t, c, 3, 4, 5*time.Second); err != nil || !found || v != 9 {
+					t.Fatalf("first Lookup = %d, %v, %v", v, found, err)
+				}
+				err = rd.read(c)
+				if !reconnect {
+					if !connErr(err) {
+						t.Fatalf("read on the dead connection = %v, want a typed connection error", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("read on the dead idle connection = %v, want it retried on a fresh one", err)
+				}
+				if n := relay.Conns(); n != 2 {
+					t.Fatalf("relay saw %d connections, want 2", n)
+				}
+			})
+		}
 	}
 }
 

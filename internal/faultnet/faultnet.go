@@ -52,6 +52,11 @@ type ConnPlan struct {
 	// CutAfterC2SFrames severs both directions immediately after relaying
 	// this many client→server frames (0 = never).
 	CutAfterC2SFrames int
+	// CutAfterS2CFrames severs both directions immediately after relaying
+	// this many server→client frames (0 = never): the client holds the
+	// last response in full, and the connection is dead before its next
+	// request.
+	CutAfterS2CFrames int
 	// BlackholeS2CAfter silently drops every server→client frame after
 	// this many have been relayed (0 = relay all). Inserts keep flowing
 	// upstream while their acks vanish — the sharpest dedup test, since
@@ -231,6 +236,9 @@ func (r *Relay) relay(down net.Conn, plan ConnPlan) {
 				continue
 			}
 			if _, err := down.Write(append(hdr, payload...)); err != nil {
+				return
+			}
+			if plan.CutAfterS2CFrames == frames {
 				return
 			}
 		}

@@ -71,8 +71,9 @@ func frames(t *testing.T, pairs ...any) []byte {
 }
 
 // seedCorpus enumerates every seed file the corpus should hold, keyed by
-// target and name. Bodies cover every frame kind of protocol version 3,
-// including the session-bearing Hello/Welcome handshake.
+// target and name. Bodies cover every frame kind of protocol version 4,
+// including the session-bearing Hello/Welcome handshake and the
+// fixed-width batch record at both narrow and 8-byte widths.
 func seedCorpus(t *testing.T) map[string]map[string][]byte {
 	t.Helper()
 	insert, err := AppendInsert(nil, 3, []uint64{1, 1 << 40}, []uint64{2, 1<<64 - 1}, []uint64{1, 9})
@@ -155,8 +156,8 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 // and otherwise verifies the checked-in files byte-match what the current
 // builders produce (so corpus and protocol can never drift apart), that
 // every FuzzReaderNext seed decodes as a clean frame stream, and that all
-// of version 3's frame kinds — the temporal ones included — appear in the
-// reader corpus.
+// of version 4's frame kinds — the temporal and Explain ones included —
+// appear in the reader corpus.
 func TestSeedCorpusIsFreshAndValid(t *testing.T) {
 	want := seedCorpus(t)
 	if *regenCorpus {
@@ -208,6 +209,7 @@ func TestSeedCorpusIsFreshAndValid(t *testing.T) {
 		KindSummary, KindGoodbye, KindInsertAt, KindRangeLookup, KindRangeTopK,
 		KindRangeSummary, KindSubscribe, KindWelcome, KindAck, KindLookupResp,
 		KindTopKResp, KindSummaryResp, KindError, KindWindowSummary,
+		KindExplain, KindExplainResp,
 	} {
 		if !kinds[kind] {
 			t.Fatalf("no FuzzReaderNext seed covers frame kind %#x", kind)

@@ -120,11 +120,11 @@ func FuzzParseBodies(f *testing.F) {
 // that must stay partially total: when the magic and version decode, the
 // version must come back even if the session fields are torn, so a server
 // can tell an old client from a hostile one. Seeds include a truncated
-// session-bearing Hello (the wire shape of a v3 frame cut mid-session).
+// session-bearing Hello (the wire shape of a Hello cut mid-session).
 func FuzzParseHello(f *testing.F) {
 	good := AppendHello(nil, "sess-fuzz", 1<<40)
 	f.Add(good)
-	f.Add(good[:6]) // cut inside the session length/body: v3 truncation
+	f.Add(good[:6]) // cut inside the session length/body
 	f.Add(AppendHello(nil, "", 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -186,7 +186,8 @@ var fuzzBatchPool = pool.NewChecked(4,
 // must agree exactly with the allocating wal-level reference, a
 // successful decode must re-encode to bytes that decode to the same batch
 // and re-encode identically (a one-step fixed point — arbitrary inputs
-// may use non-minimal varints, so only the re-encoding is canonical), and
+// may use a non-minimal count varint or groups wider than their words
+// need, so only the re-encoding is canonical), and
 // the leak-checked pool must stay balanced across every execution.
 func FuzzBatchRecordPooledRoundtrip(f *testing.F) {
 	good, _ := AppendInsert(nil, 9, []uint64{1, 1 << 60}, []uint64{2, 3}, []uint64{5, 6})

@@ -50,9 +50,14 @@
 //	Goodbye     → Ack          server drained this connection's buffers
 //	(any)       → Error        per-request failure (seq echoes the request)
 //
-// Insert and InsertAt bodies reuse the WAL batch record codec
-// (wal.AppendBatchRecord): uvarint count, then rows, cols, values, all
-// uvarints — the same bytes a durable shard worker frames into its log.
+// Insert and InsertAt bodies end in the WAL batch record
+// (wal.AppendBatchRecord), the same layout a durable shard worker logs:
+//
+//	record := uvarint(n) ‖ widths ‖ n × row ‖ n × col ‖ n × value
+//
+// Each group is fixed-width little-endian at the smallest of 1, 2, 4 or 8
+// bytes that holds all of its words; the widths byte carries the three
+// log₂ widths (rows in bits 0–1, cols 2–3, values 4–5, bits 6–7 zero).
 // InsertAt prefixes the batch with an event timestamp (unix nanoseconds);
 // all of a frame's entries share it, so a windowed server routes the
 // whole frame into one window.
@@ -93,8 +98,9 @@ const Magic uint32 = 0x48474231
 // WindowSummary) and the Welcome window-duration field. Version 3 made
 // ingest exactly-once: Hello carries a session identifier and resume seq,
 // Welcome answers with the session's durable high-water mark (LastSeq),
-// and Insert/InsertAt seqs become the per-session dedup key.
-const Version = 3
+// and Insert/InsertAt seqs become the per-session dedup key. Version 4
+// replaced the batch record's uvarint fields with fixed-width groups.
+const Version = 4
 
 // MaxSession caps the Hello session identifier's length, matching the
 // WAL-side cap (wal.MaxSessionID) so every session the server accepts can

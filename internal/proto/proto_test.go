@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"testing"
+
+	"hhgb/internal/wal"
 )
 
 // roundTrip frames a body, reads it back, and returns the received frame.
@@ -99,6 +102,79 @@ func TestInsertRoundTrip(t *testing.T) {
 	for i := range rows {
 		if r[i] != rows[i] || c[i] != cols[i] || v[i] != vals[i] {
 			t.Fatalf("entry %d: (%d,%d,%d) != (%d,%d,%d)", i, r[i], c[i], v[i], rows[i], cols[i], vals[i])
+		}
+	}
+}
+
+// TestInsertRecordWidths round-trips Insert and InsertAt frames whose
+// batch groups take every width (1, 2, 4 and 8 bytes, rows, cols and
+// values each), an empty batch and a full MaxBatch frame, through the
+// frame reader and both decoders. Each body ends in the WAL's batch record
+// byte for byte: the wire and the log share one layout.
+func TestInsertRecordWidths(t *testing.T) {
+	type batch struct{ rows, cols, vals []uint64 }
+	var cases []batch
+	for _, top := range []uint64{0xff, 0xffff, 0xffffffff, 1 << 32, math.MaxUint64} {
+		for g := range 3 {
+			groups := [][]uint64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+			groups[g][1] = top
+			cases = append(cases, batch{groups[0], groups[1], groups[2]})
+		}
+	}
+	full := batch{make([]uint64, MaxBatch), make([]uint64, MaxBatch), make([]uint64, MaxBatch)}
+	for i := range full.rows {
+		full.rows[i], full.cols[i], full.vals[i] = uint64(i)<<16, math.MaxUint32-uint64(i), 1
+	}
+	cases = append(cases, batch{}, full)
+	var b Batch // reused across every frame
+	for _, tc := range cases {
+		rec := wal.AppendBatchRecord(nil, tc.rows, tc.cols, tc.vals, identU64)
+		insert, err := AppendInsert(nil, 300, tc.rows, tc.cols, tc.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertAt, err := AppendInsertAt(nil, 300, 1e18, tc.rows, tc.cols, tc.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(insert, rec) || len(insert) != 2+len(rec) || !bytes.HasSuffix(insertAt, rec) {
+			t.Fatalf("n=%d: insert bodies do not end in the WAL record", len(tc.rows))
+		}
+		seq, err := ParseInsertBatch(roundTrip(t, KindInsert, insert).Body, &b)
+		if err != nil || seq != 300 || !equalU64(b.Rows, tc.rows) || !equalU64(b.Cols, tc.cols) || !equalU64(b.Vals, tc.vals) {
+			t.Fatalf("n=%d: Insert round trip: seq %d, err %v", len(tc.rows), seq, err)
+		}
+		seq, ts, err := ParseInsertAtBatch(roundTrip(t, KindInsertAt, insertAt).Body, &b)
+		if err != nil || seq != 300 || ts != 1e18 || !equalU64(b.Rows, tc.rows) || !equalU64(b.Cols, tc.cols) || !equalU64(b.Vals, tc.vals) {
+			t.Fatalf("n=%d: InsertAt round trip: seq %d, ts %d, err %v", len(tc.rows), seq, ts, err)
+		}
+	}
+}
+
+// TestInsertRecordRefusals: an Insert whose batch record is cut at any
+// point, claims one entry more than it carries, has trailing bytes, or
+// sets a reserved width bit is refused as malformed. (The record decoder
+// refuses each before its scratch grows; internal/wal pins that.)
+func TestInsertRecordRefusals(t *testing.T) {
+	good, err := AppendInsert(nil, 1, []uint64{1, 1 << 40, 3}, []uint64{300, 5, 6}, []uint64{1, 2, math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// good is seq ‖ count ‖ widths ‖ 3 × (8 + 2 + 8) bytes.
+	var bad [][]byte
+	for cut := 1; cut < len(good); cut++ {
+		bad = append(bad, good[:cut])
+	}
+	bad = append(bad,
+		append([]byte{1, 4}, good[2:]...), // count one above what the body holds
+		append(slices.Clone(good), 0),
+		append([]byte{1, 3, good[2] | 0x40}, good[3:]...),
+		append([]byte{1, 3, good[2] | 0x80}, good[3:]...),
+	)
+	var b Batch
+	for _, body := range bad {
+		if _, err := ParseInsertBatch(body, &b); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("ParseInsertBatch(%x) = %v, want ErrMalformed", body, err)
 		}
 	}
 }
@@ -345,11 +421,14 @@ func TestWriterRefusesOversizedFrame(t *testing.T) {
 // of a valid body: each must error (never panic) and never succeed on a
 // truncated body with trailing data absent.
 func TestParsersRejectTruncation(t *testing.T) {
-	insert, err := AppendInsert(nil, 3, []uint64{1, 2}, []uint64{3, 4}, []uint64{5, 6})
+	// Multi-byte groups (8-byte rows, 2-byte cols, 4-byte values) put
+	// cuts inside the batch record's fixed-width words as well as between
+	// them.
+	insert, err := AppendInsert(nil, 3, []uint64{1, 1 << 40}, []uint64{3, 300}, []uint64{5, 70000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertAt, err := AppendInsertAt(nil, 3, 300, []uint64{1, 2}, []uint64{3, 4}, []uint64{5, 6})
+	insertAt, err := AppendInsertAt(nil, 3, 300, []uint64{1, 1 << 40}, []uint64{3, 300}, []uint64{5, 70000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,23 +176,32 @@ func TestHandshakeAndIngestQueryRoundTrip(t *testing.T) {
 
 func TestVersionMismatchRefused(t *testing.T) {
 	_, _, addr := startServer(t, 1<<10, Config{})
-	c := dialRaw(t, addr)
 	// A pre-session client's whole Hello: magic + a foreign version, no
 	// session fields. The server must answer with a version refusal, not
 	// a malformed-frame error.
-	body := binary.BigEndian.AppendUint32(nil, proto.Magic)
-	body = binary.AppendUvarint(body, 99)
-	c.send(proto.KindHello, body)
-	f := c.next()
-	if f.Kind != proto.KindError {
-		t.Fatalf("reply kind %#x, want error", f.Kind)
-	}
-	seq, code, _, err := proto.ParseError(f.Body)
-	if err != nil || seq != 0 || code != proto.ErrCodeVersion {
-		t.Fatalf("error = seq %d code %d err %v", seq, code, err)
-	}
-	if _, err := c.r.Next(); err != io.EOF {
-		t.Fatalf("after version error = %v, want io.EOF", err)
+	preSession := binary.BigEndian.AppendUint32(nil, proto.Magic)
+	preSession = binary.AppendUvarint(preSession, 99)
+	// A version 3 Hello has the current Hello's shape, but its batches
+	// would carry the varint record: refused the same way.
+	v3 := binary.BigEndian.AppendUint32(nil, proto.Magic)
+	v3 = binary.AppendUvarint(v3, 3)
+	v3 = binary.AppendUvarint(v3, 4)
+	v3 = append(v3, "sess"...)
+	v3 = binary.AppendUvarint(v3, 0)
+	for _, body := range [][]byte{preSession, v3} {
+		c := dialRaw(t, addr)
+		c.send(proto.KindHello, body)
+		f := c.next()
+		if f.Kind != proto.KindError {
+			t.Fatalf("reply kind %#x, want error", f.Kind)
+		}
+		seq, code, msg, err := proto.ParseError(f.Body)
+		if err != nil || seq != 0 || code != proto.ErrCodeVersion {
+			t.Fatalf("error = seq %d code %d %q err %v", seq, code, msg, err)
+		}
+		if _, err := c.r.Next(); err != io.EOF {
+			t.Fatalf("after version error = %v, want io.EOF", err)
+		}
 	}
 }
 

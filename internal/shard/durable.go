@@ -81,14 +81,15 @@ const (
 	manifestName = "MANIFEST.json"
 	lockName     = "LOCK"
 	// manifestVersion 2 (the exactly-once release) added per-shard session
-	// tables to the manifest and a session header to every WAL record. The
-	// break from v1 is deliberate and strict — v1 segments would be
-	// misparsed under the new record layout, and "v1 but cleanly closed"
-	// cannot be told apart from "v1 with a live tail" reliably enough to
-	// risk it — so recovery refuses v1 directories outright: re-ingest
-	// them (or drain them through a v1 binary into a v2 server) rather
+	// tables to the manifest and a session header to every WAL record;
+	// version 3 made the batch record fixed-width (wal.AppendBatchRecord).
+	// Each break is deliberate and strict — older segments would be
+	// misparsed under the new record layout, and "old but cleanly closed"
+	// cannot be told apart from "old with a live tail" reliably enough to
+	// risk it — so recovery refuses older directories outright: re-ingest
+	// them (or drain them through the old binary into a new server) rather
 	// than upgrading in place.
-	manifestVersion = 2
+	manifestVersion = 3
 	walSuffix       = ".log"
 	snapSuffix      = ".hier"
 )
@@ -250,7 +251,7 @@ func readManifest(dir string) (*manifest, error) {
 		return nil, fmt.Errorf("shard: parsing %s: %w", manifestName, err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("%w: manifest version %d, want %d (v1 directories predate the session-bearing WAL layout and must be re-ingested)", gb.ErrInvalidValue, m.Version, manifestVersion)
+		return nil, fmt.Errorf("%w: manifest version %d, want %d (older directories hold an older WAL record layout and must be re-ingested)", gb.ErrInvalidValue, m.Version, manifestVersion)
 	}
 	if m.Shards < 1 || len(m.Snapshots) != m.Shards {
 		return nil, fmt.Errorf("%w: manifest has %d shards, %d snapshots", gb.ErrInvalidValue, m.Shards, len(m.Snapshots))

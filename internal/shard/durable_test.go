@@ -547,3 +547,39 @@ func TestDirLockInProcessOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoverRefusesOlderManifest: a directory written before the
+// fixed-width batch record (manifest version 2) is refused, not misread,
+// with a typed error that names both versions.
+func TestRecoverRefusesOlderManifest(t *testing.T) {
+	dir := t.TempDir()
+	g, err := NewGroup[uint64](ktDim, ktDim, Config{
+		Shards: 1, Hier: hier.Config{Cuts: ktCuts},
+		Durable: Durability{Dir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Update([]gb.Index{1}, []gb.Index{2}, []uint64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"version": 3,`, `"version": 2,`, 1)
+	if old == string(data) {
+		t.Fatalf("manifest has no version 3 field:\n%s", data)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = RecoverGroup[uint64](Config{Durable: Durability{Dir: dir}})
+	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "manifest version 2, want 3") {
+		t.Fatalf("RecoverGroup of a version 2 directory = %v, want ErrInvalidValue naming versions 2 and 3", err)
+	}
+}

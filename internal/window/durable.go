@@ -50,9 +50,10 @@ const (
 	sealedMarkerName  = "SEALED"
 	// storeManifestVersion tracks shard.manifestVersion: v2 is the
 	// exactly-once release (store-level session frontier, session-bearing
-	// per-window WALs). v1 store directories are refused, not migrated —
-	// see the shard manifestVersion comment; re-ingest them.
-	storeManifestVersion = 2
+	// per-window WALs), v3 the fixed-width batch record in those WALs.
+	// Older store directories are refused, not migrated — see the shard
+	// manifestVersion comment; re-ingest them.
+	storeManifestVersion = 3
 	winDirPrefix         = "win-L"
 )
 
@@ -230,7 +231,7 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		return nil, st, fmt.Errorf("window: parsing %s: %w", storeManifestName, err)
 	}
 	if man.Version != storeManifestVersion {
-		return nil, st, fmt.Errorf("%w: store manifest version %d, want %d (v1 directories predate the session-bearing WAL layout and must be re-ingested)", gb.ErrInvalidValue, man.Version, storeManifestVersion)
+		return nil, st, fmt.Errorf("%w: store manifest version %d, want %d (older directories hold an older WAL record layout and must be re-ingested)", gb.ErrInvalidValue, man.Version, storeManifestVersion)
 	}
 	if man.WindowNs <= 0 {
 		return nil, st, fmt.Errorf("%w: store manifest window %dns", gb.ErrInvalidValue, man.WindowNs)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -837,4 +838,38 @@ func TestFailedSealPoisonsStore(t *testing.T) {
 		t.Fatalf("recovered %+v: the unmarked window came back sealed", st)
 	}
 	verifyRecovered(t, rec, []entry{first}, 0, sec)
+}
+
+// TestRecoverRefusesOlderStoreManifest: a store root written before the
+// fixed-width batch record (store manifest version 2) is refused, not
+// misread, with a typed error that names both versions.
+func TestRecoverRefusesOlderStoreManifest(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New[uint64](dim, dim, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 2
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Recover[uint64](durableCfg(dir))
+	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "store manifest version 2, want 3") {
+		t.Fatalf("Recover of a version 2 store = %v, want ErrInvalidValue naming versions 2 and 3", err)
+	}
 }
