@@ -39,8 +39,8 @@
 //	v, _ := wm.QueryRange(t0, t1)              // only the windows in range
 //	sub := wm.Subscribe(0)                     // one summary per sealed window
 //
-// The full algebra (semirings, MxM, associative arrays, the benchmark
-// engines) lives in the internal packages; see README.md for the package
+// The GraphBLAS substrate, the associative arrays and the benchmark
+// engines live in the internal packages; see README.md for the package
 // map and docs/ARCHITECTURE.md for the end-to-end ingest, query-pushdown,
 // and durability/recovery design.
 package hhgb

@@ -8,17 +8,15 @@ import (
 	"hhgb/internal/gb"
 	"hhgb/internal/hier"
 	"hhgb/internal/powerlaw"
-	"hhgb/internal/repro/algo"
 	"hhgb/internal/repro/baselines"
 	"hhgb/internal/repro/cluster"
-	"hhgb/internal/repro/trace"
 	"hhgb/internal/stats"
 )
 
 // TestIntegrationStreamingPipeline exercises the full paper pipeline in
 // one pass: power-law generation → parallel shared-nothing ingest into
-// hierarchical matrices → merge → network statistics → graph analytics →
-// checkpoint/restore, verifying conservation at every stage.
+// hierarchical matrices → merge → network statistics → checkpoint/restore,
+// verifying conservation at every stage.
 func TestIntegrationStreamingPipeline(t *testing.T) {
 	const procs = 3
 	stream := powerlaw.StreamSpec{TotalEdges: 60_000, SetSize: 10_000, Scale: 20, Seed: 77}
@@ -109,19 +107,7 @@ func TestIntegrationStreamingPipeline(t *testing.T) {
 		t.Fatalf("no power-law skew: top %d vs mean %.1f", top[0].Value, meanPer)
 	}
 
-	// Stage 4: graph analytics run on the accumulated matrix.
-	bfs, err := algo.BFS(total, top[0].Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfs.NVals() < 2 {
-		t.Fatalf("hot vertex reaches only %d vertices", bfs.NVals())
-	}
-	if _, err := algo.TriangleCount(total); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stage 5: checkpoint a live per-process matrix and restore it; the
+	// Stage 4: checkpoint a live per-process matrix and restore it; the
 	// restored instance must agree and accept further updates.
 	var buf bytes.Buffer
 	if err := hier.Encode(&buf, matrices[0], gb.Uint64Codec[uint64]()); err != nil {
@@ -188,47 +174,6 @@ func TestIntegrationEnginesAgreeOnStream(t *testing.T) {
 	gbMass, _ := gb.ReduceScalar(hq, gb.Plus[uint64]())
 	if uint64(d4mMass) != gbMass {
 		t.Fatalf("D4M mass %v != GraphBLAS mass %d", d4mMass, gbMass)
-	}
-}
-
-// TestIntegrationWindowedAnalyticsOverCluster runs the windowed traffic
-// pipeline over flows and checks the background model converges onto the
-// generator's stationary hot set.
-func TestIntegrationWindowedAnalyticsOverCluster(t *testing.T) {
-	gen, err := trace.NewGenerator(31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	win, err := trace.NewWindow(5_000, hier.Config{Cuts: []int{256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg, err := stats.NewBackground(trace.IPv4Space, trace.IPv4Space, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(win.Completed()) < 3 {
-		if err := win.Observe(gen.Batch(2_500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, w := range win.Completed() {
-		if err := bg.Absorb(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bg.Windows() != 3 {
-		t.Fatalf("windows = %d", bg.Windows())
-	}
-	// A stationary generator means later windows mostly match the model:
-	// anomalies at a high threshold should be a small fraction of entries.
-	last := win.Completed()[2]
-	anom, err := bg.Anomalies(last, 50.0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anom.NVals() > last.NVals()/10 {
-		t.Fatalf("stationary stream flagged %d/%d entries", anom.NVals(), last.NVals())
 	}
 }
 

@@ -8,9 +8,8 @@
 //     valid for dimensions up to 2^64 (IPv6-scale traffic matrices).
 //   - Non-blocking updates: SetElement and AppendTuples buffer "pending
 //     tuples" (as SuiteSparse:GraphBLAS does); Wait materializes them.
-//   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum), Apply,
-//     Select, Reduce, Transpose, MxM/MxMMasked/VxM over semirings, and
-//     Extract.
+//   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum), Reduce
+//     and Transpose.
 //
 // Storage is always DCSR ("doubly compressed sparse row"): a sorted list of
 // non-empty row ids plus per-row sorted column/value runs. This is the

@@ -104,35 +104,6 @@ func BenchmarkAddAssignCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkMxM measures hypersparse SpGEMM over plus.times.
-func BenchmarkMxM(b *testing.B) {
-	const n = 20_000
-	r1, c1, v1 := benchTuples(n, 1<<14, 5)
-	r2, c2, v2 := benchTuples(n, 1<<14, 6)
-	x, _ := MatrixFromTuples(1<<14, 1<<14, r1, c1, v1, Plus[uint64]().Op)
-	y, _ := MatrixFromTuples(1<<14, 1<<14, r2, c2, v2, Plus[uint64]().Op)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MxM(x, y, plusTimes[uint64]()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMxMMasked measures the masked multiply (triangle-counting
-// kernel) with the output pattern restricted to x's own pattern.
-func BenchmarkMxMMasked(b *testing.B) {
-	const n = 20_000
-	r1, c1, v1 := benchTuples(n, 1<<14, 7)
-	x, _ := MatrixFromTuples(1<<14, 1<<14, r1, c1, v1, Plus[uint64]().Op)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MxMMasked(x, x, PlusPair[uint64](), StructuralMask(x)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTranspose measures the bucket transpose.
 func BenchmarkTranspose(b *testing.B) {
 	const n = 100_000

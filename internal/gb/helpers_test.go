@@ -64,8 +64,7 @@ func tuplesOf[T Number](m *Matrix[T]) []Tuple[T] {
 	return out
 }
 
-// plusTimes is the arithmetic (+, *) semiring the multiply tests check
-// against dense products.
-func plusTimes[T Number]() Semiring[T] {
-	return Semiring[T]{Add: Plus[T](), Mul: func(x, y T) T { return x * y }, Name: "plus.times"}
-}
+// first and second are the positional operators. As a reduction or a
+// duplicate combiner they reveal the order the values were folded in.
+func first[T Number](x, _ T) T  { return x }
+func second[T Number](_, y T) T { return y }

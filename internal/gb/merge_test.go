@@ -298,7 +298,7 @@ func TestAddAssignAliasAndOrder(t *testing.T) {
 	if v, _ := dst.ExtractElement(2, 2); v != 7 {
 		t.Fatalf("minus: dst(2,2) = %d, want 10-3", v)
 	}
-	if err := AddAssign(dst, src, First[int64]); err != nil {
+	if err := AddAssign(dst, src, first[int64]); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.ExtractElement(2, 2); v != 7 {

@@ -329,15 +329,3 @@ func VecReduce[T Number](v *Vector[T], m Monoid[T]) (T, error) {
 	}
 	return acc, nil
 }
-
-// VecApply returns a new vector with f applied to every stored value.
-func VecApply[T Number](v *Vector[T], f UnaryOp[T]) (*Vector[T], error) {
-	if f == nil {
-		return nil, fmt.Errorf("%w: nil unary operator", ErrInvalidValue)
-	}
-	c := v.Dup()
-	for k := range c.val {
-		c.val[k] = f(c.val[k])
-	}
-	return c, nil
-}

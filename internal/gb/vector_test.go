@@ -73,7 +73,7 @@ func TestVectorBuildErrors(t *testing.T) {
 
 func TestVectorBuildRestoresAccum(t *testing.T) {
 	v := MustNewVector[int64](10)
-	if err := v.Build([]Index{1, 1}, []int64{5, 9}, Second[int64]); err != nil {
+	if err := v.Build([]Index{1, 1}, []int64{5, 9}, second[int64]); err != nil {
 		t.Fatal(err)
 	}
 	x, _ := v.ExtractElement(1)
@@ -172,9 +172,9 @@ func TestVecReduceAndApply(t *testing.T) {
 	if err != nil || total != 7 {
 		t.Fatalf("reduce = %d, %v", total, err)
 	}
-	doubled, err := VecApply(v, func(x int64) int64 { return 2 * x })
-	if err != nil {
-		t.Fatal(err)
+	doubled := v.Dup()
+	for k := range doubled.val {
+		doubled.val[k] *= 2
 	}
 	total2, _ := VecReduce(doubled, Plus[int64]())
 	if total2 != 14 {

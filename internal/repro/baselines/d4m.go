@@ -3,7 +3,7 @@ package baselines
 import (
 	"strconv"
 
-	"hhgb/internal/assoc"
+	"hhgb/internal/repro/assoc"
 )
 
 // d4mKey formats an integer id the way D4M traffic-matrix scripts do:

@@ -1,8 +1,7 @@
 // Package stats computes the network statistics the paper's Section III
 // says a real analysis application would run on each stream: degree and
-// traffic vectors, supernode top-k, summaries, and an EWMA background
-// model with anomaly extraction — all expressed over the GraphBLAS kernels
-// so they inherit the hypersparse cost model.
+// traffic vectors, supernode top-k and summaries — all expressed over the
+// GraphBLAS kernels so they inherit the hypersparse cost model.
 package stats
 
 import (
@@ -259,86 +258,4 @@ func Summarize(m *gb.Matrix[uint64]) (Summary, error) {
 		return s, err
 	}
 	return s, nil
-}
-
-// Background maintains an exponentially weighted moving-average model of
-// traffic: B ← (1-α)·B + α·W for each completed window W. It is the
-// "computing background models" application from the paper's introduction.
-type Background struct {
-	Alpha   float64
-	model   *gb.Matrix[float64]
-	windows int
-}
-
-// NewBackground returns an empty model over the given index space.
-func NewBackground(nrows, ncols gb.Index, alpha float64) (*Background, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("%w: alpha %v outside (0,1]", gb.ErrInvalidValue, alpha)
-	}
-	m, err := gb.NewMatrix[float64](nrows, ncols)
-	if err != nil {
-		return nil, err
-	}
-	return &Background{Alpha: alpha, model: m}, nil
-}
-
-// Absorb folds one completed window into the model.
-func (b *Background) Absorb(window *gb.Matrix[uint64]) error {
-	wf, err := toFloat(window)
-	if err != nil {
-		return err
-	}
-	scaledW, err := gb.Scale(wf, b.Alpha)
-	if err != nil {
-		return err
-	}
-	decayed, err := gb.Scale(b.model, 1-b.Alpha)
-	if err != nil {
-		return err
-	}
-	next, err := gb.EWiseAdd(decayed, scaledW, gb.Plus[float64]().Op)
-	if err != nil {
-		return err
-	}
-	b.model = next
-	b.windows++
-	return nil
-}
-
-// Windows returns how many windows the model has absorbed.
-func (b *Background) Windows() int { return b.windows }
-
-// Model returns the current background matrix (live reference).
-func (b *Background) Model() *gb.Matrix[float64] { return b.model }
-
-// Anomalies returns the entries of window whose packet count exceeds
-// factor times the background expectation (with a floor of minPackets to
-// suppress noise on cold cells) — the "inferring unobserved traffic /
-// botnet flagging" style analysis from the paper's introduction.
-func (b *Background) Anomalies(window *gb.Matrix[uint64], factor float64, minPackets uint64) (*gb.Matrix[uint64], error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("%w: factor %v <= 0", gb.ErrInvalidValue, factor)
-	}
-	model := b.model
-	return gb.Select(window, func(i, j gb.Index, v uint64) bool {
-		if v < minPackets {
-			return false
-		}
-		expected, err := model.ExtractElement(i, j)
-		if err != nil {
-			// No history at all: a hot new edge is anomalous.
-			return true
-		}
-		return float64(v) > factor*expected
-	})
-}
-
-// toFloat converts a uint64 matrix to float64 preserving the pattern.
-func toFloat(m *gb.Matrix[uint64]) (*gb.Matrix[float64], error) {
-	rows, cols, vals := m.ExtractTuples()
-	fvals := make([]float64, len(vals))
-	for k, v := range vals {
-		fvals[k] = float64(v)
-	}
-	return gb.MatrixFromTuples(m.NRows(), m.NCols(), rows, cols, fvals, gb.Plus[float64]().Op)
 }

@@ -133,78 +133,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestBackgroundAbsorbAndDecay(t *testing.T) {
-	b, err := NewBackground(1<<16, 1<<16, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _ := gb.MatrixFromTuples(1<<16, 1<<16,
-		[]gb.Index{1}, []gb.Index{2}, []uint64{8}, gb.Plus[uint64]().Op)
-	if err := b.Absorb(w1); err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.Model().ExtractElement(1, 2)
-	if err != nil || v != 4 { // 0.5 * 8
-		t.Fatalf("model(1,2) = %v, %v", v, err)
-	}
-	// Second empty window halves it.
-	w2 := gb.MustNewMatrix[uint64](1<<16, 1<<16)
-	if err := b.Absorb(w2); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = b.Model().ExtractElement(1, 2)
-	if v != 2 {
-		t.Fatalf("decayed model(1,2) = %v", v)
-	}
-	if b.Windows() != 2 {
-		t.Fatalf("windows = %d", b.Windows())
-	}
-}
-
-func TestBackgroundValidation(t *testing.T) {
-	if _, err := NewBackground(16, 16, 0); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("alpha 0: %v", err)
-	}
-	if _, err := NewBackground(16, 16, 1.5); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("alpha > 1: %v", err)
-	}
-}
-
-func TestAnomalies(t *testing.T) {
-	b, err := NewBackground(1<<16, 1<<16, 1.0) // model = last window
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := gb.MatrixFromTuples(1<<16, 1<<16,
-		[]gb.Index{1, 2}, []gb.Index{1, 2}, []uint64{10, 10}, gb.Plus[uint64]().Op)
-	if err := b.Absorb(base); err != nil {
-		t.Fatal(err)
-	}
-	// Next window: (1,1) normal, (2,2) hot (x10), (5,5) brand new & hot.
-	window, _ := gb.MatrixFromTuples(1<<16, 1<<16,
-		[]gb.Index{1, 2, 5, 6}, []gb.Index{1, 2, 5, 6}, []uint64{11, 100, 50, 1}, gb.Plus[uint64]().Op)
-	anom, err := b.Anomalies(window, 3.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anom.NVals() != 2 {
-		t.Fatalf("anomalies = %d, want 2", anom.NVals())
-	}
-	if _, err := anom.ExtractElement(2, 2); err != nil {
-		t.Fatal("hot edge (2,2) missed")
-	}
-	if _, err := anom.ExtractElement(5, 5); err != nil {
-		t.Fatal("new edge (5,5) missed")
-	}
-	// (6,6) is new but under the packet floor.
-	if _, err := anom.ExtractElement(6, 6); !errors.Is(err, gb.ErrNoValue) {
-		t.Fatal("noise edge (6,6) flagged")
-	}
-	if _, err := b.Anomalies(window, 0, 1); !errors.Is(err, gb.ErrInvalidValue) {
-		t.Fatalf("factor 0: %v", err)
-	}
-}
-
 // TestSelectTopKMatchesFullSort fuzzes the bounded-heap selection against
 // a reference full sort: identical output for every k, including value
 // ties (broken by lower index) and k beyond the entry count — up to
