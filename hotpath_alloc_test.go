@@ -10,8 +10,9 @@ import (
 )
 
 // TestFrameToApplyAllocBudget is the end-to-end allocation budget of the
-// ingest hot path: wire frame decode → appender partitioning → the shard
-// workers' apply, counted process-wide (runtime.MemStats.Mallocs) so the
+// ingest hot path a wire connection takes: frame decode → the session
+// frontier check and partitioning of Sharded.AppendWeightedSession → the
+// shard workers' apply, counted process-wide (runtime.MemStats.Mallocs) so the
 // workers' side — cascade staging, merges — is inside the number. The
 // per-stage testing.AllocsPerRun budgets (proto, shard, gb, wal) park the
 // workers on purpose and cannot see it.
@@ -46,31 +47,27 @@ func TestFrameToApplyAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	a, err := m.NewAppender()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
 
-	var b proto.Batch // reused across every frame, as the server does per connection
+	var (
+		b   proto.Batch // reused across every frame, as the server does per connection
+		seq uint64      // fresh per frame: the warm-up frames are sent again below
+	)
 	ingest := func(bodies [][]byte) {
 		for _, body := range bodies {
 			if _, err := proto.ParseInsertBatch(body, &b); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.AppendWeighted(b.Rows, b.Cols, b.Vals); err != nil {
-				t.Fatal(err)
+			seq++
+			if dup, err := m.AppendWeightedSession("alloc-budget", seq, b.Rows, b.Cols, b.Vals); err != nil || dup {
+				t.Fatalf("frame %d: dup %v, err %v", seq, dup, err)
 			}
-		}
-		if err := a.Flush(); err != nil {
-			t.Fatal(err)
 		}
 		if err := m.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Warm the batch, the appender's slabs and each shard's cascade, and
+	// Warm the batch, the partition slabs and each shard's cascade, and
 	// settle at the barrier so warm-up work cannot bleed into the count.
 	ingest(bodies[:warm])
 

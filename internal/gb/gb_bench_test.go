@@ -157,9 +157,12 @@ func BenchmarkVecFold(b *testing.B) {
 			for p := range parts {
 				idx, _, vals := benchTuples(n, 4*n, int64(30+p))
 				parts[p] = MustNewVector[uint64](1 << 32)
-				if err := parts[p].Build(idx, vals, Plus[uint64]().Op); err != nil {
-					b.Fatal(err)
+				for k := range idx {
+					if err := parts[p].SetElement(idx[k], vals[k]); err != nil {
+						b.Fatal(err)
+					}
 				}
+				parts[p].Wait()
 			}
 			var visited int
 			visit := func(Index, uint64) { visited++ }

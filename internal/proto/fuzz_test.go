@@ -119,8 +119,9 @@ func FuzzParseBodies(f *testing.F) {
 // FuzzParseHello targets the handshake parser on its own — the one parser
 // that must stay partially total: when the magic and version decode, the
 // version must come back even if the session fields are torn, so a server
-// can tell an old client from a hostile one. Seeds include a truncated
-// session-bearing Hello (the wire shape of a Hello cut mid-session).
+// can tell an old client from a hostile one; and no Hello parses without a
+// session. Seeds include a truncated session-bearing Hello (the wire shape
+// of a Hello cut mid-session) and an empty-session one, which is refused.
 func FuzzParseHello(f *testing.F) {
 	good := AppendHello(nil, "sess-fuzz", 1<<40)
 	f.Add(good)
@@ -138,8 +139,8 @@ func FuzzParseHello(f *testing.F) {
 			}
 			return
 		}
-		if len(session) > MaxSession {
-			t.Fatalf("session of %d bytes exceeds MaxSession", len(session))
+		if session == "" || len(session) > MaxSession {
+			t.Fatalf("accepted a session of %d bytes (want 1..%d)", len(session), MaxSession)
 		}
 		_ = v
 	})

@@ -28,8 +28,8 @@
 // The session identifier, not the TCP connection, is the exactly-once
 // dedup scope: a client that reconnects under the same session may
 // retransmit any insert frame above LastSeq, and the server acks
-// duplicates without re-applying them. An empty
-// session opts out of dedup (fire-and-forget ingest). Then the client
+// duplicates without re-applying them. Every connection is a session: a
+// Hello with an empty session identifier is malformed. Then the client
 // pipelines requests, each carrying a client-assigned sequence number
 // (starting at 1, strictly increasing within the session across
 // reconnects; 0 is reserved for connection-level errors), and the server
@@ -321,7 +321,7 @@ func (r *bodyReader) done() error {
 }
 
 // AppendHello builds a Hello body: magic (4 bytes big-endian), version,
-// session identifier (uvarint length + bytes; empty opts out of dedup),
+// session identifier (uvarint length + bytes; must not be empty),
 // and the client's resume seq — the highest seq it believes acknowledged,
 // 0 on a fresh session (informational: the server's own table decides).
 func AppendHello(buf []byte, session string, resumeSeq uint64) []byte {
@@ -333,8 +333,9 @@ func AppendHello(buf []byte, session string, resumeSeq uint64) []byte {
 }
 
 // ParseHello returns the client's protocol version, session identifier,
-// and resume seq. When the magic and version parse but the session fields
-// do not — the shape of an older client's shorter Hello — the version is
+// and resume seq. An empty session identifier is ErrMalformed: every
+// connection is an exactly-once session. When the magic and version parse
+// but the session fields do not — the shape of an older client's shorter Hello — the version is
 // still returned alongside the error, so a server can answer with a
 // version refusal instead of a generic malformed-frame error.
 func ParseHello(body []byte) (version uint64, session string, resumeSeq uint64, err error) {
@@ -351,6 +352,9 @@ func ParseHello(body []byte) (version uint64, session string, resumeSeq uint64, 
 	n, err := r.uvarint()
 	if err != nil {
 		return version, "", 0, err
+	}
+	if n == 0 {
+		return version, "", 0, fmt.Errorf("%w: empty session id", ErrMalformed)
 	}
 	if n > MaxSession {
 		return version, "", 0, fmt.Errorf("%w: session id %d bytes exceeds %d", ErrMalformed, n, MaxSession)
@@ -382,7 +386,7 @@ type Welcome struct {
 	// window boundaries.
 	Window uint64
 	// LastSeq is the server's highest durably-applied insert seq for the
-	// Hello's session (0 for a fresh or empty session): the client may
+	// Hello's session (0 for a fresh session): the client may
 	// drop every unacked frame at or below it from its retransmit ring
 	// and must retransmit everything above it. On a non-durable server it
 	// is the highest accepted seq instead.
@@ -394,7 +398,7 @@ type Welcome struct {
 	LastSeq uint64
 	// HighSeq is the seq-minting floor: the highest insert seq the
 	// server's dedup state has ever recorded for the Hello's session, on
-	// any shard (0 for a fresh or empty session). It is always >= LastSeq
+	// any shard (0 for a fresh session). It is always >= LastSeq
 	// and deliberately over-reports. A client resuming a session without
 	// its in-memory retransmit ring (a fresh process) must mint new seqs
 	// strictly above HighSeq; minting in (LastSeq, HighSeq] would collide

@@ -38,16 +38,22 @@ func roundTrip(t *testing.T, kind byte, body []byte) Frame {
 	return f
 }
 
+// TestHelloRefusesEmptySession: every connection is an exactly-once
+// session, so a Hello without a session id is malformed. The version still
+// comes back, so a server answers a foreign-version Hello with a version
+// refusal whatever its session field holds.
+func TestHelloRefusesEmptySession(t *testing.T) {
+	v, session, resume, err := ParseHello(roundTrip(t, KindHello, AppendHello(nil, "", 0)).Body)
+	if !errors.Is(err, ErrMalformed) || v != Version || session != "" || resume != 0 {
+		t.Fatalf("empty-session ParseHello = %d, %q, %d, %v; want version %d and ErrMalformed", v, session, resume, err, Version)
+	}
+}
+
 func TestHelloWelcomeRoundTrip(t *testing.T) {
 	f := roundTrip(t, KindHello, AppendHello(nil, "sess-1", 42))
 	v, session, resume, err := ParseHello(f.Body)
 	if err != nil || v != Version || session != "sess-1" || resume != 42 {
 		t.Fatalf("ParseHello = %d, %q, %d, %v", v, session, resume, err)
-	}
-	// The anonymous (empty-session) Hello round-trips too.
-	v, session, resume, err = ParseHello(roundTrip(t, KindHello, AppendHello(nil, "", 0)).Body)
-	if err != nil || v != Version || session != "" || resume != 0 {
-		t.Fatalf("anonymous ParseHello = %d, %q, %d, %v", v, session, resume, err)
 	}
 	// An over-long session id is refused before allocating.
 	long := strings.Repeat("s", MaxSession+1)

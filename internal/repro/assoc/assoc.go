@@ -14,7 +14,6 @@ package assoc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"hhgb/internal/gb"
 )
@@ -83,7 +82,8 @@ func (a *Assoc) NNZ() int {
 // RowKeys returns a copy of the sorted row key list.
 func (a *Assoc) RowKeys() []string { return append([]string(nil), a.rows...) }
 
-// Value returns the value at (row, col) and whether an entry exists.
+// Value returns the value at (row, col) and whether an entry exists. Only
+// tests call it: it is their single-cell read against brute-force maps.
 func (a *Assoc) Value(row, col string) (float64, bool) {
 	if a.mat == nil {
 		return 0, false
@@ -195,67 +195,12 @@ func remap(a *Assoc, rows, cols []string) (*gb.Matrix[float64], error) {
 	return gb.MatrixFromTuples(gb.Index(uint64(len(rows))), gb.Index(uint64(len(cols))), ri, ci, vv, gb.Plus[float64]().Op)
 }
 
-// Transpose returns the associative array with row and column keys (and the
-// underlying matrix) exchanged.
-func (a *Assoc) Transpose() (*Assoc, error) {
-	if a.mat == nil {
-		return New(), nil
-	}
-	mt, err := gb.Transpose(a.mat)
-	if err != nil {
-		return nil, err
-	}
-	return &Assoc{rows: append([]string(nil), a.cols...), cols: append([]string(nil), a.rows...), mat: mt}, nil
-}
-
-// SumRows returns, for each row key with entries, the sum of its values —
-// the D4M sum(A, 2) used for out-traffic per source.
-func (a *Assoc) SumRows() ([]string, []float64, error) {
-	if a.mat == nil {
-		return nil, nil, nil
-	}
-	v, err := gb.ReduceRows(a.mat, gb.Plus[float64]())
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, vals := v.ExtractTuples()
-	keys := make([]string, len(idx))
-	for k := range idx {
-		keys[k] = a.rows[idx[k]]
-	}
-	return keys, vals, nil
-}
-
 // Total returns the sum of all values.
 func (a *Assoc) Total() (float64, error) {
 	if a.mat == nil {
 		return 0, nil
 	}
 	return gb.ReduceScalar(a.mat, gb.Plus[float64]())
-}
-
-// SubsrefColsPrefix returns the sub-array whose column keys start with the
-// given prefix — the D4M "StartsWith" range query.
-func (a *Assoc) SubsrefColsPrefix(prefix string) (*Assoc, error) {
-	if a.mat == nil {
-		return New(), nil
-	}
-	return a.filter(func(_, c string) bool { return strings.HasPrefix(c, prefix) })
-}
-
-// filter rebuilds the array keeping entries whose keys satisfy keep.
-func (a *Assoc) filter(keep func(r, c string) bool) (*Assoc, error) {
-	rows, cols, vals := a.Triples()
-	var fr, fc []string
-	var fv []float64
-	for k := range rows {
-		if keep(rows[k], cols[k]) {
-			fr = append(fr, rows[k])
-			fc = append(fc, cols[k])
-			fv = append(fv, vals[k])
-		}
-	}
-	return FromTriples(fr, fc, fv)
 }
 
 // Equal reports whether two associative arrays hold identical keys and

@@ -144,64 +144,18 @@ func TestAddCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a, _ := FromTriples(
-		[]string{"r1", "r2"}, []string{"c1", "c2"}, []float64{1, 2})
-	at, err := a.Transpose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := at.Value("c2", "r2")
-	if !ok || v != 2 {
-		t.Fatalf("transposed value = %v, %v", v, ok)
-	}
-	att, _ := at.Transpose()
-	if !Equal(a, att) {
-		t.Fatal("double transpose != identity")
-	}
-	et, err := New().Transpose()
-	if err != nil || et.NNZ() != 0 {
-		t.Fatalf("empty transpose: %v", err)
-	}
-}
-
 func TestSums(t *testing.T) {
 	a, _ := FromTriples(
 		[]string{"r1", "r1", "r2"},
 		[]string{"c1", "c2", "c1"},
 		[]float64{1, 2, 4},
 	)
-	keys, sums, err := a.SumRows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{"r1": 3, "r2": 4}
-	for k := range keys {
-		if want[keys[k]] != sums[k] {
-			t.Fatalf("row %s sum = %v", keys[k], sums[k])
-		}
-	}
 	tot, err := a.Total()
 	if err != nil || tot != 7 {
 		t.Fatalf("total = %v, %v", tot, err)
 	}
 	if tot, err := New().Total(); err != nil || tot != 0 {
 		t.Fatalf("empty total = %v, %v", tot, err)
-	}
-}
-
-func TestSubsref(t *testing.T) {
-	a, _ := FromTriples(
-		[]string{"r1", "r2", "r3"},
-		[]string{"ip-10", "ip-10", "ip-99"},
-		[]float64{1, 2, 3},
-	)
-	pre, err := a.SubsrefColsPrefix("ip-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre.NNZ() != 2 {
-		t.Fatalf("prefix NNZ = %d", pre.NNZ())
 	}
 }
 
@@ -235,7 +189,7 @@ func TestHierLinearity(t *testing.T) {
 	if h.Updates() != 40*15 {
 		t.Fatalf("updates = %d", h.Updates())
 	}
-	if h.Cascades()[0] == 0 {
+	if h.cascades[0] == 0 {
 		t.Fatal("no cascades despite small cut")
 	}
 }

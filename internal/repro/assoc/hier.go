@@ -93,6 +93,3 @@ func (h *Hier) NNZ() (int, error) {
 
 // Updates returns the cumulative number of entries ingested.
 func (h *Hier) Updates() int64 { return h.updates }
-
-// Cascades returns a copy of the per-level cascade counters.
-func (h *Hier) Cascades() []int64 { return append([]int64(nil), h.cascades...) }

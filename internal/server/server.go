@@ -11,17 +11,17 @@
 //
 // Each accepted connection runs two goroutines wired by a bounded queue:
 //
-//	reader ──▶ apply queue (Config.QueueDepth frames) ──▶ applier ──▶ per-conn Appender ──▶ shard queues
+//	reader ──▶ apply queue (Config.QueueDepth frames) ──▶ applier ──▶ session dedup ──▶ shard queues
 //
 // The reader decodes frames and enqueues requests; the applier executes
-// them in order — inserts go into the connection's own hhgb.Appender (one
-// producer, zero cross-connection contention), queries and flushes run the
-// facade's barrier path — and writes the responses. A query that arrives
-// while nothing is queued or executing on the connection skips the queue:
-// the reader serves it and writes its response itself, saving a goroutine
-// hop each way. Per-connection program order is therefore preserved: a
-// Lookup after an Insert on the same connection — acked or only
-// pipelined — observes that insert.
+// them in order — each insert frame is checked against its session's
+// frontier and partitioned straight into the shard queues, queries and
+// flushes run the facade's barrier path — and writes the responses. A
+// query that arrives while nothing is queued or executing on the
+// connection skips the queue: the reader serves it and writes its response
+// itself, saving a goroutine hop each way. Per-connection program order is
+// therefore preserved: a Lookup after an Insert on the same connection —
+// acked or only pipelined — observes that insert.
 //
 // # Backpressure and overload
 //
@@ -50,25 +50,25 @@
 // that was flush-acked; inserts acked after the last Flush recover per
 // shard as far as each shard's group commit reached.
 //
-// A Hello carrying a session identifier upgrades the connection to
-// exactly-once ingest: each insert frame's seq becomes the (session, seq)
-// dedup key, the Welcome answers with the session's resume frontier
-// (highest durably-applied seq on a durable matrix), and a frame at or
-// below the frontier is acked without being re-applied (counted in
+// Every connection is an exactly-once session: the Hello carries a
+// client-chosen session identifier (an empty one is refused as
+// malformed), each insert frame's seq becomes the (session, seq) dedup
+// key, the Welcome answers with the session's resume frontier (highest
+// durably-applied seq on a durable matrix), and a frame at or below the
+// frontier is acked without being re-applied (counted in
 // duplicates_dropped). A client that crashes, reconnects, and
 // retransmits its unacked frames under the same session therefore lands
 // each frame exactly once, across server restarts too — the dedup state
 // is journaled in the WAL and checkpointed into the manifest. Sessions
-// are client-chosen; producers must not share one. Empty-session
-// connections keep the at-least-accepted semantics above.
+// are client-chosen; producers must not share one.
 //
 // # Shutdown
 //
 // Close stops the listener, then drains: every connection's reader stops,
-// its queued requests are applied and acked, its appender hands off its
-// buffers, and the connection closes. Accepted (acked) inserts are never
-// dropped by shutdown. The matrix itself stays open — it belongs to the
-// caller, who typically calls its Close (final checkpoint) next.
+// its queued requests are applied and acked, and the connection closes.
+// Accepted (acked) inserts are never dropped by shutdown. The matrix
+// itself stays open — it belongs to the caller, who typically calls its
+// Close (final checkpoint) next.
 package server
 
 import (
@@ -177,6 +177,21 @@ type Config struct {
 	SlowQuery time.Duration
 }
 
+// store is what the server asks of whichever backend it fronts, flat or
+// windowed: the handshake's Welcome fields, the session frontiers, and the
+// two durability barriers. Both *hhgb.Sharded and *hhgb.Windowed satisfy
+// it; Config.Matrix and Config.Windowed stay in use only where time
+// matters (insert kinds, Subscribe, range views).
+type store interface {
+	Dim() uint64
+	Shards() int
+	Durable() bool
+	SessionResume(session string) uint64
+	SessionMint(session string) uint64
+	Flush() error
+	Checkpoint() error
+}
+
 // batchPoolCap bounds how many idle decode batches the server retains
 // across all connections. Circulation above it falls to the garbage
 // collector; steady traffic recycles well under it.
@@ -185,6 +200,7 @@ const batchPoolCap = 64
 // Server accepts proto connections and feeds one Sharded matrix.
 type Server struct {
 	cfg Config
+	st  store // cfg.Matrix or cfg.Windowed, whichever is set
 
 	// batchPool pools the insert decode scratch: the reader borrows a
 	// *proto.Batch per insert frame, decodes into it (reusing capacity),
@@ -264,8 +280,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceSample > 0 || cfg.SlowQuery > 0 {
 		qEvery = 1
 	}
+	var st store = cfg.Matrix
+	if cfg.Windowed != nil {
+		st = cfg.Windowed
+	}
 	s := &Server{
 		cfg:       cfg,
+		st:        st,
 		conns:     make(map[*conn]struct{}),
 		opHist:    opHistograms(cfg.Metrics),
 		tracer:    flight.NewTracer(flight.IngestPlane, cfg.Metrics, cfg.Flight, cfg.TraceSample, cfg.SlowFrame),
@@ -338,9 +359,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener and drains every connection: queued requests
-// are applied and acked, appender buffers hand off, and the connections
-// close. It returns once all connection goroutines have exited. The
-// matrix is left open. Close is idempotent.
+// are applied and acked, and the connections close. It returns once all
+// connection goroutines have exited. The matrix is left open. Close is
+// idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -481,8 +502,8 @@ type conn struct {
 	nc  net.Conn
 
 	// session is the client-chosen exactly-once session identifier from
-	// the Hello; empty for plain at-least-accepted connections. Set once
-	// during the handshake, read-only afterwards.
+	// the Hello, never empty. Set once during the handshake, read-only
+	// afterwards.
 	session string
 
 	wmu sync.Mutex // guards w: the applier writes responses, the reader overload/fatal errors, subscription pushers
@@ -632,52 +653,22 @@ func (c *conn) run() {
 		return
 	}
 	c.session = session
-	var (
-		wel proto.Welcome
-		app *hhgb.Appender
-	)
-	if wm := c.srv.cfg.Windowed; wm != nil {
-		wel = proto.Welcome{
-			Version: proto.Version,
-			Dim:     wm.Dim(),
-			Shards:  uint64(wm.Shards()),
-			Durable: wm.Durable(),
-			Window:  uint64(wm.Window()),
-		}
-		if session != "" {
-			wel.LastSeq = wm.SessionResume(session)
-			wel.HighSeq = wm.SessionMint(session)
-		}
-	} else {
-		m := c.srv.cfg.Matrix
-		if session == "" {
-			// Sessioned inserts take the dedup path straight into the
-			// shard queues; only plain connections get a per-conn
-			// appender.
-			app, err = m.NewAppender()
-			if err != nil {
-				c.sendErr(0, proto.ErrCodeClosed, "matrix is closed", true)
-				return
-			}
-		}
-		wel = proto.Welcome{
-			Version: proto.Version,
-			Dim:     m.Dim(),
-			Shards:  uint64(m.Shards()),
-			Durable: m.Durable(),
-		}
-		if session != "" {
-			wel.LastSeq = m.SessionResume(session)
-			wel.HighSeq = m.SessionMint(session)
-		}
+	st := c.srv.st
+	wel := proto.Welcome{
+		Version: proto.Version,
+		Dim:     st.Dim(),
+		Shards:  uint64(st.Shards()),
+		Durable: st.Durable(),
+		LastSeq: st.SessionResume(session),
+		HighSeq: st.SessionMint(session),
 	}
-	if session != "" && resumeSeq > 0 {
+	if wm := c.srv.cfg.Windowed; wm != nil {
+		wel.Window = uint64(wm.Window())
+	}
+	if resumeSeq > 0 {
 		c.srv.sessResumed.Add(1)
 	}
 	if err := c.send(proto.KindWelcome, proto.AppendWelcome(nil, wel), true); err != nil {
-		if app != nil {
-			app.Close()
-		}
 		return
 	}
 	c.srv.cfg.Flight.Record(flight.KindConnOpen, c.id, c.session, 0, uint64(wel.LastSeq), 0, 0)
@@ -688,7 +679,7 @@ func (c *conn) run() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.apply(app)
+		c.apply()
 	}()
 
 	// Reader loop.
@@ -718,7 +709,7 @@ func (c *conn) run() {
 			// An idle connection's query runs here: program order holds
 			// with nothing ahead of it, and the hop to the applier and
 			// back is most of a small read's latency.
-			if err := c.serve(req, app, true); err != nil {
+			if err := c.serve(req, true); err != nil {
 				c.srv.logf("conn %d: write: %v", c.id, err)
 				break
 			}
@@ -979,19 +970,13 @@ func isQuery(kind byte) bool {
 
 // apply executes queued requests in order. Responses flush when the queue
 // is momentarily empty (or on error frames), so acks batch under load.
-// app is the per-connection appender on a flat server, nil on a windowed
-// one (windowed appends route through the store's own window groups).
-func (c *conn) apply(app *hhgb.Appender) {
-	if app != nil {
-		defer app.Close() // hands off any buffered entries
-	}
+func (c *conn) apply() {
 	for req := range c.queue {
-		err := c.serve(req, app, len(c.queue) == 0)
+		err := c.serve(req, len(c.queue) == 0)
 		c.busy.Add(-1)
 		if err != nil {
 			// The write side is gone; stop responding but keep draining
-			// the queue so in-flight accounting and appender handoff
-			// stay correct.
+			// the queue so in-flight accounting stays correct.
 			c.srv.logf("conn %d: write: %v", c.id, err)
 			c.drainQuietly()
 			return
@@ -1004,10 +989,9 @@ func (c *conn) apply(app *hhgb.Appender) {
 // response to the wire. The applier calls it for every queued request, the
 // reader for a query on an idle connection. Only the applier may pass an
 // insert, flush, checkpoint, goodbye or subscribe: those use the
-// applier-owned appender and ack scratch.
-func (c *conn) serve(req request, app *hhgb.Appender, flush bool) error {
+// applier-owned ack scratch.
+func (c *conn) serve(req request, flush bool) error {
 	s := c.srv
-	m := s.cfg.Matrix
 	wm := s.cfg.Windowed
 	begun := time.Now()
 	// Sampled inserts and spanned queries close their queue-wait stage
@@ -1017,37 +1001,18 @@ func (c *conn) serve(req request, app *hhgb.Appender, flush bool) error {
 	var err error
 	switch req.kind {
 	case proto.KindInsert, proto.KindInsertAt:
-		err = c.serveInsert(req, app, flush)
+		err = c.serveInsert(req, flush)
 	case proto.KindFlush:
 		s.flushes.Add(1)
-		if wm != nil {
-			err = c.ackOp(req.seq, wm.Flush(), flush)
-		} else {
-			err = c.ackOp(req.seq, m.Flush(), flush)
-		}
+		err = c.ackOp(req.seq, s.st.Flush(), flush)
 	case proto.KindCheckpoint:
 		s.checkpoints.Add(1)
-		if wm != nil {
-			err = c.ackOp(req.seq, wm.Checkpoint(), flush)
-		} else {
-			err = c.ackOp(req.seq, m.Checkpoint(), flush)
-		}
+		err = c.ackOp(req.seq, s.st.Checkpoint(), flush)
 	case proto.KindGoodbye:
-		// Drain this connection's buffers so a client that saw the
-		// ack can immediately observe its inserts via another
-		// connection's queries. Windowed appends apply synchronously;
-		// Flush makes them query-visible the same way.
-		switch {
-		case wm != nil:
-			err = c.ackOp(req.seq, wm.Flush(), true)
-		case app != nil:
-			err = c.ackOp(req.seq, app.Flush(), true)
-		default:
-			// Sessioned flat connection: no per-conn appender to
-			// drain, but a full Flush gives the same visibility
-			// guarantee to the goodbye ack.
-			err = c.ackOp(req.seq, m.Flush(), true)
-		}
+		// A full Flush behind the goodbye ack: a client that saw it can
+		// immediately observe its inserts via another connection's
+		// queries.
+		err = c.ackOp(req.seq, s.st.Flush(), true)
 	case proto.KindLookup, proto.KindTopK, proto.KindSummary,
 		proto.KindRangeLookup, proto.KindRangeTopK, proto.KindRangeSummary,
 		proto.KindExplain:
@@ -1086,7 +1051,7 @@ func (c *conn) serve(req request, app *hhgb.Appender, flush bool) error {
 // kinds differ only in which store takes them and whether an event
 // timestamp rides along; admission accounting, the pooled batch, the
 // sampled span and the dedup ack are shared.
-func (c *conn) serveInsert(req request, app *hhgb.Appender, flush bool) error {
+func (c *conn) serveInsert(req request, flush bool) error {
 	s := c.srv
 	m, wm := s.cfg.Matrix, s.cfg.Windowed
 	b := req.batch
@@ -1103,14 +1068,10 @@ func (c *conn) serveInsert(req request, app *hhgb.Appender, flush bool) error {
 		ierr = rejection("server is windowed; use timestamped inserts (InsertAt)")
 	case timed && req.ts > math.MaxInt64:
 		ierr = fmt.Errorf("timestamp %d overflows", req.ts)
-	case timed && c.session != "":
-		dup, ierr = wm.AppendWeightedAtSessionSpan(c.session, req.seq, time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals, req.span)
 	case timed:
-		ierr = wm.AppendWeighted(time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals)
-	case c.session != "":
-		dup, ierr = m.AppendWeightedSessionSpan(c.session, req.seq, b.Rows, b.Cols, b.Vals, req.span)
+		dup, ierr = wm.AppendWeightedAtSessionSpan(c.session, req.seq, time.Unix(0, int64(req.ts)), b.Rows, b.Cols, b.Vals, req.span)
 	default:
-		ierr = app.AppendWeighted(b.Rows, b.Cols, b.Vals)
+		dup, ierr = m.AppendWeightedSessionSpan(c.session, req.seq, b.Rows, b.Cols, b.Vals, req.span)
 	}
 	req.span.EndStage(flight.StagePartition)
 	s.inFlight.Add(-n)
@@ -1234,7 +1195,7 @@ func (c *conn) serveQuery(req request, flush bool) error {
 		d := time.Duration(flight.Now() - legStart)
 		shards := 1 // lookups route to one shard
 		if q.Op != proto.KindLookup {
-			shards = s.cfg.Matrix.Shards() // all-shard barrier
+			shards = s.st.Shards() // all-shard barrier
 		}
 		sp.ObserveMax(flight.QStageFanoutMax, d)
 		sp.Touch(flight.NoWindow, shards)

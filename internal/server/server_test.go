@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"hhgb"
@@ -85,9 +87,14 @@ func (c *rawConn) next() proto.Frame {
 	return f
 }
 
+// rawSessions numbers the sessions handshake mints, so no two connections
+// in the package's tests share one.
+var rawSessions atomic.Uint64
+
+// handshake opens the connection under a fresh session of its own.
 func (c *rawConn) handshake() proto.Welcome {
 	c.t.Helper()
-	return c.handshakeSession("", 0)
+	return c.handshakeSession(fmt.Sprintf("raw-%d", rawSessions.Add(1)), 0)
 }
 
 func (c *rawConn) handshakeSession(session string, resumeSeq uint64) proto.Welcome {
@@ -202,6 +209,26 @@ func TestVersionMismatchRefused(t *testing.T) {
 		if _, err := c.r.Next(); err != io.EOF {
 			t.Fatalf("after version error = %v, want io.EOF", err)
 		}
+	}
+}
+
+// TestHelloWithoutSessionRefused: every connection is an exactly-once
+// session, so a Hello with an empty session id is answered with a malformed
+// refusal and the connection closes, never with a Welcome.
+func TestHelloWithoutSessionRefused(t *testing.T) {
+	_, _, addr := startServer(t, 1<<10, Config{})
+	c := dialRaw(t, addr)
+	c.send(proto.KindHello, proto.AppendHello(nil, "", 0))
+	f := c.next()
+	if f.Kind != proto.KindError {
+		t.Fatalf("reply kind %#x, want error", f.Kind)
+	}
+	seq, code, msg, err := proto.ParseError(f.Body)
+	if err != nil || seq != 0 || code != proto.ErrCodeMalformed {
+		t.Fatalf("error = seq %d code %d %q err %v", seq, code, msg, err)
+	}
+	if _, err := c.r.Next(); err != io.EOF {
+		t.Fatalf("after refusal = %v, want io.EOF", err)
 	}
 }
 

@@ -424,7 +424,7 @@ func TestTLSListener(t *testing.T) {
 	}
 	defer plain.Close()
 	pw := proto.NewWriter(plain)
-	pw.WriteFrame(proto.KindHello, proto.AppendHello(nil, "", 0))
+	pw.WriteFrame(proto.KindHello, proto.AppendHello(nil, "plaintext", 0))
 	pw.Flush()
 	plain.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if f, err := proto.NewReader(plain).Next(); err == nil && f.Kind == proto.KindWelcome {

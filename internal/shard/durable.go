@@ -472,7 +472,7 @@ func (g *Group[T]) Checkpoint() error {
 	epoch := g.epoch
 	g.cfg.Flight.Record(flight.KindCheckpointBegin, 0, "", 0, epoch, 0, 0)
 	defer func() { g.cfg.Flight.Record(flight.KindCheckpointEnd, 0, "", 0, epoch, 0, time.Since(start)) }()
-	accepted := g.snapshotAccepted()
+	accepted := g.sessions.Snapshot()
 	errs := make([]error, len(g.workers))
 	snaps := make([]string, len(g.workers))
 	tables := make([]map[string]uint64, len(g.workers))
@@ -487,7 +487,7 @@ func (g *Group[T]) Checkpoint() error {
 	if err := g.commitEpoch(epoch, snaps, tables); err != nil {
 		return err
 	}
-	g.commitDurableSessions(accepted)
+	g.sessions.Commit(accepted)
 	return nil
 }
 
@@ -535,7 +535,7 @@ func (g *Group[T]) checkpointLocked() error {
 	epoch := g.epoch
 	g.cfg.Flight.Record(flight.KindCheckpointBegin, 0, "", 0, epoch, 0, 0)
 	defer func() { g.cfg.Flight.Record(flight.KindCheckpointEnd, 0, "", 0, epoch, 0, time.Since(start)) }()
-	accepted := g.snapshotAccepted()
+	accepted := g.sessions.Snapshot()
 	snaps := make([]string, len(g.workers))
 	tables := make([]map[string]uint64, len(g.workers))
 	for i, w := range g.workers {
@@ -548,7 +548,7 @@ func (g *Group[T]) checkpointLocked() error {
 	if err := g.commitEpoch(epoch, snaps, tables); err != nil {
 		return err
 	}
-	g.commitDurableSessions(accepted)
+	g.sessions.Commit(accepted)
 	return nil
 }
 
@@ -767,55 +767,12 @@ func RecoverGroup[T gb.Number](cfg Config) (*Group[T], RecoverStats, error) {
 		return nil, st, err
 	}
 	// Hand each shard its recovered dedup table and derive the group
-	// frontiers — one per safety direction. The resume frontier (accepted
-	// and durable) is the MINIMUM over shards: a frame above it may have
-	// reached some shards and not others (or reached a shard whose
-	// unsynced tail was lost, leaving no table entry at all — hence
-	// absent entries count as 0), so only the minimum is provably whole.
-	// Under-reporting is safe there — and required: the client
-	// retransmits the gap, UpdateSession's frontier check lets the
-	// retransmissions through, and the per-shard tables drop exactly the
-	// already-applied fragments, repairing any partial application.
-	// (Seeding accepted with the max instead would dup-ack those
-	// retransmissions without re-applying them — permanent data loss.)
-	// The minted floor is the MAXIMUM over shards: any seq some table
-	// remembers would be silently dup-dropped if a resuming client
-	// reused it for new data, so MintSeq must over-report. Sessions
-	// absent from every table keep whatever the manifest recorded via
-	// accepted (min == max == manifest frontier for those).
+	// frontiers from them (Frontier.seedShards: min over shards to resume,
+	// max to mint).
 	for i, w := range g.workers {
 		w.sessions = tables[i]
 	}
-	frontier := make(map[string]uint64)
-	minted := make(map[string]uint64)
-	for _, tab := range tables {
-		for s := range tab {
-			frontier[s] = 0
-		}
-	}
-	for s := range frontier {
-		min := uint64(0)
-		max := uint64(0)
-		for k, tab := range tables {
-			q := tab[s]
-			if k == 0 || q < min {
-				min = q
-			}
-			if q > max {
-				max = q
-			}
-		}
-		frontier[s] = min
-		minted[s] = max
-	}
-	if len(frontier) > 0 {
-		g.accepted = frontier
-		g.durable = make(map[string]uint64, len(frontier))
-		for s, q := range frontier {
-			g.durable[s] = q
-		}
-		g.minted = minted
-	}
+	g.sessions.seedShards(tables)
 	g.epoch = maxEpoch + 1
 	if st.ReplayedBatches > 0 || st.TornTails > 0 {
 		snaps := make([]string, len(g.workers))

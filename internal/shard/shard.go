@@ -296,23 +296,10 @@ type Group[T gb.Number] struct {
 	stripes   []*stripe[T]
 	stripeIdx atomic.Uint32
 
-	// sessMu guards the exactly-once session frontiers. accepted holds,
-	// per client session, the highest frame seq whose portions have been
-	// enqueued (UpdateSession advances it only after every shard took its
-	// slice, so a refused enqueue never marks a frame accepted); durable
-	// trails accepted on durable groups, advancing when a fsync barrier
-	// (Flush, Checkpoint, Close) commits a frontier snapshot taken before
-	// the barrier — ResumeSeq must never promise a seq a crash could
-	// lose. minted is only populated by recovery: the max over per-shard
-	// session tables, which can exceed the recovered accepted frontier
-	// (the min over shards) when a crash left a frame partially applied.
-	// MintSeq folds it in so a resuming client never reuses a seq some
-	// shard's table already remembers. sessMu is a leaf lock: nothing is
-	// acquired while it is held.
-	sessMu   sync.Mutex
-	accepted map[string]uint64
-	durable  map[string]uint64
-	minted   map[string]uint64
+	// sessions is the group's exactly-once session frontier (see
+	// Frontier). UpdateSession accepts a frame only after every shard took
+	// its slice, so a refused enqueue never marks a frame accepted.
+	sessions Frontier
 
 	// codec converts values to and from the 8-byte wire word the WAL and
 	// snapshots use; chosen per T (floats bit-exact, integers lossless).
@@ -552,10 +539,7 @@ func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Ind
 	if err := g.validate(rows, cols, vals); err != nil {
 		return false, err
 	}
-	g.sessMu.Lock()
-	prev := g.accepted[session]
-	g.sessMu.Unlock()
-	if seq <= prev {
+	if g.sessions.Dup(session, seq) {
 		return true, nil
 	}
 	g.mu.RLock()
@@ -600,52 +584,20 @@ func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Ind
 	// Advance only after every shard took its slice: enqueueing cannot
 	// fail past the closed check above, so at this point the frame is in
 	// the shard queues in its entirety and "accepted" is true.
-	g.sessMu.Lock()
-	if g.accepted == nil {
-		g.accepted = make(map[string]uint64)
-	}
-	if seq > g.accepted[session] {
-		g.accepted[session] = seq
-	}
-	g.sessMu.Unlock()
+	g.sessions.Accept(session, seq)
 	return false, nil
 }
 
-// ResumeSeq reports the session's resume frontier — the highest frame seq
-// a reconnecting client may safely drop from its retransmit ring. Durable
-// groups report the durable frontier (what a crash provably preserves);
-// in-memory groups report the accepted frontier. Unknown sessions report
-// 0. Under-reporting is always safe: the client retransmits and the
-// per-shard high-water tables drop the duplicates.
+// ResumeSeq reports the session's resume frontier (Frontier.Resume): the
+// durable frontier on a durable group, the accepted one otherwise.
 func (g *Group[T]) ResumeSeq(session string) uint64 {
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	if g.Durable() {
-		return g.durable[session]
-	}
-	return g.accepted[session]
+	return g.sessions.Resume(session, g.Durable())
 }
 
-// MintSeq reports the session's seq-minting floor — the highest frame seq
-// the group's dedup state has ever recorded for the session, on any
-// shard. A resuming client that lost its retransmit ring (a fresh
-// process) must assign new frames seqs strictly above it; reusing a seq
-// at or below would be dup-dropped without applying. Always >= ResumeSeq:
-// over-reporting here is the safe direction, the opposite of ResumeSeq.
-// Live, the accepted frontier is that max (UpdateSession advances it only
-// after every shard took its slice of the frame); after recovery the
-// minted table carries the max over per-shard session tables, which
-// exceeds the recovered accepted frontier (the min over shards) when a
-// crash left a frame partially applied.
-func (g *Group[T]) MintSeq(session string) uint64 {
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	q := g.accepted[session]
-	if m := g.minted[session]; m > q {
-		q = m
-	}
-	return q
-}
+// MintSeq reports the session's seq-minting floor (Frontier.Mint). After
+// recovery it is the max over the per-shard tables, which exceeds the
+// resume frontier (their min) when a crash left a frame partially applied.
+func (g *Group[T]) MintSeq(session string) uint64 { return g.sessions.Mint(session) }
 
 // SessionHighs merges the per-shard high-water tables, max per session:
 // the highest frame seq any shard has applied. Because a session's
@@ -666,41 +618,6 @@ func (g *Group[T]) SessionHighs() map[string]uint64 {
 		}
 	})
 	return out
-}
-
-// snapshotAccepted copies the accepted frontier. A durability barrier
-// captures it on entry so its commit publishes only seqs whose frames
-// were enqueued — and therefore logged and fsynced — before the barrier.
-func (g *Group[T]) snapshotAccepted() map[string]uint64 {
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	if len(g.accepted) == 0 {
-		return nil
-	}
-	snap := make(map[string]uint64, len(g.accepted))
-	for s, q := range g.accepted {
-		snap[s] = q
-	}
-	return snap
-}
-
-// commitDurableSessions publishes a pre-barrier frontier snapshot as the
-// durable frontier, after the barrier succeeded. Max per key: a commit
-// must never move a session's durable frontier backwards.
-func (g *Group[T]) commitDurableSessions(snap map[string]uint64) {
-	if len(snap) == 0 {
-		return
-	}
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	if g.durable == nil {
-		g.durable = make(map[string]uint64, len(snap))
-	}
-	for s, q := range snap {
-		if q > g.durable[s] {
-			g.durable[s] = q
-		}
-	}
 }
 
 // run executes f(i, w) once per shard on the shard's own goroutine (a
@@ -811,7 +728,7 @@ func (g *Group[T]) Err() error {
 func (g *Group[T]) Flush() error {
 	var snap map[string]uint64
 	if g.Durable() {
-		snap = g.snapshotAccepted()
+		snap = g.sessions.Snapshot()
 	}
 	errs := make([]error, len(g.workers))
 	if err := g.run(func(i int, w *worker[T]) {
@@ -839,7 +756,7 @@ func (g *Group[T]) Flush() error {
 	}
 	// Every frame in the snapshot was enqueued before the barrier, so its
 	// records are under the fsync that just succeeded on every shard.
-	g.commitDurableSessions(snap)
+	g.sessions.Commit(snap)
 	return nil
 }
 

@@ -156,8 +156,10 @@ func TestSelectTopKMatchesFullSort(t *testing.T) {
 		idx = append(idx, i)
 		vals = append(vals, rng%17) // few distinct values: lots of ties
 	}
-	if err := v.Build(idx, vals, gb.Plus[uint64]().Op); err != nil {
-		t.Fatal(err)
+	for k := range idx {
+		if err := v.SetElement(idx[k], vals[k]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reference := func(k int) []Top[uint64] {
 		all := make([]Top[uint64], 0, n)

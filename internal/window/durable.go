@@ -143,14 +143,7 @@ func (s *Store[T]) persistMeta() error {
 		m.Retentions = append(m.Retentions, int64(r))
 	}
 	s.mu.Unlock()
-	s.sessMu.Lock()
-	if len(s.durable) > 0 {
-		m.Sessions = make(map[string]uint64, len(s.durable))
-		for sess, q := range s.durable {
-			m.Sessions[sess] = q
-		}
-	}
-	s.sessMu.Unlock()
+	m.Sessions = s.sessions.DurableTable()
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
@@ -422,14 +415,7 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		if highs == nil {
 			highs = w.g.SessionHighs()
 		}
-		for sess, q := range highs {
-			if s.minted == nil {
-				s.minted = make(map[string]uint64)
-			}
-			if q > s.minted[sess] {
-				s.minted[sess] = q
-			}
-		}
+		s.sessions.RaiseMinted(highs)
 	}
 	ok = true
 	registerStoreFuncs(s)
@@ -462,13 +448,6 @@ func buildRecovered[T gb.Number](man storeManifest, cfg Config) (*Store[T], erro
 	// carrier of seqs whose windows sealed and expired. The recovered
 	// windows' own tables can only run ahead of it, and their dedup
 	// (group frontiers, sealed sessHigh stashes) absorbs the difference.
-	if len(man.Sessions) > 0 {
-		s.accepted = make(map[string]uint64, len(man.Sessions))
-		s.durable = make(map[string]uint64, len(man.Sessions))
-		for sess, q := range man.Sessions {
-			s.accepted[sess] = q
-			s.durable[sess] = q
-		}
-	}
+	s.sessions.Seed(man.Sessions)
 	return s, nil
 }

@@ -570,11 +570,7 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 			_, err := send(s, 3)
 			opened <- err
 		}()
-		for func() bool {
-			s.sessMu.Lock()
-			defer s.sessMu.Unlock()
-			return s.accepted["sess-R"] < 3
-		}() {
+		for s.sessions.Resume("sess-R", false) < 3 {
 			time.Sleep(time.Millisecond)
 		}
 		crash := copyDir(t, dir)
@@ -632,11 +628,7 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 			_, err := s.AppendSession("sess-F", 2, sec+sec/5, []gb.Index{3}, []gb.Index{4}, []uint64{7}, nil)
 			opened <- err
 		}()
-		for func() bool {
-			s.sessMu.Lock()
-			defer s.sessMu.Unlock()
-			return s.accepted["sess-F"] < 2
-		}() {
+		for s.sessions.Resume("sess-F", false) < 2 {
 			time.Sleep(time.Millisecond)
 		}
 		if st := s.wins[key{0, 0}].state.Load(); st != Sealing {

@@ -212,20 +212,13 @@ type Store[T gb.Number] struct {
 	// order. Never held together with mu.
 	sealMu sync.Mutex
 
-	// sessMu guards the store's exactly-once session frontiers, mirroring
-	// shard.Group's: accepted advances when a sessioned frame lands in (or
-	// is recognized by) a window; durable trails it, advancing only at
-	// store-wide barriers (Flush, Checkpoint, Close) — a frame's entries
-	// may spread across several windows' appends over time, so only a
-	// barrier that syncs every live window can prove a prefix durable.
-	// minted is only populated by recovery — the max over every recovered
-	// window's per-shard session tables, which can exceed the recovered
-	// accepted frontier; MintSeq folds it in (see shard.Group.MintSeq).
-	// Leaf lock: nothing is acquired while it is held.
-	sessMu   sync.Mutex
-	accepted map[string]uint64
-	durable  map[string]uint64
-	minted   map[string]uint64
+	// sessions is the store's exactly-once session frontier (see
+	// shard.Frontier): a frame is accepted when it lands in (or is
+	// recognized by) a window, and the durable frontier advances only at
+	// store-wide barriers (Flush, Checkpoint, Close) — a session's frames
+	// spread across several windows over time, so only a barrier that syncs
+	// every live window can prove a prefix durable.
+	sessions shard.Frontier
 
 	subs    map[uint64]*Subscription[T]
 	nextSub uint64
@@ -427,13 +420,8 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 	if ts < 0 {
 		return false, fmt.Errorf("%w: negative timestamp %d", gb.ErrInvalidValue, ts)
 	}
-	if session != "" {
-		s.sessMu.Lock()
-		prev := s.accepted[session]
-		s.sessMu.Unlock()
-		if seq <= prev {
-			return true, nil
-		}
+	if session != "" && s.sessions.Dup(session, seq) {
+		return true, nil
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -453,7 +441,7 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 		// window already holds is a duplicate, not a late arrival.
 		if w := s.wins[key{0, start}]; session != "" && w != nil && w.state.Load() == Sealed && seq <= w.sessHigh[session] {
 			s.mu.Unlock()
-			s.advanceAccepted(session, seq)
+			s.sessions.Accept(session, seq)
 			return true, nil
 		}
 		s.stats.LateDrops += int64(len(rows))
@@ -492,7 +480,7 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 		// advances.
 		dup, err = w.g.UpdateSession(session, seq, rows, cols, vals, sp)
 		if err == nil {
-			s.advanceAccepted(session, seq)
+			s.sessions.Accept(session, seq)
 		}
 	}
 	w.wmu.RUnlock()
@@ -503,58 +491,16 @@ func (s *Store[T]) append(session string, seq uint64, ts int64, rows, cols []gb.
 	return dup, err
 }
 
-// advanceAccepted moves the store's accepted frontier forward.
-func (s *Store[T]) advanceAccepted(session string, seq uint64) {
-	s.sessMu.Lock()
-	if s.accepted == nil {
-		s.accepted = make(map[string]uint64)
-	}
-	if seq > s.accepted[session] {
-		s.accepted[session] = seq
-	}
-	s.sessMu.Unlock()
-}
-
-// ResumeSeq reports the session's resume frontier, like
-// shard.Group.ResumeSeq: the durable frontier on durable stores, the
-// accepted frontier otherwise; 0 for unknown sessions.
+// ResumeSeq reports the session's resume frontier (shard.Frontier.Resume):
+// the durable frontier on durable stores, the accepted frontier otherwise.
 func (s *Store[T]) ResumeSeq(session string) uint64 {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if s.Durable() {
-		return s.durable[session]
-	}
-	return s.accepted[session]
+	return s.sessions.Resume(session, s.Durable())
 }
 
-// MintSeq reports the session's seq-minting floor, like
-// shard.Group.MintSeq: the highest frame seq the store's dedup state has
-// ever recorded for the session, in any window, on any shard. Always >=
-// ResumeSeq; a resuming client without its retransmit ring must assign
-// new frames seqs strictly above it.
-func (s *Store[T]) MintSeq(session string) uint64 {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	q := s.accepted[session]
-	if m := s.minted[session]; m > q {
-		q = m
-	}
-	return q
-}
-
-// snapshotAccepted copies the accepted frontier at a barrier's entry.
-func (s *Store[T]) snapshotAccepted() map[string]uint64 {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if len(s.accepted) == 0 {
-		return nil
-	}
-	snap := make(map[string]uint64, len(s.accepted))
-	for sess, q := range s.accepted {
-		snap[sess] = q
-	}
-	return snap
-}
+// MintSeq reports the session's seq-minting floor (shard.Frontier.Mint):
+// the highest frame seq the store's dedup state has ever recorded for the
+// session, in any window, on any shard.
+func (s *Store[T]) MintSeq(session string) uint64 { return s.sessions.Mint(session) }
 
 // failed returns the store's sticky error.
 func (s *Store[T]) failed() error {
@@ -563,26 +509,14 @@ func (s *Store[T]) failed() error {
 	return s.err
 }
 
-// commitDurableSessions publishes a pre-barrier snapshot after every live
-// window synced; max per key, never backwards. It commits nothing and
-// returns the sticky error once a seal has failed.
-func (s *Store[T]) commitDurableSessions(snap map[string]uint64) error {
+// commitSessions publishes a pre-barrier snapshot after every live window
+// synced. It commits nothing and returns the sticky error once a seal has
+// failed.
+func (s *Store[T]) commitSessions(snap map[string]uint64) error {
 	if err := s.failed(); err != nil {
 		return err
 	}
-	if len(snap) == 0 {
-		return nil
-	}
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if s.durable == nil {
-		s.durable = make(map[string]uint64, len(snap))
-	}
-	for sess, q := range snap {
-		if q > s.durable[sess] {
-			s.durable[sess] = q
-		}
-	}
+	s.sessions.Commit(snap)
 	return nil
 }
 
@@ -927,7 +861,7 @@ func (s *Store[T]) retention(level int) int64 {
 func (s *Store[T]) Flush() error {
 	var snap map[string]uint64
 	if s.Durable() {
-		snap = s.snapshotAccepted()
+		snap = s.sessions.Snapshot()
 	}
 	live, err := s.unsealed()
 	if err != nil {
@@ -942,7 +876,7 @@ func (s *Store[T]) Flush() error {
 	// in a window just fsynced, or in a window whose seal closed its group
 	// first — and that final checkpoint made them durable unless the seal
 	// failed.
-	if err := s.commitDurableSessions(snap); err != nil {
+	if err := s.commitSessions(snap); err != nil {
 		return err
 	}
 	if s.Durable() {
@@ -978,7 +912,7 @@ func (s *Store[T]) Checkpoint() error {
 	if !s.Durable() {
 		return shard.ErrNotDurable
 	}
-	snap := s.snapshotAccepted()
+	snap := s.sessions.Snapshot()
 	live, err := s.unsealed()
 	if err != nil {
 		return err
@@ -988,7 +922,7 @@ func (s *Store[T]) Checkpoint() error {
 			return err
 		}
 	}
-	if err := s.commitDurableSessions(snap); err != nil {
+	if err := s.commitSessions(snap); err != nil {
 		return err
 	}
 	s.persistMetaBestEffort()
@@ -1003,7 +937,7 @@ func (s *Store[T]) Checkpoint() error {
 func (s *Store[T]) Close() error {
 	var snap map[string]uint64
 	if s.Durable() {
-		snap = s.snapshotAccepted()
+		snap = s.sessions.Snapshot()
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -1043,7 +977,7 @@ func (s *Store[T]) Close() error {
 		// Every live window's final checkpoint succeeded, so the whole
 		// accepted frontier is on disk — unless a seal failed, in which
 		// case this returns the sticky error and commits nothing.
-		first = s.commitDurableSessions(snap)
+		first = s.commitSessions(snap)
 	}
 	if s.Durable() {
 		s.persistMetaBestEffort()
