@@ -182,11 +182,10 @@ func TestIntegrationEnginesAgreeOnStream(t *testing.T) {
 // hierarchical D4M, the paper's prior system, measured here.
 func TestIntegrationFig2MiniSweep(t *testing.T) {
 	series, models, err := cluster.Fig2(cluster.Fig2Config{
-		Stream:             powerlaw.StreamSpec{TotalEdges: 20_000, SetSize: 2_000, Scale: 18, Seed: 2},
-		ServerCounts:       []int{1, 100, 1100},
-		CalibrationSeconds: 0.05,
-		Engines:            []string{"hier-graphblas", "hier-d4m"},
-		Dim:                1 << 18,
+		Stream:       powerlaw.StreamSpec{TotalEdges: 20_000, SetSize: 2_000, Scale: 18, Seed: 2},
+		ServerCounts: []int{1, 100, 1100},
+		Engines:      []string{"hier-graphblas", "hier-d4m"},
+		Dim:          1 << 18,
 	})
 	if err != nil {
 		t.Fatal(err)

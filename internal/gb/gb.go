@@ -8,8 +8,7 @@
 //     valid for dimensions up to 2^64 (IPv6-scale traffic matrices).
 //   - Non-blocking updates: SetElement and AppendTuples buffer "pending
 //     tuples" (as SuiteSparse:GraphBLAS does); Wait materializes them.
-//   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum), Reduce
-//     and Transpose.
+//   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum) and Reduce.
 //
 // Storage is always DCSR ("doubly compressed sparse row"): a sorted list of
 // non-empty row ids plus per-row sorted column/value runs. This is the

@@ -104,20 +104,6 @@ func BenchmarkAddAssignCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkTranspose measures the bucket transpose.
-func BenchmarkTranspose(b *testing.B) {
-	const n = 100_000
-	r1, c1, v1 := benchTuples(n, 1<<32, 8)
-	x, _ := MatrixFromTuples(1<<32, 1<<32, r1, c1, v1, Plus[uint64]().Op)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Transpose(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "entries/s")
-}
-
 // BenchmarkReduceRows measures the row-reduction (degree vector) kernel.
 func BenchmarkReduceRows(b *testing.B) {
 	const n = 100_000

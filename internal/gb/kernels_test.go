@@ -87,7 +87,8 @@ func TestReduceColsMatchesBruteForce(t *testing.T) {
 func TestReduceRowsColsDuality(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	a := randMatrix(r, 24, 24, 150)
-	at, err := Transpose(a)
+	rows, cols, vals := a.ExtractTuples()
+	at, err := MatrixFromTuples(a.NCols(), a.NRows(), cols, rows, vals, Plus[int64]().Op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,45 +96,5 @@ func TestReduceRowsColsDuality(t *testing.T) {
 	colsOfAT, _ := ReduceCols(at, Plus[int64]())
 	if !VecEqual(rowsOfA, colsOfAT) {
 		t.Fatal("ReduceRows(A) != ReduceCols(Aᵀ)")
-	}
-}
-
-func TestTransposeInvolutionProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(27))
-	f := func() bool {
-		a := randMatrix(r, 40, 28, 200)
-		at, err := Transpose(a)
-		if err != nil || at.checkInvariants() != nil {
-			return false
-		}
-		att, err := Transpose(at)
-		if err != nil {
-			return false
-		}
-		return Equal(a, att)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTransposeAgainstDense(t *testing.T) {
-	r := rand.New(rand.NewSource(28))
-	a := randMatrix(r, 16, 24, 100)
-	at, err := Transpose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at.NRows() != a.NCols() || at.NCols() != a.NRows() {
-		t.Fatalf("transpose dims %dx%d", at.NRows(), at.NCols())
-	}
-	da, dt := denseOf(a), denseOf(at)
-	if len(da) != len(dt) {
-		t.Fatalf("nnz changed: %d vs %d", len(da), len(dt))
-	}
-	for k, v := range da {
-		if dt[[2]Index{k[1], k[0]}] != v {
-			t.Fatalf("entry %v not transposed", k)
-		}
 	}
 }

@@ -18,15 +18,15 @@ type Vector[T Number] struct {
 	idx     []Index
 	val     []T
 	pending []vecTuple[T]
-	accum   BinaryOp[T]
 }
 
-// NewVector returns an empty vector of size n (> 0) with plus accumulation.
+// NewVector returns an empty vector of size n (> 0); updates to one index
+// add.
 func NewVector[T Number](n Index) (*Vector[T], error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: vector size must be nonzero", ErrInvalidValue)
 	}
-	return &Vector[T]{n: n, accum: Plus[T]().Op}, nil
+	return &Vector[T]{n: n}, nil
 }
 
 // MustNewVector is NewVector that panics on error; for tests and examples.
@@ -83,7 +83,7 @@ func (v *Vector[T]) Iterate(f func(i Index, x T) bool) {
 	}
 }
 
-// Clear removes all entries, keeping the size and accumulator.
+// Clear removes all entries, keeping the size.
 func (v *Vector[T]) Clear() {
 	v.idx = nil
 	v.val = nil
@@ -94,14 +94,14 @@ func (v *Vector[T]) Clear() {
 func (v *Vector[T]) Dup() *Vector[T] {
 	v.Wait()
 	return &Vector[T]{
-		n:     v.n,
-		idx:   append([]Index(nil), v.idx...),
-		val:   append([]T(nil), v.val...),
-		accum: v.accum,
+		n:   v.n,
+		idx: append([]Index(nil), v.idx...),
+		val: append([]T(nil), v.val...),
 	}
 }
 
-// Wait materializes pending vector updates (sort, combine, union-merge).
+// Wait materializes pending vector updates (sort, add duplicates,
+// union-merge).
 func (v *Vector[T]) Wait() {
 	if len(v.pending) == 0 {
 		return
@@ -121,7 +121,7 @@ func (v *Vector[T]) Wait() {
 	w := 0
 	for r := 1; r < len(p); r++ {
 		if p[r].idx == p[w].idx {
-			p[w].val = v.accum(p[w].val, p[r].val)
+			p[w].val += p[r].val
 		} else {
 			w++
 			p[w] = p[r]
@@ -153,7 +153,7 @@ func (v *Vector[T]) Wait() {
 			j++
 		default:
 			nidx = append(nidx, v.idx[i])
-			nval = append(nval, v.accum(v.val[i], p[j].val))
+			nval = append(nval, v.val[i]+p[j].val)
 			i++
 			j++
 		}
@@ -278,7 +278,7 @@ func VecEWiseAdd[T Number](a, b *Vector[T], add BinaryOp[T]) (*Vector[T], error)
 		return nil, fmt.Errorf("%w: nil add operator", ErrInvalidValue)
 	}
 	room := a.NVals() + b.NVals()
-	c := &Vector[T]{n: a.n, accum: a.accum, idx: make([]Index, 0, room), val: make([]T, 0, room)}
+	c := &Vector[T]{n: a.n, idx: make([]Index, 0, room), val: make([]T, 0, room)}
 	VecFold([]*Vector[T]{a, b}, add, func(i Index, x T) {
 		c.idx = append(c.idx, i)
 		c.val = append(c.val, x)

@@ -192,23 +192,6 @@ func TestStreamSpecValidate(t *testing.T) {
 	}
 }
 
-func TestScaledSpecKeepsStructure(t *testing.T) {
-	s := ScaledSpec(1_000_000, 1)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Sets() != 1000 {
-		t.Fatalf("sets = %d, want 1000", s.Sets())
-	}
-	tiny := ScaledSpec(5000, 1)
-	if err := tiny.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tiny.SetSize < 1000 {
-		t.Fatalf("tiny set size = %d", tiny.SetSize)
-	}
-}
-
 func TestGenerateSetDeterministicAndComplete(t *testing.T) {
 	spec := StreamSpec{TotalEdges: 10000, SetSize: 1000, Scale: 14, Seed: 9}
 	a, err := spec.GenerateSet(3)

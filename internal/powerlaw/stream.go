@@ -11,8 +11,8 @@ import (
 // StreamSpec describes the paper's workload shape: TotalEdges entries
 // divided into Sets() sets of SetSize entries, drawn from an R-MAT graph
 // over 2^Scale vertices. The paper uses TotalEdges=100,000,000 and
-// SetSize=100,000 (1,000 sets); laptop-scale runs shrink both while keeping
-// the structure.
+// SetSize=100,000 (1,000 sets); laptop-scale runs keep the set size and
+// shrink the total.
 type StreamSpec struct {
 	TotalEdges int
 	SetSize    int
@@ -36,21 +36,6 @@ func (s StreamSpec) Validate() error {
 
 // Sets returns the number of sets the stream divides into.
 func (s StreamSpec) Sets() int { return s.TotalEdges / s.SetSize }
-
-// ScaledSpec returns the paper's workload shape shrunk to totalEdges while
-// preserving the 1,000-sets structure where possible (set size is
-// totalEdges/1000, floored to at least 1,000 entries).
-func ScaledSpec(totalEdges int, seed uint64) StreamSpec {
-	setSize := totalEdges / 1000
-	if setSize < 1000 {
-		setSize = 1000
-	}
-	if setSize > totalEdges {
-		setSize = totalEdges
-	}
-	totalEdges = (totalEdges / setSize) * setSize
-	return StreamSpec{TotalEdges: totalEdges, SetSize: setSize, Scale: 22, Seed: seed}
-}
 
 // setSeed derives the deterministic sub-seed for set k, mixing with
 // splitmix64 so neighbouring sets are statistically independent.

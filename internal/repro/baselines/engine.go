@@ -73,32 +73,6 @@ func Fig2Order() []string {
 	return []string{"hier-graphblas", "hier-d4m"}
 }
 
-// ScalingClass describes how an engine's aggregate throughput composes
-// across servers in the Fig. 2 model.
-type ScalingClass int
-
-const (
-	// ScaleSharedNothing engines run one instance per process/core with
-	// no communication: aggregate = servers x procs/server x rate.
-	// The paper's hierarchical GraphBLAS and hierarchical D4M runs.
-	ScaleSharedNothing ScalingClass = iota
-	// ScalePerServer engines run one internally-parallel process per
-	// node: aggregate = servers x rate.
-	ScalePerServer
-)
-
-// ClassOf returns the scaling class of a registered engine.
-func ClassOf(name string) ScalingClass {
-	switch name {
-	case "hier-graphblas", "flat-graphblas", "hier-d4m":
-		return ScaleSharedNothing
-	default:
-		// Includes sharded-graphblas: one internally-parallel instance
-		// per node, so aggregate throughput composes per server.
-		return ScalePerServer
-	}
-}
-
 // errClosed is returned when an engine is used after Close.
 func errClosed(name string) error {
 	return fmt.Errorf("%w: engine %s is closed", gb.ErrInvalidValue, name)

@@ -16,7 +16,7 @@ import (
 // (batches are partitioned into striped producer-local shard buffers, so
 // concurrent Ingest calls never contend on a shared splitter). Unlike the
 // other engines it is internally parallel, so one instance per node is the
-// natural deployment (ScalePerServer); its Ingest is also safe for
+// natural deployment, not one per process; its Ingest is also safe for
 // concurrent producers, which the shared-nothing harnesses never need but
 // application frontends do. Its analysis queries are pushed down to the
 // shard workers and merged at read time, so they run concurrently with

@@ -4,20 +4,25 @@
 // sustained update rate measured as total updates over wall-clock time.
 //
 // On the MIT SuperCloud the processes span 1,100 servers; on a laptop the
-// same code runs P goroutine "processes" on local cores and calibrates an
-// extrapolation model. Because the paper's workload is embarrassingly
-// parallel (no process ever communicates), aggregate throughput composes
-// additively across servers; the model multiplies the measured per-process
-// rate by the process count and a documented parallel-efficiency factor.
+// same code runs P goroutine "processes" on local cores. One run loop
+// (RunLocal, RunLocalWeak) measures every rate here: each process's sets
+// are generated before the clock starts and ingested once, never cycled,
+// so the clock times the engine and not the generator. Pre-generating is
+// this repository's choice, as in the E1 benchmark and bench/'s
+// lib_ingest workload.
 //
-// The harness is engine-agnostic: any baselines.Factory slots in,
-// including "sharded-graphblas" — the concurrent ingest frontend that runs
-// the shared-nothing composition *inside* one process across cores. For
-// that variant the natural shape is one internally-parallel process
-// (procs=1, shards=cores), and its Model composes per server
-// (baselines.ScalePerServer) rather than per process, so the two scaling
-// axes — shards within a node, shared-nothing processes across nodes —
-// multiply in the extrapolation.
+// Calibrate runs that loop twice: one process alone, and GOMAXPROCS
+// processes at once. The second gives the per-process rate under a node's
+// contention, and its ratio to the first is the measured within-node
+// efficiency. Because the paper's workload is embarrassingly parallel (no
+// process ever communicates), the model composes across servers with a
+// factor of 1: aggregate = servers × processes per server × the contended
+// per-process rate.
+//
+// The harness is engine-agnostic: any baselines.Factory slots in.
+// ShardSweep measures the other axis, one internally parallel
+// sharded-graphblas instance at increasing shard counts; Fig2 refuses that
+// engine, since it is not one instance per process.
 //
 // Fig2 plots measured series only: every curve is an engine this
 // repository runs, calibrated on the local machine. The paper's Fig. 2
@@ -27,10 +32,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hhgb/internal/gb"
@@ -54,10 +60,18 @@ func (r RunResult) Rate() float64 {
 	return float64(r.Updates) / r.Seconds
 }
 
+// PerProcess returns the run's rate per process.
+func (r RunResult) PerProcess() float64 {
+	if r.Processes < 1 {
+		return 0
+	}
+	return r.Rate() / float64(r.Processes)
+}
+
 // RunLocal executes the paper's experiment at local scale with the total
 // work fixed: procs goroutine processes, each with its own engine instance,
-// each generating and ingesting its own round-robin share of the stream's
-// sets. It returns the measured aggregate result.
+// each ingesting its own round-robin share of the stream's sets. It
+// returns the measured aggregate result.
 func RunLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int) (RunResult, error) {
 	return runLocal(factory, stream, procs, false)
 }
@@ -71,9 +85,10 @@ func RunLocalWeak(factory baselines.Factory, stream powerlaw.StreamSpec, procs i
 	return runLocal(factory, stream, procs, true)
 }
 
-// runLocal runs procs processes concurrently and times them end to end.
-// Process p streams sets p, p+procs, … of stream, or with weak every set of
-// its own reseeded copy.
+// runLocal runs procs processes concurrently and times them. Every set is
+// generated before the clock starts and ingested exactly once; the clock
+// stops when every process has ingested (and, for an asynchronous engine,
+// drained) its last set, and Close runs after it stops.
 func runLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int, weak bool) (RunResult, error) {
 	if procs < 1 {
 		return RunResult{}, fmt.Errorf("%w: procs %d < 1", gb.ErrInvalidValue, procs)
@@ -81,185 +96,153 @@ func runLocal(factory baselines.Factory, stream powerlaw.StreamSpec, procs int, 
 	if err := stream.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	sets, err := generate(stream, procs, weak)
+	if err != nil {
+		return RunResult{}, err
+	}
 	engines := make([]baselines.Engine, procs)
 	for p := range engines {
 		e, err := factory()
 		if err != nil {
+			for _, made := range engines[:p] {
+				made.Close()
+			}
 			return RunResult{}, err
 		}
 		engines[p] = e
 	}
 
+	// Collect the previous run's garbage now, so it is not charged to this
+	// run's clock.
+	runtime.GC()
 	var wg sync.WaitGroup
 	errs := make([]error, procs)
 	start := time.Now()
-	for p := 0; p < procs; p++ {
+	for p, e := range engines {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			own, first, step := stream, p, procs
-			if weak {
-				own.Seed = stream.Seed + 0x9e3779b97f4a7c15*uint64(p+1)
-				first, step = 0, 1
-			}
-			e := engines[p]
-			for set := first; set < own.Sets(); set += step {
-				edges, err := own.GenerateSet(set)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				if err := e.Ingest(edges); err != nil {
-					errs[p] = err
+			for _, edges := range sets[p] {
+				if errs[p] = e.Ingest(edges); errs[p] != nil {
 					return
 				}
 			}
-			errs[p] = e.Close()
-		}(p)
+			// An asynchronous engine's Ingest returns on queue accept;
+			// drain inside the clock so it is credited only for work done.
+			if d, ok := e.(baselines.Drainer); ok {
+				errs[p] = d.Drain()
+			}
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 	var total int64
-	for p, err := range errs {
-		if err != nil {
-			return RunResult{}, fmt.Errorf("process %d: %w", p, err)
+	for p, e := range engines {
+		if err := errors.Join(errs[p], e.Close()); err != nil {
+			errs[p] = fmt.Errorf("process %d: %w", p, err)
 		}
-		total += engines[p].Count()
+		total += e.Count()
+	}
+	if err := errors.Join(errs...); err != nil {
+		return RunResult{}, err
 	}
 	return RunResult{Engine: engines[0].Name(), Processes: procs, Updates: total, Seconds: elapsed}, nil
 }
 
-// CalibrateTimed measures a single process's sustained ingest rate by
-// streaming sets for at least minSeconds (cycling through a pre-generated
-// pool of the stream's sets, so generation cost stays outside the
-// measurement — the paper's processes load pre-generated data). Slow
-// engines get measured over fewer updates instead of taking unbounded time.
-func CalibrateTimed(factory baselines.Factory, stream powerlaw.StreamSpec, minSeconds float64) (Rate, error) {
-	if err := stream.Validate(); err != nil {
-		return Rate{}, err
+// generate returns each process's sets: process p gets sets p, p+procs, …
+// of stream, or with weak every set of its own reseeded copy. Every core
+// generates one set at a time until none is left.
+func generate(stream powerlaw.StreamSpec, procs int, weak bool) ([][][]powerlaw.Edge, error) {
+	type job struct {
+		spec     powerlaw.StreamSpec
+		p, k, at int
 	}
-	e, err := factory()
-	if err != nil {
-		return Rate{}, err
-	}
-	defer e.Close()
-
-	poolSize := stream.Sets()
-	if poolSize > 16 {
-		poolSize = 16
-	}
-	pool := make([][]powerlaw.Edge, poolSize)
-	for k := range pool {
-		edges, err := stream.GenerateSet(k)
-		if err != nil {
-			return Rate{}, err
+	var jobs []job
+	sets := make([][][]powerlaw.Edge, procs)
+	for p := range sets {
+		spec, first, step := stream, p, procs
+		if weak {
+			spec.Seed = stream.Seed + 0x9e3779b97f4a7c15*uint64(p+1)
+			first, step = 0, 1
 		}
-		pool[k] = edges
-	}
-
-	var updates int64
-	start := time.Now()
-	for set := 0; ; set = (set + 1) % len(pool) {
-		if err := e.Ingest(pool[set]); err != nil {
-			return Rate{}, err
-		}
-		updates += int64(len(pool[set]))
-		if time.Since(start).Seconds() >= minSeconds {
-			break
+		for set := first; set < stream.Sets(); set += step {
+			jobs = append(jobs, job{spec: spec, p: p, k: set, at: len(sets[p])})
+			sets[p] = append(sets[p], nil)
 		}
 	}
-	// Asynchronous engines (the sharded frontend) accept batches into
-	// queues; drain inside the measured window so the rate counts only
-	// work that actually completed, keeping the comparison honest against
-	// the synchronous engines.
-	if d, ok := e.(baselines.Drainer); ok {
-		if err := d.Drain(); err != nil {
-			return Rate{}, err
+	var next atomic.Int64
+	errs := make([]error, len(jobs))
+	gb.ParallelFor(runtime.GOMAXPROCS(0), func(int) {
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			j := jobs[i]
+			sets[j.p][j.at], errs[i] = j.spec.GenerateSet(j.k)
 		}
-	}
-	return Rate{Updates: updates, Seconds: time.Since(start).Seconds()}, nil
+	})
+	return sets, errors.Join(errs...)
 }
 
 // Model extrapolates aggregate throughput to server counts the local
-// machine cannot host, using the shared-nothing additivity of the paper's
-// workload.
+// machine cannot host. Each factor is either measured on this host (Solo,
+// Contended) or taken from the paper (ProcsPerServer, and the server
+// count passed to Aggregate); across servers the factor is 1, the
+// shared-nothing assumption: the paper's processes never communicate.
 type Model struct {
-	// EngineName identifies the engine the model was calibrated for.
-	EngineName string
-	// PerProcessRate is the measured single-process sustained rate.
-	PerProcessRate float64
+	// Solo is one process running alone on the host.
+	Solo RunResult
+	// Contended is GOMAXPROCS processes running at once: a node's worth
+	// of processes sharing its cores and memory bandwidth.
+	Contended RunResult
 	// ProcsPerServer is the process count per server (the paper runs
-	// ~31,000 instances on 1,100 servers ≈ 28/server; 32 matches the
-	// SuperCloud's cores-per-node scheduling). Applied only to
-	// shared-nothing engines.
+	// ~31,000 instances on 1,100 servers ≈ 28 per server).
 	ProcsPerServer int
-	// Class selects how throughput composes across servers: per-process
-	// shared-nothing (the paper's hierarchical runs) or per-server (the
-	// sharded frontend, one internally-parallel process per node).
-	Class baselines.ScalingClass
-	// Efficiency returns the parallel efficiency at a server count;
-	// DefaultEfficiency models the paper's slightly sublinear curve.
-	Efficiency func(servers int) float64
 }
 
 // DefaultProcsPerServer matches the paper's ~28-31 instances per node.
 const DefaultProcsPerServer = 28
 
-// DefaultEfficiency is a mildly sublinear efficiency curve: eff(n) =
-// n^-0.03 (≈ 0.81 at 1,100 servers), matching the slight roll-off of the
-// paper's measured hierarchical curves at full scale.
-func DefaultEfficiency(servers int) float64 {
-	if servers <= 1 {
-		return 1
+// Efficiency is the measured within-node efficiency: the contended
+// per-process rate over the solo rate.
+func (m Model) Efficiency() float64 {
+	if m.Solo.Rate() <= 0 {
+		return 0
 	}
-	return math.Pow(float64(servers), -0.03)
+	return m.Contended.PerProcess() / m.Solo.Rate()
 }
 
-// Aggregate returns the modeled aggregate rate at the given server count.
+// Aggregate returns the modeled aggregate rate at the given server count:
+// servers × ProcsPerServer × the contended per-process rate.
 func (m Model) Aggregate(servers int) float64 {
 	if servers < 1 {
 		return 0
 	}
-	eff := 1.0
-	if m.Efficiency != nil {
-		eff = m.Efficiency(servers)
-	}
-	if m.Class == baselines.ScalePerServer {
-		return float64(servers) * m.PerProcessRate * eff
-	}
-	// shared-nothing
-	return float64(servers) * float64(m.ProcsPerServer) * m.PerProcessRate * eff
+	return float64(servers) * float64(m.ProcsPerServer) * m.Contended.PerProcess()
 }
 
-// Calibrate builds a Model for the engine by measuring its single-process
-// rate over at least minSeconds.
-func Calibrate(name string, factory baselines.Factory, stream powerlaw.StreamSpec, minSeconds float64, procsPerServer int) (Model, error) {
+// Calibrate builds a Model for the engine from two weak runs of the
+// stream: one process alone, then GOMAXPROCS processes at once.
+func Calibrate(factory baselines.Factory, stream powerlaw.StreamSpec, procsPerServer int) (Model, error) {
 	if procsPerServer < 1 {
 		procsPerServer = DefaultProcsPerServer
 	}
-	rate, err := CalibrateTimed(factory, stream, minSeconds)
+	solo, err := RunLocalWeak(factory, stream, 1)
 	if err != nil {
 		return Model{}, err
 	}
-	return Model{
-		EngineName:     name,
-		PerProcessRate: rate.PerSecond(),
-		ProcsPerServer: procsPerServer,
-		Class:          baselines.ClassOf(name),
-		Efficiency:     DefaultEfficiency,
-	}, nil
+	contended, err := RunLocalWeak(factory, stream, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return Model{}, err
+	}
+	return Model{Solo: solo, Contended: contended, ProcsPerServer: procsPerServer}, nil
 }
 
 // Fig2Config drives the Fig. 2 reproduction sweep.
 type Fig2Config struct {
-	// Stream is the workload specification (paper: 1,000 sets of 100,000).
+	// Stream is each process's workload (paper: 1,000 sets of 100,000).
 	Stream powerlaw.StreamSpec
 	// ServerCounts is the x-axis (paper: 1 … 1,100, log-spaced).
 	ServerCounts []int
 	// ProcsPerServer scales servers to processes.
 	ProcsPerServer int
-	// CalibrationSeconds bounds each engine's measurement time.
-	CalibrationSeconds float64
 	// Engines selects and orders the engines; nil means Fig2Order.
 	Engines []string
 	// Dim is the traffic-matrix dimension for the GraphBLAS engines.
@@ -273,15 +256,10 @@ func DefaultServerCounts() []int {
 
 // Fig2 runs the Fig. 2 reproduction for the measured engines: it
 // calibrates every engine locally, then produces one extrapolated series
-// per engine across the server counts. The returned models carry the measured per-process rates for
-// reporting.
+// per engine across the server counts. The returned models carry the
+// measured rates for reporting. The sharded engine is refused: it is one
+// internally parallel instance, not one instance per process.
 func Fig2(cfg Fig2Config) ([]Series, []Model, error) {
-	if cfg.ProcsPerServer < 1 {
-		cfg.ProcsPerServer = DefaultProcsPerServer
-	}
-	if cfg.CalibrationSeconds <= 0 {
-		cfg.CalibrationSeconds = 0.5
-	}
 	if cfg.ServerCounts == nil {
 		cfg.ServerCounts = DefaultServerCounts()
 	}
@@ -297,10 +275,13 @@ func Fig2(cfg Fig2Config) ([]Series, []Model, error) {
 	var models []Model
 	for _, name := range names {
 		factory, ok := registry[name]
-		if !ok {
+		switch {
+		case !ok:
 			return nil, nil, fmt.Errorf("%w: unknown engine %q", gb.ErrInvalidValue, name)
+		case name == "sharded-graphblas":
+			return nil, nil, fmt.Errorf("%w: %s is one internally parallel instance, not one per process (ShardSweep measures it)", gb.ErrInvalidValue, name)
 		}
-		model, err := Calibrate(name, factory, cfg.Stream, cfg.CalibrationSeconds, cfg.ProcsPerServer)
+		model, err := Calibrate(factory, cfg.Stream, cfg.ProcsPerServer)
 		if err != nil {
 			return nil, nil, fmt.Errorf("calibrating %s: %w", name, err)
 		}
@@ -314,46 +295,57 @@ func Fig2(cfg Fig2Config) ([]Series, []Model, error) {
 	return series, models, nil
 }
 
-// procSweep runs f at power-of-two process counts up to maxProcs.
-func procSweep(maxProcs int, f func(procs int) (RunResult, error)) ([]RunResult, error) {
-	if maxProcs < 1 {
-		maxProcs = runtime.GOMAXPROCS(0)
+// Counts returns a sweep's x-axis: 1, 2, 4, … below max, then max itself
+// (GOMAXPROCS when max < 1).
+func Counts(max int) []int {
+	if max < 1 {
+		max = runtime.GOMAXPROCS(0)
 	}
-	var out []RunResult
-	for p := 1; p <= maxProcs; p *= 2 {
-		r, err := f(p)
+	var out []int
+	for n := 1; n < max; n *= 2 {
+		out = append(out, n)
+	}
+	return append(out, max)
+}
+
+// sweep runs f at each count.
+func sweep(counts []int, f func(n int) (RunResult, error)) ([]RunResult, error) {
+	out := make([]RunResult, 0, len(counts))
+	for _, n := range counts {
+		r, err := f(n)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-		if p == maxProcs {
-			break
-		}
-		if p*2 > maxProcs {
-			r, err := f(maxProcs)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-			break
-		}
 	}
 	return out, nil
 }
 
-// WeakScaling measures aggregate rate at increasing process counts with
+// WeakScaling measures aggregate rate at Counts(maxProcs) processes with
 // per-process constant work (experiment E12, the paper's methodology):
 // each process streams its own full workload copy.
 func WeakScaling(factory baselines.Factory, stream powerlaw.StreamSpec, maxProcs int) ([]RunResult, error) {
-	return procSweep(maxProcs, func(p int) (RunResult, error) {
+	return sweep(Counts(maxProcs), func(p int) (RunResult, error) {
 		return RunLocalWeak(factory, stream, p)
 	})
 }
 
-// StrongScaling measures aggregate rate at increasing process counts with
+// StrongScaling measures aggregate rate at Counts(maxProcs) processes with
 // the total workload fixed and divided among processes.
 func StrongScaling(factory baselines.Factory, stream powerlaw.StreamSpec, maxProcs int) ([]RunResult, error) {
-	return procSweep(maxProcs, func(p int) (RunResult, error) {
+	return sweep(Counts(maxProcs), func(p int) (RunResult, error) {
 		return RunLocal(factory, stream, p)
+	})
+}
+
+// ShardSweep measures one sharded-graphblas instance, in one process, at
+// Counts(maxShards) shards: the within-instance axis beside the process
+// sweeps' shared-nothing one. Result k ran with Counts(maxShards)[k]
+// shards.
+func ShardSweep(dim gb.Index, stream powerlaw.StreamSpec, maxShards int) ([]RunResult, error) {
+	return sweep(Counts(maxShards), func(s int) (RunResult, error) {
+		return RunLocal(func() (baselines.Engine, error) {
+			return baselines.NewShardedGraphBLAS(dim, nil, s)
+		}, stream, 1)
 	})
 }

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"runtime"
+	"sync"
 	"testing"
 
 	"hhgb/internal/gb"
@@ -44,7 +48,7 @@ func TestRunLocalConservesUpdates(t *testing.T) {
 // TestRunLocalShardedEngine drives the cluster harness with the concurrent
 // sharded frontend: one internally-parallel instance per "process". The
 // update count must be conserved through the hash-partitioned async path,
-// and the calibrated model must compose per server.
+// at every count of the shard sweep too.
 func TestRunLocalShardedEngine(t *testing.T) {
 	stream := testStream()
 	factory := func() (baselines.Engine, error) {
@@ -61,21 +65,18 @@ func TestRunLocalShardedEngine(t *testing.T) {
 		t.Fatalf("engine = %q", r.Engine)
 	}
 
-	m, err := Calibrate("sharded-graphblas", factory, stream, 0.05, 0)
+	// The shard sweep: one instance per run, the same total at each count.
+	sweep, err := ShardSweep(1<<20, stream, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Class != baselines.ScalePerServer {
-		t.Fatalf("sharded model class = %v, want ScalePerServer", m.Class)
+	if len(sweep) != 2 {
+		t.Fatalf("shard sweep ran %d counts, want 2", len(sweep))
 	}
-	if m.PerProcessRate <= 0 {
-		t.Fatalf("per-process rate = %v", m.PerProcessRate)
-	}
-	// Per-server composition: 10 servers ≈ 10x one server (x efficiency),
-	// with no procs-per-server multiplier.
-	one, ten := m.Aggregate(1), m.Aggregate(10)
-	if ten <= 5*one || ten > 10*one {
-		t.Fatalf("Aggregate(10) = %v vs Aggregate(1) = %v; want sublinear 10x", ten, one)
+	for _, r := range sweep {
+		if r.Updates != int64(stream.TotalEdges) || r.Processes != 1 {
+			t.Fatalf("shard sweep run: %+v", r)
+		}
 	}
 }
 
@@ -100,69 +101,86 @@ func TestRunLocalMoreProcsThanSets(t *testing.T) {
 	}
 }
 
-func TestCalibrateTimedRunsAtLeastMinSeconds(t *testing.T) {
-	rate, err := CalibrateTimed(hierFactory(), testStream(), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate.Seconds < 0.05 {
-		t.Fatalf("ran only %.3fs", rate.Seconds)
-	}
-	if rate.PerSecond() <= 0 {
-		t.Fatalf("rate = %v", rate.PerSecond())
-	}
-}
-
 func TestModelAggregateScalesWithServers(t *testing.T) {
-	m := Model{PerProcessRate: 1e6, ProcsPerServer: 28, Efficiency: DefaultEfficiency}
-	one := m.Aggregate(1)
-	if one != 28e6 {
-		t.Fatalf("Aggregate(1) = %v", one)
+	m := Model{
+		Solo:           RunResult{Processes: 1, Updates: 1e6, Seconds: 1},
+		Contended:      RunResult{Processes: 2, Updates: 1.6e6, Seconds: 1},
+		ProcsPerServer: 28,
 	}
-	big := m.Aggregate(1100)
-	if big <= one {
-		t.Fatal("no scaling")
+	if m.Contended.PerProcess() != 0.8e6 || m.Efficiency() != 0.8 {
+		t.Fatalf("per-process rate %v, efficiency %v", m.Contended.PerProcess(), m.Efficiency())
 	}
-	// Sublinear but near-linear: within [60%, 100%] of perfect scaling.
-	perfect := one * 1100
-	if big < 0.6*perfect || big > perfect {
-		t.Fatalf("Aggregate(1100) = %v, perfect = %v", big, perfect)
+	// Exactly servers × procs per server × the contended per-process rate.
+	for _, n := range []int{1, 10, 1100} {
+		if got, want := m.Aggregate(n), float64(n)*28*0.8e6; got != want {
+			t.Fatalf("Aggregate(%d) = %v, want %v", n, got, want)
+		}
 	}
 	if m.Aggregate(0) != 0 {
 		t.Fatal("Aggregate(0) != 0")
 	}
-	// Nil efficiency means perfectly linear.
-	lin := Model{PerProcessRate: 1e6, ProcsPerServer: 1}
-	if lin.Aggregate(10) != 1e7 {
-		t.Fatalf("linear aggregate = %v", lin.Aggregate(10))
-	}
 }
 
-func TestDefaultEfficiencyBounds(t *testing.T) {
-	if DefaultEfficiency(1) != 1 {
-		t.Fatal("eff(1) != 1")
+// recorder is an Engine that fingerprints every batch it is given.
+type recorder struct {
+	seen  map[uint64]int
+	count int64
+}
+
+func (r *recorder) Name() string { return "recorder" }
+func (r *recorder) Ingest(edges []baselines.Edge) error {
+	h := fnv.New64a()
+	for _, e := range edges {
+		binary.Write(h, binary.LittleEndian, [2]uint64{e.Row, e.Col})
 	}
-	prev := 1.0
-	for _, n := range []int{2, 10, 100, 1100} {
-		e := DefaultEfficiency(n)
-		if e <= 0 || e > 1 {
-			t.Fatalf("eff(%d) = %v out of (0,1]", n, e)
+	r.seen[h.Sum64()]++
+	r.count += int64(len(edges))
+	return nil
+}
+func (r *recorder) Flush() error { return nil }
+func (r *recorder) Count() int64 { return r.count }
+func (r *recorder) Close() error { return nil }
+
+// TestCalibrateIngestsEachSetOnce: every process of every calibration run
+// ingests its N-set stream exactly once — N × set-size updates, no set
+// twice — so the measured rate is the growing matrix's, not a re-timed
+// pool's.
+func TestCalibrateIngestsEachSetOnce(t *testing.T) {
+	stream := testStream()
+	var mu sync.Mutex
+	var recs []*recorder
+	factory := func() (baselines.Engine, error) {
+		r := &recorder{seen: map[uint64]int{}}
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+		return r, nil
+	}
+	if _, err := Calibrate(factory, stream, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + runtime.GOMAXPROCS(0); len(recs) != want {
+		t.Errorf("calibration ran %d processes, want %d: one alone, then GOMAXPROCS at once", len(recs), want)
+	}
+	for p, r := range recs {
+		if r.count != int64(stream.TotalEdges) {
+			t.Errorf("process %d ingested %d updates, want %d", p, r.count, stream.TotalEdges)
 		}
-		if e > prev {
-			t.Fatalf("efficiency not monotone at %d", n)
+		for fp, n := range r.seen {
+			if n > 1 {
+				t.Errorf("process %d ingested set %x %d times", p, fp, n)
+			}
 		}
-		prev = e
 	}
 }
 
 func TestFig2ProducesOrderedSeries(t *testing.T) {
 	cfg := Fig2Config{
-		Stream:             testStream(),
-		ServerCounts:       []int{1, 10, 100},
-		ProcsPerServer:     28,
-		CalibrationSeconds: 0.02,
-		Engines:            []string{"hier-graphblas", "hier-d4m"},
-		Dim:                1 << 22,
+		Stream:         testStream(),
+		ServerCounts:   []int{1, 10, 100},
+		ProcsPerServer: 28,
+		Engines:        []string{"hier-graphblas", "hier-d4m"},
+		Dim:            1 << 22,
 	}
 	series, models, err := Fig2(cfg)
 	if err != nil {
@@ -190,8 +208,9 @@ func TestFig2ProducesOrderedSeries(t *testing.T) {
 }
 
 func TestFig2UnknownEngine(t *testing.T) {
-	// "accumulo" is a Fig. 2 system this repository does not run.
-	for _, name := range []string{"nosuch", "accumulo"} {
+	// "accumulo" is a Fig. 2 system this repository does not run;
+	// "sharded-graphblas" runs, but as one instance per node, not per process.
+	for _, name := range []string{"nosuch", "accumulo", "sharded-graphblas"} {
 		cfg := Fig2Config{Stream: testStream(), Engines: []string{name}}
 		if _, _, err := Fig2(cfg); !errors.Is(err, gb.ErrInvalidValue) {
 			t.Fatalf("%s: got %v", name, err)

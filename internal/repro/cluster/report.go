@@ -1,7 +1,7 @@
 package cluster
 
-// The reporting half of the harness: measured rates, data series, aligned
-// tables, and the ASCII log-log plot that renders the paper's Fig. 2.
+// The reporting half of the harness: data series, aligned tables, and the
+// ASCII log-log plot that renders the paper's Fig. 2.
 
 import (
 	"fmt"
@@ -10,20 +10,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// Rate is a measured throughput.
-type Rate struct {
-	Updates int64
-	Seconds float64
-}
-
-// PerSecond returns updates per second (0 for a zero-duration run).
-func (r Rate) PerSecond() float64 {
-	if r.Seconds <= 0 {
-		return 0
-	}
-	return float64(r.Updates) / r.Seconds
-}
 
 // Eng formats a number with an engineering suffix (K, M, G, T).
 func Eng(v float64) string {

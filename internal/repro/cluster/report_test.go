@@ -5,16 +5,6 @@ import (
 	"testing"
 )
 
-func TestRatePerSecond(t *testing.T) {
-	r := Rate{Updates: 1000, Seconds: 0.5}
-	if r.PerSecond() != 2000 {
-		t.Fatalf("PerSecond = %v", r.PerSecond())
-	}
-	if (Rate{Updates: 10}).PerSecond() != 0 {
-		t.Fatal("zero-duration rate not 0")
-	}
-}
-
 func TestEngSuffixes(t *testing.T) {
 	cases := map[float64]string{
 		5:       "5.00",
