@@ -295,11 +295,13 @@ func BenchmarkE13_ShardedVsFlat(b *testing.B) {
 
 // BenchmarkE12_WeakScaling is experiment E12: aggregate rate of P
 // shared-nothing processes on local cores, each streaming its own graphs
-// (the paper's Section III methodology at laptop scale). The per-process
-// engine and workload shape match E2.
+// (the paper's Section III methodology at laptop scale). Each process
+// streams the paper's sets — 100,000 entries at R-MAT scale 32 over 2³²,
+// the stream BenchmarkE1_SingleInstance, `hhgb-repro scaling` and bench/
+// use — into the hier-graphblas engine.
 func BenchmarkE12_WeakScaling(b *testing.B) {
-	stream := powerlaw.StreamSpec{TotalEdges: 400_000, SetSize: 100_000, Scale: 28, Seed: 3}
-	factory := func() (baselines.Engine, error) { return baselines.NewHierGraphBLAS(1<<28, nil) }
+	stream := powerlaw.StreamSpec{TotalEdges: 400_000, SetSize: 100_000, Scale: 32, Seed: 3}
+	factory := func() (baselines.Engine, error) { return baselines.NewHierGraphBLAS(1<<32, nil) }
 	for _, procs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			var total int64

@@ -258,12 +258,13 @@ func WithHandoff(n int) Option {
 	}
 }
 
-// WithDurability makes a Sharded matrix crash-safe: each shard worker
-// writes a per-shard write-ahead log under dir, and Checkpoint (and Close)
-// serialize per-shard snapshots plus a manifest there, truncating the
-// logs. Flush becomes a group-commit point — every batch accepted before
-// it survives a crash — and Recover restores the matrix from the same
-// directory after one. The directory must not already hold a durable
+// WithDurability makes a Sharded matrix crash-safe: the matrix writes one
+// write-ahead log under dir, appending every accepted batch to it whole
+// before any shard sees it, and Checkpoint (and Close) serialize
+// per-shard snapshots plus a manifest there, truncating the log. Flush
+// becomes a group-commit point — every batch accepted before it survives
+// a crash — and Recover restores the matrix from the same directory after
+// one. The directory must not already hold a durable
 // matrix (restore that with Recover instead). It applies only to
 // NewSharded; New rejects it. See docs/ARCHITECTURE.md for the on-disk
 // layout and the crash-window guarantees.
@@ -278,15 +279,13 @@ func WithDurability(dir string) Option {
 }
 
 // WithSyncEvery sets the group-commit interval of a durable Sharded
-// matrix: each shard's log is fsynced after every n logged batches
-// (default 64; 1 makes every batch durable as soon as its shard drains
-// it). Barriers — Flush, Checkpoint, Close — always sync regardless, so n
-// only bounds how much accepted-but-unsynced tail a crash between barriers
-// can lose. The interval applies per shard: between barriers a crash may
-// persist a batch's entries on the shards that happened to group-commit
-// and lose them on the shards that had not yet — only the barriers are
-// cross-shard-atomic durability points, and recovery after a mid-interval
-// crash restores each shard's own logged prefix. Requires WithDurability.
+// matrix: its log is fsynced after every n logged batches (default 64; 1
+// makes every batch durable before the call that appended it returns).
+// Barriers — Flush, Checkpoint, Close — always sync regardless, so n only
+// bounds how much accepted-but-unsynced tail a crash between barriers can
+// lose. A batch is one log record, so a crash keeps it on every shard or
+// on none, and recovery restores a prefix of the accepted batches.
+// Requires WithDurability.
 func WithSyncEvery(n int) Option {
 	return func(o *options) error {
 		if n < 1 {

@@ -473,8 +473,9 @@ func (c *Client) connectLocked() error {
 	// numbering above the server's minting floor — HighSeq, the highest
 	// seq its dedup state has ever recorded for the session. LastSeq
 	// would not do: it deliberately under-reports (the durable frontier
-	// trails the accepted one until a barrier, and after server recovery
-	// it is the min over per-shard tables), and minting in
+	// trails the accepted one until a barrier, and after a windowed
+	// server's recovery it is the store manifest's frontier, which trails
+	// the windows' own tables), and minting in
 	// (LastSeq, HighSeq] would reuse seqs a dead incarnation's
 	// acked-but-unflushed frames already carried — the server would ack
 	// the new frames as duplicates without applying them, silently

@@ -11,11 +11,13 @@ import (
 
 // TestFrameToApplyAllocBudget is the end-to-end allocation budget of the
 // ingest hot path a wire connection takes: frame decode → the session
-// frontier check and partitioning of Sharded.AppendWeightedSession → the
-// shard workers' apply, counted process-wide (runtime.MemStats.Mallocs) so the
-// workers' side — cascade staging, merges — is inside the number. The
-// per-stage testing.AllocsPerRun budgets (proto, shard, gb, wal) park the
-// workers on purpose and cannot see it.
+// frontier check, log append (durable) and partitioning of
+// Sharded.AppendWeightedSession → the shard workers' apply, counted
+// process-wide (runtime.MemStats.Mallocs) so the workers' side — cascade
+// staging, merges — is inside the number. The per-stage
+// testing.AllocsPerRun budgets (proto, shard, gb, wal) park the workers on
+// purpose and cannot see it. The durable case holds the same ceiling: the
+// log encodes every frame into one reused buffer.
 //
 // The ceiling separates the production shape from the one it replaced:
 // one Batch reused across frames measures ≈ 0.8 mallocs/frame here, a
@@ -23,6 +25,11 @@ import (
 // The count reads the same under -race and -short (0.80–0.82 in both), so
 // the test runs in every mode.
 func TestFrameToApplyAllocBudget(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { frameToApplyAllocs(t) })
+	t.Run("durable", func(t *testing.T) { frameToApplyAllocs(t, hhgb.WithDurability(t.TempDir())) })
+}
+
+func frameToApplyAllocs(t *testing.T, opts ...hhgb.Option) {
 	const (
 		scale    = 20
 		frames   = 245 // ≈ 1M entries
@@ -42,7 +49,7 @@ func TestFrameToApplyAllocBudget(t *testing.T) {
 		}
 	}
 
-	m, err := hhgb.NewSharded(uint64(1)<<scale, hhgb.WithShards(2))
+	m, err := hhgb.NewSharded(uint64(1)<<scale, append(opts, hhgb.WithShards(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,8 @@ const (
 	StageAck
 	// StageShardWait: shard-queue wait, handoff to worker dequeue (async).
 	StageShardWait
-	// StageWAL: per-shard WAL append + group-commit share (async).
+	// StageWAL: the frame's WAL append + group-commit share, on the
+	// applier; folded like the async stages.
 	StageWAL
 	// StageApply: per-shard matrix apply (async).
 	StageApply

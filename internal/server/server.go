@@ -11,11 +11,12 @@
 //
 // Each accepted connection runs two goroutines wired by a bounded queue:
 //
-//	reader ──▶ apply queue (Config.QueueDepth frames) ──▶ applier ──▶ session dedup ──▶ shard queues
+//	reader ──▶ apply queue (Config.QueueDepth frames) ──▶ applier ──▶ session dedup ──▶ log ──▶ shard queues
 //
 // The reader decodes frames and enqueues requests; the applier executes
 // them in order — each insert frame is checked against its session's
-// frontier and partitioned straight into the shard queues, queries and
+// frontier, appended whole to the log of a durable matrix, and
+// partitioned straight into the shard queues, queries and
 // flushes run the facade's barrier path — and writes the responses. A
 // query that arrives while nothing is queued or executing on the
 // connection skips the queue: the reader serves it and writes its response
@@ -47,8 +48,8 @@
 // insert acked before it on any connection is applied and — on a durable
 // matrix — fsynced (hhgb's group-commit point). Ack(Checkpoint) adds
 // snapshot compaction. A kill -9 after Ack(Flush) therefore loses nothing
-// that was flush-acked; inserts acked after the last Flush recover per
-// shard as far as each shard's group commit reached.
+// that was flush-acked; inserts acked after the last Flush recover whole,
+// as far as the log's group commit reached.
 //
 // Every connection is an exactly-once session: the Hello carries a
 // client-chosen session identifier (an empty one is refused as

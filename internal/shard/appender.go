@@ -58,8 +58,12 @@ func (g *Group[T]) NewAppender() (*Appender[T], error) {
 
 // Append hash-partitions one batch into the shard-local buffers, handing
 // any buffer that reaches the handoff size to its shard queue (blocking
-// only when that queue is full). The input slices are copied before the
-// call returns. A malformed batch is rejected whole, like Update.
+// only when that queue is full). On a durable group the batch is first
+// appended whole to the group's write-ahead log, so it is durable at the
+// next sync even while its entries still sit in these buffers. The input
+// slices are copied before the call returns. A malformed batch is
+// rejected whole, like Update; a failed log append is returned and
+// poisons the group.
 func (a *Appender[T]) Append(rows, cols []gb.Index, vals []T) error {
 	g := a.g
 	if err := g.validate(rows, cols, vals); err != nil {
@@ -72,6 +76,9 @@ func (a *Appender[T]) Append(rows, cols []gb.Index, vals []T) error {
 	defer g.mu.RUnlock()
 	if g.closed || a.closed {
 		return ErrClosed
+	}
+	if err := g.logBatch(rows, cols, vals); err != nil {
+		return err
 	}
 	a.append(rows, cols, vals)
 	return nil
@@ -90,9 +97,8 @@ func (a *Appender[T]) append(rows, cols []gb.Index, vals []T) {
 	if len(a.rows) == 1 {
 		// Single shard: bulk-copy in handoff-sized chunks, no hashing.
 		// Chunking (rather than copying the whole batch then checking)
-		// bounds every queued buffer — and with it every WAL record a
-		// durable worker frames from it — by the handoff size, matching
-		// the per-entry bound of the multi-shard path.
+		// bounds every queued buffer by the handoff size, matching the
+		// per-entry bound of the multi-shard path.
 		for len(rows) > 0 {
 			if a.rows[0] == nil {
 				a.attachSlab(0)

@@ -38,18 +38,22 @@
 // is bit-identical to the unsharded path (properties the package tests
 // verify).
 //
-// Durability: with Config.Durable set, each worker additionally owns a
-// CRC32-framed write-ahead log (internal/wal) and logs every batch before
-// applying it, fsyncing on a group-commit interval; Checkpoint serializes
-// each shard's cascade into a snapshot (hier.Encode), commits a manifest
-// atomically, and truncates the logs; RecoverGroup restores manifest +
-// snapshots + surviving log tails after a crash, tolerating a torn final
+// Durability: with Config.Durable set, the group owns one CRC32-framed
+// write-ahead log (internal/wal). Every accepted batch is appended to it
+// whole, once, on the caller's goroutine before any entry is buffered or
+// enqueued, with a group-commit fsync interval; the workers only apply.
+// The group's session Frontier is its one dedup table, and it is logged
+// with the batches. Checkpoint rotates the log at a barrier's cut,
+// serializes each shard's cascade into a snapshot (hier.Encode), commits a
+// manifest atomically, and deletes the superseded segments; RecoverGroup
+// restores manifest + snapshots + the surviving segments after a crash,
+// routing each replayed batch to its shards and tolerating a torn final
 // frame. See durable.go for the epoch protocol and its crash-window
 // guarantees.
 //
 // Lifecycle: Update/Append may be called from any number of goroutines
 // (each Appender from one). Flush drains every producer buffer and queue
-// and completes all cascade work (and fsyncs the logs of a durable
+// and completes all cascade work (and fsyncs the log of a durable
 // group). Close flushes, stops the workers — after a final checkpoint on
 // a durable group — and leaves the group readable (queries keep working
 // on the drained state); Update and Append after Close return ErrClosed.

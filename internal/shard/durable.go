@@ -22,51 +22,54 @@ import (
 
 // Durability — the crash-safe half of the sharded frontend.
 //
-// Each shard worker owns a write-ahead log (one file per shard per
-// checkpoint epoch) and logs every ingest batch before applying it, with a
-// group-commit sync policy; checkpoints serialize each shard's hierarchical
-// matrix into a snapshot file and commit a manifest, after which the
-// superseded logs are deleted. The on-disk layout under Durability.Dir:
+// A durable group owns one write-ahead log: one segment file per checkpoint
+// epoch. Every accepted batch — an UpdateSession frame, an Update call, an
+// Appender.Append call — is encoded once and appended whole, on the
+// caller's goroutine, before any of its entries is buffered or enqueued; a
+// group-commit policy fsyncs the segment. Workers only apply. Checkpoints
+// serialize each shard's hierarchical matrix into a snapshot file and
+// commit a manifest, after which the superseded segments are deleted. The
+// on-disk layout under Durability.Dir:
 //
 //	MANIFEST.json              dimensions, shard count, cuts, epoch E,
-//	                           per-shard snapshot names (committed atomically:
-//	                           tmp + fsync + rename + dir fsync)
+//	                           per-shard snapshot names, the session table
+//	                           at the cut (committed atomically: tmp +
+//	                           fsync + rename + dir fsync)
 //	snap-SSSS.EEEEEEEEEE.hier  shard S's hier.Encode snapshot at epoch E
-//	wal-SSSS.EEEEEEEEEE.log    shard S's batches logged since epoch E
+//	wal-EEEEEEEEEE.log         every batch accepted since the epoch-E cut
 //	LOCK                       single-owner lock (flock-held on unix; the
 //	                           pid inside is an operator breadcrumb)
 //
 // The invariant every crash window preserves: restoring manifest epoch E's
-// snapshots and replaying every surviving wal segment with epoch >= E (in
-// ascending epoch order, tolerating a torn final frame at each shard's
-// newest segment) yields exactly each shard's durable prefix of the
-// stream. At the cross-shard durability points — Flush, Checkpoint, Close
-// — the per-shard prefixes line up on a whole-stream prefix (the barrier
-// syncs every shard atomically with respect to accepted batches); between
-// them, the counter-based group commit runs per shard, so a crash may
-// persist a batch's entries on some shards and not others until the next
-// barrier. The
-// checkpoint protocol orders its steps so this holds at every instant:
+// snapshots and replaying every surviving segment with epoch >= E (in
+// ascending epoch order, routing each record's entries to their shard,
+// tolerating a torn final frame only in the newest segment) yields a
+// prefix of the accepted stream made of whole batches — on every shard at
+// once, because a batch is one record. The session table replays with it,
+// so the resume frontier is exactly that prefix. The checkpoint protocol
+// orders its steps so this holds at every instant:
 //
-//	1. per shard, on the worker: fsync the live segment (epoch E), write
-//	   snapshot E+1 (tmp + fsync + rename), rotate the log to a fresh
-//	   segment E+1;
-//	2. commit the manifest naming the epoch-E+1 snapshots;
-//	3. delete segments and snapshots with epoch <= E.
+//	1. at the cut, under the exclusive group lock: drain the appenders,
+//	   copy the accepted session table, rotate the log to segment E+1
+//	   (the rotation fsyncs segment E first);
+//	2. per shard, on its worker: write snapshot E+1 (tmp + fsync + rename);
+//	3. commit the manifest naming the epoch-E+1 snapshots and the table;
+//	4. delete segments and snapshots with epoch <= E.
 //
-// A crash before step 2 recovers from the old manifest: snapshot E plus
-// the fully-synced segment E plus whatever made it into segment E+1 —
-// the same state, reached the long way. A crash between 2 and 3 leaves
-// stale files that recovery ignores (epoch < manifest epoch) and prunes.
+// Segment E then holds exactly what snapshot E+1 covers. A crash before
+// step 3 recovers from the old manifest: its snapshots plus the fully
+// synced segments up to E plus whatever made it into segment E+1 — the
+// same state, reached the long way. A crash between 3 and 4 leaves stale
+// files that recovery ignores (epoch < manifest epoch) and prunes.
 
-// DefaultSyncEvery is the default group-commit interval: the per-shard WAL
+// DefaultSyncEvery is the default group-commit interval: the group's log
 // is fsynced after this many logged batches. 1 makes every batch durable
-// at queue-drain time; larger values amortize the fsync at the cost of a
-// longer undurable tail after a crash. Barriers (Flush, Checkpoint, Close)
-// always sync regardless.
+// before its ingest call returns; larger values amortize the fsync at the
+// cost of a longer undurable tail after a crash. Barriers (Flush,
+// Checkpoint, Close) always sync regardless.
 const DefaultSyncEvery = 64
 
-// Durability configures the per-shard WAL + checkpoint persistence of a
+// Durability configures the write-ahead log + checkpoint persistence of a
 // Group.
 type Durability struct {
 	// Dir is the directory holding the manifest, WAL segments, and
@@ -80,16 +83,17 @@ type Durability struct {
 const (
 	manifestName = "MANIFEST.json"
 	lockName     = "LOCK"
-	// manifestVersion 2 (the exactly-once release) added per-shard session
-	// tables to the manifest and a session header to every WAL record;
-	// version 3 made the batch record fixed-width (wal.AppendBatchRecord).
-	// Each break is deliberate and strict — older segments would be
-	// misparsed under the new record layout, and "old but cleanly closed"
-	// cannot be told apart from "old with a live tail" reliably enough to
-	// risk it — so recovery refuses older directories outright: re-ingest
-	// them (or drain them through the old binary into a new server) rather
-	// than upgrading in place.
-	manifestVersion = 3
+	// manifestVersion 2 (the exactly-once release) added session tables
+	// to the manifest and a session header to every WAL record; version 3
+	// made the batch record fixed-width (wal.AppendBatchRecord); version 4
+	// replaced the per-shard segment chains and session tables with one
+	// log and one table per group. Each break is deliberate and strict —
+	// older segments would be misread under the new layout, and "old but
+	// cleanly closed" cannot be told apart from "old with a live tail"
+	// reliably enough to risk it — so recovery refuses older directories
+	// outright: re-ingest them (or drain them through the old binary into
+	// a new server) rather than upgrading in place.
+	manifestVersion = 4
 	walSuffix       = ".log"
 	snapSuffix      = ".hier"
 )
@@ -188,36 +192,30 @@ func SyncDir(dir string) error {
 	return d.Sync()
 }
 
-func walName(shard int, epoch uint64) string {
-	return fmt.Sprintf("wal-%04d.%010d%s", shard, epoch, walSuffix)
+func walName(epoch uint64) string {
+	return fmt.Sprintf("wal-%010d%s", epoch, walSuffix)
 }
 
 func snapName(shard int, epoch uint64) string {
 	return fmt.Sprintf("snap-%04d.%010d%s", shard, epoch, snapSuffix)
 }
 
-// parseDataFile recognizes wal segment and snapshot names, returning the
-// shard and epoch they encode.
-func parseDataFile(name string) (shard int, epoch uint64, isWAL, ok bool) {
-	var rest string
+// parseDataFile recognizes segment and snapshot names, returning the epoch
+// they carry.
+func parseDataFile(name string) (epoch uint64, isWAL, ok bool) {
+	var digits string
 	switch {
 	case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, walSuffix):
-		rest, isWAL = strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), walSuffix), true
+		digits, isWAL = strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), walSuffix), true
 	case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, snapSuffix):
-		rest = strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), snapSuffix)
+		if _, digits, ok = strings.Cut(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), snapSuffix), "."); !ok {
+			return 0, false, false
+		}
 	default:
-		return 0, 0, false, false
+		return 0, false, false
 	}
-	shardStr, epochStr, found := strings.Cut(rest, ".")
-	if !found {
-		return 0, 0, false, false
-	}
-	s, err1 := strconv.Atoi(shardStr)
-	e, err2 := strconv.ParseUint(epochStr, 10, 64)
-	if err1 != nil || err2 != nil || s < 0 {
-		return 0, 0, false, false
-	}
-	return s, e, isWAL, true
+	e, err := strconv.ParseUint(digits, 10, 64)
+	return e, isWAL, err == nil
 }
 
 // manifest is the JSON root record naming the current durable state.
@@ -232,13 +230,11 @@ type manifest struct {
 	// shard's state at Epoch, or "" when the shard starts empty (only the
 	// initial epoch-0 manifest).
 	Snapshots []string `json:"snapshots"`
-	// Sessions, when present, has one entry per shard: the shard's
-	// exactly-once high-water table at the moment its Epoch snapshot was
-	// taken. It makes dedup state survive snapshot-only recovery — after a
-	// checkpoint truncates the logs, the manifest is the only carrier of
-	// the session frontiers the truncated records held. WAL replay then
-	// advances the tables past these seeds.
-	Sessions []map[string]uint64 `json:"sessions,omitempty"`
+	// Sessions is the group's accepted session table at Epoch's cut: per
+	// client session, the highest frame seq the snapshots hold. After a
+	// checkpoint deletes the segments, the manifest is the only carrier of
+	// the seqs their records held; replay advances the table from there.
+	Sessions map[string]uint64 `json:"sessions,omitempty"`
 }
 
 func readManifest(dir string) (*manifest, error) {
@@ -251,13 +247,10 @@ func readManifest(dir string) (*manifest, error) {
 		return nil, fmt.Errorf("shard: parsing %s: %w", manifestName, err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("%w: manifest version %d, want %d (older directories hold an older WAL record layout and must be re-ingested)", gb.ErrInvalidValue, m.Version, manifestVersion)
+		return nil, fmt.Errorf("%w: manifest version %d, want %d (older directories hold an older WAL layout and must be re-ingested)", gb.ErrInvalidValue, m.Version, manifestVersion)
 	}
 	if m.Shards < 1 || len(m.Snapshots) != m.Shards {
 		return nil, fmt.Errorf("%w: manifest has %d shards, %d snapshots", gb.ErrInvalidValue, m.Shards, len(m.Snapshots))
-	}
-	if len(m.Sessions) != 0 && len(m.Sessions) != m.Shards {
-		return nil, fmt.Errorf("%w: manifest has %d shards, %d session tables", gb.ErrInvalidValue, m.Shards, len(m.Sessions))
 	}
 	return &m, nil
 }
@@ -269,7 +262,7 @@ func readManifest(dir string) (*manifest, error) {
 // manifest is about to reference are durable first — rename ordering
 // across a power loss is filesystem-dependent, and a manifest naming
 // nonexistent snapshots would be unrecoverable.
-func (g *Group[T]) commitManifest(epoch uint64, snaps []string, sessions []map[string]uint64) error {
+func (g *Group[T]) commitManifest(epoch uint64, snaps []string, sessions map[string]uint64) error {
 	m := manifest{
 		Version:   manifestVersion,
 		NRows:     g.nrows,
@@ -298,82 +291,138 @@ func (g *Group[T]) commitManifest(epoch uint64, snaps []string, sessions []map[s
 	return SyncDir(dir)
 }
 
-// shardWAL is one shard's write-ahead log: a wal.File plus the group-commit
-// counter. It is owned by the shard's worker goroutine (barrier callbacks
-// run there too), so no locking is needed; after Close the workers are gone
-// and any access happens inline under the group's exclusive lock.
-type shardWAL[T gb.Number] struct {
-	shard     int
+// groupLog is a durable group's write-ahead log: the live segment, the
+// group-commit counter, and the sticky error. Producers append to it on
+// their own goroutines under mu, which also serializes the barriers'
+// syncs and the checkpoint's rotation against them.
+type groupLog[T gb.Number] struct {
+	mu        sync.Mutex
 	f         *wal.File
 	put       func(T) uint64
 	met       *Metrics
 	rec       *flight.Recorder // nil-safe; fsync events for the flight ring
 	syncEvery int
-	unsynced  int // batches appended since the last sync
-	dirty     int // batches appended since the last snapshotted checkpoint
+	unsynced  int // records appended since the last sync
+	dirty     int // changes since the last checkpoint cut: records, AddAssign merges
 	buf       []byte
+	// err is the first failed append, sync, or rotation. It poisons the
+	// group: after a failed fsync the log can no longer prove durability
+	// (the kernel may have dropped the dirty pages), so every later ingest
+	// call, barrier and checkpoint returns it rather than report success
+	// over a hole in the log.
+	err error
 }
 
-// logBatch frames one ingest batch into the log — the exactly-once dedup
+// append frames one accepted batch into the log — the exactly-once dedup
 // key first, then the batch record — and applies the group-commit policy:
-// every syncEvery-th batch forces an fsync. Unkeyed batches (local
-// ingest) carry the two-byte empty header.
-func (l *shardWAL[T]) logBatch(sess string, seq uint64, rows, cols []gb.Index, vals []T) error {
+// the append that brings the count to syncEvery fsyncs. Unkeyed batches
+// (local ingest) carry the two-byte empty header.
+func (l *groupLog[T]) append(sess string, seq uint64, rows, cols []gb.Index, vals []T) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
 	var err error
-	l.buf, err = wal.AppendSessionHeader(l.buf[:0], sess, seq)
-	if err != nil {
+	if l.buf, err = wal.AppendSessionHeader(l.buf[:0], sess, seq); err != nil {
 		return err
 	}
 	l.buf = wal.AppendBatchRecord(l.buf, rows, cols, vals, l.put)
 	if err := l.f.Append(l.buf); err != nil {
-		return err
+		return l.fail(err)
 	}
 	l.unsynced++
 	l.dirty++
 	if l.unsynced >= l.syncEvery {
-		return l.sync()
+		return l.syncLocked()
 	}
 	return nil
 }
 
 // sync makes every logged batch crash-durable; with nothing appended since
 // the last successful sync it is free (so Flush on a quiescent stream
-// costs no fsyncs). The group-commit counter resets only on success: a
-// failed fsync may have dropped dirty pages (on Linux a retry can report
-// success without rewriting them), so the error must keep propagating
-// until the shard is poisoned, never be absorbed.
-func (l *shardWAL[T]) sync() error {
-	if l.unsynced == 0 {
-		return nil
+// costs no fsync, and neither does one after Close).
+func (l *groupLog[T]) sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncLocked()
+}
+
+func (l *groupLog[T]) syncLocked() error {
+	if l.err != nil || l.unsynced == 0 {
+		return l.err
 	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	d := time.Since(start)
 	l.met.WALFsync.Observe(d.Seconds())
-	l.rec.Record(flight.KindWALFsync, 0, "", 0, uint64(l.shard), uint64(l.unsynced), d)
+	l.rec.Record(flight.KindWALFsync, 0, "", 0, 0, uint64(l.unsynced), d)
 	l.unsynced = 0
 	return nil
 }
 
-// rotate starts a fresh segment for the given epoch and fsyncs its
-// directory entry immediately: a Flush can group-commit batches into the
-// new segment before the checkpoint's manifest commit runs, and a durable
-// file in a lost directory entry is no durability at all. The old segment
-// stays on disk until the checkpoint that superseded it commits and
-// prunes.
-func (l *shardWAL[T]) rotate(dir string, epoch uint64) error {
-	nf, err := l.f.Rotate(filepath.Join(dir, walName(l.shard, epoch)))
+// rotate fsyncs and closes the live segment, starts a fresh one for the
+// given epoch, and fsyncs its directory entry at once: a Flush can
+// group-commit batches into the new segment before the checkpoint's
+// manifest commit runs, and a durable file in a lost directory entry is no
+// durability at all. The old segment stays on disk until the checkpoint
+// that superseded it commits and prunes. It runs at the checkpoint's cut,
+// so everything logged so far is in the snapshots about to be written.
+func (l *groupLog[T]) rotate(dir string, epoch uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	nf, err := l.f.Rotate(filepath.Join(dir, walName(epoch)))
 	if err != nil {
-		return err
+		return l.fail(err) // the old segment may be closed already
 	}
 	l.f = nf
 	l.unsynced = 0
-	return SyncDir(dir)
+	l.dirty = 0
+	if err := SyncDir(dir); err != nil {
+		return l.fail(err)
+	}
+	return nil
 }
 
-func (l *shardWAL[T]) close() error { return l.f.Close() }
+// touch counts a change that bypassed the log (an AddAssign merge): only
+// a snapshot can hold it, so Close must not skip its final checkpoint.
+func (l *groupLog[T]) touch() {
+	l.mu.Lock()
+	l.dirty++
+	l.mu.Unlock()
+}
+
+// clean reports whether nothing changed since the last checkpoint cut.
+func (l *groupLog[T]) clean() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dirty == 0
+}
+
+// failed returns the sticky error.
+func (l *groupLog[T]) failed() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+func (l *groupLog[T]) fail(err error) error {
+	l.err = fmt.Errorf("wal: %w", err)
+	return l.err
+}
+
+// close syncs and closes the live segment; a later sync is a no-op.
+func (l *groupLog[T]) close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.unsynced = 0
+	return l.f.Close()
+}
 
 // defaultCodec picks the lossless wire codec for T: bit-exact for float
 // types, sign-preserving two's-complement for every integer type. The
@@ -387,10 +436,10 @@ func defaultCodec[T gb.Number]() gb.Codec[T] {
 }
 
 // initDurability prepares a FRESH durability directory for a new group:
-// epoch-0 WAL segments for every shard and an initial manifest with no
-// snapshots. It refuses a directory that already holds a manifest — that
-// state belongs to an earlier group and should be restored with
-// RecoverGroup, not silently shadowed.
+// the epoch-0 log segment and an initial manifest with no snapshots. It
+// refuses a directory that already holds a manifest — that state belongs
+// to an earlier group and should be restored with RecoverGroup, not
+// silently shadowed.
 func (g *Group[T]) initDurability() error {
 	dir := g.cfg.Durable.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -404,58 +453,40 @@ func (g *Group[T]) initDurability() error {
 	if err := acquireDirLock(dir); err != nil {
 		return err
 	}
-	if err := g.openLogs(0); err != nil {
+	if err := g.openLog(0); err != nil {
 		releaseDirLock(dir)
 		return err
 	}
 	if err := g.commitManifest(0, make([]string, len(g.workers)), nil); err != nil {
-		g.closeLogs()
+		g.log.close()
 		releaseDirLock(dir)
 		return err
 	}
 	return nil
 }
 
-// openLogs creates a fresh WAL segment per shard at the given epoch and
-// attaches the shardWAL handles to the workers. On failure every segment
-// already opened is closed again — a caller retrying against a flaky
-// environment must not leak a descriptor per attempt.
-func (g *Group[T]) openLogs(epoch uint64) error {
-	for i, w := range g.workers {
-		f, err := wal.Create(filepath.Join(g.cfg.Durable.Dir, walName(i, epoch)))
-		if err != nil {
-			g.closeLogs()
-			return err
-		}
-		w.log = &shardWAL[T]{
-			shard:     i,
-			f:         f,
-			put:       g.codec.Put,
-			met:       g.cfg.Metrics,
-			rec:       g.cfg.Flight,
-			syncEvery: g.cfg.Durable.SyncEvery,
-		}
+// openLog creates the log segment for the given epoch and attaches it.
+func (g *Group[T]) openLog(epoch uint64) error {
+	f, err := wal.Create(filepath.Join(g.cfg.Durable.Dir, walName(epoch)))
+	if err != nil {
+		return err
+	}
+	g.log = &groupLog[T]{
+		f:         f,
+		put:       g.codec.Put,
+		met:       g.cfg.Metrics,
+		rec:       g.cfg.Flight,
+		syncEvery: g.cfg.Durable.SyncEvery,
 	}
 	return nil
 }
 
-// closeLogs closes and detaches whatever shard logs are open; error-path
-// cleanup only (Close handles the normal shutdown itself).
-func (g *Group[T]) closeLogs() {
-	for _, w := range g.workers {
-		if w.log != nil {
-			w.log.close()
-			w.log = nil
-		}
-	}
-}
-
 // Checkpoint makes the entire accepted stream durable and compact: a
-// barrier (batch-atomic, like every query) at which each shard fsyncs its
-// WAL, serializes its hierarchical matrix into a snapshot file, and rotates
-// its log; then the manifest is committed atomically and the superseded
-// logs and snapshots are deleted. After Checkpoint returns, recovery cost
-// is the snapshot decode alone — the logs have been truncated.
+// barrier (batch-atomic, like every query) at whose cut the log rotates
+// (fsyncing the old segment) and each shard serializes its hierarchical
+// matrix into a snapshot file; then the manifest is committed atomically
+// and the superseded segments and snapshots are deleted. After Checkpoint
+// returns, recovery cost is the snapshot decode alone.
 //
 // On a non-durable group it returns ErrNotDurable; after Close, ErrClosed
 // (Close already took a final checkpoint).
@@ -465,132 +496,82 @@ func (g *Group[T]) Checkpoint() error {
 	}
 	g.ckptMu.Lock()
 	defer g.ckptMu.Unlock()
+	if g.closed { // written only under ckptMu, by Close
+		return ErrClosed
+	}
+	return g.checkpoint(true)
+}
+
+// checkpoint is the one checkpoint body. live (Checkpoint) cuts the stream
+// at a barrier on the running workers, copies the session table and
+// rotates the log at the cut, and writes the snapshots on the workers.
+// Inline (Close: workers stopped, g.mu held) syncs the log and writes the
+// snapshots on the caller's goroutine, without rotation — nothing will
+// ever be appended again, so a fresh segment would only litter the
+// directory — and is skipped when nothing changed since the last
+// committed checkpoint: the on-disk epoch then already describes the final
+// state exactly, and re-encoding every shard would double shutdown cost
+// for nothing. Requires ckptMu.
+func (g *Group[T]) checkpoint(live bool) error {
+	if err := g.log.failed(); err != nil {
+		return err
+	}
+	if !live && !g.ckptFailed && g.log.clean() {
+		return nil
+	}
 	start := time.Now()
-	defer func() { g.cfg.Metrics.Checkpoint.Observe(time.Since(start).Seconds()) }()
 	g.epoch++           // advance even on failure: names are never reused
 	g.ckptFailed = true // until this attempt fully commits
 	epoch := g.epoch
 	g.cfg.Flight.Record(flight.KindCheckpointBegin, 0, "", 0, epoch, 0, 0)
-	defer func() { g.cfg.Flight.Record(flight.KindCheckpointEnd, 0, "", 0, epoch, 0, time.Since(start)) }()
-	accepted := g.sessions.Snapshot()
-	errs := make([]error, len(g.workers))
+	defer func() {
+		d := time.Since(start)
+		g.cfg.Metrics.Checkpoint.Observe(d.Seconds())
+		g.cfg.Flight.Record(flight.KindCheckpointEnd, 0, "", 0, epoch, 0, d)
+	}()
+	dir := g.cfg.Durable.Dir
+	var table map[string]uint64
 	snaps := make([]string, len(g.workers))
-	tables := make([]map[string]uint64, len(g.workers))
-	if err := g.run(func(i int, w *worker[T]) {
-		snaps[i], tables[i], errs[i] = g.checkpointShard(w, i, epoch, true)
-	}); err != nil {
+	errs := make([]error, len(g.workers))
+	snapshot := func(i int, w *worker[T]) {
+		if w.err != nil {
+			errs[i] = w.err
+			return
+		}
+		snaps[i] = snapName(i, epoch)
+		errs[i] = writeSnapshot(filepath.Join(dir, snaps[i]), w.m, g.codec)
+	}
+	var err error
+	if live {
+		err = g.barrier(func() error {
+			table = g.sessions.Snapshot()
+			return g.log.rotate(dir, epoch)
+		}, snapshot)
+	} else {
+		table = g.sessions.Snapshot()
+		if err = g.log.sync(); err == nil {
+			for i, w := range g.workers {
+				snapshot(i, w)
+			}
+		}
+	}
+	if err == nil {
+		err = firstError(errs)
+	}
+	if err != nil {
 		return err
 	}
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	if err := g.commitEpoch(epoch, snaps, tables); err != nil {
-		return err
-	}
-	g.sessions.Commit(accepted)
-	return nil
-}
-
-// commitEpoch is the shared commit tail of every checkpoint flavor: the
-// manifest rename that makes epoch's snapshots authoritative, then the
-// pruning of everything they supersede. Both the barrier path (Checkpoint)
-// and the inline path (Close) MUST go through it so their crash-window
-// guarantees never diverge.
-func (g *Group[T]) commitEpoch(epoch uint64, snaps []string, sessions []map[string]uint64) error {
 	g.hook("snapshots")
-	if err := g.commitManifest(epoch, snaps, sessions); err != nil {
+	if err := g.commitManifest(epoch, snaps, table); err != nil {
 		return err
 	}
 	g.hook("manifest")
 	g.prune(epoch)
 	g.ckptFailed = false
+	// Every seq in the table was logged before the cut, and the cut's
+	// segment is synced and now superseded by committed snapshots.
+	g.sessions.Commit(table)
 	return nil
-}
-
-// checkpointLocked is Checkpoint's shard loop run inline — used by Close,
-// which holds both ckptMu and mu with the workers already stopped. No log
-// rotation: nothing will ever be appended again, so a fresh segment would
-// only litter the directory (Close closes the old, pruned-away segments
-// right after). When nothing was logged since the last committed
-// checkpoint, the whole step is skipped — the on-disk epoch already
-// describes the final state exactly, and re-encoding every shard would
-// double shutdown cost for nothing.
-func (g *Group[T]) checkpointLocked() error {
-	if !g.ckptFailed {
-		clean := true
-		for _, w := range g.workers {
-			if w.log == nil || w.log.dirty > 0 {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return nil
-		}
-	}
-	start := time.Now()
-	defer func() { g.cfg.Metrics.Checkpoint.Observe(time.Since(start).Seconds()) }()
-	g.epoch++
-	g.ckptFailed = true
-	epoch := g.epoch
-	g.cfg.Flight.Record(flight.KindCheckpointBegin, 0, "", 0, epoch, 0, 0)
-	defer func() { g.cfg.Flight.Record(flight.KindCheckpointEnd, 0, "", 0, epoch, 0, time.Since(start)) }()
-	accepted := g.sessions.Snapshot()
-	snaps := make([]string, len(g.workers))
-	tables := make([]map[string]uint64, len(g.workers))
-	for i, w := range g.workers {
-		s, tab, err := g.checkpointShard(w, i, epoch, false)
-		if err != nil {
-			return err
-		}
-		snaps[i], tables[i] = s, tab
-	}
-	if err := g.commitEpoch(epoch, snaps, tables); err != nil {
-		return err
-	}
-	g.sessions.Commit(accepted)
-	return nil
-}
-
-// checkpointShard runs one shard's checkpoint steps on the shard's own
-// goroutine (or inline once the workers are stopped): sync the live
-// segment, write the epoch snapshot, and — when the group keeps running —
-// rotate the log. Order matters: the sync must precede the rotation so a
-// crash anywhere in between leaves a replayable segment chain. It also
-// copies the shard's session high-water table (safe here: the callback
-// runs on the table's owning goroutine) for the manifest, which must
-// carry the dedup frontier the about-to-be-truncated records held.
-func (g *Group[T]) checkpointShard(w *worker[T], i int, epoch uint64, rotate bool) (string, map[string]uint64, error) {
-	if w.log == nil {
-		return "", nil, ErrClosed
-	}
-	if w.err != nil {
-		return "", nil, w.err
-	}
-	if err := w.log.sync(); err != nil {
-		w.err = fmt.Errorf("wal: %w", err) // sticky: see Flush
-		return "", nil, w.err
-	}
-	name := snapName(i, epoch)
-	if err := writeSnapshot(filepath.Join(g.cfg.Durable.Dir, name), w.m, g.codec); err != nil {
-		return "", nil, err
-	}
-	if rotate {
-		if err := w.log.rotate(g.cfg.Durable.Dir, epoch); err != nil {
-			// Sticky: Rotate closed the old segment before the new one
-			// failed to open, so the shard has no live log — letting it
-			// keep accepting batches would buffer frames over a closed
-			// file and report success.
-			w.err = fmt.Errorf("wal: %w", err)
-			return "", nil, w.err
-		}
-	}
-	w.log.dirty = 0 // this epoch's snapshot covers everything logged so far
-	table := make(map[string]uint64, len(w.sessions))
-	for s, q := range w.sessions {
-		table[s] = q
-	}
-	return name, table, nil
 }
 
 func (g *Group[T]) hook(stage string) {
@@ -614,7 +595,7 @@ func (g *Group[T]) prune(epoch uint64) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if _, ep, _, ok := parseDataFile(name); ok && ep < epoch {
+		if ep, _, ok := parseDataFile(name); ok && ep < epoch {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -668,21 +649,23 @@ type RecoverStats struct {
 	// on top of the snapshots.
 	ReplayedBatches int
 	ReplayedEntries int
-	// TornTails counts shards whose newest segment ended in a torn or
+	// TornTails is 1 when the log's newest segment ended in a torn or
 	// corrupt final frame — the expected signature of a crash between
-	// Append and Sync; the intact prefix was replayed.
+	// Append and Sync; the intact prefix was replayed. Otherwise 0.
 	TornTails int
 }
 
 // RecoverGroup restores a durable group from cfg.Durable.Dir: the manifest
 // fixes dimensions, shard count, and cuts (overriding cfg's values — the
-// hash partition is only valid at the recorded shard count); each shard's
-// snapshot is decoded and its surviving WAL segments are replayed in epoch
-// order, tolerating a torn final frame at the newest segment (everything
+// hash partition is only valid at the recorded shard count); the shards'
+// snapshots are decoded in parallel, and the log's surviving segments are
+// replayed once, in epoch order, each record's entries routed to their
+// shard, tolerating a torn final frame at the newest segment (everything
 // synced before the crash is restored; the unsynced tail is gone, exactly
-// as group-commit promises). The recovered group then takes an immediate
-// checkpoint — compacting replayed logs away and leaving the directory
-// clean — and starts its workers, ready to ingest.
+// as group-commit promises). The session table replays with the records,
+// so the recovered resume frontier equals the minting floor. The recovered
+// group then takes an immediate checkpoint — compacting the replayed
+// segments away and leaving the directory clean — and is ready to ingest.
 //
 // Recovery is proven bit-identical by the package kill-point tests: for
 // every crash window, the recovered group's Summary, Entries, merged
@@ -711,244 +694,201 @@ func RecoverGroup[T gb.Number](cfg Config) (*Group[T], RecoverStats, error) {
 	cfg.Shards = man.Shards
 	cfg.Hier = hier.Config{Cuts: man.Cuts}
 	cfg = cfg.withDefaults()
-	codec := defaultCodec[T]()
-
-	// 1+2. Restore each shard — decode its snapshot (or build an empty
-	// cascade) and replay its surviving segments with epoch >= the
-	// manifest's, oldest first — in one goroutine per shard: the shards'
-	// files are disjoint and their matrices independent, so restart
-	// latency on a multi-core host is the slowest single shard, not the
-	// sum. The first error wins (the others finish and are discarded).
-	// Segments below the manifest epoch are stale leftovers of a crash
-	// between manifest commit and prune; they are ignored (and removed by
-	// the checkpoint below).
-	segs, maxEpoch, err := listSegments(dir, man)
+	segs, maxEpoch, err := listSegments(dir, man.Epoch)
 	if err != nil {
 		return nil, st, err
 	}
+
+	// 1. Decode the shards' snapshots (or build empty cascades), one
+	// goroutine per shard: the files are disjoint and the matrices
+	// independent. The first error wins.
 	ms := make([]*hier.Matrix[T], man.Shards)
-	tables := make([]map[string]uint64, man.Shards)
-	perShard := make([]RecoverStats, man.Shards)
-	shardErrs := make([]error, man.Shards)
+	errs := make([]error, man.Shards)
 	var wg sync.WaitGroup
 	for i := range ms {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ms[i], tables[i], perShard[i], shardErrs[i] = recoverShard[T](dir, man, i, segs[i], codec)
+			ms[i], errs[i] = loadShard[T](dir, man, i)
 		}(i)
 	}
 	wg.Wait()
-	if err := firstError(shardErrs); err != nil {
+	if err := firstError(errs); err != nil {
 		return nil, st, err
 	}
-	for _, ps := range perShard {
-		st.ReplayedBatches += ps.ReplayedBatches
-		st.ReplayedEntries += ps.ReplayedEntries
-		st.TornTails += ps.TornTails
-	}
 
-	// 3. Build the group around the restored matrices and — when anything
-	// was replayed or a tail was torn — immediately checkpoint at a fresh
-	// epoch (single-threaded, the workers are not started yet), so the
-	// replayed logs compact away and a crash loop never replays the same
-	// tail twice. The manifest MUST commit before the new epoch's (empty)
-	// segments are created: creating them first would demote the shard's
-	// possibly-torn old segment from newest-segment status, and a crash
-	// before the commit would then make the next recovery misread that
-	// tolerated torn tail as real corruption. A crash after the commit is
-	// benign either way — a missing segment replays as empty. A clean
-	// restart (nothing replayed, e.g. after Close's final checkpoint)
-	// skips the re-encode entirely: the existing manifest and snapshots
-	// already describe the restored state exactly, which keeps restart
-	// latency at decode cost instead of decode + full re-encode.
+	// 2. Replay the segment chain once, oldest first, through the started
+	// workers: this goroutine decodes and routes each record, the shards
+	// apply in parallel. Segments below the manifest epoch are stale
+	// leftovers of a crash between manifest commit and prune; they are
+	// ignored (and removed by the checkpoint below).
 	g, err := buildGroup[T](man.NRows, man.NCols, cfg, ms)
 	if err != nil {
 		return nil, st, err
 	}
-	// Hand each shard its recovered dedup table and derive the group
-	// frontiers from them (Frontier.seedShards: min over shards to resume,
-	// max to mint).
-	for i, w := range g.workers {
-		w.sessions = tables[i]
+	g.start()
+	defer func() {
+		if !recovered {
+			g.stop()
+		}
+	}()
+	table := make(map[string]uint64, len(man.Sessions))
+	for s, q := range man.Sessions {
+		table[s] = q
 	}
-	g.sessions.seedShards(tables)
+	for i, seg := range segs {
+		if err := g.replaySegment(seg, table, i == len(segs)-1, &st); err != nil {
+			return nil, st, fmt.Errorf("replaying %s: %w", filepath.Base(seg), err)
+		}
+	}
+	g.sessions.Seed(table)
 	g.epoch = maxEpoch + 1
-	if st.ReplayedBatches > 0 || st.TornTails > 0 {
-		snaps := make([]string, len(g.workers))
-		snapErrs := make([]error, len(g.workers))
-		var swg sync.WaitGroup
-		for i, w := range g.workers {
-			swg.Add(1)
-			go func(i int, m *hier.Matrix[T]) {
-				defer swg.Done()
-				name := snapName(i, g.epoch)
-				snapErrs[i] = writeSnapshot(filepath.Join(dir, name), m, g.codec)
-				snaps[i] = name
-			}(i, w.m)
+	replayed := st.ReplayedBatches > 0 || st.TornTails > 0
+
+	// 3. When anything was replayed or a tail was torn, checkpoint at a
+	// fresh epoch, so the replayed segments compact away and a crash loop
+	// never replays the same tail twice. The manifest MUST commit before
+	// the new epoch's segment is created: creating it first would demote
+	// the possibly-torn old segment from newest-segment status, and a crash
+	// before the commit would then make the next recovery misread that
+	// tolerated torn tail as real corruption. A clean restart (nothing
+	// replayed, e.g. after Close's final checkpoint) skips the re-encode:
+	// the existing manifest and snapshots already describe the restored
+	// state exactly. The barrier also surfaces any apply error.
+	snaps := make([]string, len(g.workers))
+	if err := g.run(func(i int, w *worker[T]) {
+		switch {
+		case w.err != nil:
+			errs[i] = w.err
+		case replayed:
+			snaps[i] = snapName(i, g.epoch)
+			errs[i] = writeSnapshot(filepath.Join(dir, snaps[i]), w.m, g.codec)
 		}
-		swg.Wait()
-		if err := firstError(snapErrs); err != nil {
-			return nil, st, err
-		}
-		if err := g.commitManifest(g.epoch, snaps, tables); err != nil {
-			return nil, st, err
-		}
-	}
-	if err := g.openLogs(g.epoch); err != nil {
+	}); err != nil {
 		return nil, st, err
 	}
-	// Persist the new segments' directory entries: file fsync (what Flush
-	// does) does not cover them, and a power loss that dropped a segment's
-	// entry would silently void every group commit made into it. The
-	// NewGroup path gets this for free from commitManifest's SyncDir.
+	if err := firstError(errs); err != nil {
+		return nil, st, err
+	}
+	if replayed {
+		if err := g.commitManifest(g.epoch, snaps, table); err != nil {
+			return nil, st, err
+		}
+	}
+	if err := g.openLog(g.epoch); err != nil {
+		return nil, st, err
+	}
+	// Persist the new segment's directory entry: file fsync (what Flush
+	// does) does not cover it, and a power loss that dropped the entry
+	// would silently void every group commit made into it. The NewGroup
+	// path gets this for free from commitManifest's SyncDir.
 	if err := SyncDir(dir); err != nil {
-		g.closeLogs()
+		g.log.close()
 		return nil, st, err
 	}
 	// Prune strictly below the MANIFEST's epoch: on the clean-restart
 	// path no new manifest was committed, and pruning below g.epoch
 	// would delete the very snapshots the old manifest still names.
-	if st.ReplayedBatches > 0 || st.TornTails > 0 {
+	if replayed {
 		g.prune(g.epoch)
 	} else {
 		g.prune(man.Epoch)
 	}
-	g.start()
 	recovered = true // the lock now belongs to the running group
 	return g, st, nil
 }
 
-// recoverShard rebuilds one shard's matrix and session high-water table:
-// snapshot decode (or an empty cascade) with the manifest's table seed,
-// then segment replay in epoch order, tolerating a torn final frame only
-// in the newest segment. It touches only shard-local state, so
-// RecoverGroup runs one per goroutine.
-func recoverShard[T gb.Number](dir string, man *manifest, i int, shardSegs []segment, codec gb.Codec[T]) (*hier.Matrix[T], map[string]uint64, RecoverStats, error) {
-	var st RecoverStats
-	var m *hier.Matrix[T]
-	table := make(map[string]uint64)
-	if len(man.Sessions) > i {
-		for s, q := range man.Sessions[i] {
-			table[s] = q
-		}
+// loadShard decodes shard i's manifest snapshot, or builds an empty
+// cascade when the manifest names none.
+func loadShard[T gb.Number](dir string, man *manifest, i int) (*hier.Matrix[T], error) {
+	snap := man.Snapshots[i]
+	if snap == "" {
+		return hier.New[T](man.NRows, man.NCols, hier.Config{Cuts: man.Cuts})
 	}
-	if snap := man.Snapshots[i]; snap != "" {
-		var err error
-		m, err = readSnapshot[T](filepath.Join(dir, snap), codec)
-		if err != nil {
-			return nil, nil, st, fmt.Errorf("snapshot %s: %w", snap, err)
-		}
-		if m.NRows() != man.NRows || m.NCols() != man.NCols {
-			return nil, nil, st, fmt.Errorf("%w: snapshot dims %dx%d != manifest %dx%d",
-				gb.ErrInvalidValue, m.NRows(), m.NCols(), man.NRows, man.NCols)
-		}
-	} else {
-		var err error
-		m, err = hier.New[T](man.NRows, man.NCols, hier.Config{Cuts: man.Cuts})
-		if err != nil {
-			return nil, nil, st, err
-		}
+	m, err := readSnapshot[T](filepath.Join(dir, snap), defaultCodec[T]())
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", snap, err)
 	}
-	for si, seg := range shardSegs {
-		batches, entries, torn, err := replaySegment(seg.path, m, table, codec, si == len(shardSegs)-1)
-		if err != nil {
-			return nil, nil, st, fmt.Errorf("replaying %s: %w", filepath.Base(seg.path), err)
-		}
-		st.ReplayedBatches += batches
-		st.ReplayedEntries += entries
-		if torn {
-			st.TornTails++
-		}
+	if m.NRows() != man.NRows || m.NCols() != man.NCols {
+		return nil, fmt.Errorf("%w: snapshot dims %dx%d != manifest %dx%d",
+			gb.ErrInvalidValue, m.NRows(), m.NCols(), man.NRows, man.NCols)
 	}
-	return m, table, st, nil
+	return m, nil
 }
 
-type segment struct {
-	path  string
-	epoch uint64
-}
-
-// listSegments collects each shard's WAL segments with epoch >= the
-// manifest's, sorted ascending, and reports the highest epoch present in
-// the directory (manifest included) so recovery can pick a fresh one.
-func listSegments(dir string, man *manifest) ([][]segment, uint64, error) {
+// listSegments collects the log's segments with epoch >= from, sorted
+// ascending, and reports the highest epoch present in the directory
+// (from included) so recovery can pick a fresh one.
+func listSegments(dir string, from uint64) ([]string, uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	segs := make([][]segment, man.Shards)
-	maxEpoch := man.Epoch
+	type segment struct {
+		path  string
+		epoch uint64
+	}
+	var segs []segment
+	maxEpoch := from
 	for _, e := range ents {
-		shard, epoch, isWAL, ok := parseDataFile(e.Name())
+		epoch, isWAL, ok := parseDataFile(e.Name())
 		if !ok {
 			continue
 		}
-		if epoch > maxEpoch {
-			maxEpoch = epoch
+		maxEpoch = max(maxEpoch, epoch)
+		if isWAL && epoch >= from {
+			segs = append(segs, segment{path: filepath.Join(dir, e.Name()), epoch: epoch})
 		}
-		if !isWAL || shard >= man.Shards || epoch < man.Epoch {
-			continue
-		}
-		segs[shard] = append(segs[shard], segment{path: filepath.Join(dir, e.Name()), epoch: epoch})
 	}
-	for _, s := range segs {
-		sort.Slice(s, func(a, b int) bool { return s[a].epoch < s[b].epoch })
+	sort.Slice(segs, func(a, b int) bool { return segs[a].epoch < segs[b].epoch })
+	paths := make([]string, len(segs))
+	for i, s := range segs {
+		paths[i] = s.path
 	}
-	return segs, maxEpoch, nil
+	return paths, maxEpoch, nil
 }
 
-// replaySegment applies one WAL segment's batches to a shard matrix,
-// advancing the session high-water table from each record's dedup header.
-// A sessioned record at or below the table — possible when a checkpoint's
-// manifest committed but its log truncation did not finish — replays the
-// table advance but not the batch, exactly mirroring the live dedup skip.
-// In the shard's newest segment (last=true) a torn or corrupt final frame
-// is tolerated — the intact prefix is applied and torn=true is reported;
-// in any older segment (fully synced before its checkpoint rotated away
-// from it) the same condition is real corruption and fails the recovery.
-func replaySegment[T gb.Number](path string, m *hier.Matrix[T], table map[string]uint64, codec gb.Codec[T], last bool) (batches, entries int, torn bool, err error) {
+// replaySegment enqueues one segment's batches on the group's workers,
+// each record's entries routed by shardOf, and advances the session table
+// from each record's dedup header. In the newest segment (last=true) a
+// torn or corrupt final frame is tolerated — the intact prefix is applied
+// and counted in st.TornTails; in any older segment (fsynced by the
+// rotation that superseded it) the same condition is real corruption and
+// fails the recovery.
+func (g *Group[T]) replaySegment(path string, table map[string]uint64, last bool, st *RecoverStats) error {
 	f, err := os.Open(path)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, 0, false, nil // never-created segment: nothing to replay
-		}
-		return 0, 0, false, err
+		return err
 	}
 	defer f.Close()
 	r := wal.NewReader(f)
+	var (
+		rows, cols []gb.Index
+		vals       []T
+	)
 	for {
 		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return batches, entries, false, nil
-		}
-		if errors.Is(err, wal.ErrCorrupt) {
-			if last {
-				return batches, entries, true, nil
-			}
-			return batches, entries, false, err
-		}
-		if err != nil {
-			return batches, entries, false, err
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil
+		case errors.Is(err, wal.ErrCorrupt) && last:
+			st.TornTails++
+			return nil
+		case err != nil:
+			return err
 		}
 		sess, seq, rest, err := wal.DecodeSessionHeader(rec)
 		if err != nil {
-			return batches, entries, false, err
+			return err
 		}
-		if sess != "" && seq <= table[sess] {
-			continue // already covered by the snapshot or an earlier record
+		if rows, cols, vals, err = wal.DecodeBatchRecordInto(rest, rows, cols, vals, g.codec.Get); err != nil {
+			return err
 		}
-		rows, cols, vals, err := wal.DecodeBatchRecord(rest, codec.Get)
-		if err != nil {
-			return batches, entries, false, err
-		}
-		if err := m.Update(rows, cols, vals); err != nil {
-			return batches, entries, false, err
-		}
+		g.enqueue(rows, cols, vals, nil)
 		if sess != "" {
-			table[sess] = seq
+			table[sess] = max(table[sess], seq)
 		}
-		batches++
-		entries += len(rows)
+		st.ReplayedBatches++
+		st.ReplayedEntries += len(rows)
 	}
 }

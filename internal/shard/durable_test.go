@@ -4,7 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hhgb/internal/gb"
@@ -320,7 +323,7 @@ func TestKillPointRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, e := range ents {
-					if _, _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
+					if _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
 						t.Fatalf("stray WAL segment after Close: %s", e.Name())
 					}
 				}
@@ -382,7 +385,7 @@ func buildTornDir(t *testing.T) string {
 	}
 	torn := 0
 	for _, e := range ents {
-		if _, _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
+		if _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
 			p := filepath.Join(crash, e.Name())
 			st, err := os.Stat(p)
 			if err != nil {
@@ -548,9 +551,9 @@ func TestDirLockInProcessOwner(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesOlderManifest: a directory written before the
-// fixed-width batch record (manifest version 2) is refused, not misread,
-// with a typed error that names both versions.
+// TestRecoverRefusesOlderManifest: a directory written before the one
+// group log (manifest version 3, per-shard segment chains) is refused, not
+// misread, with a typed error that names both versions.
 func TestRecoverRefusesOlderManifest(t *testing.T) {
 	dir := t.TempDir()
 	g, err := NewGroup[uint64](ktDim, ktDim, Config{
@@ -571,15 +574,158 @@ func TestRecoverRefusesOlderManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(data), `"version": 3,`, `"version": 2,`, 1)
+	old := strings.Replace(string(data), `"version": 4,`, `"version": 3,`, 1)
 	if old == string(data) {
-		t.Fatalf("manifest has no version 3 field:\n%s", data)
+		t.Fatalf("manifest has no version 4 field:\n%s", data)
 	}
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = RecoverGroup[uint64](Config{Durable: Durability{Dir: dir}})
-	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "manifest version 2, want 3") {
-		t.Fatalf("RecoverGroup of a version 2 directory = %v, want ErrInvalidValue naming versions 2 and 3", err)
+	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "manifest version 3, want 4") {
+		t.Fatalf("RecoverGroup of a version 3 directory = %v, want ErrInvalidValue naming versions 3 and 4", err)
+	}
+}
+
+// TestLogAppendFailurePoisonsGroup closes the live log segment underneath
+// a durable group: the next append's group commit fails, that ingest call
+// returns the error, and the error poisons the whole group — every later
+// ingest call, Flush, Err, Checkpoint, and Close returns it. What was
+// flushed before the failure still recovers.
+func TestLogAppendFailurePoisonsGroup(t *testing.T) {
+	dir := t.TempDir()
+	g, err := NewGroup[uint64](ktDim, ktDim, Config{
+		Shards:  3,
+		Hier:    hier.Config{Cuts: ktCuts},
+		Durable: Durability{Dir: dir, SyncEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ktApply(t, g, seq(0, 5))
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := g.NewAppender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.log.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, c, v := ktBatch(5)
+	poison := g.Update(r, c, v)
+	if poison == nil {
+		t.Fatal("Update over a closed log segment succeeded")
+	}
+	_, sessErr := g.UpdateSession("sess-poison", 1, r, c, v, nil)
+	for name, err := range map[string]error{
+		"Update":          g.Update(r, c, v),
+		"UpdateSession":   sessErr,
+		"Appender.Append": a.Append(r, c, v),
+		"Flush":           g.Flush(),
+		"Err":             g.Err(),
+		"Checkpoint":      g.Checkpoint(),
+		"Close":           g.Close(),
+	} {
+		if !errors.Is(err, poison) {
+			t.Errorf("%s after the failed append = %v, want the poison %v", name, err, poison)
+		}
+	}
+	rec, _ := recoverCopy(t, dir)
+	assertSameState(t, rec, ktRef(t, seq(0, 5)))
+}
+
+// TestCheckpointCutUnderRace runs sessioned, plain, and appender producers
+// against back-to-back checkpoints on a durable 3-shard group. Each cut must
+// put every batch whole in exactly one of its snapshots and the rotated-in
+// segment, and the session table at the cut must match: after a final
+// Flush, a recovered copy equals the reference fed every batch once, and
+// every session frame is a duplicate there.
+func TestCheckpointCutUnderRace(t *testing.T) {
+	const perProducer = 40
+	dir := t.TempDir()
+	g, err := NewGroup[uint64](ktDim, ktDim, Config{
+		Shards:  3,
+		Handoff: 96,
+		Hier:    hier.Config{Cuts: ktCuts},
+		Durable: Durability{Dir: dir, SyncEvery: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	a, err := g.NewAppender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every eighth batch a producer waits for one more checkpoint to
+	// finish, so cuts keep landing mid-stream however fast ingest is.
+	var done atomic.Int64
+	var producers sync.WaitGroup
+	produce := func(first int, send func(i int) error) {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			for i := first; i < first+perProducer; i++ {
+				if i%8 == 0 {
+					for n := done.Load(); done.Load() == n; {
+						runtime.Gosched()
+					}
+				}
+				if err := send(i); err != nil {
+					t.Errorf("batch %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	produce(0, func(i int) error {
+		r, c, v := ktBatch(i)
+		_, err := g.UpdateSession("sess-kt", uint64(i)+1, r, c, v, nil)
+		return err
+	})
+	produce(100, func(i int) error {
+		r, c, v := ktBatch(i)
+		return g.Update(r, c, v)
+	})
+	produce(200, func(i int) error {
+		r, c, v := ktBatch(i)
+		return a.Append(r, c, v)
+	})
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := g.Checkpoint(); err != nil {
+				t.Errorf("Checkpoint: %v", err)
+			}
+			done.Add(1)
+		}
+	}()
+	producers.Wait()
+	close(stop)
+	<-stopped
+	t.Logf("%d checkpoints raced the producers", done.Load())
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := recoverCopy(t, copyDir(t, dir))
+	all := append(append(seq(0, perProducer), seq(100, 100+perProducer)...), seq(200, 200+perProducer)...)
+	assertSameState(t, rec, ktRef(t, all))
+	if r, m := rec.ResumeSeq("sess-kt"), rec.MintSeq("sess-kt"); r != perProducer || m != perProducer {
+		t.Fatalf("recovered ResumeSeq/MintSeq = %d/%d, want %d/%d", r, m, perProducer, perProducer)
+	}
+	if dups := ktSessReplay(t, rec, seq(0, perProducer)); dups != perProducer {
+		t.Fatalf("retransmit deduplicated %d frames, want %d", dups, perProducer)
 	}
 }

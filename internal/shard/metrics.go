@@ -16,13 +16,13 @@ type Metrics struct {
 	BatchesApplied *metrics.Counter
 	// EntriesApplied counts the matrix entries inside those batches.
 	EntriesApplied *metrics.Counter
-	// WALFsync observes the latency of every WAL fsync: group commits,
-	// flush barriers, and the per-shard checkpoint syncs alike.
+	// WALFsync observes the latency of every log fsync: group commits,
+	// flush barriers, and the final checkpoint's sync alike.
 	WALFsync *metrics.Histogram
 	// Checkpoint observes the end-to-end duration of each checkpoint
-	// that did work: barrier, per-shard fsync + snapshot (+ rotation on
-	// the live path), manifest commit, prune. Close's no-op checkpoint
-	// on a clean group records nothing.
+	// that did work: barrier, log rotation (live path) or sync (Close),
+	// per-shard snapshots, manifest commit, prune. Close's no-op
+	// checkpoint on a clean group records nothing.
 	Checkpoint *metrics.Histogram
 	// CacheHits / CacheMisses count pushdown-cache outcomes, one per
 	// shard per cached quantity a query touches (the registry-level sum

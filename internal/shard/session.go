@@ -12,10 +12,11 @@ import "sync"
 //     fsync barrier (Flush, Checkpoint, Close) commits a snapshot of
 //     accepted taken before the barrier, so a resume frontier never promises
 //     a seq a crash could lose.
-//   - minted: set only by recovery. It is the highest seq any recovered
-//     dedup table remembers, which can exceed the recovered accepted
-//     frontier when a crash left a frame partially applied. Mint folds it in
-//     so a resuming client never reuses a seq some table already holds.
+//   - minted: set only by a window store's recovery. It is the highest seq
+//     any recovered window remembers, which can exceed the store's
+//     manifest frontier by whatever the windows took since the last store
+//     barrier. Mint folds it in so a resuming client never reuses a seq
+//     some window already holds.
 //
 // A session's accepted seqs form a prefix of its stream (the server applies
 // a connection's frames in order), which is what makes one high-water mark
@@ -36,24 +37,28 @@ func (f *Frontier) Dup(session string, seq uint64) bool {
 	return seq <= f.accepted[session]
 }
 
-// Accept advances the session's accepted frontier to seq; it never moves
-// backwards.
-func (f *Frontier) Accept(session string, seq uint64) {
+// Accept advances the session's accepted frontier to seq and reports
+// whether it moved; it never moves backwards, and false means seq was
+// already at or below it — a duplicate. The test and the advance are one
+// step, so of two concurrent deliveries of one seq exactly one is taken.
+func (f *Frontier) Accept(session string, seq uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if seq <= f.accepted[session] {
+		return false
+	}
 	if f.accepted == nil {
 		f.accepted = make(map[string]uint64)
 	}
-	if seq > f.accepted[session] {
-		f.accepted[session] = seq
-	}
+	f.accepted[session] = seq
+	return true
 }
 
 // Resume reports the session's resume frontier — the highest frame seq a
 // reconnecting client may drop from its retransmit ring: the durable
 // frontier on a durable store, the accepted one otherwise; 0 for an unknown
 // session. Under-reporting is always safe: the client retransmits and the
-// per-shard tables drop the duplicates.
+// accepted frontier drops the duplicates.
 func (f *Frontier) Resume(session string, durable bool) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -135,40 +140,6 @@ func (f *Frontier) DurableTable() map[string]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return copyTable(f.durable)
-}
-
-// seedShards derives a recovered group's frontiers from its per-shard
-// dedup tables. The resume frontier (accepted and durable) is the MINIMUM
-// over shards: a frame above it may have reached some shards and not others
-// (or reached a shard whose unsynced tail was lost, leaving no table entry
-// at all — hence absent entries count as 0), so only the minimum is
-// provably whole. Under-reporting is safe there — and required: the client
-// retransmits the gap, the frontier check lets the retransmissions through,
-// and the per-shard tables drop exactly the already-applied fragments,
-// repairing any partial application. (Seeding accepted with the max instead
-// would dup-ack those retransmissions without re-applying them — permanent
-// data loss.) The minted floor is the MAXIMUM over shards: any seq some
-// table remembers would be silently dup-dropped if a resuming client reused
-// it for new data.
-func (f *Frontier) seedShards(tables []map[string]uint64) {
-	lo := make(map[string]uint64)
-	hi := make(map[string]uint64)
-	for _, tab := range tables {
-		for s := range tab {
-			lo[s] = 0
-		}
-	}
-	for s := range lo {
-		for k, tab := range tables {
-			q := tab[s]
-			if k == 0 || q < lo[s] {
-				lo[s] = q
-			}
-			hi[s] = max(hi[s], q)
-		}
-	}
-	f.Seed(lo)
-	f.RaiseMinted(hi)
 }
 
 // copyTable returns a copy of a session table; nil when it is empty.

@@ -133,6 +133,44 @@ func TestSessionKillPointRecovery(t *testing.T) {
 			wantDups:   10,
 			final:      seq(0, 10),
 		},
+		{
+			// A crash mid-append of a frame whose entries span every
+			// shard: the log ends inside that frame's record. None of its
+			// entries may survive on any shard, and the resume frontier
+			// must exclude its seq, so the retransmission applies it once.
+			name: "torn-inside-multi-shard-frame",
+			run: func(t *testing.T, g *Group[uint64], dir string) string {
+				ktSessApply(t, g, seq(0, 10))
+				if err := g.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				seg := filepath.Join(dir, walName(0))
+				before := fileSize(t, seg)
+				r, c, _ := ktBatch(10)
+				touched := map[int]bool{}
+				for k := range r {
+					touched[g.shardOf(r[k], c[k])] = true
+				}
+				if len(touched) != 3 {
+					t.Fatalf("batch 10 touches %d shards, want 3", len(touched))
+				}
+				ktSessApply(t, g, []int{10})
+				if err := g.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				after := fileSize(t, seg)
+				crash := copyDir(t, dir)
+				if err := os.Truncate(filepath.Join(crash, walName(0)), (before+after)/2); err != nil {
+					t.Fatal(err)
+				}
+				return crash
+			},
+			want:       seq(0, 10),
+			wantResume: 10,
+			replay:     seq(0, 11),
+			wantDups:   10,
+			final:      seq(0, 11),
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +228,7 @@ func buildSessTornDir(t *testing.T) string {
 	crash := copyDir(t, dir)
 	torn := 0
 	for _, e := range mustReadDir(t, crash) {
-		if _, _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
+		if _, isWAL, ok := parseDataFile(e.Name()); ok && isWAL {
 			p := filepath.Join(crash, e.Name())
 			st, err := os.Stat(p)
 			if err != nil {
@@ -209,6 +247,15 @@ func buildSessTornDir(t *testing.T) string {
 		t.Fatalf("tore %d segments, want 1", torn)
 	}
 	return crash
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 func mustReadDir(t *testing.T, dir string) []os.DirEntry {
@@ -245,12 +292,12 @@ func TestSessionTornTailRecovery(t *testing.T) {
 	assertSameState(t, rec, ktRef(t, seq(0, 10)))
 }
 
-// TestSessionMinFrontierUnderReport pins the conservative frontier: a
-// frame whose entries all hash to one shard leaves the other shards'
-// tables behind, so the recovered resume frontier is the MIN over shards
-// — under-reported. The client retransmits the frame and the per-shard
-// high-water tables absorb the overlap: the matrix must not double-count.
-func TestSessionMinFrontierUnderReport(t *testing.T) {
+// TestSessionFrontierExactAfterFlush: the log is totally ordered and
+// holds each frame whole, so after a Flush the recovered frontier is
+// exact even for a frame whose entries all hash to one shard of three:
+// ResumeSeq and MintSeq are both 11, and the frame's retransmission is a
+// duplicate that must not double-count.
+func TestSessionFrontierExactAfterFlush(t *testing.T) {
 	const noSync = 1 << 30
 	dir := t.TempDir()
 	g, err := NewGroup[uint64](ktDim, ktDim, Config{
@@ -263,7 +310,7 @@ func TestSessionMinFrontierUnderReport(t *testing.T) {
 	}
 	defer g.Close()
 	ktSessApply(t, g, seq(0, 10))
-	// Seq 11: a single-cell frame — exactly one shard's table reaches 11.
+	// Seq 11: a single-cell frame — it reaches exactly one shard.
 	one := []gb.Index{42}
 	if dup, err := g.UpdateSession("sess-kt", 11, one, one, []uint64{5}, nil); err != nil || dup {
 		t.Fatalf("seq 11: dup=%v err=%v", dup, err)
@@ -272,19 +319,14 @@ func TestSessionMinFrontierUnderReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := recoverCopy(t, copyDir(t, dir))
-	if got := rec.ResumeSeq("sess-kt"); got != 10 {
-		t.Fatalf("recovered ResumeSeq = %d, want 10 (min over shards; seq 11 touched one shard)", got)
+	if got := rec.ResumeSeq("sess-kt"); got != 11 {
+		t.Fatalf("recovered ResumeSeq = %d, want 11 (seq 11 was flushed)", got)
 	}
-	// The minting floor is the other direction: seq 11 lives in one
-	// shard's table, so a resuming writer that reused it for new data
-	// would be silently dup-dropped there. MintSeq must over-report.
 	if got := rec.MintSeq("sess-kt"); got != 11 {
-		t.Fatalf("recovered MintSeq = %d, want 11 (max over shards)", got)
+		t.Fatalf("recovered MintSeq = %d, want 11", got)
 	}
-	// The client, told 10, retransmits seq 11. The group frontier (also
-	// 10) lets it through; the owning shard's table says 11 and drops it.
-	if dup, err := rec.UpdateSession("sess-kt", 11, one, one, []uint64{5}, nil); err != nil || dup {
-		t.Fatalf("retransmit of seq 11: dup=%v err=%v (group frontier must under-report)", dup, err)
+	if dup, err := rec.UpdateSession("sess-kt", 11, one, one, []uint64{5}, nil); err != nil || !dup {
+		t.Fatalf("retransmit of seq 11: dup=%v err=%v, want a duplicate", dup, err)
 	}
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ type Config struct {
 	// Hier configures every shard's cascade. As in hier.New, nil Cuts
 	// yields a single flat level.
 	Hier hier.Config
-	// Durable configures per-shard write-ahead logging and checkpointing.
+	// Durable configures the group's write-ahead log and checkpoints.
 	// The zero value keeps the group purely in-memory.
 	Durable Durability
 	// Metrics receives the shard layer's instruments (batches applied,
@@ -92,11 +92,6 @@ type msg[T gb.Number] struct {
 	rows []gb.Index
 	cols []gb.Index
 	vals []T
-	// sess/seq tag a buffer with its exactly-once dedup key: the client
-	// session and insert-frame sequence number the entries came from
-	// (UpdateSession). Empty sess marks the unkeyed local-ingest path.
-	sess string
-	seq  uint64
 	// span, when non-nil, is the sampled frame's latency span; the
 	// producer took one reference per partition (Hold), and the worker
 	// releases it after attributing shard-side stages (Done).
@@ -105,14 +100,11 @@ type msg[T gb.Number] struct {
 	done chan struct{}
 }
 
-// worker is one shard: a cascade owned by a single goroutine, plus — when
-// the group is durable — the shard's write-ahead log, owned by the same
-// goroutine (barrier callbacks run on it too, so the log needs no lock).
-// The pushdown result cache (see pushdown.go) lives here for the same
-// reason: queries execute on the worker goroutine, so cache reads, fills,
-// and the ingest-side invalidation all happen on one owner. The one
-// exception is a read of a quiescent shard (see holdOne), which runs on the
-// reader's goroutine under mu instead.
+// worker is one shard: a cascade owned by a single goroutine. The pushdown
+// result cache (see pushdown.go) lives here too: queries execute on the
+// worker goroutine, so cache reads, fills, and the ingest-side invalidation
+// all happen on one owner. The one exception is a read of a quiescent shard
+// (see holdOne), which runs on the reader's goroutine under mu instead.
 type worker[T gb.Number] struct {
 	in chan msg[T]
 	// queued counts the messages sent on in and not yet finished: zero
@@ -123,7 +115,6 @@ type worker[T gb.Number] struct {
 	mu sync.Mutex
 
 	m   *hier.Matrix[T]
-	log *shardWAL[T] // nil when the group is not durable
 	met *Metrics
 	err error // first ingest error; owned by the worker goroutine
 
@@ -132,14 +123,6 @@ type worker[T gb.Number] struct {
 	// is what closes the appender → queue → worker → appender loop and
 	// makes steady-state ingest allocation-free.
 	slabs chan slab[T]
-
-	// sessions is the shard's exactly-once high-water table: per client
-	// session, the highest frame seq whose portion this shard has applied
-	// (and, durable groups, logged — the WAL journals the key alongside
-	// each batch, so recovery rebuilds the table). A retransmitted frame's
-	// portion at or below the mark is dropped without logging or applying.
-	// Owned by the worker goroutine, like the log.
-	sessions map[string]uint64
 
 	cache                               shardCache[T]
 	cacheHits, cacheMisses, cacheInvals int64
@@ -160,9 +143,9 @@ func (w *worker[T]) loop(wg *sync.WaitGroup) {
 			w.ingest(msg)
 		}
 		w.mu.Unlock()
-		// The buffers are dead on every path out of ingest — dropped,
-		// dedup-skipped, or copied into the cascade's pending staging —
-		// so recycle them for the next producer handoff.
+		// The buffers are dead on every path out of ingest — dropped or
+		// copied into the cascade's pending staging — so recycle them for
+		// the next producer handoff.
 		if msg.rows != nil {
 			putSlab(w.slabs, slab[T]{rows: msg.rows[:0], cols: msg.cols[:0], vals: msg.vals[:0]})
 		}
@@ -182,14 +165,14 @@ func (w *worker[T]) send(m msg[T]) {
 	w.in <- m
 }
 
-// ingest applies one data message: exactly-once dedup, WAL logging,
-// cascade update, session high-water advance. The message's buffers are
-// consumed (copied out) by the time it returns.
+// ingest applies one data message to the cascade. The batch was logged
+// whole when it was accepted, so the worker only applies; the message's
+// buffers are consumed (copied out) by the time it returns.
 func (w *worker[T]) ingest(msg msg[T]) {
 	// Sampled frames attribute their shard-side latency here: queue wait
-	// on dequeue, then the WAL and apply shares below. Every path out
-	// releases the partition's span reference; the span methods are
-	// nil-safe, so unsampled messages pay one branch.
+	// on dequeue, then the apply share below. Every path out releases the
+	// partition's span reference; the span methods are nil-safe, so
+	// unsampled messages pay one branch.
 	defer msg.span.Done()
 	var spanMark int64
 	if msg.span != nil {
@@ -199,29 +182,6 @@ func (w *worker[T]) ingest(msg msg[T]) {
 	if w.err != nil {
 		return // sticky: drop buffers after the first failure
 	}
-	// Exactly-once dedup: a sessioned buffer at or below this shard's
-	// high-water mark has already been logged and applied here — a
-	// retransmission after a reconnect or a crash on another shard —
-	// and is dropped whole, before the log sees it again.
-	if msg.sess != "" && msg.seq <= w.sessions[msg.sess] {
-		return
-	}
-	// Log before applying (the WAL convention). A crash between the
-	// two replays the batch on recovery; the reverse order could not
-	// lose anything either (the loop is sequential, so an unlogged
-	// applied batch is always the last work the shard ever did), but
-	// log-first keeps "in the log" ⊇ "in the matrix" at every instant.
-	if w.log != nil {
-		if err := w.log.logBatch(msg.sess, msg.seq, msg.rows, msg.cols, msg.vals); err != nil {
-			w.err = fmt.Errorf("wal: %w", err)
-			return
-		}
-		if msg.span != nil {
-			now := flight.Now()
-			msg.span.ObserveMax(flight.StageWAL, time.Duration(now-spanMark))
-			spanMark = now
-		}
-	}
 	w.invalidate()
 	w.err = w.m.Update(msg.rows, msg.cols, msg.vals)
 	if msg.span != nil {
@@ -230,12 +190,6 @@ func (w *worker[T]) ingest(msg msg[T]) {
 	if w.err == nil {
 		w.met.BatchesApplied.Inc()
 		w.met.EntriesApplied.Add(uint64(len(msg.rows)))
-	}
-	if w.err == nil && msg.sess != "" {
-		if w.sessions == nil {
-			w.sessions = make(map[string]uint64)
-		}
-		w.sessions[msg.sess] = msg.seq
 	}
 }
 
@@ -297,9 +251,14 @@ type Group[T gb.Number] struct {
 	stripeIdx atomic.Uint32
 
 	// sessions is the group's exactly-once session frontier (see
-	// Frontier). UpdateSession accepts a frame only after every shard took
-	// its slice, so a refused enqueue never marks a frame accepted.
+	// Frontier) and its only dedup table. UpdateSession accepts a frame
+	// inside the shared section that logs and enqueues it, so at every
+	// exclusive cut the accepted table is exactly what the log holds.
 	sessions Frontier
+
+	// log is the group's write-ahead log; nil when the group is not
+	// durable. Set before the group is shared, never replaced.
+	log *groupLog[T]
 
 	// codec converts values to and from the 8-byte wire word the WAL and
 	// snapshots use; chosen per T (floats bit-exact, integers lossless).
@@ -309,20 +268,20 @@ type Group[T gb.Number] struct {
 	// interleave. Lock order: ckptMu before mu.
 	ckptMu sync.Mutex
 	// epoch is the current checkpoint attempt number; the live WAL
-	// segments carry it in their names. Guarded by ckptMu after
+	// segment carries it in its name. Guarded by ckptMu after
 	// construction. It advances even when a checkpoint fails, so segment
-	// and snapshot names are never reused (reuse could truncate a live
-	// segment on a shard that had already rotated).
+	// and snapshot names are never reused (reuse could truncate a
+	// segment that had already rotated in).
 	epoch uint64
 	// ckptFailed is true while the latest checkpoint attempt has not
 	// fully committed; it blocks the Close-time "nothing changed, skip
 	// the final checkpoint" shortcut, because a failed attempt may have
-	// reset per-shard dirty counters without committing their snapshots.
+	// reset the log's dirty counter without committing its snapshots.
 	// Guarded by ckptMu.
 	ckptFailed bool
 	// ckptHook, when set (tests only), is called between checkpoint
-	// stages: "snapshots" after every shard has synced, snapshotted and
-	// rotated; "manifest" after the manifest commit, before pruning.
+	// stages: "snapshots" after the log rotated and every shard
+	// snapshotted; "manifest" after the manifest commit, before pruning.
 	ckptHook func(stage string)
 }
 
@@ -338,8 +297,8 @@ type stripe[T gb.Number] struct {
 
 // NewGroup returns a running sharded group; its workers idle until the
 // first Update. Callers that finish ingesting should Close it. With
-// Config.Durable set, the group opens one write-ahead log per shard under
-// the durability directory (which must not already hold a durable group —
+// Config.Durable set, the group opens its write-ahead log under the
+// durability directory (which must not already hold a durable group —
 // restart from existing state with RecoverGroup instead).
 func NewGroup[T gb.Number](nrows, ncols gb.Index, cfg Config) (*Group[T], error) {
 	cfg = cfg.withDefaults()
@@ -393,13 +352,22 @@ func buildGroup[T gb.Number](nrows, ncols gb.Index, cfg Config, ms []*hier.Matri
 	return g, nil
 }
 
-// start launches the worker goroutines. Everything the workers read —
-// matrices, WAL handles — must be in place before the call.
+// start launches the worker goroutines. Everything the workers read must
+// be in place before the call.
 func (g *Group[T]) start() {
 	g.wg.Add(len(g.workers))
 	for _, w := range g.workers {
 		go w.loop(&g.wg)
 	}
+}
+
+// stop closes the shard queues and waits until the workers have drained
+// them and exited.
+func (g *Group[T]) stop() {
+	for _, w := range g.workers {
+		close(w.in)
+	}
+	g.wg.Wait()
 }
 
 // NRows returns the row dimension.
@@ -481,13 +449,15 @@ func (g *Group[T]) drainAppenders() {
 // Update hash-partitions one batch of updates into producer-local shard
 // buffers (a striped set of internal appenders, so concurrent callers
 // never contend on one shared splitter) and hands full buffers to their
-// shard queues, blocking only when a destination queue is full. The input
-// slices are copied before the call returns and may be reused immediately.
-// Ingest is asynchronous: a nil return means the batch was accepted, not
-// ingested; buffered entries become visible at the next Flush, Close, or
-// query barrier, and ingest errors surface on Flush, Close, Err, and the
-// queries. Dedicated producer goroutines can skip the stripes with
-// NewAppender.
+// shard queues, blocking only when a destination queue is full. On a
+// durable group the batch is first appended whole to the write-ahead log.
+// The input slices are copied before the call returns and may be reused
+// immediately. Ingest is asynchronous: a nil return means the batch was
+// accepted, not ingested; buffered entries become visible at the next
+// Flush, Close, or query barrier, and ingest errors surface on Flush,
+// Close, Err, and the queries. A failed log append is returned at once and
+// poisons the group. Dedicated producer goroutines can skip the stripes
+// with NewAppender.
 func (g *Group[T]) Update(rows, cols []gb.Index, vals []T) error {
 	if err := g.validate(rows, cols, vals); err != nil {
 		return err
@@ -500,6 +470,9 @@ func (g *Group[T]) Update(rows, cols []gb.Index, vals []T) error {
 	if g.closed {
 		return ErrClosed
 	}
+	if err := g.logBatch(rows, cols, vals); err != nil {
+		return err
+	}
 	s := g.stripes[int(g.stripeIdx.Add(1))%len(g.stripes)]
 	s.mu.Lock()
 	s.a.append(rows, cols, vals)
@@ -507,28 +480,38 @@ func (g *Group[T]) Update(rows, cols []gb.Index, vals []T) error {
 	return nil
 }
 
+// logBatch appends one unkeyed accepted batch to the log, whole; a no-op
+// on an in-memory group. Requires g.mu held shared.
+func (g *Group[T]) logBatch(rows, cols []gb.Index, vals []T) error {
+	if g.log == nil {
+		return nil
+	}
+	return g.log.append("", 0, rows, cols, vals)
+}
+
 // UpdateSession ingests one client insert frame under the exactly-once
 // protocol: (session, seq) is the frame's dedup key. A frame at or below
 // the accepted frontier returns dup=true without re-applying anything —
 // the ack-without-reapply path for retransmissions after a reconnect. A
-// fresh frame is hash-partitioned and enqueued like Update (skipping the
-// stripe buffers: the key must ride with exactly this frame's entries),
-// journaled with its key on durable groups, and advances the accepted
-// frontier; the durable frontier, which ResumeSeq reports on durable
-// groups, follows at the next Flush, Checkpoint, or Close. A session's
-// frames must be ingested in seq order (the network server processes a
-// connection sequentially, so a session's accepted seqs always form a
-// prefix of the client's stream — the property that makes a single
+// fresh frame advances the accepted frontier, is appended whole with its
+// key to the log of a durable group, and is hash-partitioned and enqueued
+// like Update (skipping the stripe buffers: the frame goes to the shard
+// queues at once). The durable frontier, which ResumeSeq reports on
+// durable groups, follows at the next Flush, Checkpoint, or Close. A
+// session's frames must be ingested in seq order (the network server
+// processes a connection sequentially, so a session's accepted seqs always
+// form a prefix of the client's stream — the property that makes a single
 // high-water mark a complete dedup test). An empty batch still advances
-// the frontier, so seq holes never form. Sessions longer than
-// wal.MaxSessionID, empty sessions, and zero seqs are rejected.
+// the frontier and logs its key, so seq holes never form. Sessions longer
+// than wal.MaxSessionID, empty sessions, and zero seqs are rejected.
 //
 // sp is the frame's sampled latency span, nil when unsampled. When it is
-// non-nil, the handoff instant is stamped and each non-empty partition
-// takes one span reference before it is enqueued; the shard workers
-// attribute queue-wait, WAL, and apply time to the span and release the
-// references as they finish. The caller keeps its own reference
-// throughout — a dup or error return never transfers any.
+// non-nil, the log append is folded into its WAL stage, the handoff
+// instant is stamped, and each non-empty partition takes one span
+// reference before it is enqueued; the shard workers attribute queue-wait
+// and apply time to the span and release the references as they finish.
+// The caller keeps its own reference throughout — a dup or error return
+// never transfers any.
 func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Index, vals []T, sp *flight.Span) (bool, error) {
 	if session == "" || seq == 0 {
 		return false, fmt.Errorf("%w: session %q seq %d", gb.ErrInvalidValue, session, seq)
@@ -543,49 +526,66 @@ func (g *Group[T]) UpdateSession(session string, seq uint64, rows, cols []gb.Ind
 		return true, nil
 	}
 	g.mu.RLock()
+	defer g.mu.RUnlock()
 	if g.closed {
-		g.mu.RUnlock()
 		return false, ErrClosed
 	}
-	if len(rows) > 0 {
-		// Partition into recycled slabs through a recycled header scratch:
-		// the steady-state session path allocates nothing. Each non-empty
-		// partition's slab ownership transfers to its worker, which
-		// recycles it after applying; the header scratch is returned here.
-		p := g.getParts()
-		for k := range rows {
-			s := g.shardOf(rows[k], cols[k])
-			if p.rows[s] == nil {
-				sl := g.getSlab()
-				p.rows[s], p.cols[s], p.vals[s] = sl.rows, sl.cols, sl.vals
-			}
-			p.rows[s] = append(p.rows[s], rows[k])
-			p.cols[s] = append(p.cols[s], cols[k])
-			p.vals[s] = append(p.vals[s], vals[k])
-		}
-		sp.MarkHandoff()
-		for s := range g.workers {
-			if p.rows[s] == nil {
-				continue
-			}
-			// One span reference per partition, taken before the send:
-			// the worker's release must never race a reference not yet
-			// counted.
-			sp.Hold()
-			g.workers[s].send(msg[T]{
-				rows: p.rows[s], cols: p.cols[s], vals: p.vals[s],
-				sess: session, seq: seq, span: sp,
-			})
-			p.rows[s], p.cols[s], p.vals[s] = nil, nil, nil
-		}
-		g.putParts(p)
+	// Accept tests and advances in one step, so of two concurrent
+	// deliveries of one frame (a reconnect racing the old connection's
+	// applier) exactly one is taken. Nothing past it can be refused but a
+	// failed log append, which poisons the group for good.
+	if !g.sessions.Accept(session, seq) {
+		return true, nil
 	}
-	g.mu.RUnlock()
-	// Advance only after every shard took its slice: enqueueing cannot
-	// fail past the closed check above, so at this point the frame is in
-	// the shard queues in its entirety and "accepted" is true.
-	g.sessions.Accept(session, seq)
+	if g.log != nil {
+		var mark int64
+		if sp != nil {
+			mark = flight.Now()
+		}
+		if err := g.log.append(session, seq, rows, cols, vals); err != nil {
+			return false, err
+		}
+		if sp != nil {
+			sp.ObserveMax(flight.StageWAL, time.Duration(flight.Now()-mark))
+		}
+	}
+	if len(rows) > 0 {
+		g.enqueue(rows, cols, vals, sp)
+	}
 	return false, nil
+}
+
+// enqueue hash-partitions one batch and hands each non-empty partition to
+// its shard queue, blocking only when a queue is full. Partitions go into
+// recycled slabs through a recycled header scratch, so the steady-state
+// path allocates nothing; each slab's ownership transfers to its worker,
+// which recycles it after applying. sp, when non-nil, is stamped at the
+// handoff and takes one reference per partition. Requires g.mu held
+// shared, or a group no producer can reach yet (recovery's replay).
+func (g *Group[T]) enqueue(rows, cols []gb.Index, vals []T, sp *flight.Span) {
+	p := g.getParts()
+	for k := range rows {
+		s := g.shardOf(rows[k], cols[k])
+		if p.rows[s] == nil {
+			sl := g.getSlab()
+			p.rows[s], p.cols[s], p.vals[s] = sl.rows, sl.cols, sl.vals
+		}
+		p.rows[s] = append(p.rows[s], rows[k])
+		p.cols[s] = append(p.cols[s], cols[k])
+		p.vals[s] = append(p.vals[s], vals[k])
+	}
+	sp.MarkHandoff()
+	for s := range g.workers {
+		if p.rows[s] == nil {
+			continue
+		}
+		// One span reference per partition, taken before the send: the
+		// worker's release must never race a reference not yet counted.
+		sp.Hold()
+		g.workers[s].send(msg[T]{rows: p.rows[s], cols: p.cols[s], vals: p.vals[s], span: sp})
+		p.rows[s], p.cols[s], p.vals[s] = nil, nil, nil
+	}
+	g.putParts(p)
 }
 
 // ResumeSeq reports the session's resume frontier (Frontier.Resume): the
@@ -594,31 +594,16 @@ func (g *Group[T]) ResumeSeq(session string) uint64 {
 	return g.sessions.Resume(session, g.Durable())
 }
 
-// MintSeq reports the session's seq-minting floor (Frontier.Mint). After
-// recovery it is the max over the per-shard tables, which exceeds the
-// resume frontier (their min) when a crash left a frame partially applied.
+// MintSeq reports the session's seq-minting floor (Frontier.Mint). The
+// log is totally ordered and recovery replays one table with it, so on a
+// recovered group MintSeq starts equal to ResumeSeq.
 func (g *Group[T]) MintSeq(session string) uint64 { return g.sessions.Mint(session) }
 
-// SessionHighs merges the per-shard high-water tables, max per session:
-// the highest frame seq any shard has applied. Because a session's
-// accepted seqs form a prefix of its stream, after a barrier (which this
-// call is) the max over shards is exactly the frontier the fully-applied
-// stream reached — the windowed store stashes it when it seals a window.
-// Works on a closed group; the barrier then runs inline.
-func (g *Group[T]) SessionHighs() map[string]uint64 {
-	var mu sync.Mutex
-	out := make(map[string]uint64)
-	_ = g.run(func(i int, w *worker[T]) {
-		mu.Lock()
-		defer mu.Unlock()
-		for s, q := range w.sessions {
-			if q > out[s] {
-				out[s] = q
-			}
-		}
-	})
-	return out
-}
+// SessionHighs copies the group's accepted session table: per session, the
+// highest frame seq the group has taken. The windowed store stashes it
+// when it seals a window, after the group's Close has applied every
+// accepted frame.
+func (g *Group[T]) SessionHighs() map[string]uint64 { return g.sessions.Snapshot() }
 
 // run executes f(i, w) once per shard on the shard's own goroutine (a
 // barrier: all batches accepted before the call are ingested first), then
@@ -631,7 +616,14 @@ func (g *Group[T]) SessionHighs() map[string]uint64 {
 // post-Close queries are serialized (the matrices are no longer protected
 // by worker goroutines). The per-shard f calls may run concurrently with
 // each other before Close; f must only touch shard-local state.
-func (g *Group[T]) run(f func(i int, w *worker[T])) error {
+func (g *Group[T]) run(f func(i int, w *worker[T])) error { return g.barrier(nil, f) }
+
+// barrier is run with a cut step: on a live group, cut runs under the
+// write lock after the appenders drain and before the barrier messages
+// are sent — the one instant at which every accepted batch is before the
+// cut on every shard and none is after. A cut error releases the lock and
+// returns without placing the barrier.
+func (g *Group[T]) barrier(cut func() error, f func(i int, w *worker[T])) error {
 	g.mu.Lock()
 	if g.closed {
 		defer g.mu.Unlock()
@@ -641,6 +633,12 @@ func (g *Group[T]) run(f func(i int, w *worker[T])) error {
 		return g.closeErr
 	}
 	g.drainAppenders()
+	if cut != nil {
+		if err := cut(); err != nil {
+			g.mu.Unlock()
+			return err
+		}
+	}
 	dones := make([]chan struct{}, len(g.workers))
 	for i, w := range g.workers {
 		done := make(chan struct{})
@@ -708,54 +706,51 @@ func (g *Group[T]) runOne(sh int, f func(w *worker[T])) error {
 	return nil
 }
 
-// Err reports the first sticky ingest error, if any shard has failed. It
-// doubles as a drain barrier: on return, every batch accepted before the
-// call has been ingested (unlike Flush it does not force the cascades to
-// promote, so it is the cheap way to wait for queued work).
+// Err reports the first sticky error: a failed log append or fsync, or a
+// shard's ingest error. It doubles as a drain barrier: on return, every
+// batch accepted before the call has been ingested (unlike Flush it does
+// not force the cascades to promote, so it is the cheap way to wait for
+// queued work).
 func (g *Group[T]) Err() error {
 	errs := make([]error, len(g.workers))
 	_ = g.run(func(i int, w *worker[T]) { errs[i] = w.err })
+	if g.log != nil {
+		if err := g.log.failed(); err != nil {
+			return err
+		}
+	}
 	return firstError(errs)
 }
 
 // Flush drains every producer buffer and shard queue and completes all
 // pending cascade work, so a subsequent Query reflects every batch accepted
-// before the call. On a durable group it is also a group-commit point: each
-// shard's WAL is fsynced, so every batch accepted before the call survives
-// a crash (a cheaper durability point than Checkpoint, which additionally
-// snapshots and truncates the logs). It returns the first ingest or flush
-// error; after Close it reports the Close outcome.
+// before the call. On a durable group it is also a group-commit point: the
+// log is fsynced, so every batch accepted before the call survives a crash
+// (a cheaper durability point than Checkpoint, which additionally
+// snapshots the shards and truncates the log). It returns the first log,
+// ingest, or flush error; after Close it reports the Close outcome.
 func (g *Group[T]) Flush() error {
 	var snap map[string]uint64
-	if g.Durable() {
+	if g.log != nil {
+		// Every seq in the snapshot was accepted inside a shared section
+		// that also logged it, and the barrier's write lock waits for that
+		// section: the sync below covers the seq's record.
 		snap = g.sessions.Snapshot()
 	}
 	errs := make([]error, len(g.workers))
 	if err := g.run(func(i int, w *worker[T]) {
-		if w.err != nil {
-			errs[i] = w.err
-			return
-		}
-		_, errs[i] = w.m.Flush()
-		if errs[i] == nil && w.log != nil {
-			if err := w.log.sync(); err != nil {
-				// Sticky, like a logBatch failure: after a failed fsync
-				// the log can no longer prove durability (the kernel may
-				// have dropped the dirty pages), so the shard must stop
-				// accepting batches rather than let a retried Flush
-				// report success over a hole in the log.
-				w.err = fmt.Errorf("wal: %w", err)
-				errs[i] = w.err
-			}
+		if errs[i] = w.err; errs[i] == nil {
+			_, errs[i] = w.m.Flush()
 		}
 	}); err != nil {
 		return err
 	}
-	if err := firstError(errs); err != nil {
+	if err := firstError(errs); err != nil || g.log == nil {
 		return err
 	}
-	// Every frame in the snapshot was enqueued before the barrier, so its
-	// records are under the fsync that just succeeded on every shard.
+	if err := g.log.sync(); err != nil {
+		return err
+	}
 	g.sessions.Commit(snap)
 	return nil
 }
@@ -768,7 +763,7 @@ func (g *Group[T]) Flush() error {
 // Append return ErrClosed.
 // On a durable group Close also takes a final checkpoint (so a later
 // RecoverGroup restores from snapshots alone, with no log replay) and
-// closes the WAL files. Close is idempotent and returns the first ingest,
+// closes the log. Close is idempotent and returns the first log, ingest,
 // flush, or checkpoint error.
 func (g *Group[T]) Close() error {
 	g.ckptMu.Lock() // before mu: Checkpoint takes ckptMu then mu
@@ -780,10 +775,7 @@ func (g *Group[T]) Close() error {
 	}
 	g.drainAppenders() // before the queues close: buffered entries count
 	g.closed = true
-	for _, w := range g.workers {
-		close(w.in)
-	}
-	g.wg.Wait() // workers drain their queues before exiting
+	g.stop()
 	// Ingest is over for good: stop holding what only ingest uses — the
 	// slab and partition free-lists here, the cascades' staging, sort
 	// scratch and growth slack below, and any cached vector — so the sealed
@@ -805,20 +797,15 @@ func (g *Group[T]) Close() error {
 		w.mu.Unlock()
 	}
 	g.closeErr = firstError(errs)
-	if g.cfg.Durable.Dir != "" {
+	if g.log != nil {
 		if g.closeErr == nil {
 			// Final checkpoint: the workers are gone, so the shard steps
 			// run inline — safe, nothing else touches the matrices while
 			// mu is held.
-			g.closeErr = g.checkpointLocked()
+			g.closeErr = g.checkpoint(false)
 		}
-		for _, w := range g.workers {
-			if w.log != nil {
-				if err := w.log.close(); err != nil && g.closeErr == nil {
-					g.closeErr = err
-				}
-				w.log = nil
-			}
+		if err := g.log.close(); err != nil && g.closeErr == nil {
+			g.closeErr = err
 		}
 		releaseDirLock(g.cfg.Durable.Dir)
 	}
@@ -925,8 +912,8 @@ func (g *Group[T]) AddAssign(children ...*Group[T]) error {
 			errs[i] = w.err
 			return
 		}
-		if w.log != nil {
-			w.log.dirty++ // not logged: only a snapshot can hold it
+		if g.log != nil {
+			g.log.touch() // not logged: only a snapshot can hold it
 		}
 	}); err != nil {
 		return err

@@ -11,9 +11,9 @@ import (
 // Batch record codec.
 //
 // One record encodes one ingest batch: the unit the network protocol
-// carries per Insert/InsertAt frame and a durable shard worker logs per
-// WAL frame. The two share this encoding; each worker encodes the
-// partition of a batch that falls on its shard.
+// carries per Insert/InsertAt frame and a durable group logs per WAL
+// frame. The two share this encoding; the group encodes each accepted
+// batch whole, once.
 //
 //	record := uvarint(n) ‖ widths ‖ n × row ‖ n × col ‖ n × value
 //

@@ -10,7 +10,7 @@ import (
 // Session header codec.
 //
 // Exactly-once network ingest journals the deduplication key alongside
-// every logged batch: a shard WAL record is a session header followed by
+// every logged batch: a group WAL record is a session header followed by
 // the batch record,
 //
 //	record := uvarint(len(session)) ‖ session ‖ uvarint(seq) ‖ batch record
@@ -19,7 +19,7 @@ import (
 // from. Batches with no session (local ingest, appender handoffs) carry
 // the two-byte empty header (len 0, seq 0), so one record format serves
 // both paths and replay never guesses. Recovery replays the batch and
-// advances the shard's per-session high-water mark to seq, rebuilding the
+// advances the group's per-session high-water mark to seq, rebuilding the
 // dedup table the manifest checkpoint may not have caught up to.
 
 // MaxSessionID caps a session identifier's length on both sides: the

@@ -1,5 +1,5 @@
 // Package wal implements a CRC32-framed append-only write-ahead log: the
-// durability path of the sharded ingest frontend's per-shard logs.
+// durability path of the sharded ingest frontend's one log per group.
 //
 // # Framing
 //
@@ -61,6 +61,10 @@ type Writer struct {
 	bw    *bufio.Writer
 	bytes int64
 	syncs int64
+	// hdr stages a frame's length and checksum. A stack array would
+	// escape through bufio's underlying io.Writer and cost two
+	// allocations per record.
+	hdr [binary.MaxVarintLen64 + 4]byte
 }
 
 // NewWriter returns a log writer over w.
@@ -75,14 +79,9 @@ func (w *Writer) Append(rec []byte) error {
 	if len(rec) > MaxRecord {
 		return fmt.Errorf("%w: %d bytes > %d", ErrRecordTooLarge, len(rec), MaxRecord)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(rec)))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(rec, castagnoli))
-	if _, err := w.bw.Write(crc[:]); err != nil {
+	n := binary.PutUvarint(w.hdr[:], uint64(len(rec)))
+	binary.LittleEndian.PutUint32(w.hdr[n:], crc32.Checksum(rec, castagnoli))
+	if _, err := w.bw.Write(w.hdr[:n+4]); err != nil {
 		return err
 	}
 	if _, err := w.bw.Write(rec); err != nil {

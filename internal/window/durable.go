@@ -50,10 +50,11 @@ const (
 	sealedMarkerName  = "SEALED"
 	// storeManifestVersion tracks shard.manifestVersion: v2 is the
 	// exactly-once release (store-level session frontier, session-bearing
-	// per-window WALs), v3 the fixed-width batch record in those WALs.
-	// Older store directories are refused, not migrated — see the shard
+	// per-window WALs), v3 the fixed-width batch record in those WALs, v4
+	// one log and one session table per window group. Older store
+	// directories are refused, not migrated — see the shard
 	// manifestVersion comment; re-ingest them.
-	storeManifestVersion = 3
+	storeManifestVersion = 4
 	winDirPrefix         = "win-L"
 )
 
@@ -406,7 +407,7 @@ func Recover[T gb.Number](cfg Config) (*Store[T], RecoverStats, error) {
 		}
 		s.wins[key{w.level, w.start}] = w
 		// Fold the window's session table into the store's minting floor:
-		// any seq some window's shard remembers would be silently
+		// any seq some window's group remembers would be silently
 		// dup-dropped if a resuming client reused it, so MintSeq must see
 		// the max over every recovered window — the manifest frontier
 		// (already seeded into accepted) trails it by whatever was applied

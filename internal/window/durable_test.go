@@ -176,9 +176,9 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 
 	t.Run("session-minting-floor", func(t *testing.T) {
 		// The store manifest's session frontier advances only at store
-		// barriers, while a window's per-shard tables log every frame
-		// (SyncEvery 1 here): a sessioned frame accepted after the last
-		// Flush recovers into the window's tables but not the manifest.
+		// barriers, while a window's group logs every frame (SyncEvery 1
+		// here): a sessioned frame accepted after the last Flush
+		// recovers into the window's table but not the manifest.
 		// ResumeSeq must under-report from the manifest (the frame's
 		// durability is unproven store-wide) and MintSeq must over-report
 		// from the window tables (its seq is spent either way).
@@ -215,8 +215,8 @@ func TestDurableWindowedKillPoints(t *testing.T) {
 		if got := rec.MintSeq("sess-W"); got != 2 {
 			t.Fatalf("recovered MintSeq = %d, want 2 (window tables carry the spent seq)", got)
 		}
-		// The resuming client retransmits seq 2 — absorbed by the window's
-		// per-shard tables — and mints new data at 3, which must land.
+		// The resuming client retransmits seq 2 — absorbed by the window
+		// group's table — and mints new data at 3, which must land.
 		if _, err := rec.AppendSession("sess-W", 2, 7, []gb.Index{3}, []gb.Index{4}, []uint64{5}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -832,9 +832,9 @@ func TestFailedSealPoisonsStore(t *testing.T) {
 	verifyRecovered(t, rec, []entry{first}, 0, sec)
 }
 
-// TestRecoverRefusesOlderStoreManifest: a store root written before the
-// fixed-width batch record (store manifest version 2) is refused, not
-// misread, with a typed error that names both versions.
+// TestRecoverRefusesOlderStoreManifest: a store root written before one
+// log per window group (store manifest version 3) is refused, not misread,
+// with a typed error that names both versions.
 func TestRecoverRefusesOlderStoreManifest(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New[uint64](dim, dim, durableCfg(dir))
@@ -853,7 +853,7 @@ func TestRecoverRefusesOlderStoreManifest(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	man["version"] = 2
+	man["version"] = 3
 	if data, err = json.Marshal(man); err != nil {
 		t.Fatal(err)
 	}
@@ -861,7 +861,7 @@ func TestRecoverRefusesOlderStoreManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = Recover[uint64](durableCfg(dir))
-	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "store manifest version 2, want 3") {
-		t.Fatalf("Recover of a version 2 store = %v, want ErrInvalidValue naming versions 2 and 3", err)
+	if !errors.Is(err, gb.ErrInvalidValue) || !strings.Contains(err.Error(), "store manifest version 3, want 4") {
+		t.Fatalf("Recover of a version 3 store = %v, want ErrInvalidValue naming versions 3 and 4", err)
 	}
 }

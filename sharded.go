@@ -41,11 +41,12 @@ var ErrNotDurable = shard.ErrNotDurable
 // Queries barrier internally and observe a batch-atomic snapshot: each
 // accepted batch is either entirely included or entirely excluded.
 //
-// Durability: with WithDurability(dir) each shard worker additionally
-// write-ahead-logs its batches under dir with a group-commit sync policy
-// (WithSyncEvery). Flush then guarantees every accepted batch survives a
-// crash; Checkpoint compacts the logs into per-shard snapshots; Recover
-// rebuilds the matrix from the directory after a crash or restart.
+// Durability: with WithDurability(dir) every accepted batch is additionally
+// appended whole to one write-ahead log under dir, before any shard sees
+// it, with a group-commit sync policy (WithSyncEvery). Flush then
+// guarantees every accepted batch survives a crash; Checkpoint compacts
+// the log into per-shard snapshots; Recover rebuilds the matrix from the
+// directory after a crash or restart.
 //
 // Lifecycle: NewSharded starts the shard workers. Call Flush to make all
 // accepted batches visible to queries mid-stream, and Close when done
@@ -113,14 +114,14 @@ func registerShardedFuncs(g *shard.Group[uint64], m *Metrics) {
 // Recover restores a durable Sharded matrix from the directory a previous
 // WithDurability matrix wrote: the manifest fixes the dimension, shard
 // count, and cascade cuts (so WithShards/WithCuts must not be passed);
-// per-shard snapshots are decoded and the surviving write-ahead-log tails
-// replayed on top, tolerating the torn final frame a crash mid-append
-// leaves. Every batch accepted before the last Flush or Checkpoint is
-// restored bit-identically; later batches come back per shard as far as
-// each shard's own group commit reached (see WithSyncEvery), and the
-// unsynced tails are lost, exactly as group-commit promises. When
+// per-shard snapshots are decoded and the surviving write-ahead log
+// replayed on top, each batch routed to its shards, tolerating the torn
+// final frame a crash mid-append leaves. Every batch accepted before the
+// last Flush or Checkpoint is restored bit-identically; later batches come
+// back whole as far as the log's group commit reached (see WithSyncEvery),
+// and the unsynced tail is lost, exactly as group-commit promises. When
 // anything was replayed, the recovered matrix checkpoints immediately
-// (compacting the replayed logs away); either way it is ready to ingest.
+// (compacting the replayed log away); either way it is ready to ingest.
 //
 // WithQueueDepth, WithHandoff, and WithSyncEvery tune the recovered
 // matrix as they would a new one.
