@@ -19,14 +19,15 @@
 //	_ = sm.Update(srcs, dsts)                  // safe from any goroutine
 //	_ = sm.Close()                             // drain; stays queryable
 //
-// A Sharded matrix becomes crash-safe with WithDurability: each shard
-// write-ahead-logs its batches with a group-commit sync policy, Checkpoint
-// compacts the logs into per-shard snapshots, and Recover rebuilds the
-// matrix from the directory after a crash or restart:
+// A Sharded matrix becomes crash-safe with WithDurability: the matrix keeps
+// one write-ahead log, appends each batch to it whole when it is accepted
+// and syncs it with a group-commit policy, Checkpoint compacts the log into
+// per-shard snapshots, and Recover rebuilds the matrix from the directory
+// after a crash or restart:
 //
 //	sm, _ := hhgb.NewSharded(dim, hhgb.WithDurability(dir))
 //	_ = sm.Flush()                             // group commit: batches durable
-//	_ = sm.Checkpoint()                        // snapshot; logs truncate
+//	_ = sm.Checkpoint()                        // snapshot; the log rotates
 //	sm, _ = hhgb.Recover(dir)                  // after a crash
 //
 // For continuous capture, Windowed partitions the stream into

@@ -124,7 +124,7 @@ type Plane struct {
 // IngestPlane traces insert frames.
 var IngestPlane = &Plane{
 	family: StageHistogramName,
-	help:   "Sampled ingest frame latency decomposed by pipeline stage; decode+queue+partition+ack sum to total, shard_wait/wal/apply are async worker attribution.",
+	help:   "Sampled ingest frame latency decomposed by pipeline stage; decode+queue+partition+ack sum to total, wal is the applier's log append, shard_wait/apply are async worker attribution.",
 	labels: []string{"decode", "queue", "partition", "ack", "shard_wait", "wal", "apply", "total"},
 	async:  1<<StageShardWait | 1<<StageWAL | 1<<StageApply,
 	ring: []step{

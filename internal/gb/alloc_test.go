@@ -67,12 +67,12 @@ func TestAllocBudgetWait(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetPromoteRowGap: a warm Promote whose every source row is
-// already in dst — the row gap the merge's upper-bound sizing leaves,
-// closed by sliding dst's shorter prefix up and later moving it back to
-// the front of its arrays — allocates nothing.
-func TestAllocBudgetPromoteRowGap(t *testing.T) {
-	const nrows, runs = 256, 50
+// TestAllocBudgetPromote: a warm Promote into a level with room allocates
+// nothing. Each round brings a new cell in three quarters of dst's rows and
+// one cell that collides; the collision's gap closes by moving dst's
+// shorter prefix up, into the front of its arrays.
+func TestAllocBudgetPromote(t *testing.T) {
+	const nrows, runs, hit = 256, 50, 200
 	dst := MustNewMatrix[float64](1024, 1024)
 	src := MustNewMatrix[float64](1024, 1024)
 	rows, cols, vals := make([]Index, nrows), make([]Index, nrows), make([]float64, nrows)
@@ -82,11 +82,14 @@ func TestAllocBudgetPromoteRowGap(t *testing.T) {
 	if err := dst.AppendTuples(rows, cols, vals); err != nil {
 		t.Fatal(err)
 	}
-	// src holds the top three quarters of dst's rows, in a new column each
-	// time: every row shared, no cell.
-	srcRows, srcCols, srcVals := rows[nrows/4:], cols[nrows/4:], vals[nrows/4:]
+	// src: the top three quarters of dst's rows, in a new column each
+	// round, and (hit, 0), which dst holds.
+	srcRows := append(append([]Index(nil), rows[nrows/4:]...), hit)
+	srcCols := make([]Index, len(srcRows))
+	srcVals := vals[:len(srcRows)]
+	fresh := len(srcRows) - 1
 	promote := func() {
-		for k := range srcCols {
+		for k := range srcCols[:fresh] {
 			srcCols[k]++
 		}
 		if err := src.AppendTuples(srcRows, srcCols, srcVals); err != nil {
@@ -97,12 +100,19 @@ func TestAllocBudgetPromoteRowGap(t *testing.T) {
 		}
 	}
 	promote() // warm src's staging and sort scratch
-	withCapacity(dst, 2*nrows, nrows+(runs+2)*len(srcRows))
+	withCapacity(dst, nrows+(runs+2)*len(srcRows))
 	if allocs := testing.AllocsPerRun(runs, promote); allocs != 0 {
-		t.Fatalf("warm Promote closing a row gap allocates %.1f/op, budget is 0", allocs)
-	}
-	if n, want := dst.NVals(), nrows+(runs+2)*len(srcRows); n != want || len(dst.rows) != nrows {
-		t.Fatalf("dst holds %d entries in %d rows, want %d in %d", n, len(dst.rows), want, nrows)
+		t.Fatalf("warm Promote allocates %.1f/op, budget is 0", allocs)
 	}
 	mustInvariants(t, dst)
+	if dst.front == 0 {
+		t.Fatal("no merge closed its gap by moving the prefix up")
+	}
+	rounds := runs + 2 // the warm-up, AllocsPerRun's own, then runs
+	if n, want := dst.NVals(), nrows+rounds*fresh; n != want {
+		t.Fatalf("dst holds %d entries, want %d", n, want)
+	}
+	if v, err := dst.ExtractElement(hit, 0); err != nil || v != float64(1+rounds) {
+		t.Fatalf("dst(%d, 0) = %v, %v; want %d", hit, v, err, 1+rounds)
+	}
 }

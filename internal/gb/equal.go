@@ -9,16 +9,11 @@ func Equal[T Number](a, b *Matrix[T]) bool {
 	}
 	a.Wait()
 	b.Wait()
-	if a.nrows != b.nrows || a.ncols != b.ncols || len(a.col) != len(b.col) || len(a.rows) != len(b.rows) {
+	if a.nrows != b.nrows || a.ncols != b.ncols || len(a.col) != len(b.col) {
 		return false
 	}
-	for k := range a.rows {
-		if a.rows[k] != b.rows[k] || a.ptr[k+1] != b.ptr[k+1] {
-			return false
-		}
-	}
 	for k := range a.col {
-		if a.col[k] != b.col[k] || a.val[k] != b.val[k] {
+		if a.row[k] != b.row[k] || a.col[k] != b.col[k] || a.val[k] != b.val[k] {
 			return false
 		}
 	}
@@ -44,36 +39,24 @@ func VecEqual[T Number](a, b *Vector[T]) bool {
 	return true
 }
 
-// checkInvariants verifies internal DCSR consistency; used by tests.
+// checkInvariants verifies that the stored triples are well formed; used by
+// tests.
 func (m *Matrix[T]) checkInvariants() error {
-	if len(m.ptr) != len(m.rows)+1 {
-		return errInvariant("ptr length")
+	if len(m.row) != len(m.col) || len(m.col) != len(m.val) {
+		return errInvariant("row/col/val length")
 	}
-	if m.ptr[0] != 0 || m.ptr[len(m.ptr)-1] != len(m.col) {
-		return errInvariant("ptr endpoints")
+	if cap(m.row) != cap(m.col) || cap(m.col) != cap(m.val) {
+		return errInvariant("row/col/val capacity")
 	}
-	if len(m.col) != len(m.val) {
-		return errInvariant("col/val length")
-	}
-	for k := 1; k < len(m.rows); k++ {
-		if m.rows[k-1] >= m.rows[k] {
-			return errInvariant("rows not strictly increasing")
-		}
-	}
-	for k := range m.rows {
-		if m.ptr[k] >= m.ptr[k+1] {
-			return errInvariant("empty row stored")
-		}
-		if m.rows[k] >= m.nrows {
+	for k, r := range m.row {
+		if r >= m.nrows {
 			return errInvariant("row id out of bounds")
 		}
-		for p := m.ptr[k]; p < m.ptr[k+1]; p++ {
-			if m.col[p] >= m.ncols {
-				return errInvariant("col id out of bounds")
-			}
-			if p > m.ptr[k] && m.col[p-1] >= m.col[p] {
-				return errInvariant("cols not strictly increasing within row")
-			}
+		if m.col[k] >= m.ncols {
+			return errInvariant("col id out of bounds")
+		}
+		if k > 0 && (m.row[k-1] > r || m.row[k-1] == r && m.col[k-1] >= m.col[k]) {
+			return errInvariant("cells not strictly increasing in (row, col)")
 		}
 	}
 	return nil

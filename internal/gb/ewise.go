@@ -4,8 +4,9 @@ import "fmt"
 
 // EWiseAdd returns the set-union element-wise combination of a and b:
 // entries present in both are combined with add; entries present in exactly
-// one operand are copied. This is GraphBLAS eWiseAdd and the single
-// operation the hierarchical cascade is built from.
+// one operand are copied. This is GraphBLAS eWiseAdd: a forward merge into
+// fresh arrays that leaves both operands intact, where AddAssign and
+// Promote merge in place.
 func EWiseAdd[T Number](a, b *Matrix[T], add BinaryOp[T]) (*Matrix[T], error) {
 	if a.nrows != b.nrows || a.ncols != b.ncols {
 		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimensionMismatch, a.nrows, a.ncols, b.nrows, b.ncols)
@@ -15,68 +16,31 @@ func EWiseAdd[T Number](a, b *Matrix[T], add BinaryOp[T]) (*Matrix[T], error) {
 	}
 	a.Wait()
 	b.Wait()
-	c := &Matrix[T]{nrows: a.nrows, ncols: a.ncols, accum: a.accum}
-	c.rows, c.ptr, c.col, c.val = mergeDCSR(a.rows, a.ptr, a.col, a.val, b.rows, b.ptr, b.col, b.val, add)
-	return c, nil
-}
-
-// mergeDCSR union-merges two DCSR structures, combining colliding entries
-// with op (left operand from the a side), into fresh arrays. It is
-// EWiseAdd's kernel — both operands stay intact — and the reference the
-// tests hold the in-place kernel (mergeInPlace) to.
-func mergeDCSR[T Number](
-	ar []Index, ap []int, ac []Index, av []T,
-	br []Index, bp []int, bc []Index, bv []T,
-	op BinaryOp[T],
-) (rows []Index, ptr []int, col []Index, val []T) {
-	rows = make([]Index, 0, len(ar)+len(br))
-	ptr = make([]int, 1, len(ar)+len(br)+1)
-	col = make([]Index, 0, len(ac)+len(bc))
-	val = make([]T, 0, len(av)+len(bv))
-
+	n := len(a.col) + len(b.col)
+	c := &Matrix[T]{
+		nrows: a.nrows, ncols: a.ncols, accum: a.accum,
+		row: make([]Index, 0, n), col: make([]Index, 0, n), val: make([]T, 0, n),
+	}
 	i, j := 0, 0
-	for i < len(ar) || j < len(br) {
+	for i < len(a.col) && j < len(b.col) {
+		ar, ac, br, bc := a.row[i], a.col[i], b.row[j], b.col[j]
 		switch {
-		case j >= len(br) || (i < len(ar) && ar[i] < br[j]):
-			rows = append(rows, ar[i])
-			col = append(col, ac[ap[i]:ap[i+1]]...)
-			val = append(val, av[ap[i]:ap[i+1]]...)
+		case ar < br || ar == br && ac < bc:
+			c.row, c.col, c.val = append(c.row, ar), append(c.col, ac), append(c.val, a.val[i])
 			i++
-		case i >= len(ar) || br[j] < ar[i]:
-			rows = append(rows, br[j])
-			col = append(col, bc[bp[j]:bp[j+1]]...)
-			val = append(val, bv[bp[j]:bp[j+1]]...)
+		case ar > br || bc < ac:
+			c.row, c.col, c.val = append(c.row, br), append(c.col, bc), append(c.val, b.val[j])
 			j++
-		default: // same row id: merge the two sorted column runs
-			rows = append(rows, ar[i])
-			x, xe := ap[i], ap[i+1]
-			y, ye := bp[j], bp[j+1]
-			for x < xe || y < ye {
-				switch {
-				case y >= ye || (x < xe && ac[x] < bc[y]):
-					col = append(col, ac[x])
-					val = append(val, av[x])
-					x++
-				case x >= xe || bc[y] < ac[x]:
-					col = append(col, bc[y])
-					val = append(val, bv[y])
-					y++
-				default:
-					col = append(col, ac[x])
-					val = append(val, op(av[x], bv[y]))
-					x++
-					y++
-				}
-			}
+		default:
+			c.row, c.col, c.val = append(c.row, ar), append(c.col, ac), append(c.val, add(a.val[i], b.val[j]))
 			i++
 			j++
 		}
-		ptr = append(ptr, len(col))
 	}
-	if len(rows) == 0 {
-		ptr = []int{0}
-	}
-	return rows, ptr, col, val
+	c.row = append(append(c.row, a.row[i:]...), b.row[j:]...)
+	c.col = append(append(c.col, a.col[i:]...), b.col[j:]...)
+	c.val = append(append(c.val, a.val[i:]...), b.val[j:]...)
+	return c, nil
 }
 
 // AddAssign performs dst ⊕= src in place (dst keeps its accumulator and
@@ -95,7 +59,7 @@ func AddAssign[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 		return nil
 	}
 	src.Wait()
-	dst.mergeInPlace(src.rows, src.ptr, src.col, src.val, add)
+	dst.mergeInPlace(src.row, src.col, src.val, add)
 	return nil
 }
 
@@ -104,7 +68,7 @@ func AddAssign[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 // An empty dst without room takes src's arrays instead of copying them
 // (src keeps dst's), so an entry is never allocated for twice; otherwise the
 // merge runs in dst's arrays. src keeps its pending staging, sort scratch
-// and DCSR capacity for the next fill; Trim and Clear let them go.
+// and stored capacity for the next fill; Trim and Clear let them go.
 func Promote[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 	if dst == src {
 		return fmt.Errorf("%w: promoting a matrix into itself", ErrInvalidValue)
@@ -115,17 +79,14 @@ func Promote[T Number](dst, src *Matrix[T], add BinaryOp[T]) error {
 	dst.Wait()
 	src.Wait()
 	if len(dst.col) == 0 && cap(dst.col) < len(src.col) {
-		dst.rows, src.rows = src.rows, dst.rows
-		dst.ptr, src.ptr = src.ptr, dst.ptr
-		dst.rowsBase, src.rowsBase = src.rowsBase, dst.rowsBase
-		dst.ptrBase, src.ptrBase = src.ptrBase, dst.ptrBase
+		dst.row, src.row = src.row, dst.row
 		dst.col, src.col = src.col, dst.col
 		dst.val, src.val = src.val, dst.val
+		dst.front, src.front = src.front, dst.front
 	} else {
-		dst.mergeInPlace(src.rows, src.ptr, src.col, src.val, add)
+		dst.mergeInPlace(src.row, src.col, src.val, add)
 	}
-	src.rows, src.col, src.val = src.rows[:0], src.col[:0], src.val[:0]
-	src.ptr = append(src.ptr[:0], 0)
+	src.row, src.col, src.val = src.row[:0], src.col[:0], src.val[:0]
 	return nil
 }
 
@@ -149,15 +110,14 @@ func Sum[T Number](ms ...*Matrix[T]) (*Matrix[T], error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("%w: Sum of no matrices", ErrInvalidValue)
 	}
-	nr, nnz := 0, 0
+	nnz := 0
 	for _, m := range ms {
 		m.Wait()
-		nr, nnz = nr+len(m.rows), nnz+len(m.col)
+		nnz += len(m.col)
 	}
 	acc := &Matrix[T]{
 		nrows: ms[0].nrows, ncols: ms[0].ncols, accum: ms[0].accum,
-		rows: make([]Index, 0, nr), ptr: make([]int, 1, nr+1),
-		col: make([]Index, 0, nnz), val: make([]T, 0, nnz),
+		row: make([]Index, 0, nnz), col: make([]Index, 0, nnz), val: make([]T, 0, nnz),
 	}
 	plus := Plus[T]().Op
 	for _, m := range ms {

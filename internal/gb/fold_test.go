@@ -190,10 +190,8 @@ func TestAllocBudgetVecFold(t *testing.T) {
 func stagedColReduce[T Number](a *Matrix[T], op BinaryOp[T]) *Vector[T] {
 	a.Wait()
 	var p []vecTuple[T]
-	for k := range a.rows {
-		for q := a.ptr[k]; q < a.ptr[k+1]; q++ {
-			p = append(p, vecTuple[T]{idx: a.col[q], val: a.val[q]})
-		}
+	for q := range a.col {
+		p = append(p, vecTuple[T]{idx: a.col[q], val: a.val[q]})
 	}
 	slices.SortStableFunc(p, func(x, y vecTuple[T]) int {
 		switch {

@@ -10,10 +10,13 @@
 //     tuples" (as SuiteSparse:GraphBLAS does); Wait materializes them.
 //   - Element-wise addition (EWiseAdd, AddAssign, Promote, Sum) and Reduce.
 //
-// Storage is always DCSR ("doubly compressed sparse row"): a sorted list of
-// non-empty row ids plus per-row sorted column/value runs. This is the
-// hypersparse regime SuiteSparse switches into when #entries << #rows, which
-// is the only regime the streaming traffic-matrix workload ever occupies.
+// Storage is always sorted coordinate triples: three equal-length arrays of
+// row ids, column ids and values, ordered by (row, col). The streaming
+// traffic-matrix workload lives in the most hypersparse regime there is —
+// about one cell per non-empty row at IPv4 scale — where a compressed row
+// index (DCSR's row id plus row pointer per row) costs more than it saves:
+// a triple is 24 bytes for a uint64 matrix, and a merge writes nothing per
+// row.
 //
 // All operations preserve explicit zeros, matching GraphBLAS semantics: an
 // entry with value 0 is still an entry. This is what makes the hierarchical

@@ -44,8 +44,9 @@ func Int64Codec[T Number]() Codec[T] {
 const matrixMagic = "HHGBmat1"
 
 // Encode writes the matrix in a compact binary form: magic, dimensions,
-// entry count, then delta-varint row ids with per-row lengths, delta-varint
-// columns, and codec-encoded values. Pending updates are materialized first.
+// non-empty row count, entry count, then per row its delta-varint id, its
+// cell count and its delta-varint columns (the first against 0), and last
+// the codec-encoded values. Pending updates are materialized first.
 func Encode[T Number](w io.Writer, m *Matrix[T], c Codec[T]) error {
 	m.Wait()
 	bw := bufio.NewWriter(w)
@@ -64,32 +65,34 @@ func Encode[T Number](w io.Writer, m *Matrix[T], c Codec[T]) error {
 	if err := putUvarint(m.ncols); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(m.rows))); err != nil {
+	if err := putUvarint(uint64(m.rowCount())); err != nil {
 		return err
 	}
 	if err := putUvarint(uint64(len(m.col))); err != nil {
 		return err
 	}
 	prevRow := uint64(0)
-	for k, r := range m.rows {
+	for lo := 0; lo < len(m.row); {
+		r := m.row[lo]
+		hi := lo + 1
+		for hi < len(m.row) && m.row[hi] == r {
+			hi++
+		}
 		if err := putUvarint(r - prevRow); err != nil {
 			return err
 		}
 		prevRow = r
-		if err := putUvarint(uint64(m.ptr[k+1] - m.ptr[k])); err != nil {
+		if err := putUvarint(uint64(hi - lo)); err != nil {
 			return err
 		}
 		prevCol := uint64(0)
-		for p := m.ptr[k]; p < m.ptr[k+1]; p++ {
-			delta := m.col[p]
-			if p > m.ptr[k] {
-				delta = m.col[p] - prevCol
-			}
-			prevCol = m.col[p]
-			if err := putUvarint(delta); err != nil {
+		for _, c := range m.col[lo:hi] {
+			if err := putUvarint(c - prevCol); err != nil {
 				return err
 			}
+			prevCol = c
 		}
+		lo = hi
 	}
 	for _, v := range m.val {
 		binary.LittleEndian.PutUint64(buf[:8], c.Put(v))
@@ -130,8 +133,7 @@ func Decode[T Number](r io.Reader, c Codec[T]) (*Matrix[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	m.rows = make([]Index, 0, nnzRows)
-	m.ptr = make([]int, 1, nnzRows+1)
+	m.row = make([]Index, 0, nnz)
 	m.col = make([]Index, 0, nnz)
 	m.val = make([]T, nnz)
 	prevRow := uint64(0)
@@ -141,10 +143,12 @@ func Decode[T Number](r io.Reader, c Codec[T]) (*Matrix[T], error) {
 			return nil, err
 		}
 		prevRow += dr
-		m.rows = append(m.rows, prevRow)
 		rl, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
+		}
+		if rl == 0 || k > 0 && dr == 0 {
+			return nil, fmt.Errorf("%w: row %d empty or repeated", ErrInvalidValue, prevRow)
 		}
 		prevCol := uint64(0)
 		for p := uint64(0); p < rl; p++ {
@@ -152,14 +156,10 @@ func Decode[T Number](r io.Reader, c Codec[T]) (*Matrix[T], error) {
 			if err != nil {
 				return nil, err
 			}
-			if p == 0 {
-				prevCol = dc
-			} else {
-				prevCol += dc
-			}
+			prevCol += dc
+			m.row = append(m.row, prevRow)
 			m.col = append(m.col, prevCol)
 		}
-		m.ptr = append(m.ptr, len(m.col))
 	}
 	if uint64(len(m.col)) != nnz {
 		return nil, fmt.Errorf("%w: entry count mismatch (%d != %d)", ErrInvalidValue, len(m.col), nnz)

@@ -2,8 +2,9 @@ package gb
 
 import "fmt"
 
-// Matrix is a hypersparse matrix of T values, stored row-oriented in DCSR
-// form. The zero value is not usable; construct with NewMatrix.
+// Matrix is a hypersparse matrix of T values, stored as (row, col, val)
+// triples sorted by (row, col). The zero value is not usable; construct with
+// NewMatrix.
 //
 // Matrices operate in "non-blocking mode": SetElement and AppendTuples stage
 // updates in a pending-tuple buffer, and any operation that needs the
@@ -15,23 +16,22 @@ type Matrix[T Number] struct {
 	nrows Index
 	ncols Index
 
-	// DCSR storage. rows holds the sorted ids of non-empty rows;
-	// col[ptr[k]:ptr[k+1]] and val[ptr[k]:ptr[k+1]] hold the sorted column
-	// ids and values of row rows[k]. len(ptr) == len(rows)+1.
-	rows []Index
-	ptr  []int
-	col  []Index
-	val  []T
+	// Stored entries: entry k is (row[k], col[k], val[k]), strictly
+	// increasing in (row, col). The three slices share length and
+	// capacity.
+	row []Index
+	col []Index
+	val []T
 
-	// rowsBase and ptrBase are rows' and ptr's whole backing arrays while
-	// a merge has started rows and ptr part way into them (slide); nil
-	// otherwise. Whatever gives rows and ptr other arrays clears them.
-	rowsBase []Index
-	ptrBase  []int
+	// front counts the slots before row, col and val in their backing
+	// arrays, left unused by merges that closed their collision gap by
+	// moving the cells below it up (mergeInPlace) and held until the arrays
+	// are replaced. Capacity and Trim count them.
+	front int
 
-	// Pending updates not yet merged into the DCSR arrays, in
-	// struct-of-arrays layout: entry k is (pRow[k], pCol[k], pVal[k]).
-	// SoA keeps the Wait sort/merge loop cache-friendly (the radix passes
+	// Pending updates not yet merged into the stored entries, in the same
+	// struct-of-arrays layout: entry k is (pRow[k], pCol[k], pVal[k]). SoA
+	// keeps the Wait sort/merge loop cache-friendly (the radix passes
 	// touch only the packed keys, never the values' padding) and lets the
 	// staging append copy each incoming batch with three memmoves instead
 	// of a per-entry struct assignment. The three slices grow in lockstep;
@@ -54,9 +54,6 @@ type Matrix[T Number] struct {
 type sortScratch[T Number] struct {
 	keyA, keyB []uint64
 	valA, valB []T
-	// ptr holds the row pointers of the sorted pending entries while they
-	// are merged into the DCSR arrays (pendingDCSR).
-	ptr []int
 }
 
 // NewMatrix returns an empty nrows x ncols matrix with the default plus
@@ -65,7 +62,7 @@ func NewMatrix[T Number](nrows, ncols Index) (*Matrix[T], error) {
 	if nrows == 0 || ncols == 0 {
 		return nil, fmt.Errorf("%w: dimensions must be nonzero (got %d x %d)", ErrInvalidValue, nrows, ncols)
 	}
-	return &Matrix[T]{nrows: nrows, ncols: ncols, accum: Plus[T]().Op, ptr: []int{0}}, nil
+	return &Matrix[T]{nrows: nrows, ncols: ncols, accum: Plus[T]().Op}, nil
 }
 
 // MustNewMatrix is NewMatrix for statically valid dimensions; it panics on
@@ -96,7 +93,7 @@ func (m *Matrix[T]) NVals() int {
 // the hierarchical cascade uses this to decide when a Wait is worthwhile.
 func (m *Matrix[T]) PendingLen() int { return len(m.pRow) }
 
-// MaterializedNVals returns the number of entries in the DCSR structure,
+// MaterializedNVals returns the number of stored entries,
 // ignoring pending updates. NVals() <= MaterializedNVals()+PendingLen().
 func (m *Matrix[T]) MaterializedNVals() int { return len(m.col) }
 
@@ -162,92 +159,80 @@ func (m *Matrix[T]) ExtractElement(i, j Index) (T, error) {
 		return zero, fmt.Errorf("%w: (%d,%d) outside %d x %d", ErrIndexOutOfBounds, i, j, m.nrows, m.ncols)
 	}
 	m.Wait()
-	k, ok := searchIndex(m.rows, i)
-	if !ok {
+	lo, hi := 0, len(m.row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r := m.row[mid]; r < i || r == i && m.col[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(m.row) || m.row[lo] != i || m.col[lo] != j {
 		return zero, ErrNoValue
 	}
-	lo, hi := m.ptr[k], m.ptr[k+1]
-	p, ok := searchIndex(m.col[lo:hi], j)
-	if !ok {
-		return zero, ErrNoValue
-	}
-	return m.val[lo+p], nil
+	return m.val[lo], nil
 }
 
 // Clear removes all entries (stored and pending), keeping dimensions and
 // accumulator. Storage is released so a cleared level really returns its
 // memory, which is the point of the hierarchical cascade.
 func (m *Matrix[T]) Clear() {
-	m.rows = nil
-	m.ptr = []int{0}
-	m.rowsBase, m.ptrBase = nil, nil
-	m.col = nil
-	m.val = nil
-	m.pRow = nil
-	m.pCol = nil
-	m.pVal = nil
+	m.row, m.col, m.val, m.front = nil, nil, nil, 0
+	m.pRow, m.pCol, m.pVal = nil, nil, nil
 	m.scratch = sortScratch[T]{}
 }
 
 // Trim completes pending work and releases what only further ingest would
-// use: the pending buffers, the sort scratch, and any DCSR capacity beyond
+// use: the pending buffers, the sort scratch, and any stored capacity beyond
 // 1/8 of the stored length (the slack amortised growth leaves behind, and
-// the front of the row arrays a merge slid past). An
-// empty matrix ends up holding nothing. A matrix retains its buffers for as
-// long as it can still ingest; Trim is for the moment it no longer will.
+// the front a merge left unused). An empty matrix ends up holding nothing.
+// A matrix retains its buffers for as long as it can still ingest; Trim is
+// for the moment it no longer will.
 func (m *Matrix[T]) Trim() {
 	m.Wait()
 	m.pRow, m.pCol, m.pVal = nil, nil, nil
 	m.scratch = sortScratch[T]{}
-	if m.rowsBase != nil {
-		m.unslide()
+	if n := len(m.col); cap(m.col)-n+m.front > n/8 {
+		m.row, m.col, m.val, m.front = exact(m.row), exact(m.col), exact(m.val), 0
 	}
-	m.rows = trimmed(m.rows)
-	m.ptr = trimmed(m.ptr)
-	m.col = trimmed(m.col)
-	m.val = trimmed(m.val)
 }
 
-// trimmed returns s, reallocated to its exact length when its spare
-// capacity exceeds 1/8 of that length.
-func trimmed[E any](s []E) []E {
-	if cap(s)-len(s) <= len(s)/8 {
-		return s
+// exact returns a copy of s with capacity len(s), nil when s is empty.
+func exact[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
 	}
-	exact := make([]E, len(s))
-	copy(exact, s)
-	return exact
+	c := make([]E, len(s))
+	copy(c, s)
+	return c
 }
 
-// Capacity reports, in entries, the room the matrix holds: stored is the
-// capacity of the DCSR cell arrays (>= MaterializedNVals), staging that of
-// the pending buffers plus the sort scratch. Both are zero after Clear, and
-// after Trim on an empty matrix.
+// Capacity reports, in entries, the room the matrix holds: stored is that
+// of the stored arrays, the front a merge left unused included (>=
+// MaterializedNVals), staging that of the pending buffers plus the sort
+// scratch. Both are zero after Clear, and after Trim on an empty matrix.
 func (m *Matrix[T]) Capacity() (stored, staging int) {
-	return cap(m.col), cap(m.pRow) + cap(m.scratch.keyA)
+	return cap(m.col) + m.front, cap(m.pRow) + cap(m.scratch.keyA)
 }
 
 // Dup returns a deep copy. Pending updates are materialized first so the
 // copy shares no state with the original.
 func (m *Matrix[T]) Dup() *Matrix[T] {
 	m.Wait()
-	d := &Matrix[T]{nrows: m.nrows, ncols: m.ncols, accum: m.accum}
-	d.rows = append([]Index(nil), m.rows...)
-	d.ptr = append([]int(nil), m.ptr...)
-	d.col = append([]Index(nil), m.col...)
-	d.val = append([]T(nil), m.val...)
-	return d
+	return &Matrix[T]{
+		nrows: m.nrows, ncols: m.ncols, accum: m.accum,
+		row: exact(m.row), col: exact(m.col), val: exact(m.val),
+	}
 }
 
 // Iterate calls f for each stored entry in row-major order, stopping early
 // if f returns false. Pending updates are materialized first.
 func (m *Matrix[T]) Iterate(f func(i, j Index, v T) bool) {
 	m.Wait()
-	for k, r := range m.rows {
-		for p := m.ptr[k]; p < m.ptr[k+1]; p++ {
-			if !f(r, m.col[p], m.val[p]) {
-				return
-			}
+	for k, r := range m.row {
+		if !f(r, m.col[k], m.val[k]) {
+			return
 		}
 	}
 }
@@ -256,36 +241,22 @@ func (m *Matrix[T]) Iterate(f func(i, j Index, v T) bool) {
 // completion of pending updates. The returned slices are fresh copies.
 func (m *Matrix[T]) ExtractTuples() (rows, cols []Index, vals []T) {
 	m.Wait()
-	n := len(m.col)
-	rows = make([]Index, 0, n)
-	cols = append([]Index(nil), m.col...)
-	vals = append([]T(nil), m.val...)
-	for k, r := range m.rows {
-		for p := m.ptr[k]; p < m.ptr[k+1]; p++ {
-			_ = p
-			rows = append(rows, r)
-		}
-	}
-	return rows, cols, vals
+	return append([]Index(nil), m.row...), append([]Index(nil), m.col...), append([]T(nil), m.val...)
 }
 
 // String summarizes the matrix without dumping entries.
 func (m *Matrix[T]) String() string {
 	return fmt.Sprintf("gb.Matrix[%dx%d, nvals=%d(+%d pending), nnzrows=%d]",
-		m.nrows, m.ncols, len(m.col), len(m.pRow), len(m.rows))
+		m.nrows, m.ncols, len(m.col), len(m.pRow), m.rowCount())
 }
 
-// searchIndex binary-searches a sorted Index slice and reports the position
-// and whether x was found.
-func searchIndex(s []Index, x Index) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
+// rowCount returns the number of non-empty rows among the stored entries.
+func (m *Matrix[T]) rowCount() int {
+	n := 0
+	for k, r := range m.row {
+		if k == 0 || r != m.row[k-1] {
+			n++
 		}
 	}
-	return lo, lo < len(s) && s[lo] == x
+	return n
 }

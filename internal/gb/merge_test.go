@@ -8,8 +8,8 @@ import (
 )
 
 // The in-place kernel (mergeInPlace, behind AddAssign, Promote and Wait) is
-// held to two references: mergeDCSR, the out-of-place kernel it replaced on
-// those paths, and a map[(i,j)]T model. Every case runs with a
+// held to two references: EWiseAdd, the forward merge into fresh arrays,
+// and a map[(i,j)]T model. Every case runs with a
 // non-commutative operator, so a swapped operand order cannot pass.
 
 func minus[T Number](a, b T) T { return a - b }
@@ -29,23 +29,22 @@ func matrixOf[T Number](cells []cell, scale T) *Matrix[T] {
 	return m
 }
 
-// withCapacity reallocates m's DCSR arrays to hold exactly nr rows and nnz
-// cells (never less than they hold now).
-func withCapacity[T Number](m *Matrix[T], nr, nnz int) {
-	nr, nnz = max(nr, len(m.rows)), max(nnz, len(m.col))
-	m.rowsBase, m.ptrBase = nil, nil
-	m.rows = append(make([]Index, 0, nr), m.rows...)
-	m.ptr = append(make([]int, 0, nr+1), m.ptr...)
+// withCapacity reallocates m's stored arrays to hold exactly nnz cells
+// (never less than they hold now).
+func withCapacity[T Number](m *Matrix[T], nnz int) {
+	nnz = max(nnz, len(m.col))
+	m.row = append(make([]Index, 0, nnz), m.row...)
 	m.col = append(make([]Index, 0, nnz), m.col...)
 	m.val = append(make([]T, 0, nnz), m.val...)
+	m.front = 0
 }
 
 // The capacities checkMergeCap gives dst before merging src into it.
 const (
 	capAsBuilt    = iota
 	capExact      // the merged size
-	capUpperBound // len(dst)+len(src) rows and cells: the kernel's own sizing, so it closes its gaps in place
-	capOneShort   // one row and one cell short of the merged size
+	capUpperBound // len(dst)+len(src) cells: the kernel's own sizing, so it closes its gap in place
+	capOneShort   // one cell short of the merged size
 	numCaps
 )
 
@@ -58,10 +57,10 @@ func checkMerge[T Number](t *testing.T, dstCells, srcCells []cell) {
 }
 
 // checkMergeCap runs dst ⊕= src through AddAssign and through Promote, with
-// dst given capacity c, and compares each result with mergeDCSR's and the
+// dst given capacity c, and compares each result with EWiseAdd's and the
 // map model's. Each result then moves to an empty matrix, takes a second
-// Promote there — a merge into arrays the first may have slid — and a Trim,
-// which must hand the slid front back.
+// Promote there — a merge into arrays the first may have started later in
+// their arrays — and a Trim, which must hand that front back.
 func checkMergeCap[T Number](t *testing.T, dstCells, srcCells []cell, c int) {
 	t.Helper()
 	build := func() (dst, src *Matrix[T]) { return matrixOf(dstCells, T(100)), matrixOf(srcCells, T(1)) }
@@ -75,13 +74,13 @@ func checkMergeCap[T Number](t *testing.T, dstCells, srcCells []cell, c int) {
 		srcBefore := src.Dup()
 		switch c {
 		case capExact:
-			withCapacity(dst, len(want.rows), len(want.col))
+			withCapacity(dst, len(want.col))
 		case capUpperBound:
-			withCapacity(dst, len(dst.rows)+len(src.rows), len(dst.col)+len(src.col))
+			withCapacity(dst, len(dst.col)+len(src.col))
 		case capOneShort:
-			withCapacity(dst, len(want.rows)-1, len(want.col)-1)
+			withCapacity(dst, len(want.col)-1)
 		}
-		rowsArr, colArr := dst.rows[:cap(dst.rows)], dst.col[:cap(dst.col)]
+		colArr := dst.col[:cap(dst.col)]
 		var err error
 		if promote {
 			err = Promote(dst, src, minus[T])
@@ -93,14 +92,8 @@ func checkMergeCap[T Number](t *testing.T, dstCells, srcCells []cell, c int) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkAgainst(t, name, dst, want, model)
-		if c == capUpperBound && len(colArr) > 0 {
-			rows := dst.rows
-			if dst.rowsBase != nil {
-				rows = dst.rowsBase
-			}
-			if &rows[:1][0] != &rowsArr[0] || &dst.col[:1][0] != &colArr[0] {
-				t.Fatalf("%s: the merge reallocated within its upper bound", name)
-			}
+		if c == capUpperBound && len(colArr) > 0 && (!inside(colArr, dst.col) || len(colArr) != cap(dst.col)+dst.front) {
+			t.Fatalf("%s: the merge reallocated within its upper bound", name)
 		}
 		mustInvariants(t, src)
 		if promote {
@@ -127,19 +120,19 @@ func checkMergeCap[T Number](t *testing.T, dstCells, srcCells []cell, c int) {
 		checkAgainst(t, name+", refilled", dst, again, denseOf(again))
 		checkAgainst(t, name+", handed over, then Promote", moved, want2, model2)
 		moved.Trim()
-		slid := moved.rowsBase != nil || inside(rowsArr, moved.rows) && &moved.rows[:1][0] != &rowsArr[0]
-		if slid || cap(moved.rows)-len(moved.rows) > len(moved.rows)/8 {
-			t.Fatalf("%s, then Trim: %d rows kept in %d (slid: %v)", name, len(moved.rows), cap(moved.rows), slid)
+		if stored, _ := moved.Capacity(); stored-len(moved.col) > len(moved.col)/8 {
+			t.Fatalf("%s, then Trim: %d cells kept in %d (front %d)", name, len(moved.col), stored, moved.front)
 		}
 		checkAgainst(t, name+", then Trim", moved, want2, model2)
 	}
 }
 
-// mergeRef returns dst ⊕ src under minus by mergeDCSR and by the map model.
+// mergeRef returns dst ⊕ src under minus by EWiseAdd and by the map model.
 func mergeRef[T Number](dst, src *Matrix[T]) (*Matrix[T], map[[2]Index]T) {
-	want := &Matrix[T]{nrows: dst.nrows, ncols: dst.ncols, accum: dst.accum}
-	want.rows, want.ptr, want.col, want.val = mergeDCSR(
-		dst.rows, dst.ptr, dst.col, dst.val, src.rows, src.ptr, src.col, src.val, minus[T])
+	want, err := EWiseAdd(dst, src, minus[T])
+	if err != nil {
+		panic(err)
+	}
 	model := denseOf(dst)
 	for c, v := range denseOf(src) {
 		if d, ok := model[c]; ok {
@@ -152,16 +145,12 @@ func mergeRef[T Number](dst, src *Matrix[T]) (*Matrix[T], map[[2]Index]T) {
 }
 
 // checkAgainst fails the test unless got is well formed, equals want and
-// agrees with model cell by cell. Slid rows and ptr must lie inside the
-// arrays kept for them.
+// agrees with model cell by cell.
 func checkAgainst[T Number](t *testing.T, name string, got, want *Matrix[T], model map[[2]Index]T) {
 	t.Helper()
 	mustInvariants(t, got)
-	if got.rowsBase != nil && (!inside(got.rowsBase, got.rows) || !inside(got.ptrBase, got.ptr)) {
-		t.Fatalf("%s: slid rows/ptr are not inside the arrays kept for them", name)
-	}
 	if !Equal(got, want) {
-		t.Fatalf("%s: in-place result differs from mergeDCSR\n got %v\nwant %v", name, tuplesOf(got), tuplesOf(want))
+		t.Fatalf("%s: in-place result differs from EWiseAdd\n got %v\nwant %v", name, tuplesOf(got), tuplesOf(want))
 	}
 	dense := denseOf(got)
 	if len(dense) != len(model) {
@@ -174,7 +163,7 @@ func checkAgainst[T Number](t *testing.T, name string, got, want *Matrix[T], mod
 	}
 }
 
-// inside reports whether s is a tail of base's backing array.
+// inside reports whether s ends where base's backing array does.
 func inside[E any](base, s []E) bool {
 	cb, cs := cap(base), cap(s)
 	return cs > 0 && cb >= cs && &base[:cb][cb-1] == &s[:cs][cs-1]
@@ -225,14 +214,15 @@ func mergeShapes() map[string][2][]cell {
 			{{wide, wide + 1}, {wide, wide + 3}, {wide + 2, 1}},
 			{{3, wide}, {wide, wide + 2}, {wide, wide + 3}, {wide + 5, wide + 5}},
 		},
-		// The row gap closed by sliding dst's shorter prefix up.
+		// Rows shared, no cell: no gap to close.
 		"every src row shared, no cell shared": {rowsOf(0, 30), shift(rowsOf(5, 25))},
-		// The row gap closed by moving the shorter written block down.
-		"shared rows, prefix longer than the written block": {rowsOf(0, 30), shift(rowsOf(27, 3))},
-		// The cell gap opens at the first row written and is carried by all others.
+		// The gap closed by moving the shorter written block down.
+		"shared rows, prefix longer than the written block": {rowsOf(0, 30), rowsOf(27, 3)},
+		// The gap closed by moving dst's one-cell prefix up.
 		"collisions only in the last row":               {rowsOf(0, 10), append(shift(rowsOf(0, 9)), rowsOf(0, 10)[18:]...)},
 		"src entirely below dst, sharing its first row": {rowsOf(10, 5), shift(rowsOf(0, 11))},
-		"every src cell colliding":                      {rowsOf(0, 20), everyOther(rowsOf(0, 20))},
+		// An empty prefix: the slices start later, nothing moves.
+		"every src cell colliding": {rowsOf(0, 20), everyOther(rowsOf(0, 20))},
 	}
 }
 

@@ -26,20 +26,11 @@ func ReduceRows[T Number](a *Matrix[T], m Monoid[T]) (*Vector[T], error) {
 		return nil, fmt.Errorf("%w: monoid with nil operator", ErrInvalidValue)
 	}
 	a.Wait()
-	v, err := NewVector[T](a.nrows)
+	v, err := newRunVector[T](a.nrows, a.row)
 	if err != nil {
 		return nil, err
 	}
-	v.idx = make([]Index, 0, len(a.rows))
-	v.val = make([]T, 0, len(a.rows))
-	for k, r := range a.rows {
-		acc := m.Identity
-		for p := a.ptr[k]; p < a.ptr[k+1]; p++ {
-			acc = m.Op(acc, a.val[p])
-		}
-		v.idx = append(v.idx, r)
-		v.val = append(v.val, acc)
-	}
+	foldRuns(v, a.row, a.val, m.Op)
 	return v, nil
 }
 
@@ -58,31 +49,33 @@ func ReduceCols[T Number](a *Matrix[T], m Monoid[T]) (*Vector[T], error) {
 	if err != nil {
 		return nil, err
 	}
+	foldRuns(v, cols, vals, m.Op)
+	return v, nil
+}
+
+// foldRuns fills v, sized by newRunVector, with one entry per run of equal
+// keys in sorted: the run's values folded left to right with op.
+func foldRuns[T Number](v *Vector[T], sorted []Index, vals []T, op BinaryOp[T]) {
 	w := -1
-	for k, c := range cols {
+	for k, c := range sorted {
 		if w < 0 || c != v.idx[w] {
 			w++
 			v.idx[w], v.val[w] = c, vals[k]
 		} else {
-			v.val[w] = m.Op(v.val[w], vals[k])
+			v.val[w] = op(v.val[w], vals[k])
 		}
 	}
-	return v, nil
 }
 
-// RowDegrees returns, per non-empty row, the number of cells stored in it.
-// It reads the DCSR row pointers alone — no value is touched or copied.
+// RowDegrees returns, per non-empty row, the number of cells stored in it:
+// the run lengths of the sorted row ids. No value is touched or copied.
 func RowDegrees[T Number](a *Matrix[T]) (*Vector[T], error) {
 	a.Wait()
-	v, err := NewVector[T](a.nrows)
+	v, err := newRunVector[T](a.nrows, a.row)
 	if err != nil {
 		return nil, err
 	}
-	v.idx = append(make([]Index, 0, len(a.rows)), a.rows...)
-	v.val = make([]T, len(a.rows))
-	for k := range a.rows {
-		v.val[k] = T(a.ptr[k+1] - a.ptr[k])
-	}
+	countRuns(v, a.row)
 	return v, nil
 }
 
@@ -96,15 +89,20 @@ func ColDegrees[T Number](a *Matrix[T]) (*Vector[T], error) {
 	if err != nil {
 		return nil, err
 	}
+	countRuns(v, cols)
+	return v, nil
+}
+
+// countRuns fills v, sized by newRunVector, with the run lengths of sorted.
+func countRuns[T Number](v *Vector[T], sorted []Index) {
 	w := -1
-	for _, c := range cols {
+	for _, c := range sorted {
 		if w < 0 || c != v.idx[w] {
 			w++
 			v.idx[w] = c
 		}
 		v.val[w]++
 	}
-	return v, nil
 }
 
 // sortedByKey returns copies of keys and vals sorted by key with the

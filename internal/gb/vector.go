@@ -60,7 +60,7 @@ func (v *Vector[T]) ExtractElement(i Index) (T, error) {
 		return zero, fmt.Errorf("%w: %d outside vector of size %d", ErrIndexOutOfBounds, i, v.n)
 	}
 	v.Wait()
-	p, ok := searchIndex(v.idx, i)
+	p, ok := slices.BinarySearch(v.idx, i)
 	if !ok {
 		return zero, ErrNoValue
 	}

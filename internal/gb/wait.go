@@ -2,21 +2,22 @@ package gb
 
 import "slices"
 
-// Wait materializes all pending updates into the DCSR structure, combining
+// Wait materializes all pending updates into the stored entries, combining
 // duplicates with the matrix accumulator. It is idempotent and cheap when
 // nothing is pending. This is the analogue of GrB_Matrix_wait: after Wait,
 // NVals/Iterate/algebraic kernels see a fully assembled matrix.
 //
 // Cost: O(p) radix passes to sort p pending entries (O(p log p) comparison
 // fallback for indices >= 2^32) plus O(p + nvals) to union-merge with the
-// existing structure. The hierarchical cascade keeps p and nvals small at
+// existing entries. The hierarchical cascade keeps p and nvals small at
 // the lowest level, which is where almost all Waits happen.
 //
 // Allocation: the sort runs in scratch buffers retained on the matrix, the
-// sorted pending entries are merged from where they lie (pendingDCSR) into
-// the matrix's own DCSR arrays (mergeInPlace), and the pending slices are
-// truncated, not released — so a warm Wait allocates nothing unless the
-// DCSR arrays have to grow, to at least twice what they hold.
+// sorted pending entries are merged from where they lie into the matrix's
+// own arrays (mergeInPlace) — or, into an empty matrix, become its arrays
+// while the pending buffers take the emptied ones — and the pending slices
+// are truncated, not released. So a warm Wait allocates nothing unless the
+// stored arrays have to grow, to at least twice what they hold.
 func (m *Matrix[T]) Wait() {
 	if len(m.pRow) != 0 {
 		m.materialize(m.accum)
@@ -24,14 +25,20 @@ func (m *Matrix[T]) Wait() {
 }
 
 // materialize sorts the pending entries, folds duplicates with op, merges
-// the result into the DCSR arrays (colliding cells fold with op too) and
+// the result into the stored entries (colliding cells fold with op too) and
 // empties the pending buffers, keeping their capacity. Wait runs it with
 // the accumulator, Build with its dup operator on an empty matrix.
 func (m *Matrix[T]) materialize(op BinaryOp[T]) {
 	m.sortPending()
 	n := combineSoA(m.pRow, m.pCol, m.pVal, op)
-	rows, ptr := m.pendingDCSR(n)
-	m.mergeInPlace(rows, ptr, m.pCol[:n], m.pVal[:n], op)
+	if len(m.col) == 0 {
+		m.row, m.pRow = m.pRow[:n], m.row[:0]
+		m.col, m.pCol = m.pCol[:n], m.col[:0]
+		m.val, m.pVal = m.pVal[:n], m.val[:0]
+		m.front = 0
+		return
+	}
+	m.mergeInPlace(m.pRow[:n], m.pCol[:n], m.pVal[:n], op)
 	m.pRow = m.pRow[:0]
 	m.pCol = m.pCol[:0]
 	m.pVal = m.pVal[:0]
@@ -200,21 +207,4 @@ func combineSoA[T Number](rows, cols []Index, vals []T, op BinaryOp[T]) int {
 		}
 	}
 	return w + 1
-}
-
-// pendingDCSR views the first n sorted, duplicate-free pending entries as
-// a DCSR structure without copying them: pCol[:n] and pVal[:n] already are
-// its col and val arrays, the distinct row ids compact in place to the
-// front of pRow, and the row pointers go to retained scratch.
-func (m *Matrix[T]) pendingDCSR(n int) (rows []Index, ptr []int) {
-	rows, ptr = m.pRow[:0], m.scratch.ptr[:0]
-	for k, r := range m.pRow[:n] {
-		if k == 0 || r != rows[len(rows)-1] {
-			rows = append(rows, r) // in place: len(rows) <= k
-			ptr = append(ptr, k)
-		}
-	}
-	ptr = append(ptr, n)
-	m.scratch.ptr = ptr
-	return rows, ptr
 }

@@ -332,8 +332,9 @@ func (h *Matrix[T]) Trim() {
 	}
 }
 
-// LevelCaps reports each level's gb.Matrix.Capacity: the entries of DCSR
-// room it holds and the entries of pending/sort staging.
+// LevelCaps reports each level's gb.Matrix.Capacity: the cells its sorted
+// (row, col, val) arrays have room for and the entries of pending/sort
+// staging.
 func (h *Matrix[T]) LevelCaps() (stored, staging []int) {
 	stored, staging = make([]int, len(h.levels)), make([]int, len(h.levels))
 	for i, lvl := range h.levels {

@@ -444,10 +444,10 @@ func feedDistinct(t *testing.T, h *Matrix[uint64], from, n, batch int) {
 
 // TestCascadeBytesPerEntryBudget holds a warm cascade to the only
 // allocation it has a reason for: the unbounded top level's amortised
-// growth. A distinct-row cell occupies 32 bytes there (column id, value,
-// row id, row pointer); growth by doubling allocates at most 2x the final
-// capacity, itself at most 2x the entries, so 4 x 32 bytes per entry is the
-// ceiling. Levels below the top retain their buffers across promotions and
+// growth. A cell occupies 24 bytes there (row id, column id, value) however
+// many cells its row holds; growth by doubling allocates at most 2x the
+// final capacity, itself at most 2x the entries, so 4 x 24 bytes per entry
+// is the ceiling. Levels below the top retain their buffers across promotions and
 // add nothing. (A cascade that builds a new A(i+1) per promotion spends
 // over 1,000 bytes per entry at these cuts.)
 func TestCascadeBytesPerEntryBudget(t *testing.T) {
@@ -455,7 +455,7 @@ func TestCascadeBytesPerEntryBudget(t *testing.T) {
 		batch    = 256
 		warm     = 64 << 10
 		measured = 512 << 10
-		budget   = 4 * 32
+		budget   = 4 * 24
 	)
 	h := MustNew[uint64](1<<32, 1<<32, Config{Cuts: []int{1 << 10, 1 << 14}})
 	feedDistinct(t, h, 0, warm, batch)

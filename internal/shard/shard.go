@@ -988,8 +988,8 @@ func (g *Group[T]) LevelNVals() []int {
 }
 
 // LevelCaps reports the per-level capacity the shards' cascades hold,
-// summed across shards: entries of DCSR room and entries of pending/sort
-// staging (see hier.Matrix.LevelCaps).
+// summed across shards: cells of stored-triple room and entries of
+// pending/sort staging (see hier.Matrix.LevelCaps).
 func (g *Group[T]) LevelCaps() (stored, staging []int) {
 	stored, staging = make([]int, g.Levels()), make([]int, g.Levels())
 	var mu sync.Mutex

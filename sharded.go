@@ -156,9 +156,10 @@ func Recover(dir string, opts ...Option) (*Sharded, error) {
 }
 
 // Checkpoint makes the entire accepted stream durable and compact: a
-// batch-atomic barrier at which every shard fsyncs its write-ahead log,
-// serializes its cascade into a snapshot file, and truncates the log, with
-// the set committed atomically via the manifest. After Checkpoint returns,
+// batch-atomic barrier at which the matrix's one write-ahead log is fsynced
+// and rotated and every shard serializes its cascade into a snapshot file,
+// with the set committed atomically via the manifest and the superseded log
+// deleted. After Checkpoint returns,
 // Recover needs only the snapshots — no replay. It fails with ErrClosed
 // after Close (which already took a final checkpoint) and with
 // ErrNotDurable on a matrix built without WithDurability.
